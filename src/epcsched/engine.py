@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from ._units import PAGE_SIZE
 from .cluster import ClusterState, NodeSpec
@@ -43,16 +44,14 @@ class EventKind(IntEnum):
     SUBMIT = 4
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """A heap entry, ordered as a plain tuple: time, then kind, then `seq`.
+    `seq` is unique, so the payload is never compared."""
+
     time_ms: int
     kind: EventKind
     seq: int
     payload: str | None = None
-
-    def __lt__(self, other: "SimEvent") -> bool:
-        return ((self.time_ms, self.kind.value, self.seq)
-                < (other.time_ms, other.kind.value, other.seq))
 
 
 class JobStatus(Enum):

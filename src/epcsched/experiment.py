@@ -36,6 +36,11 @@ class MaliciousConfig:
     declared_pages: int = 1
     use_fraction: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 < self.use_fraction <= 1.0:
+            raise ConfigError("malicious_use_fraction must lie in (0, 1], "
+                              f"got {self.use_fraction!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

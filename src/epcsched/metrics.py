@@ -11,7 +11,7 @@ treat as zero usage.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -59,6 +59,9 @@ class WindowQuery:
             raise ValueError("now_ms must be >= 0")
 
 
+_Key = tuple[str, str, str]  # (node, pod, metric)
+
+
 class _Stream:
     """Samples of one (node, pod, metric) series, times kept sorted."""
 
@@ -73,13 +76,18 @@ class SeriesStore:
     """Append-only sample store, queryable per window.
 
     Streams are keyed by (node, pod, metric).  Within a stream, time must not
-    go backwards; across streams there is no ordering requirement.  Queries
-    bisect into the stream, so their cost is bounded by the window size, not
-    the history length.
+    go backwards; across streams there is no ordering requirement.  Streams
+    are also filed under their tip, the time of their last sample: a stream
+    whose tip is older than the window's start has no sample inside it, so a
+    query bisects the sorted tips and visits only the streams that can
+    contribute, then bisects into each of those.  Its cost is bounded by the
+    window, not the history length.
     """
 
     def __init__(self):
-        self._streams: dict[tuple[str, str, str], _Stream] = {}
+        self._streams: dict[_Key, _Stream] = {}
+        self._by_tip: dict[int, dict[_Key, _Stream]] = {}
+        self._tips: list[int] = []  # the keys of _by_tip, sorted
         self._log: list[MetricSample] = []
 
     def __len__(self) -> int:
@@ -87,16 +95,36 @@ class SeriesStore:
 
     def append(self, sample: MetricSample) -> None:
         key = (sample.node_id, sample.pod_id, sample.metric)
+        time_ms = sample.time_ms
         stream = self._streams.get(key)
         if stream is None:
             stream = self._streams[key] = _Stream()
-        if stream.times and sample.time_ms < stream.times[-1]:
-            raise OutOfOrderSampleError(
-                f"sample at {sample.time_ms}ms precedes stream "
-                f"{key} tip {stream.times[-1]}ms")
-        stream.times.append(sample.time_ms)
+            self._file(key, stream, time_ms)
+        else:
+            tip = stream.times[-1]
+            if time_ms < tip:
+                raise OutOfOrderSampleError(
+                    f"sample at {time_ms}ms precedes stream {key} tip {tip}ms")
+            if time_ms != tip:
+                self._unfile(key, tip)
+                self._file(key, stream, time_ms)
+        stream.times.append(time_ms)
         stream.values.append(sample.value)
         self._log.append(sample)
+
+    def _file(self, key: _Key, stream: _Stream, tip: int) -> None:
+        bucket = self._by_tip.get(tip)
+        if bucket is None:
+            bucket = self._by_tip[tip] = {}
+            insort(self._tips, tip)
+        bucket[key] = stream
+
+    def _unfile(self, key: _Key, tip: int) -> None:
+        bucket = self._by_tip[tip]
+        del bucket[key]
+        if not bucket:
+            del self._by_tip[tip]
+            del self._tips[bisect_left(self._tips, tip)]
 
     def per_node_usage(self, q: WindowQuery) -> dict[str, int]:
         """Sum, per node, of each pod's maximum nonzero sample in the window.
@@ -106,20 +134,19 @@ class SeriesStore:
         simply absent from the result.
         """
         out: dict[str, int] = {}
-        lo_bound = q.now_ms - q.window_ms
-        for (node_id, _pod, metric), stream in self._streams.items():
-            if metric != q.metric:
-                continue
-            best = None
-            start = bisect_left(stream.times, lo_bound)
-            for i in range(start, len(stream.times)):
-                if stream.times[i] > q.now_ms:
-                    break
-                value = stream.values[i]
-                if value != 0 and (best is None or value > best):
-                    best = value
-            if best is not None:
-                out[node_id] = out.get(node_id, 0) + best
+        lo_bound, now = q.now_ms - q.window_ms, q.now_ms
+        tips = self._tips
+        for i in range(bisect_left(tips, lo_bound), len(tips)):
+            for (node_id, _pod, metric), stream in self._by_tip[tips[i]].items():
+                if metric != q.metric:
+                    continue
+                times = stream.times
+                # Values are never negative, so the window's maximum is its
+                # maximum nonzero sample whenever it is nonzero at all.
+                best = max(stream.values[bisect_left(times, lo_bound):
+                                         bisect_right(times, now)], default=0)
+                if best:
+                    out[node_id] = out.get(node_id, 0) + best
         return out
 
     def samples(self) -> Iterator[MetricSample]:

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .engine import JobOutcome, JobStatus
 from .trace import JobKind, JobSpec, _open_text, _open_write, read_jobs_csv
@@ -33,6 +32,21 @@ OUTCOMES_FIELDS = ("job_id", "kind", "submit_ms", "start_ms", "finish_ms",
 PENDING_FIELDS = ("time_ms", "pending_epc_bytes")
 
 FIGURES = (6, 7, 8, 9, 10)
+
+# Two-sided 95% Student t critical values, t.ppf(0.975, df) for df = 1..28,
+# as float64; index df - 1.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454,
+)
 
 
 def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
@@ -157,8 +171,7 @@ def _bucket_stats(pairs: list[tuple[int, int]],
             spread = float(np.std(waits, ddof=1))
             n = len(waits)
             # t critical value below 30 samples, normal approximation above
-            crit = (float(_scipy_stats.t.ppf(0.975, n - 1)) if n < 30
-                    else 1.959963984540054)
+            crit = _T975[n - 2] if n < 30 else 1.959963984540054
             ci = crit * spread / math.sqrt(n)
         out.append(BucketStat(lo, hi, len(waits), mean, ci))
     return out

@@ -236,9 +236,18 @@ _EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH = 0, 1, 4
 
 
 def _shard_rows(directory: Path):
+    """(shard, 1-based row number, row) for every row of every shard."""
     for shard in sorted(directory.glob("*.csv.gz")):
         with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
-            yield from csv.reader(fh)
+            for rowno, row in enumerate(csv.reader(fh), start=1):
+                yield shard, rowno, row
+
+
+def _shard_error(shard: Path, rowno: int, row: list[str],
+                 exc: Exception) -> TraceParseError:
+    reason = (f"short row ({len(row)} fields)" if isinstance(exc, IndexError)
+              else str(exc))
+    return TraceParseError(f"{shard}: {reason}", line=rowno)
 
 
 def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRecord]:
@@ -263,30 +272,36 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
     sched: dict[tuple[str, str], float] = {}
     finish: dict[tuple[str, str], float] = {}
     request: dict[tuple[str, str], float] = {}
-    for row in _shard_rows(events_dir):
-        key = (row[cols.event_job_id], row[cols.event_task_index])
-        etype = int(row[cols.event_type])
-        t = float(row[cols.event_time]) / 1e6  # raw timestamps are microseconds
-        if etype == _EV_SUBMIT:
-            submit.setdefault(key, t)
-        elif etype == _EV_SCHEDULE:
-            sched.setdefault(key, t)
-        elif etype == _EV_FINISH:
-            finish.setdefault(key, t)
-        if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
-            field = row[cols.event_mem_request].strip()
-            if field:
-                request[key] = float(field)
+    for shard, rowno, row in _shard_rows(events_dir):
+        try:
+            key = (row[cols.event_job_id], row[cols.event_task_index])
+            etype = int(row[cols.event_type])
+            t = float(row[cols.event_time]) / 1e6  # raw timestamps are microseconds
+            if etype == _EV_SUBMIT:
+                submit.setdefault(key, t)
+            elif etype == _EV_SCHEDULE:
+                sched.setdefault(key, t)
+            elif etype == _EV_FINISH:
+                finish.setdefault(key, t)
+            if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
+                field = row[cols.event_mem_request].strip()
+                if field:
+                    request[key] = float(field)
+        except (IndexError, ValueError) as exc:
+            raise _shard_error(shard, rowno, row, exc) from None
 
     peak: dict[tuple[str, str], float] = {}
     if usage_dir.is_dir():
-        for row in _shard_rows(usage_dir):
-            key = (row[cols.usage_job_id], row[cols.usage_task_index])
-            field = row[cols.usage_max_mem].strip()
-            if field:
-                value = float(field)
-                if value > peak.get(key, -1.0):
-                    peak[key] = value
+        for shard, rowno, row in _shard_rows(usage_dir):
+            try:
+                key = (row[cols.usage_job_id], row[cols.usage_task_index])
+                field = row[cols.usage_max_mem].strip()
+                if field:
+                    value = float(field)
+                    if value > peak.get(key, -1.0):
+                        peak[key] = value
+            except (IndexError, ValueError) as exc:
+                raise _shard_error(shard, rowno, row, exc) from None
 
     records = []
     for key, end in finish.items():

@@ -1,5 +1,6 @@
 """Experiment configs, sweep expansion, artifact layout, and the CLI."""
 
+import gzip
 import json
 import math
 
@@ -90,6 +91,12 @@ class TestConfigParsing:
 
     def test_no_malicious_keys_means_none(self):
         assert config_from_mapping({"trace": "t.csv"}).malicious is None
+
+    @pytest.mark.parametrize("value", [0, -0.5, 2, "nan"])
+    def test_malicious_use_fraction_outside_unit_interval(self, value):
+        with pytest.raises(ConfigError, match="malicious_use_fraction"):
+            config_from_mapping({"trace": "t.csv",
+                                 "malicious_use_fraction": value})
 
     def test_bad_bool(self):
         with pytest.raises(ConfigError):
@@ -282,6 +289,26 @@ class TestCli:
     def test_bad_figure_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", "--dir", str(tmp_path), "--figure", "5"])
+
+    def test_bad_malicious_fraction_exits_2_before_any_point(self, tmp_path,
+                                                           trace_path):
+        cfg_path = flat_config(tmp_path, trace_path,
+                               "malicious_use_fraction = 2\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_scale_short_borg_row_exits_3(self, tmp_path, capsys):
+        shard = tmp_path / "trace" / "task_events" / "part-00000.csv.gz"
+        shard.parent.mkdir(parents=True)
+        with gzip.open(shard, "wt", newline="") as fh:
+            fh.write("0,,42,0,,0,,,,,0.25\n5\n")
+        rc = main(["scale", "--in", str(tmp_path / "trace"),
+                   "--out", str(tmp_path / "jobs.csv"),
+                   "--format", "borg_tables"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(shard) in err
+        assert not (tmp_path / "jobs.csv").exists()
 
     def test_scale_bad_trace_exits_3(self, tmp_path):
         assert main(["scale", "--in", str(tmp_path / "nope.csv"),

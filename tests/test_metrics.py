@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GIB, sgx_job, sgx_node, std_job, std_node
 from epcsched.cluster import ClusterState
@@ -142,6 +143,57 @@ class TestWindowQuery:
                 assert got == want
 
 
+_STREAM_KEYS = st.tuples(st.sampled_from(["n1", "n2", "n3"]),
+                         st.sampled_from(["a", "b", "c"]),
+                         st.sampled_from(["m", "other"]))
+_APPEND = st.tuples(st.just("append"), st.integers(0, 7),
+                    st.one_of(st.just(0), st.integers(1, 30)),
+                    st.integers(0, 5))
+_QUERY = st.tuples(st.just("query"), st.integers(0, 700),
+                   st.integers(1, 120), st.sampled_from(["m", "other"]))
+# A query whose window starts or ends exactly on an appended sample's time.
+_EDGE_QUERY = st.tuples(st.just("edge"), st.integers(0, 100),
+                        st.integers(1, 120), st.sampled_from(["m", "other"]),
+                        st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams=st.lists(st.tuples(_STREAM_KEYS, st.integers(0, 300)),
+                        min_size=1, max_size=8,
+                        unique_by=lambda s: s[0]),
+       ops=st.lists(st.one_of(_APPEND, _QUERY, _EDGE_QUERY), max_size=80))
+def test_index_matches_oracle_on_interleaved_histories(streams, ops):
+    """Appends interleave across streams that each start at their own time,
+    so time is not monotone across streams; a zero step repeats the stream's
+    tip.  Queries run between appends, at any `now` and on window edges."""
+    store, kept = SeriesStore(), []
+    tips = {}
+    for op in ops:
+        if op[0] == "append":
+            _, which, step, value = op
+            (node, pod, metric), start = streams[which % len(streams)]
+            t = tips.get((node, pod, metric), start) + step
+            tips[(node, pod, metric)] = t
+            sample = MetricSample(t, node, pod, metric, value)
+            store.append(sample)
+            kept.append(sample)
+        else:
+            if op[0] == "edge":
+                if not kept:
+                    continue
+                _, which, window, metric, at_start = op
+                now = kept[which % len(kept)].time_ms + (window if at_start else 0)
+            else:
+                _, now, window, metric = op
+            got = store.per_node_usage(WindowQuery(metric, now, window))
+            assert got == oracle_per_node_usage(kept, metric, now, window)
+    last = max((s.time_ms for s in kept), default=0)
+    for metric in ("m", "other"):
+        for now, window in ((last, 1), (last, 10_000), (last + 121, 120)):
+            got = store.per_node_usage(WindowQuery(metric, now, window))
+            assert got == oracle_per_node_usage(kept, metric, now, window)
+
+
 def test_query_cost_tracks_window_not_history():
     store = SeriesStore()
     for i in range(200_000):
@@ -152,6 +204,20 @@ def test_query_cost_tracks_window_not_history():
         store.per_node_usage(q)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
+
+
+def test_query_cost_tracks_live_streams_not_history():
+    # 40k finished pods, one sample each, long before the window; four live.
+    store = SeriesStore()
+    for i in range(40_000):
+        store.append(MetricSample(i, f"n{i % 4}", f"old{i}", "m", 1))
+    for pod in range(4):
+        store.append(MetricSample(1_000_000, "n0", f"live{pod}", "m", 2))
+    q = WindowQuery("m", 1_000_000, 25_000)
+    t0 = time.perf_counter()
+    for _ in range(200):
+        assert store.per_node_usage(q) == {"n0": 8}
+    assert time.perf_counter() - t0 < 0.5
 
 
 class TestProbeTick:

@@ -3,12 +3,19 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import epcsched
 from conftest import GIB, sgx_job, std_job
 from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import (
+    _T975,
     BucketStat,
     figure_dataset,
     mean_waiting,
@@ -129,9 +136,29 @@ class TestBuckets:
         outcomes = [completed(f"j{i}", 0, i, i + 1) for i in range(40)]
         table = waiting_by_memory(outcomes, jobs, std_edges=[4, 8])
         (bucket,) = table["std"]
-        import numpy as np
         want = 1.959963984540054 * float(np.std(range(40), ddof=1)) / math.sqrt(40)
         assert bucket.ci95_ms == pytest.approx(want, rel=1e-12)
+
+    def test_t_table_matches_scipy_exactly(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        assert _T975 == tuple(float(scipy_stats.t.ppf(0.975, df))
+                              for df in range(1, 29))
+
+    def test_t_critical_value_below_30_samples(self):
+        jobs = {f"j{i}": std_job(f"j{i}", requested=6) for i in range(29)}
+        outcomes = [completed(f"j{i}", 0, i, i + 1) for i in range(29)]
+        (bucket,) = waiting_by_memory(outcomes, jobs, std_edges=[4, 8])["std"]
+        want = _T975[27] * float(np.std(range(29), ddof=1)) / math.sqrt(29)
+        assert bucket.ci95_ms == want
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(epcsched.__file__).resolve().parents[1]))
+    code = "import sys, epcsched; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestCsvRoundTrips:

@@ -142,6 +142,26 @@ class TestBorgTables:
         with pytest.raises(TraceParseError):
             parse_trace(tmp_path, fmt="borg_tables")
 
+    @pytest.mark.parametrize("table", ["task_events", "task_usage"])
+    def test_short_row_names_shard_and_row(self, tmp_path, table):
+        self._write_shard(tmp_path / "task_events" / "part-00000.csv.gz",
+                          [self._event(0, "42", "0", 0, "0.25")])
+        shard = tmp_path / table / "part-00001.csv.gz"
+        good = (self._event(0, "42", "0", 1) if table == "task_events"
+                else self._usage("42", "0", "0.3"))
+        self._write_shard(shard, [good, ["5"]])
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(tmp_path, fmt="borg_tables")
+        assert err.value.line == 2
+        assert str(shard) in str(err.value)
+
+    def test_bad_number_names_shard_and_row(self, tmp_path):
+        shard = tmp_path / "task_events" / "part-00000.csv.gz"
+        self._write_shard(shard, [self._event(0, "42", "0", "SUBMIT")])
+        with pytest.raises(TraceParseError, match="line 1") as err:
+            parse_trace(tmp_path, fmt="borg_tables")
+        assert str(shard) in str(err.value)
+
     def test_custom_columns(self, tmp_path):
         cols = BorgColumns(event_time=1, event_job_id=0, event_task_index=2,
                            event_type=3, event_mem_request=4)
