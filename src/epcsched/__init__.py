@@ -10,7 +10,7 @@ directories and plot-ready datasets; `synthetic` ships a workload to replay.
 """
 
 from .cluster import (CapacityError, ClusterState, EpcModel, NodeSpec,
-                      NodeState, default_cluster, pages_for)
+                      NodeState, Pod, default_cluster, pages_for)
 from .driver import DriverError, DriverState, InitResult, startup_delay
 from .engine import (ConfigError, EventKind, JobOutcome, JobStatus, SimConfig,
                      SimEvent, SimResult, run)
@@ -37,7 +37,7 @@ __all__ = [
     "ExperimentConfig", "InitResult", "JobKind", "JobOutcome", "JobSpec",
     "JobStatus", "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES",
     "MetricSample", "NodeSpec", "NodeState", "OutOfOrderSampleError",
-    "PendingQueue", "Placement", "RawJobRecord", "ScalingConfig",
+    "PendingQueue", "Placement", "Pod", "RawJobRecord", "ScalingConfig",
     "SeriesStore", "SimConfig", "SimEvent", "SimResult", "TraceParseError",
     "WindowQuery", "binpack_select", "bundled_trace_path",
     "default_cluster", "feasible",

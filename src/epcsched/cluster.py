@@ -97,12 +97,11 @@ class NodeSpec:
 
 @dataclass
 class NodeState:
-    """Mutable per-node accounting: reservations and the running pod set."""
+    """Mutable per-node reservations, a cache of the pods placed on it."""
 
     spec: NodeSpec
     reserved_std: int = 0
     reserved_epc_pages: int = 0
-    running: set[str] = field(default_factory=set)
 
     @property
     def node_id(self) -> str:
@@ -143,13 +142,23 @@ class NodeState:
         self.reserved_epc_pages -= epc_pages
 
 
+@dataclass(frozen=True)
+class Pod:
+    """A placed job: the one record of which node runs it and since when."""
+
+    job: JobSpec
+    node_id: str
+    placed_ms: int
+
+
 @dataclass
 class ClusterState:
-    """All node states plus the registry of currently running jobs, which is
-    what the usage probe reads."""
+    """All node states plus the running pods, keyed by job id.  A pod exists
+    from a granted placement until its job finishes; everything else that
+    counts per pod (node reservations, driver pages) is a cache of it."""
 
     nodes: dict[str, NodeState]
-    running_jobs: dict[str, JobSpec] = field(default_factory=dict)
+    pods: dict[str, Pod] = field(default_factory=dict)
 
     @classmethod
     def from_specs(cls, specs: Iterable[NodeSpec]) -> "ClusterState":

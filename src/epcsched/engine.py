@@ -24,7 +24,7 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from ._units import PAGE_SIZE
-from .cluster import ClusterState, NodeSpec
+from .cluster import ClusterState, NodeSpec, Pod
 from .driver import DriverState, InitResult, startup_delay
 from .metrics import SeriesStore, probe_tick
 from .scheduler import POLICIES, PendingQueue, schedule_tick
@@ -136,10 +136,7 @@ class _Engine:
         self.queue = PendingQueue()
         self.heap: list[SimEvent] = []
         self.seq = 0
-        self.inflight = 0  # queued submit/startup/finish events
         self.outcomes: dict[str, JobOutcome] = {}
-        self.node_of: dict[str, str] = {}
-        self.placed_at: dict[str, int] = {}
         self.pending_epc: list[tuple[int, int]] = []
         self.makespan_ms = 0
         self.last_progress_ms = 0
@@ -147,8 +144,6 @@ class _Engine:
     def _push(self, time_ms: int, kind: EventKind, payload: str | None = None):
         heapq.heappush(self.heap, SimEvent(time_ms, kind, self.seq, payload))
         self.seq += 1
-        if kind in (EventKind.SUBMIT, EventKind.STARTUP_DONE, EventKind.FINISH):
-            self.inflight += 1
 
     def _all_terminal(self) -> bool:
         return len(self.outcomes) == len(self.jobs)
@@ -174,7 +169,6 @@ class _Engine:
     def _dispatch(self, event: SimEvent) -> None:
         kind, now = event.kind, event.time_ms
         if kind is EventKind.SUBMIT:
-            self.inflight -= 1
             self.queue.push(self.jobs[event.payload])
             self.last_progress_ms = now
         elif kind is EventKind.SCHEDULER_TICK:
@@ -185,11 +179,9 @@ class _Engine:
                 self._push(now + self.config.probe_period_ms,
                            EventKind.PROBE_TICK)
         elif kind is EventKind.STARTUP_DONE:
-            self.inflight -= 1
             job = self.jobs[event.payload]
             self._push(now + job.duration_ms, EventKind.FINISH, job.job_id)
         elif kind is EventKind.FINISH:
-            self.inflight -= 1
             self._on_finish(event.payload, now)
 
     def _on_scheduler_tick(self, now: int) -> None:
@@ -232,23 +224,18 @@ class _Engine:
         startup_ms = 0
         if job.kind.uses_epc and self.config.include_startup_delays:
             startup_ms = int(round(startup_delay(job.actual_mem, node.spec.epc)))
-        node.running.add(job_id)
-        self.cluster.running_jobs[job_id] = job
-        self.node_of[job_id] = node_id
-        self.placed_at[job_id] = now
+        self.cluster.pods[job_id] = Pod(job, node_id, now)
         self._push(now + startup_ms, EventKind.STARTUP_DONE, job_id)
 
     def _on_finish(self, job_id: str, now: int) -> None:
-        job = self.jobs[job_id]
-        node_id = self.node_of[job_id]
-        node = self.cluster.nodes[node_id]
+        pod = self.cluster.pods.pop(job_id)
+        job, node_id = pod.job, pod.node_id
         if job.kind.uses_epc:
             self.driver.enclave_release(node_id, job_id, job.actual_epc_pages)
-        node.release(job.requested_mem, job.declared_epc_pages)
-        node.running.discard(job_id)
-        del self.cluster.running_jobs[job_id]
+        self.cluster.nodes[node_id].release(job.requested_mem,
+                                            job.declared_epc_pages)
         self._record(job, JobStatus.COMPLETED, node_id,
-                     started_ms=self.placed_at[job_id], finished_ms=now)
+                     started_ms=pod.placed_ms, finished_ms=now)
         self.makespan_ms = max(self.makespan_ms, now)
         self.last_progress_ms = now
 
@@ -262,10 +249,11 @@ class _Engine:
             actual_pages=job.actual_epc_pages)
 
     def _stuck(self, now: int, placements: list) -> bool:
-        """Nothing running, nothing in flight, nothing placeable, and a full
-        metrics window has already drained: the queue can never move again."""
-        return (len(self.queue) > 0 and not placements
-                and not self.cluster.running_jobs and self.inflight == 0
+        """Nothing running, nothing left to submit (every job is queued or
+        terminal), nothing placeable, and a full metrics window has already
+        drained: the queue can never move again."""
+        return (len(self.queue) > 0 and not placements and not self.cluster.pods
+                and len(self.queue) + len(self.outcomes) == len(self.jobs)
                 and now - self.last_progress_ms
                 > self.config.window_ms + self.config.scheduler_period_ms)
 
@@ -275,40 +263,38 @@ class _Engine:
             self._record(job, JobStatus.UNFINISHED)
 
     def _check_invariants(self, now: int) -> None:
-        for node_id in sorted(self.cluster.nodes):
-            node = self.cluster.nodes[node_id]
-            specs = [self.jobs[pod] for pod in node.running]
-            want_std = sum(j.requested_mem for j in specs)
-            if node.reserved_std != want_std:
+        """Check the per-pod caches against the pod records: node
+        reservations, driver page ownership and, under enforcement, limits."""
+        want = {node_id: [0, 0, {}] for node_id in self.cluster.nodes}
+        for pod_id, pod in self.cluster.pods.items():
+            job, node_want = pod.job, want[pod.node_id]
+            node_want[0] += job.requested_mem
+            if not job.kind.uses_epc:
+                continue
+            node_want[1] += job.declared_epc_pages
+            if job.actual_epc_pages:  # a zero-page grant leaves no record
+                node_want[2][pod_id] = job.actual_epc_pages
+            if (self.config.enforce_limits
+                    and job.actual_epc_pages > self.driver.limit_of(pod_id)):
+                raise AssertionError(f"t={now} {pod.node_id}: {pod_id} holds "
+                                     f"{job.actual_epc_pages} pages over its limit")
+        for node_id, node in self.cluster.nodes.items():
+            counters = self.driver.nodes.get(node_id)
+            owned = counters.owned if counters else {}
+            got = [node.reserved_std, node.reserved_epc_pages, owned]
+            if got != want[node_id]:
                 raise AssertionError(
-                    f"t={now} {node_id}: reserved_std {node.reserved_std} "
-                    f"!= running sum {want_std}")
-            if node.reserved_std > node.spec.std_capacity:
-                raise AssertionError(f"t={now} {node_id}: standard over-commit")
-            want_pages = sum(j.declared_epc_pages for j in specs if j.kind.uses_epc)
-            if node.reserved_epc_pages != want_pages:
+                    f"t={now} {node_id}: reserved std, reserved pages, driver "
+                    f"pages {got} != pod records {want[node_id]}")
+            usable = node.spec.epc.usable_pages if node.is_sgx else 0
+            if (node.reserved_std > node.spec.std_capacity
+                    or node.reserved_epc_pages > usable):
+                raise AssertionError(f"t={now} {node_id}: over-commit")
+            if counters and (counters.free_pages
+                             != counters.total_pages - sum(owned.values())):
                 raise AssertionError(
-                    f"t={now} {node_id}: reserved pages {node.reserved_epc_pages} "
-                    f"!= running sum {want_pages}")
-            if node.is_sgx:
-                if node.reserved_epc_pages > node.spec.epc.usable_pages:
-                    raise AssertionError(f"t={now} {node_id}: page over-commit")
-                counters = self.driver.nodes[node_id]
-                owned = sum(counters.owned.values())
-                if counters.free_pages != counters.total_pages - owned:
-                    raise AssertionError(
-                        f"t={now} {node_id}: free {counters.free_pages} != "
-                        f"total {counters.total_pages} - owned {owned}")
-                if self.config.enforce_limits:
-                    for pod, held in counters.owned.items():
-                        if held > self.limits_or_inf(pod):
-                            raise AssertionError(
-                                f"t={now} {node_id}: {pod} holds {held} pages "
-                                "over its limit")
-
-    def limits_or_inf(self, pod: str) -> float:
-        limit = self.driver.limit_of(pod)
-        return float("inf") if limit is None else limit
+                    f"t={now} {node_id}: free {counters.free_pages} != total "
+                    f"{counters.total_pages} - owned {sum(owned.values())}")
 
 
 def run(jobs: list[JobSpec], cluster: list[NodeSpec],

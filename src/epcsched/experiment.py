@@ -15,7 +15,7 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ._units import format_size, parse_size
 from .cluster import (DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcModel,
@@ -37,6 +37,8 @@ class MaliciousConfig:
     use_fraction: float = 0.5
 
     def __post_init__(self):
+        if self.n is not None and self.n < 0:
+            raise ConfigError("malicious_n must be >= 0 (or 'auto')")
         if not 0.0 < self.use_fraction <= 1.0:
             raise ConfigError("malicious_use_fraction must lie in (0, 1], "
                               f"got {self.use_fraction!r}")
@@ -63,6 +65,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.trace_format not in ("canonical_csv", "borg_tables"):
+            raise ConfigError(f"unknown trace_format {self.trace_format!r}")
         if self.epc_usable_sweep is not None and not self.epc_usable_sweep:
             raise ConfigError("epc_usable_sweep must not be empty")
         if self.sgx_fraction_sweep is not None:
@@ -123,12 +127,16 @@ def _as_size(value: Any, key: str) -> int:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _as_list(value: Any) -> list:
-    if isinstance(value, str):
-        return [part.strip() for part in value.split(",") if part.strip()]
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
+def _as_tuple_of(coerce: Callable[[Any, str], Any]
+                 ) -> Callable[[Any, str], tuple]:
+    """A coercer of a comma-separated string or a list, item by item."""
+    def as_tuple(value: Any, key: str) -> tuple:
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        return tuple(coerce(v, key) for v in value)
+    return as_tuple
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -144,94 +152,69 @@ def _parse_flat(text: str) -> dict[str, str]:
     return data
 
 
-_KNOWN_KEYS = {
-    "trace", "trace_format", "cluster", "policy", "enforce_limits",
-    "include_startup_delays", "check_invariants", "slice_start_s",
-    "slice_end_s", "sampling_stride", "sgx_fraction", "std_multiplier",
-    "sgx_multiplier", "rng_seed", "epc_usable_sweep", "apply_usable_fraction",
-    "sgx_fraction_sweep", "malicious_n", "malicious_declared_pages",
-    "malicious_use_fraction", "scheduler_period_ms", "probe_period_ms",
-    "window_ms", "output_dir", "workers",
+def _as_str(value: Any, key: str) -> str:
+    return str(value)
+
+
+def _as_count_or_auto(value: Any, key: str) -> int | None:
+    return None if str(value).lower() == "auto" else _as_int(value, key)
+
+
+# Config key -> (section, field, coercer).  Sections: "run" is
+# ExperimentConfig, "scaling" its ScalingConfig, and "malicious" its
+# MaliciousConfig, which exists as soon as one malicious_ key is given.
+_FIELDS: dict[str, tuple[str, str, Callable[[Any, str], Any]]] = {
+    "slice_start_s": ("scaling", "slice_start_s", _as_float),
+    "slice_end_s": ("scaling", "slice_end_s", _as_float),
+    "sampling_stride": ("scaling", "sampling_stride", _as_int),
+    "sgx_fraction": ("scaling", "sgx_fraction", _as_float),
+    "std_multiplier": ("scaling", "std_multiplier", _as_size),
+    "sgx_multiplier": ("scaling", "sgx_multiplier", _as_size),
+    "rng_seed": ("scaling", "rng_seed", _as_int),
+    "malicious_n": ("malicious", "n", _as_count_or_auto),
+    "malicious_declared_pages": ("malicious", "declared_pages", _as_int),
+    "malicious_use_fraction": ("malicious", "use_fraction", _as_float),
+    "epc_usable_sweep": ("run", "epc_usable_sweep", _as_tuple_of(_as_size)),
+    "sgx_fraction_sweep": ("run", "sgx_fraction_sweep",
+                           _as_tuple_of(_as_float)),
+    "trace": ("run", "trace_file", _as_str),
+    "trace_format": ("run", "trace_format", _as_str),
+    "cluster": ("run", "cluster_file", _as_str),
+    "policy": ("run", "policy", _as_str),
+    "enforce_limits": ("run", "enforce_limits", _as_bool),
+    "include_startup_delays": ("run", "include_startup_delays", _as_bool),
+    "apply_usable_fraction": ("run", "apply_usable_fraction", _as_bool),
+    "check_invariants": ("run", "check_invariants", _as_bool),
+    "scheduler_period_ms": ("run", "scheduler_period_ms", _as_int),
+    "probe_period_ms": ("run", "probe_period_ms", _as_int),
+    "window_ms": ("run", "window_ms", _as_int),
+    "workers": ("run", "workers", _as_int),
+    "output_dir": ("run", "output_dir", _as_str),
 }
 
 
 def config_from_mapping(data: dict[str, Any]) -> ExperimentConfig:
     """Build a validated ExperimentConfig from flat key/value data (both the
     JSON and key=value file formats decode to this)."""
-    unknown = set(data) - _KNOWN_KEYS
+    unknown = data.keys() - _FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "trace" not in data:
         raise ConfigError("config must name a trace file ('trace = ...')")
-
-    scaling_kwargs: dict[str, Any] = {}
-    if "slice_start_s" in data:
-        scaling_kwargs["slice_start_s"] = _as_float(data["slice_start_s"], "slice_start_s")
-    if "slice_end_s" in data:
-        scaling_kwargs["slice_end_s"] = _as_float(data["slice_end_s"], "slice_end_s")
-    if "sampling_stride" in data:
-        scaling_kwargs["sampling_stride"] = _as_int(data["sampling_stride"], "sampling_stride")
-    if "sgx_fraction" in data:
-        scaling_kwargs["sgx_fraction"] = _as_float(data["sgx_fraction"], "sgx_fraction")
-    if "std_multiplier" in data:
-        scaling_kwargs["std_multiplier"] = _as_size(data["std_multiplier"], "std_multiplier")
-    if "sgx_multiplier" in data:
-        scaling_kwargs["sgx_multiplier"] = _as_size(data["sgx_multiplier"], "sgx_multiplier")
-    if "rng_seed" in data:
-        scaling_kwargs["rng_seed"] = _as_int(data["rng_seed"], "rng_seed")
+    sections: dict[str, dict[str, Any]] = {
+        "run": {}, "scaling": {}, "malicious": {}}
+    for key, (section, name, coerce) in _FIELDS.items():
+        if key in data:
+            sections[section][name] = coerce(data[key], key)
     try:
-        scaling = ScalingConfig(**scaling_kwargs)
+        scaling = ScalingConfig(**sections["scaling"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
     malicious = None
-    if any(key.startswith("malicious_") for key in data):
-        n_raw = data.get("malicious_n", "auto")
-        n = None if str(n_raw).lower() == "auto" else _as_int(n_raw, "malicious_n")
-        if n is not None and n < 0:
-            raise ConfigError("malicious_n must be >= 0 (or 'auto')")
-        malicious = MaliciousConfig(
-            n=n,
-            declared_pages=_as_int(data.get("malicious_declared_pages", 1),
-                                   "malicious_declared_pages"),
-            use_fraction=_as_float(data.get("malicious_use_fraction", 0.5),
-                                   "malicious_use_fraction"),
-        )
-
-    epc_sweep = None
-    if "epc_usable_sweep" in data:
-        epc_sweep = tuple(_as_size(v, "epc_usable_sweep")
-                          for v in _as_list(data["epc_usable_sweep"]))
-    frac_sweep = None
-    if "sgx_fraction_sweep" in data:
-        frac_sweep = tuple(_as_float(v, "sgx_fraction_sweep")
-                           for v in _as_list(data["sgx_fraction_sweep"]))
-
-    kwargs: dict[str, Any] = {
-        "trace_file": str(data["trace"]),
-        "scaling": scaling,
-        "epc_usable_sweep": epc_sweep,
-        "sgx_fraction_sweep": frac_sweep,
-        "malicious": malicious,
-    }
-    if "trace_format" in data:
-        kwargs["trace_format"] = str(data["trace_format"])
-    if "cluster" in data:
-        kwargs["cluster_file"] = str(data["cluster"])
-    if "policy" in data:
-        kwargs["policy"] = str(data["policy"])
-    for key in ("enforce_limits", "include_startup_delays",
-                "apply_usable_fraction", "check_invariants"):
-        if key in data:
-            kwargs[key] = _as_bool(data[key], key)
-    for key in ("scheduler_period_ms", "probe_period_ms", "window_ms", "workers"):
-        if key in data:
-            kwargs[key] = _as_int(data[key], key)
-    if "output_dir" in data:
-        kwargs["output_dir"] = str(data["output_dir"])
-    if kwargs.get("trace_format", "canonical_csv") not in ("canonical_csv", "borg_tables"):
-        raise ConfigError(f"unknown trace_format {kwargs['trace_format']!r}")
-    return ExperimentConfig(**kwargs)
+    if sections["malicious"]:
+        malicious = MaliciousConfig(**sections["malicious"])
+    return ExperimentConfig(scaling=scaling, malicious=malicious,
+                            **sections["run"])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -322,19 +305,26 @@ def _label(epc_bytes: int | None, fraction: float,
     return "_".join(parts)
 
 
+def _point_cluster(cfg: ExperimentConfig,
+                   epc_bytes: int | None) -> list[NodeSpec]:
+    """The cluster of one sweep point; ConfigError if the point cannot run."""
+    specs = _apply_epc(load_cluster(cfg.cluster_file), epc_bytes,
+                       cfg.apply_usable_fraction)
+    if cfg.malicious is not None and not any(s.is_sgx for s in specs):
+        raise ConfigError("malicious jobs need an enclave-capable node")
+    return specs
+
+
 def run_point(cfg: ExperimentConfig, records: list[RawJobRecord],
               epc_bytes: int | None, fraction: float, out_root: str) -> str:
     """Replay one sweep point and write its artifact directory.  Returns the
     run label."""
-    specs = _apply_epc(load_cluster(cfg.cluster_file), epc_bytes,
-                       cfg.apply_usable_fraction)
+    specs = _point_cluster(cfg, epc_bytes)
     scaling = replace(cfg.scaling, sgx_fraction=fraction)
     jobs = materialize(records, scaling)
     if cfg.malicious is not None:
         sgx_specs = sorted((s for s in specs if s.is_sgx),
                            key=lambda s: s.node_id)
-        if not sgx_specs:
-            raise ConfigError("malicious jobs need an enclave-capable node")
         n = cfg.malicious.n if cfg.malicious.n is not None else len(sgx_specs)
         jobs = inject_malicious(jobs, n, cfg.malicious.declared_pages,
                                 cfg.malicious.use_fraction,
@@ -383,7 +373,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     artifact root, which holds one subdirectory per sweep point."""
     records = slice_and_sample(
         parse_trace(cfg.trace_file, cfg.trace_format), cfg.scaling)
-    load_cluster(cfg.cluster_file)  # fail fast before any run
+    epc_points = (list(cfg.epc_usable_sweep)
+                  if cfg.epc_usable_sweep is not None else [None])
+    for epc in epc_points:  # a bad point fails the sweep before anything runs
+        _point_cluster(cfg, epc)
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     echo = {
@@ -398,8 +391,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    epc_points = (list(cfg.epc_usable_sweep)
-                  if cfg.epc_usable_sweep is not None else [None])
     frac_points = (list(cfg.sgx_fraction_sweep)
                    if cfg.sgx_fraction_sweep is not None
                    else [cfg.scaling.sgx_fraction])

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .cluster import ClusterState
 from .driver import DriverState
-from .trace import JobKind, _open_write
+from .trace import _open_write
 
 METRIC_EPC_PAGES = "epc_pages"
 METRIC_STD_BYTES = "std_bytes"
@@ -65,9 +65,10 @@ _Key = tuple[str, str, str]  # (node, pod, metric)
 class _Stream:
     """Samples of one (node, pod, metric) series, times kept sorted."""
 
-    __slots__ = ("times", "values")
+    __slots__ = ("key", "times", "values")
 
-    def __init__(self):
+    def __init__(self, key: _Key):
+        self.key = key
         self.times: list[int] = []
         self.values: list[int] = []
 
@@ -82,13 +83,16 @@ class SeriesStore:
     query bisects the sorted tips and visits only the streams that can
     contribute, then bisects into each of those.  Its cost is bounded by the
     window, not the history length.
+
+    Each sample is stored once, in its stream; the log keeps append order as
+    one stream reference per sample, replayed with a cursor per stream.
     """
 
     def __init__(self):
         self._streams: dict[_Key, _Stream] = {}
         self._by_tip: dict[int, dict[_Key, _Stream]] = {}
         self._tips: list[int] = []  # the keys of _by_tip, sorted
-        self._log: list[MetricSample] = []
+        self._log: list[_Stream] = []
 
     def __len__(self) -> int:
         return len(self._log)
@@ -98,7 +102,7 @@ class SeriesStore:
         time_ms = sample.time_ms
         stream = self._streams.get(key)
         if stream is None:
-            stream = self._streams[key] = _Stream()
+            stream = self._streams[key] = _Stream(key)
             self._file(key, stream, time_ms)
         else:
             tip = stream.times[-1]
@@ -110,7 +114,7 @@ class SeriesStore:
                 self._file(key, stream, time_ms)
         stream.times.append(time_ms)
         stream.values.append(sample.value)
-        self._log.append(sample)
+        self._log.append(stream)
 
     def _file(self, key: _Key, stream: _Stream, tip: int) -> None:
         bucket = self._by_tip.get(tip)
@@ -149,16 +153,23 @@ class SeriesStore:
                     out[node_id] = out.get(node_id, 0) + best
         return out
 
+    def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
+        """(time, node, pod, metric, value) of every sample in append order."""
+        cursors: dict[_Stream, int] = {}
+        for stream in self._log:
+            i = cursors.get(stream, 0)
+            cursors[stream] = i + 1
+            yield (stream.times[i], *stream.key, stream.values[i])
+
     def samples(self) -> Iterator[MetricSample]:
         """All samples in append order."""
-        return iter(self._log)
+        return (MetricSample(*row) for row in self._rows())
 
     def write_csv(self, dest) -> None:
         with _open_write(dest) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(SAMPLES_FIELDS)
-            for s in self._log:
-                writer.writerow([s.time_ms, s.node_id, s.pod_id, s.metric, s.value])
+            writer.writerows(self._rows())
 
 
 def probe_tick(cluster: ClusterState, driver: DriverState, store: SeriesStore,
@@ -170,16 +181,15 @@ def probe_tick(cluster: ClusterState, driver: DriverState, store: SeriesStore,
     report the memory they actually touch.  Pods count from placement, so a
     pod still in enclave construction is already visible here.
     """
-    for node_id in sorted(cluster.nodes):
-        node = cluster.nodes[node_id]
-        for pod_id in sorted(node.running):
-            job = cluster.running_jobs[pod_id]
-            if job.kind.uses_epc:
-                store.append(MetricSample(now_ms, node_id, pod_id,
-                                          METRIC_EPC_PAGES,
-                                          driver.pages_of(pod_id)))
-                std_usage = job.requested_mem
-            else:
-                std_usage = job.actual_mem
-            store.append(MetricSample(now_ms, node_id, pod_id,
-                                      METRIC_STD_BYTES, std_usage))
+    for pod in sorted(cluster.pods.values(),
+                      key=lambda p: (p.node_id, p.job.job_id)):
+        job = pod.job
+        if job.kind.uses_epc:
+            store.append(MetricSample(now_ms, pod.node_id, job.job_id,
+                                      METRIC_EPC_PAGES,
+                                      driver.pages_of(job.job_id)))
+            std_usage = job.requested_mem
+        else:
+            std_usage = job.actual_mem
+        store.append(MetricSample(now_ms, pod.node_id, job.job_id,
+                                  METRIC_STD_BYTES, std_usage))

@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .engine import JobOutcome, JobStatus
-from .trace import JobKind, JobSpec, _open_text, _open_write, read_jobs_csv
+from .trace import (JobKind, JobSpec, TraceParseError, _csv_rows,
+                    _open_write, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -64,24 +65,13 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
 
 
 def read_outcomes_csv(source) -> list[JobOutcome]:
-    outcomes = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if tuple(header) != OUTCOMES_FIELDS:
-            raise ValueError(f"expected header {','.join(OUTCOMES_FIELDS)}")
-        for row in reader:
-            if not row:
-                continue
-            outcomes.append(JobOutcome(
-                job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
-                started_ms=int(row[3]) if row[3] else None,
-                finished_ms=int(row[4]) if row[4] else None,
-                status=JobStatus(row[5]), node_id=row[6] or None,
-                declared_pages=int(row[7]), actual_pages=int(row[8])))
-    return outcomes
+    return [JobOutcome(
+        job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
+        started_ms=int(row[3]) if row[3] else None,
+        finished_ms=int(row[4]) if row[4] else None,
+        status=JobStatus(row[5]), node_id=row[6] or None,
+        declared_pages=int(row[7]), actual_pages=int(row[8]))
+        for _, row in _csv_rows(source, OUTCOMES_FIELDS)]
 
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
@@ -94,12 +84,13 @@ def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
 
 def read_pending_csv(source) -> list[tuple[int, int]]:
     series = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                series.append((int(row[0]), int(row[1])))
+    for line, row in _csv_rows(source, PENDING_FIELDS):
+        try:
+            time_ms, backlog = map(int, row)
+        except ValueError:
+            raise TraceParseError(f"expected integers {','.join(PENDING_FIELDS)}"
+                                  f", got {','.join(row)!r}", line=line) from None
+        series.append((time_ms, backlog))
     return series
 
 

@@ -433,25 +433,29 @@ def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
                              j.declared_epc_pages, j.actual_epc_pages])
 
 
-def read_jobs_csv(source) -> list[JobSpec]:
+def _csv_rows(source, fields: tuple[str, ...]):
+    """(line number, row) of every non-blank row of a CSV file whose header
+    must equal `fields`.  An empty source has no rows."""
     with _open_text(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            return []
-        if tuple(h.strip() for h in header) != JOBS_FIELDS:
-            raise TraceParseError(f"expected header {','.join(JOBS_FIELDS)}", line=1)
-        jobs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                jobs.append(JobSpec(
-                    job_id=row[0], kind=JobKind(row[1]),
-                    submit_ms=int(row[2]), duration_ms=int(row[3]),
-                    requested_mem=int(row[4]), actual_mem=int(row[5]),
-                    declared_epc_pages=int(row[6]), actual_epc_pages=int(row[7]),
-                ))
-            except (ValueError, IndexError) as exc:
-                raise TraceParseError(str(exc), line=lineno) from None
+        if header is not None and tuple(h.strip() for h in header) != fields:
+            raise TraceParseError(f"expected header {','.join(fields)}", line=1)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def read_jobs_csv(source) -> list[JobSpec]:
+    jobs = []
+    for lineno, row in _csv_rows(source, JOBS_FIELDS):
+        try:
+            jobs.append(JobSpec(
+                job_id=row[0], kind=JobKind(row[1]),
+                submit_ms=int(row[2]), duration_ms=int(row[3]),
+                requested_mem=int(row[4]), actual_mem=int(row[5]),
+                declared_epc_pages=int(row[6]), actual_epc_pages=int(row[7]),
+            ))
+        except (ValueError, IndexError) as exc:
+            raise TraceParseError(str(exc), line=lineno) from None
     return jobs

@@ -1,8 +1,12 @@
 """Replay engine: event ordering, job lifecycle, and run-level invariants."""
 
+import re
+
 import pytest
 
 from conftest import GIB, sgx_job, sgx_node, std_job, std_node
+from epcsched.cluster import NodeState
+from epcsched.driver import DriverState
 from epcsched.engine import (
     ConfigError,
     EventKind,
@@ -193,6 +197,13 @@ class TestUnfinished:
         # one full window plus a period past the last progress, no more
         assert result.pending_epc[-1][0] == 35_000
 
+    def test_not_stuck_while_submissions_remain(self):
+        jobs = [sgx_job("toobig", declared=USABLE + 1),
+                sgx_job("late", submit_ms=100_000, declared=100)]
+        by_id = outcomes_by_id(run(jobs, [sgx_node("s1")]))
+        assert by_id["late"].status is JobStatus.COMPLETED
+        assert by_id["toobig"].status is JobStatus.UNFINISHED
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_results(self):
@@ -248,3 +259,22 @@ class TestConfigValidation:
     def test_known_policy(self):
         with pytest.raises(ConfigError):
             SimConfig(policy="roundrobin")
+
+
+class TestInvariantChecker:
+    """A cache that stops following the pod records is caught at the first
+    event after it drifts: job "a" finishes on s1 at t=25190."""
+
+    JOBS = [sgx_job("a", duration_ms=20_000, declared=14_362)]
+
+    @pytest.mark.parametrize("owner, method, cached", [
+        (NodeState, "release", "[4096, 14362, {}]"),
+        (DriverState, "enclave_release", "[0, 0, {'a': 14362}]"),
+    ])
+    def test_dropped_release_is_caught(self, monkeypatch, owner, method,
+                                       cached):
+        monkeypatch.setattr(owner, method, lambda self, *args: None)
+        with pytest.raises(AssertionError, match=re.escape(
+                f"t=25190 s1: reserved std, reserved pages, driver pages "
+                f"{cached} != pod records [0, 0, {{}}]")):
+            run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))

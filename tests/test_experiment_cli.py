@@ -1,8 +1,10 @@
 """Experiment configs, sweep expansion, artifact layout, and the CLI."""
 
 import gzip
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -109,6 +111,19 @@ class TestConfigParsing:
     def test_unknown_trace_format(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"trace": "t", "trace_format": "excel"})
+
+    @pytest.mark.parametrize("key", [
+        "slice_start_s", "slice_end_s", "sampling_stride", "sgx_fraction",
+        "std_multiplier", "sgx_multiplier", "rng_seed", "malicious_n",
+        "malicious_declared_pages", "malicious_use_fraction",
+        "epc_usable_sweep", "sgx_fraction_sweep", "trace_format",
+        "enforce_limits", "include_startup_delays", "apply_usable_fraction",
+        "check_invariants", "scheduler_period_ms", "probe_period_ms",
+        "window_ms", "workers",
+    ])
+    def test_bad_typed_value_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_mapping({"trace": "t.csv", key: "bogus"})
 
     def test_flat_line_without_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -252,6 +267,39 @@ class TestRunExperiment:
         })
         root = run_experiment(cfg)
         assert len([p for p in root.iterdir() if p.is_dir()]) == 2
+
+    def test_worker_count_does_not_change_artifacts(self, tmp_path,
+                                                    trace_path):
+        def digests(workers):
+            root = run_experiment(config_from_mapping({
+                "trace": str(trace_path),
+                "output_dir": str(tmp_path / f"workers-{workers}"),
+                "epc_usable_sweep": "32MiB,64MiB",
+                "sgx_fraction": 1.0,
+                "malicious_n": 1,
+                "workers": workers,
+            }))
+            return {p.relative_to(root).as_posix():
+                    hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in root.rglob("*") if p.is_file()}
+
+        serial = digests(1)
+        assert len(serial) == 1 + 2 * 6
+        assert digests(2) == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_sweep_point_fails_before_any_point_runs(self, tmp_path,
+                                                         trace_path, workers):
+        out = tmp_path / "artifacts"
+        cfg = config_from_mapping({
+            "trace": str(trace_path),
+            "output_dir": str(out),
+            "epc_usable_sweep": "64MiB,1000,128MiB",
+            "workers": workers,
+        })
+        with pytest.raises(ConfigError, match="1000 is not page-aligned"):
+            run_experiment(cfg)
+        assert not out.exists()
 
 
 class TestCli:

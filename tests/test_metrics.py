@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GIB, sgx_job, sgx_node, std_job, std_node
-from epcsched.cluster import ClusterState
+from epcsched.cluster import ClusterState, Pod
 from epcsched.driver import DriverState
 from epcsched.metrics import (
     METRIC_EPC_PAGES,
@@ -230,9 +230,9 @@ class TestProbeTick:
         job_sgx = sgx_job("enc", declared=500, requested_mem=4096)
         driver.register_limit("enc", 500)
         driver.enclave_init("s1", "enc", 500)
-        cluster.nodes["n1"].running.add("web")
-        cluster.nodes["s1"].running.add("enc")
-        cluster.running_jobs = {"web": job_std, "enc": job_sgx}
+        # inserted out of order: the probe sorts by node, then pod
+        cluster.pods = {"enc": Pod(job_sgx, "s1", 0),
+                        "web": Pod(job_std, "n1", 0)}
 
         probe_tick(cluster, driver, store, 10_000)
         rows = [(s.time_ms, s.node_id, s.pod_id, s.metric, s.value)
@@ -252,7 +252,12 @@ class TestProbeTick:
 
 
 def test_write_csv():
-    store = store_with([(0, "n1", "p1", "epc_pages", 7)])
+    rows = [(0, "n1", "p1", "epc_pages", 7), (0, "n2", "p2", "epc_pages", 3),
+            (5, "n1", "p1", "epc_pages", 8), (5, "n1", "p1", "std_bytes", 1),
+            (5, "n2", "p2", "epc_pages", 4)]
+    store = store_with(rows)
     buf = io.StringIO()
     store.write_csv(buf)
-    assert buf.getvalue() == "time_ms,node,pod,metric,value\n0,n1,p1,epc_pages,7\n"
+    assert buf.getvalue() == "time_ms,node,pod,metric,value\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)
+    assert list(store.samples()) == [MetricSample(*row) for row in rows]

@@ -182,6 +182,18 @@ class TestCsvRoundTrips:
         write_pending_csv(series, buf)
         assert read_pending_csv(io.StringIO(buf.getvalue())) == series
 
+    def test_pending_header_checked(self):
+        buf = io.StringIO()
+        write_outcomes_csv(self.OUTCOMES, buf)
+        with pytest.raises(ValueError, match="expected header time_ms"):
+            read_pending_csv(io.StringIO(buf.getvalue()))
+
+    @pytest.mark.parametrize("row", ["5000", "5000,12,7", "5000,lots", ","])
+    def test_pending_bad_row_names_line(self, row):
+        text = f"time_ms,pending_epc_bytes\n0,0\n{row}\n"
+        with pytest.raises(ValueError, match="line 3"):
+            read_pending_csv(io.StringIO(text))
+
 
 class TestFigureDatasets:
     @pytest.fixture()
