@@ -12,7 +12,7 @@ import json
 import math
 import os
 import shutil
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -353,19 +353,23 @@ def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
-    write_jobs_csv(jobs, staging / JOBS_FILE)
-    write_outcomes_csv(result.outcomes, staging / OUTCOMES_FILE)
-    write_pending_csv(result.pending_epc, staging / PENDING_FILE)
-    result.store.write_csv(staging / SAMPLES_FILE)
-    with open(staging / SUMMARY_FILE, "w", encoding="utf-8") as fh:
-        json.dump(summary(result.outcomes), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(staging / META_FILE, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if final.exists():
-        shutil.rmtree(final)
-    os.replace(staging, final)
+    try:
+        write_jobs_csv(jobs, staging / JOBS_FILE)
+        write_outcomes_csv(result.outcomes, staging / OUTCOMES_FILE)
+        write_pending_csv(result.pending_epc, staging / PENDING_FILE)
+        result.store.write_csv(staging / SAMPLES_FILE)
+        with open(staging / SUMMARY_FILE, "w", encoding="utf-8") as fh:
+            json.dump(summary(result.outcomes), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(staging / META_FILE, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if final.exists():
+            shutil.rmtree(final)
+        os.replace(staging, final)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -399,8 +403,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(run_point, cfg, records, epc, frac,
                                    str(out_root)) for epc, frac in points]
+            # The first failure cancels the points that have not started.
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
             for future in futures:
-                future.result()
+                if not future.cancelled():
+                    future.result()
     else:
         for epc, frac in points:
             run_point(cfg, records, epc, frac, str(out_root))

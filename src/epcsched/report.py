@@ -65,13 +65,18 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
 
 
 def read_outcomes_csv(source) -> list[JobOutcome]:
-    return [JobOutcome(
-        job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
-        started_ms=int(row[3]) if row[3] else None,
-        finished_ms=int(row[4]) if row[4] else None,
-        status=JobStatus(row[5]), node_id=row[6] or None,
-        declared_pages=int(row[7]), actual_pages=int(row[8]))
-        for _, row in _csv_rows(source, OUTCOMES_FIELDS)]
+    outcomes = []
+    for line, row in _csv_rows(source, OUTCOMES_FIELDS):
+        try:
+            outcomes.append(JobOutcome(
+                job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
+                started_ms=int(row[3]) if row[3] else None,
+                finished_ms=int(row[4]) if row[4] else None,
+                status=JobStatus(row[5]), node_id=row[6] or None,
+                declared_pages=int(row[7]), actual_pages=int(row[8])))
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line=line) from None
+    return outcomes
 
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:

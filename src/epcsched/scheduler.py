@@ -8,9 +8,10 @@ exceeds what jobs reserved.  Protected memory is never over-committed.
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from dataclasses import dataclass
-from statistics import pstdev
+from math import isqrt
 from typing import Callable, Iterable, Mapping
 
 from .cluster import ClusterState, NodeState
@@ -114,22 +115,67 @@ def _std_fraction(node: NodeState, extra_bytes: int) -> float:
     return (node.reserved_std + extra_bytes) / node.spec.std_capacity
 
 
+# A ratio of at least this many bits has an integer square root of at least
+# two bits more than a float's significand, enough to round it to odd.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded to a float, the value
+    `statistics.pstdev` returns for an exact variance of num / den.
+
+    The ratio is scaled by 4**-q to _SQRT_BITS bits or more and its integer
+    root rounded to odd (low bit set when inexact); the float conversion is
+    then the only rounding, since scaling back by 2**q is exact."""
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def _pick_balanced(job: JobSpec, candidates: list[NodeState],
                    usage: Mapping[str, NodeUsage],
                    load: Callable[[NodeState, int], float],
                    extra: int) -> str | None:
     """Among feasible candidates, the one whose hypothetical placement leaves
     the candidate set's load fractions with the smallest population stddev;
-    ties go to the lowest node id."""
+    ties go to the lowest node id.
+
+    A score is the float `statistics.pstdev` gives for the set, so two
+    different variances that round to one stddev still tie.  Every float
+    load is a dyadic rational: lifted to integers N over one power-of-two
+    denominator D, the variance with one term changed is
+    (n*Q - S*S) / (n*D)**2 from the running sums S = sum(N), Q = sum(N*N),
+    so each target costs O(1) and the decision O(nodes)."""
+    base = [load(n, 0).as_integer_ratio() for n in candidates]
+    targets = [(t, load(t, extra).as_integer_ratio())
+               for t in sorted(candidates, key=lambda n: n.node_id)
+               if feasible(job, t, usage)]
+    if not targets:
+        return None
+    bits = max(d.bit_length() for _, d in base + [r for _, r in targets])
+    lifted = {n.node_id: num << (bits - den.bit_length())
+              for n, (num, den) in zip(candidates, base)}
+    total = sum(lifted.values())
+    squares = sum(v * v for v in lifted.values())
+    count = len(candidates)
+    scale = (count << (bits - 1)) ** 2
     best_id: str | None = None
-    best_score = 0.0
-    for target in sorted(candidates, key=lambda n: n.node_id):
-        if not feasible(job, target, usage):
-            continue
-        loads = [load(n, extra if n is target else 0) for n in candidates]
-        score = pstdev(loads)
+    best_score, best_var = 0.0, 0
+    for target, (num, tden) in targets:
+        old = lifted[target.node_id]
+        new = num << (bits - tden.bit_length())
+        s = total - old + new
+        var = count * (squares - old * old + new * new) - s * s
+        if best_id is not None and var >= best_var:
+            continue  # a correctly rounded sqrt never decreases
+        score = _sqrt_of_ratio(var, scale)
         if best_id is None or score < best_score:
-            best_id, best_score = target.node_id, score
+            best_id, best_score, best_var = target.node_id, score, var
     return best_id
 
 

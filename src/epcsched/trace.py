@@ -435,15 +435,20 @@ def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
 
 def _csv_rows(source, fields: tuple[str, ...]):
     """(line number, row) of every non-blank row of a CSV file whose header
-    must equal `fields`.  An empty source has no rows."""
+    must equal `fields`; a row of any other width is a TraceParseError.  An
+    empty source has no rows."""
     with _open_text(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None and tuple(h.strip() for h in header) != fields:
             raise TraceParseError(f"expected header {','.join(fields)}", line=1)
         for row in reader:
-            if row:
-                yield reader.line_num, row
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise TraceParseError(f"expected {len(fields)} fields, got "
+                                      f"{len(row)}", line=reader.line_num)
+            yield reader.line_num, row
 
 
 def read_jobs_csv(source) -> list[JobSpec]:
@@ -456,6 +461,6 @@ def read_jobs_csv(source) -> list[JobSpec]:
                 requested_mem=int(row[4]), actual_mem=int(row[5]),
                 declared_epc_pages=int(row[6]), actual_epc_pages=int(row[7]),
             ))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise TraceParseError(str(exc), line=lineno) from None
     return jobs

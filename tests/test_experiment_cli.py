@@ -4,10 +4,14 @@ import gzip
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import time
 
 import pytest
 
+from epcsched import experiment
 from epcsched._units import MIB
 from epcsched.cli import main
 from epcsched.cluster import EpcModel
@@ -301,6 +305,41 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not out.exists()
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched writer only by fork")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_write_leaves_no_staging_and_cancels_the_rest(
+            self, tmp_path, trace_path, monkeypatch, workers):
+        calls = tmp_path / "calls"
+        first = tmp_path / "first"
+
+        def failing_writer(series, dest):
+            with open(calls, "a") as fh:
+                fh.write(f"{dest}\n")
+            try:
+                os.close(os.open(first, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                time.sleep(0.3)  # the first failure must beat these
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment, "write_pending_csv", failing_writer)
+        out = tmp_path / "artifacts"
+        cfg = config_from_mapping({
+            "trace": str(trace_path),
+            "output_dir": str(out),
+            "sgx_fraction_sweep": "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+            "workers": workers,
+        })
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg)
+        assert not list(out.glob("*.tmp"))
+        assert [p.name for p in out.iterdir()] == ["experiment.json"]
+        started = len(calls.read_text().splitlines())
+        if workers == 1:
+            assert started == 1
+        else:
+            assert started < 8  # the points not yet started were cancelled
+
 
 class TestCli:
     def test_scale_round_trip(self, tmp_path, trace_path, capsys):
@@ -357,6 +396,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line 2" in err and str(shard) in err
         assert not (tmp_path / "jobs.csv").exists()
+
+    def test_report_short_outcomes_row_exits_3(self, tmp_path, trace_path,
+                                               capsys):
+        cfg_path = flat_config(tmp_path, trace_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (point,) = [p for p in (tmp_path / "artifacts").iterdir() if p.is_dir()]
+        outcomes = point / "outcomes.csv"
+        outcomes.write_text(outcomes.read_text() + "a,standard,0\n")
+        rc = main(["report", "--dir", str(tmp_path / "artifacts"),
+                   "--figure", "7"])
+        assert rc == 3
+        assert "line 6: expected 9 fields, got 3" in capsys.readouterr().err
 
     def test_scale_bad_trace_exits_3(self, tmp_path):
         assert main(["scale", "--in", str(tmp_path / "nope.csv"),

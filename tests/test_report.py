@@ -29,7 +29,7 @@ from epcsched.report import (
     write_outcomes_csv,
     write_pending_csv,
 )
-from epcsched.trace import JobKind
+from epcsched.trace import JobKind, TraceParseError
 
 
 def completed(job_id, submit, start, finish, kind=JobKind.STANDARD):
@@ -175,6 +175,20 @@ class TestCsvRoundTrips:
     def test_outcomes_header_checked(self):
         with pytest.raises(ValueError):
             read_outcomes_csv(io.StringIO("nope\n1\n"))
+
+    @pytest.mark.parametrize("row", [
+        "a,standard,0",
+        "a,standard,0,1,2,Completed,n1,0,0,9",
+        "a,standard,x,1,2,Completed,n1,0,0",
+        "a,standard,0,1,2,Completed,n1,0,1.5",
+        "a,weird,0,1,2,Completed,n1,0,0",
+        "a,standard,0,1,2,Done,n1,0,0",
+    ])
+    def test_outcomes_bad_row_names_line(self, row):
+        buf = io.StringIO()
+        write_outcomes_csv(self.OUTCOMES[:1], buf)
+        with pytest.raises(TraceParseError, match="line 3"):
+            read_outcomes_csv(io.StringIO(buf.getvalue() + row + "\n"))
 
     def test_pending(self):
         series = [(0, 0), (5_000, 123_456)]

@@ -1,12 +1,16 @@
 """Placement policies and the per-tick scheduling walk."""
 
 import math
+from fractions import Fraction
+from statistics import pstdev
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import GIB, sgx_job, sgx_node, std_job, std_node
-from epcsched.cluster import ClusterState, EpcModel
+from conftest import GIB, PAGE, sgx_job, sgx_node, std_job, std_node
+from epcsched import scheduler
+from epcsched.cluster import ClusterState, EpcModel, NodeSpec, NodeState
 from epcsched.metrics import (
     METRIC_EPC_PAGES,
     METRIC_STD_BYTES,
@@ -23,6 +27,7 @@ from epcsched.scheduler import (
     snapshot_usage,
     spread_select,
 )
+from epcsched.trace import JobKind, JobSpec
 
 USABLE = 23_936
 
@@ -181,6 +186,148 @@ class TestSpread:
                     best, best_score = nid, score
 
             assert spread_select(job, cluster.nodes, measured) == best
+
+
+def _seed_pick_balanced(job, candidates, usage, load, extra):
+    """The pstdev loop `spread` used before its running-sums rewrite, kept
+    verbatim as the reference for exact picks."""
+    best_id = None
+    best_score = 0.0
+    for target in sorted(candidates, key=lambda n: n.node_id):
+        if not feasible(job, target, usage):
+            continue
+        loads = [load(n, extra if n is target else 0) for n in candidates]
+        score = pstdev(loads)
+        if best_id is None or score < best_score:
+            best_id, best_score = target.node_id, score
+    return best_id
+
+
+def _seed_spread_select(job, nodes, usage):
+    if job.kind.uses_epc:
+        sgx = [n for n in nodes.values() if n.is_sgx]
+        return _seed_pick_balanced(job, sgx, usage, scheduler._epc_fraction,
+                                   job.declared_epc_pages)
+    plain = [n for n in nodes.values() if not n.is_sgx]
+    chosen = _seed_pick_balanced(job, plain, usage, scheduler._std_fraction,
+                                 job.requested_mem)
+    if chosen is not None:
+        return chosen
+    sgx = [n for n in nodes.values() if n.is_sgx]
+    return _seed_pick_balanced(job, sgx, usage, scheduler._std_fraction,
+                               job.requested_mem)
+
+
+def _node_states(rows):
+    """NodeStates from (node_id, usable_pages or None, std_capacity,
+    reserved_std, reserved_pages) rows."""
+    nodes = {}
+    for node_id, pages, std_capacity, reserved_std, reserved_pages in rows:
+        epc = (None if pages is None else
+               EpcModel(total_bytes=pages * PAGE, usable_bytes=pages * PAGE))
+        nodes[node_id] = NodeState(NodeSpec(node_id, std_capacity, epc),
+                                   reserved_std, reserved_pages)
+    return nodes
+
+
+@st.composite
+def _spread_cases(draw):
+    """(rows, usage, (kind, requested_mem, declared_pages)) for spread.
+
+    Either 1-130 nodes with mixed capacities, all identical when `equal` is
+    drawn (exact ties), or a few nodes on one huge capacity whose loads sit
+    an ulp or so apart, where different variances round to one stddev."""
+    kind = draw(st.sampled_from([JobKind.SGX, JobKind.STANDARD]))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        cap = draw(st.integers(2 ** 54, 2 ** 58))
+        base = cap // draw(st.sampled_from([2, 4, 8])) + draw(st.integers(0, 999))
+        near = [base + draw(st.integers(0, 64)) for _ in range(n)]
+        extra = cap // draw(st.sampled_from([2, 4, 8])) + draw(
+            st.integers(-999, 999))
+        if kind is JobKind.SGX:
+            rows = [(f"s{i}", cap, GIB, 0, r) for i, r in enumerate(near)]
+            return rows, {}, (kind, PAGE, extra)
+        rows = [(f"n{i}", None, cap, r, 0) for i, r in enumerate(near)]
+        return rows, {}, (kind, extra, 0)
+    n = draw(st.integers(1, 130))
+    ids = draw(st.permutations(range(n)))
+    equal = draw(st.booleans())
+    rows, usage = [], {}
+    for i in ids:
+        if not equal or not rows:
+            sgx = draw(st.booleans())
+            pages = draw(st.one_of(st.sampled_from([1, 100, 23_936]),
+                                   st.integers(1, 2 ** 40))) if sgx else None
+            cap = draw(st.one_of(st.sampled_from([GIB, 8 * GIB]),
+                                 st.integers(1, 2 ** 62)))
+            reserved = (draw(st.integers(0, cap)),
+                        draw(st.integers(0, pages)) if sgx else 0)
+        rows.append((f"n{i:03d}", pages, cap, *reserved))
+        if draw(st.integers(0, 3)) == 0:
+            usage[f"n{i:03d}"] = (draw(st.integers(0, 2 ** 40)),
+                                  draw(st.integers(0, 2 ** 62)))
+    if kind is JobKind.SGX:
+        job = (kind, draw(st.integers(0, 2 ** 33)), draw(st.integers(1, 2 ** 20)))
+    else:
+        job = (kind, draw(st.integers(0, 2 ** 62)), 0)
+    return rows, usage, job
+
+
+class TestSpreadExactOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_spread_cases())
+    @example(([("n0", None, 232974170608267759, 29121771326033932, 0),
+               ("n1", None, 232974170608267759, 29121771326033929, 0)],
+              {}, (JobKind.STANDARD, 58243542652067506, 0)))
+    def test_same_pick_as_pstdev_loop(self, case):
+        # The pinned example: both placements give different variances that
+        # round to one stddev, so the lower id must win.
+        rows, usage, (kind, requested_mem, declared) = case
+        nodes = _node_states(rows)
+        usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
+        job = JobSpec("j", kind, 0, 0, requested_mem, 0, declared, 0)
+        assert spread_select(job, nodes, usage) == _seed_spread_select(
+            job, nodes, usage)
+
+    @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=40),
+           st.integers(1, 2 ** 62), st.integers(1, 2 ** 40))
+    def test_score_is_pstdev_of_the_exact_variance(self, reserved, cap, k):
+        loads = [r / cap for r in reserved]
+        exact = [Fraction(x) for x in loads]
+        mean = sum(exact) / len(exact)
+        var = sum((x - mean) ** 2 for x in exact) / len(exact)
+        score = scheduler._sqrt_of_ratio(var.numerator, var.denominator)
+        assert score == pstdev(loads)
+        # the same ratio in other terms, as the running sums give it
+        assert scheduler._sqrt_of_ratio(var.numerator * k * k,
+                                        var.denominator * k * k) == score
+
+    @pytest.mark.parametrize("epc", [True, False])
+    def test_one_decision_is_linear_in_nodes(self, monkeypatch, epc):
+        # Counts calls instead of timing: the pstdev loop makes n*n load calls.
+        n = 512
+        calls = {"load": 0, "feasible": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        load_name = "_epc_fraction" if epc else "_std_fraction"
+        monkeypatch.setattr(scheduler, load_name,
+                            counted("load", getattr(scheduler, load_name)))
+        monkeypatch.setattr(scheduler, "feasible",
+                            counted("feasible", scheduler.feasible))
+        make = sgx_node if epc else std_node
+        cluster = cluster_of(*(make(f"n{i:03d}") for i in range(n)))
+        for i, node in enumerate(cluster.nodes.values()):
+            node.reserve(i, i if epc else 0)
+        job = sgx_job("j", declared=1) if epc else std_job("j", requested=1)
+        assert spread_select(job, cluster.nodes, {}) == "n000"
+        assert calls["feasible"] == n
+        assert calls["load"] + calls["feasible"] <= 3 * n
 
 
 class TestScheduleTick:

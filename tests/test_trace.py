@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from epcsched.trace import (
     DEFAULT_SGX_MULTIPLIER,
     DEFAULT_STD_MULTIPLIER,
+    JOBS_FIELDS,
     BorgColumns,
     JobKind,
     JobSpec,
@@ -357,3 +358,12 @@ class TestRoundTrips:
     def test_jobs_csv_rejects_foreign_header(self):
         with pytest.raises(TraceParseError):
             read_jobs_csv(io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("row", ["j1,standard,0,1,2,2,0",
+                                     "j1,standard,0,1,2,2,0,0,9",
+                                     "j1,standard,0,x,2,2,0,0",
+                                     "j1,weird,0,1,2,2,0,0"])
+    def test_jobs_csv_bad_row_names_line(self, row):
+        text = ",".join(JOBS_FIELDS) + "\nj0,standard,0,1,2,2,0,0\n" + row + "\n"
+        with pytest.raises(TraceParseError, match="line 3"):
+            read_jobs_csv(io.StringIO(text))
