@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 KIB = 1024
@@ -21,7 +22,11 @@ def parse_size(value: int | float | str) -> int:
     if isinstance(value, (int, float)):
         if value < 0:
             raise ValueError(f"negative size: {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite size: {value!r}")
         return int(round(value))
+    if not isinstance(value, str):
+        raise ValueError(f"not a size: {value!r}")
     m = _SIZE_RE.match(value)
     if not m:
         raise ValueError(f"cannot parse size {value!r}")

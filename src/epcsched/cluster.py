@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from ._units import MIB, PAGE_SIZE
@@ -57,8 +58,9 @@ class EpcModel:
                 or self.rate_above_ms_per_mib < 0 or self.fixed_above_ms < 0):
             raise ValueError("startup-cost constants must be >= 0")
 
-    @property
+    @cached_property
     def usable_pages(self) -> int:
+        # computed once per model: admission reads it for every candidate
         return self.usable_bytes // self.page_size
 
     @property

@@ -39,6 +39,9 @@ class MaliciousConfig:
     def __post_init__(self):
         if self.n is not None and self.n < 0:
             raise ConfigError("malicious_n must be >= 0 (or 'auto')")
+        if self.declared_pages < 1:
+            raise ConfigError("malicious_declared_pages must be >= 1, "
+                              f"got {self.declared_pages!r}")
         if not 0.0 < self.use_fraction <= 1.0:
             raise ConfigError("malicious_use_fraction must lie in (0, 1], "
                               f"got {self.use_fraction!r}")
@@ -244,10 +247,15 @@ def load_cluster(path) -> list[NodeSpec]:
     if not isinstance(rows, list) or not rows:
         raise ConfigError(f"cluster file {path}: expected a non-empty list")
     specs = []
+    seen: set[str] = set()
     for row in rows:
         if not isinstance(row, dict) or "node_id" not in row or "std_capacity" not in row:
             raise ConfigError(
                 f"cluster file {path}: each node needs node_id and std_capacity")
+        node_id = str(row["node_id"])
+        if node_id in seen:
+            raise ConfigError(f"cluster file {path}: duplicate node_id {node_id!r}")
+        seen.add(node_id)
         epc = None
         if "epc_total" in row or "epc_usable" in row:
             total = _as_size(row.get("epc_total", DEFAULT_EPC_TOTAL), "epc_total")
@@ -257,7 +265,7 @@ def load_cluster(path) -> list[NodeSpec]:
             except ValueError as exc:
                 raise ConfigError(f"cluster file {path}: {exc}") from None
         try:
-            specs.append(NodeSpec(node_id=str(row["node_id"]),
+            specs.append(NodeSpec(node_id=node_id,
                                   std_capacity=_as_size(row["std_capacity"],
                                                         "std_capacity"),
                                   epc=epc))

@@ -81,14 +81,15 @@ def feasible(job: JobSpec, node: NodeState,
     there too).
     """
     seen = usage.get(node.node_id, _NO_USAGE)
+    spec = node.spec
     if job.kind.uses_epc:
-        if not node.is_sgx:
+        if spec.epc is None:
             return False
         occupied = max(seen.epc_pages, node.reserved_epc_pages)
-        if occupied + job.declared_epc_pages > node.spec.epc.usable_pages:
+        if occupied + job.declared_epc_pages > spec.epc.usable_pages:
             return False
     occupied_std = max(seen.std_bytes, node.reserved_std)
-    return occupied_std + job.requested_mem <= node.spec.std_capacity
+    return occupied_std + job.requested_mem <= spec.std_capacity
 
 
 def binpack_select(job: JobSpec, nodes: Mapping[str, NodeState],
@@ -198,6 +199,11 @@ def spread_select(job: JobSpec, nodes: Mapping[str, NodeState],
     return _pick_balanced(job, sgx, usage, _std_fraction, job.requested_mem)
 
 
+# The policy contract, which every entry must keep: select(job, nodes, usage)
+# returns None only if no node of the job's candidate set is `feasible`, and
+# that set depends only on the job's kind (the enclave-capable nodes for
+# enclave jobs, all nodes for standard jobs).  `schedule_tick` relies on it
+# to skip jobs that a failure earlier in the same tick already rules out.
 POLICIES: dict[str, Callable[..., str | None]] = {
     "binpack": binpack_select,
     "spread": spread_select,
@@ -218,22 +224,48 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
                   window_ms: int = 25_000) -> list[Placement]:
     """Walk the queue in order once, placing every job that fits somewhere.
 
-    Measured usage is snapshotted once per tick; reservations made for jobs
-    placed earlier in the same walk are visible to later ones, so one tick
-    cannot over-commit a node.  Jobs with no feasible node simply stay queued
-    without blocking the jobs behind them.
+    Measured usage is snapshotted once per tick (not at all for an empty
+    queue); reservations made for jobs placed earlier in the same walk are
+    visible to later ones, so one tick cannot over-commit a node.  Jobs with
+    no feasible node simply stay queued without blocking the jobs behind
+    them.
+
+    Within a walk the snapshot is fixed and reservations only grow, and
+    `feasible` is monotone in a job's requested memory and declared pages.
+    By the policy contract a job therefore cannot be placed if an earlier
+    job of its class (standard or enclave) that asked for no more of either
+    failed in the same walk; such a job is skipped without asking the
+    policy.  Standard failures keep their smallest request, enclave
+    failures their Pareto-minimal (memory, pages) pairs.
     """
     try:
         select = POLICIES[policy]
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
+    if not queue:
+        return []
     usage = snapshot_usage(store, now_ms, window_ms)
     placements: list[Placement] = []
+    std_failed: int | None = None
+    enclave_failed: list[tuple[int, int]] = []
     for job in queue.jobs():
+        mem, pages = job.requested_mem, job.declared_epc_pages
+        enclave = job.kind.uses_epc
+        if enclave:
+            if any(m <= mem and p <= pages for m, p in enclave_failed):
+                continue
+        elif std_failed is not None and std_failed <= mem:
+            continue
         node_id = select(job, cluster.nodes, usage)
         if node_id is None:
+            if enclave:
+                enclave_failed = [(m, p) for m, p in enclave_failed
+                                  if m < mem or p < pages]
+                enclave_failed.append((mem, pages))
+            else:
+                std_failed = mem
             continue
-        cluster.nodes[node_id].reserve(job.requested_mem, job.declared_epc_pages)
+        cluster.nodes[node_id].reserve(mem, pages)
         queue.remove(job.job_id)
         placements.append(Placement(job.job_id, node_id, now_ms))
     return placements

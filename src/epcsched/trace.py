@@ -66,6 +66,9 @@ class RawJobRecord:
     def __post_init__(self):
         if not self.job_id:
             raise ValueError("empty job_id")
+        for name in ("submit_s", "duration_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite {name} for {self.job_id}")
         if self.submit_s < 0:
             raise ValueError(f"negative submit time for {self.job_id}")
         if self.duration_s < 0:
@@ -133,8 +136,9 @@ class ScalingConfig:
             raise ValueError("sgx_fraction must lie in [0, 1]")
         if self.std_multiplier <= 0 or self.sgx_multiplier <= 0:
             raise ValueError("capacity multipliers must be positive")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        if not 0 <= self.rng_seed < 2 ** 128:
+            raise ValueError("rng_seed must lie in [0, 2**128), "
+                             f"got {self.rng_seed}")
 
 
 @contextmanager
@@ -243,6 +247,13 @@ def _shard_rows(directory: Path):
                 yield shard, rowno, row
 
 
+def _finite(field: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {field.strip()!r}")
+    return value
+
+
 def _shard_error(shard: Path, rowno: int, row: list[str],
                  exc: Exception) -> TraceParseError:
     reason = (f"short row ({len(row)} fields)" if isinstance(exc, IndexError)
@@ -276,7 +287,7 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
         try:
             key = (row[cols.event_job_id], row[cols.event_task_index])
             etype = int(row[cols.event_type])
-            t = float(row[cols.event_time]) / 1e6  # raw timestamps are microseconds
+            t = _finite(row[cols.event_time]) / 1e6  # raw timestamps are microseconds
             if etype == _EV_SUBMIT:
                 submit.setdefault(key, t)
             elif etype == _EV_SCHEDULE:
@@ -286,7 +297,7 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
             if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
                 field = row[cols.event_mem_request].strip()
                 if field:
-                    request[key] = float(field)
+                    request[key] = _finite(field)
         except (IndexError, ValueError) as exc:
             raise _shard_error(shard, rowno, row, exc) from None
 
@@ -297,7 +308,7 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
                 key = (row[cols.usage_job_id], row[cols.usage_task_index])
                 field = row[cols.usage_max_mem].strip()
                 if field:
-                    value = float(field)
+                    value = _finite(field)
                     if value > peak.get(key, -1.0):
                         peak[key] = value
             except (IndexError, ValueError) as exc:
@@ -333,11 +344,14 @@ def _ceil_pages(nbytes: int, page_size: int) -> int:
     return -(-nbytes // page_size)
 
 
-def _tag_uniform(seed: int, index: int) -> float:
-    # Counter-based: the draw for record i depends only on (seed, i), so
-    # raising sgx_fraction can only add enclave jobs, never reshuffle old ones.
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[index, 0, 0, 0]))
-    return float(gen.random())
+def _tag_uniforms(seed: int, n: int) -> list[float]:
+    # Counter-based: the draw for record i is the first of a Philox stream
+    # keyed by seed at counter i, so it depends only on (seed, i) and raising
+    # sgx_fraction can only add enclave jobs, never reshuffle old ones.  One
+    # Philox block holds four draws and the stream advances the counter once
+    # per block, so every fourth draw of one stream is that first draw.
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    return gen.random(4 * n)[::4].tolist()
 
 
 def materialize(records: Sequence[RawJobRecord], cfg: ScalingConfig,
@@ -350,8 +364,9 @@ def materialize(records: Sequence[RawJobRecord], cfg: ScalingConfig,
     at least one page declared (an enclave cannot be smaller than one page).
     """
     jobs: list[JobSpec] = []
-    for index, rec in enumerate(records):
-        sgx = _tag_uniform(cfg.rng_seed, index) < cfg.sgx_fraction
+    uniforms = _tag_uniforms(cfg.rng_seed, len(records))
+    for rec, uniform in zip(records, uniforms):
+        sgx = uniform < cfg.sgx_fraction
         multiplier = cfg.sgx_multiplier if sgx else cfg.std_multiplier
         requested = int(round(rec.assigned_mem_frac * multiplier))
         actual = int(round(rec.max_mem_frac * multiplier))

@@ -1,5 +1,8 @@
 """Node and EPC bookkeeping."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +28,18 @@ class TestEpcModel:
         assert m.usable_bytes == 98_041_856 == DEFAULT_EPC_USABLE
         assert m.usable_pages == 23_936
         assert m.usable_mib == 93.5
+
+    def test_usable_pages_cached_without_changing_identity(self):
+        m = EpcModel(usable_bytes=64 * 1024 * 1024)
+        before = repr(m)
+        assert m.usable_pages == 16_384
+        assert "usable_pages" in vars(m)  # computed once, then a plain read
+        assert repr(m) == before
+        assert m == EpcModel(usable_bytes=64 * 1024 * 1024)
+        assert hash(m) == hash(EpcModel(usable_bytes=64 * 1024 * 1024))
+        smaller = replace(m, usable_bytes=32 * 1024 * 1024)
+        assert smaller.usable_pages == 8_192 and smaller != m
+        assert pickle.loads(pickle.dumps(m)).usable_pages == 16_384
 
     def test_usable_must_fit_in_total(self):
         with pytest.raises(ValueError):

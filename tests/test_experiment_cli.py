@@ -104,6 +104,21 @@ class TestConfigParsing:
             config_from_mapping({"trace": "t.csv",
                                  "malicious_use_fraction": value})
 
+    def test_malicious_declared_pages_below_one(self):
+        with pytest.raises(ConfigError, match="malicious_declared_pages"):
+            config_from_mapping({"trace": "t.csv",
+                                 "malicious_declared_pages": 0})
+
+    def test_rng_seed_beyond_philox_key(self):
+        config_from_mapping({"trace": "t.csv", "rng_seed": 2 ** 128 - 1})
+        with pytest.raises(ConfigError, match="rng_seed"):
+            config_from_mapping({"trace": "t.csv", "rng_seed": 2 ** 128})
+
+    @pytest.mark.parametrize("value", [{"a": 1}, [None], [[64]]])
+    def test_non_size_sweep_names_its_key(self, value):
+        with pytest.raises(ConfigError, match="epc_usable_sweep"):
+            config_from_mapping({"trace": "t.csv", "epc_usable_sweep": value})
+
     def test_bad_bool(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"trace": "t.csv", "enforce_limits": "maybe"})
@@ -162,6 +177,29 @@ class TestLoadCluster:
         p = tmp_path / "cluster.json"
         p.write_text(json.dumps([{"node_id": "x"}]))
         with pytest.raises(ConfigError):
+            load_cluster(p)
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("std_capacity", None), ("std_capacity", [64]),
+        ("std_capacity", {"GiB": 64}), ("epc_usable", None),
+        ("epc_total", None), ("epc_usable", float("inf")),
+    ])
+    def test_non_size_names_its_key(self, tmp_path, key, value):
+        row = {"node_id": "enc", "std_capacity": "8GiB", key: value}
+        p = tmp_path / "cluster.json"
+        p.write_text(json.dumps([row]))
+        with pytest.raises(ConfigError, match=key):
+            load_cluster(p)
+
+    def test_rejects_duplicate_node_ids(self, tmp_path):
+        p = tmp_path / "cluster.json"
+        p.write_text(json.dumps([
+            {"node_id": "a", "std_capacity": "8GiB"},
+            {"node_id": "b", "std_capacity": "8GiB"},
+            {"node_id": "a", "std_capacity": "4GiB"},
+        ]))
+        with pytest.raises(ConfigError, match="duplicate node_id 'a'"):
             load_cluster(p)
 
 
@@ -382,6 +420,26 @@ class TestCli:
         cfg_path = flat_config(tmp_path, trace_path,
                                "malicious_use_fraction = 2\n")
         assert main(["run", "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_rng_seed_beyond_philox_key_exits_2_before_any_output(
+            self, tmp_path, trace_path, capsys):
+        cfg_path = flat_config(tmp_path, trace_path)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "rng_seed = 3", f"rng_seed = {2 ** 128}"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "rng_seed" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("row, field", [("j5,nan,10,0.1,0.1", "submit_s"),
+                                            ("j5,8,inf,0.1,0.1", "duration_s")])
+    def test_non_finite_trace_time_exits_3_before_any_output(
+            self, tmp_path, trace_path, capsys, row, field):
+        trace_path.write_text(TRACE + row + "\n")
+        cfg_path = flat_config(tmp_path, trace_path)
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "line 6" in err and field in err
         assert not (tmp_path / "artifacts").exists()
 
     def test_scale_short_borg_row_exits_3(self, tmp_path, capsys):

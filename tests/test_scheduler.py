@@ -387,3 +387,136 @@ def test_snapshot_usage_merges_metrics():
     store.append(MetricSample(0, "n1", "p1", METRIC_STD_BYTES, 3))
     usage = snapshot_usage(store, now_ms=0)
     assert usage == {"n1": NodeUsage(7, 3), "n2": NodeUsage(0, 9)}
+
+
+def _seed_schedule_tick(queue, cluster, store, now_ms, policy="binpack",
+                        window_ms=25_000):
+    """The walk `schedule_tick` made before it skipped dominated jobs, kept
+    verbatim as the reference for exact placements."""
+    try:
+        select = scheduler.POLICIES[policy]
+    except KeyError:
+        raise ValueError(f"unknown policy {policy!r}") from None
+    usage = snapshot_usage(store, now_ms, window_ms)
+    placements: list[Placement] = []
+    for job in queue.jobs():
+        node_id = select(job, cluster.nodes, usage)
+        if node_id is None:
+            continue
+        cluster.nodes[node_id].reserve(job.requested_mem, job.declared_epc_pages)
+        queue.remove(job.job_id)
+        placements.append(Placement(job.job_id, node_id, now_ms))
+    return placements
+
+
+@st.composite
+def _tick_nodes(draw):
+    """_node_states rows and a usage map for 1-8 small nodes, so queued jobs
+    contend; about a third are plain nodes."""
+    rows, usage = [], {}
+    for i in range(draw(st.integers(1, 8))):
+        pages = draw(st.one_of(st.none(), st.integers(1, 40)))
+        cap = draw(st.integers(1, 100))
+        rows.append((f"n{i}", pages, cap, draw(st.integers(0, cap)),
+                     draw(st.integers(0, pages)) if pages else 0))
+        if draw(st.booleans()):
+            usage[f"n{i}"] = (draw(st.integers(0, 50)),
+                              draw(st.integers(0, 120)))
+    return rows, usage
+
+
+@st.composite
+def _tick_jobs(draw):
+    """0-60 jobs of all three kinds drawn from a few base demands, each
+    repeated or nudged by one, on one memory range for both classes."""
+    bases = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)),
+                          min_size=1, max_size=6))
+    jobs = []
+    for i in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(list(JobKind)))
+        mem, pages = draw(st.sampled_from(bases))
+        mem = max(mem + draw(st.sampled_from([0, 0, -1, 1])), 0)
+        pages += draw(st.sampled_from([0, 0, -1, 1]))
+        pages = max(pages, 1) if kind.uses_epc else 0
+        jobs.append(JobSpec(f"j{i:02d}", kind, draw(st.integers(0, 3)), 1,
+                            mem, 0, pages, 0))
+    return jobs
+
+
+def _usage_store(usage, now_ms):
+    store = SeriesStore()
+    for node_id, (epc, std) in usage.items():
+        store.append(MetricSample(now_ms, node_id, "u", METRIC_EPC_PAGES, epc))
+        store.append(MetricSample(now_ms, node_id, "u", METRIC_STD_BYTES, std))
+    return store
+
+
+def _candidates(job, nodes):
+    return [n for n in nodes.values() if n.is_sgx or not job.kind.uses_epc]
+
+
+class TestTickSkipsDominatedJobs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(scheduler.POLICIES)), _tick_nodes(),
+           _tick_jobs())
+    def test_same_walk_as_the_unskipped_loop(self, policy, nodes, jobs):
+        rows, usage = nodes
+        store = _usage_store(usage, 1_000)
+        results = []
+        for tick in (schedule_tick, _seed_schedule_tick):
+            cluster = ClusterState(_node_states(rows))
+            queue = PendingQueue(jobs)
+            placements = tick(queue, cluster, store, 1_000, policy)
+            results.append((
+                placements, [j.job_id for j in queue.jobs()],
+                [(n.reserved_std, n.reserved_epc_pages)
+                 for n in cluster.nodes.values()]))
+        assert results[0] == results[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(scheduler.POLICIES)), _tick_nodes(),
+           _tick_jobs())
+    def test_policy_contract(self, policy, nodes, jobs):
+        # None exactly when no node of the kind's candidate set is feasible.
+        rows, usage = nodes
+        nodes = _node_states(rows)
+        usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
+        select = scheduler.POLICIES[policy]
+        for job in jobs:
+            fits = any(feasible(job, n, usage) for n in _candidates(job, nodes))
+            assert (select(job, nodes, usage) is not None) == fits
+
+    @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
+    @pytest.mark.parametrize("enclave", [True, False])
+    def test_one_select_for_identical_failures(self, monkeypatch, policy,
+                                               enclave):
+        calls = []
+
+        def counted(job, nodes, usage, select=scheduler.POLICIES[policy]):
+            calls.append(job.job_id)
+            return select(job, nodes, usage)
+
+        monkeypatch.setitem(scheduler.POLICIES, policy, counted)
+        cluster = cluster_of(sgx_node("s1"), sgx_node("s2"), std_node("n1"))
+        if enclave:
+            misfits = [sgx_job(f"f{i:03d}", declared=USABLE + 1)
+                       for i in range(100)]
+            other = std_job("ok", submit_ms=1)
+        else:
+            misfits = [std_job(f"f{i:03d}", requested=65 * GIB)
+                       for i in range(100)]
+            other = sgx_job("ok", submit_ms=1, declared=10)
+        q = PendingQueue(misfits + [other])
+        placements = schedule_tick(q, cluster, SeriesStore(), 0, policy)
+        # a failure of one class rules out no job of the other
+        assert [p.job_id for p in placements] == ["ok"]
+        assert calls == ["f000", "ok"]
+        assert len(q) == 100
+
+    def test_empty_queue_takes_no_snapshot(self, monkeypatch):
+        def refuse(self, q):
+            raise AssertionError("window queried for an empty queue")
+
+        monkeypatch.setattr(SeriesStore, "per_node_usage", refuse)
+        assert schedule_tick(PendingQueue(), cluster_of(std_node("n1")),
+                             SeriesStore(), 0) == []

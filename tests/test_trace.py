@@ -6,9 +6,11 @@ import io
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from epcsched import trace
 from epcsched.trace import (
     DEFAULT_SGX_MULTIPLIER,
     DEFAULT_STD_MULTIPLIER,
@@ -76,6 +78,13 @@ class TestParseCanonical:
     def test_fraction_out_of_range(self):
         with pytest.raises(TraceParseError) as e:
             parse_canonical_csv(io.StringIO(GOOD_CSV + "x,1,1,1.5,0.1\n"))
+        assert e.value.line == 4
+
+    @pytest.mark.parametrize("row, field", [("x,nan,2,0.1,0.1", "submit_s"),
+                                            ("x,1,inf,0.1,0.1", "duration_s")])
+    def test_non_finite_time_names_line(self, row, field):
+        with pytest.raises(TraceParseError, match=field) as e:
+            parse_canonical_csv(io.StringIO(GOOD_CSV + row + "\n"))
         assert e.value.line == 4
 
     def test_negative_duration_dropped_with_warning(self, caplog):
@@ -160,6 +169,25 @@ class TestBorgTables:
         shard = tmp_path / "task_events" / "part-00000.csv.gz"
         self._write_shard(shard, [self._event(0, "42", "0", "SUBMIT")])
         with pytest.raises(TraceParseError, match="line 1") as err:
+            parse_trace(tmp_path, fmt="borg_tables")
+        assert str(shard) in str(err.value)
+
+    @pytest.mark.parametrize("row", [
+        ["inf", "", "42", "0", "", "1", "", "", "", "", ""],
+        ["0", "", "42", "0", "", "0", "", "", "", "", "nan"],
+    ])
+    def test_non_finite_event_names_shard_and_row(self, tmp_path, row):
+        shard = tmp_path / "task_events" / "part-00000.csv.gz"
+        self._write_shard(shard, [self._event(0, "42", "0", 0), row])
+        with pytest.raises(TraceParseError, match="line 2: .*non-finite"):
+            parse_trace(tmp_path, fmt="borg_tables")
+
+    def test_non_finite_usage_names_shard_and_row(self, tmp_path):
+        self._write_shard(tmp_path / "task_events" / "part-00000.csv.gz",
+                          [self._event(0, "42", "0", 0)])
+        shard = tmp_path / "task_usage" / "part-00000.csv.gz"
+        self._write_shard(shard, [self._usage("42", "0", "nan")])
+        with pytest.raises(TraceParseError, match="line 1: .*non-finite") as err:
             parse_trace(tmp_path, fmt="borg_tables")
         assert str(shard) in str(err.value)
 
@@ -276,6 +304,31 @@ class TestMaterialize:
         assert tagged(lo) <= tagged(hi)
 
 
+def _seed_tag_uniform(seed: int, index: int) -> float:
+    """The per-record draw `materialize` made before it drew every tag from
+    one stream, kept verbatim as the reference."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[index, 0, 0, 0]))
+    return float(gen.random())
+
+
+class TestTagUniforms:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40, 2 ** 63, 2 ** 64 - 1,
+                                      2 ** 100, 2 ** 128 - 1])
+    def test_equal_to_the_per_record_draws(self, seed):
+        n = 3_000
+        assert trace._tag_uniforms(seed, n) == [
+            _seed_tag_uniform(seed, i) for i in range(n)]
+
+    @given(st.integers(0, 2 ** 128 - 1), st.integers(0, 40))
+    def test_prefix_stable(self, seed, n):
+        # record i's draw does not depend on how many records follow it
+        assert trace._tag_uniforms(seed, n) == trace._tag_uniforms(
+            seed, n + 5)[:n]
+
+    def test_no_records(self):
+        assert trace._tag_uniforms(3, 0) == []
+
+
 class TestInjectMalicious:
     BASE = materialize([rec("a", submit_s=3.0, duration_s=7.0)], ScalingConfig())
 
@@ -315,6 +368,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             RawJobRecord("j", 0, 1, 1.5, 0.5)
 
+    @pytest.mark.parametrize("field", ["submit_s", "duration_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_record_rejects_non_finite_times(self, field, value):
+        times = {"submit_s": 0.0, "duration_s": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            RawJobRecord("j", times["submit_s"], times["duration_s"], 0.5, 0.5)
+
     def test_jobspec_standard_cannot_hold_pages(self):
         with pytest.raises(ValueError):
             JobSpec("j", JobKind.STANDARD, 0, 1, 0, 0, 1, 0)
@@ -332,6 +392,12 @@ class TestValidation:
             ScalingConfig(sgx_fraction=1.1)
         with pytest.raises(ValueError):
             ScalingConfig(std_multiplier=0)
+
+    def test_rng_seed_bounds(self):
+        ScalingConfig(rng_seed=2 ** 128 - 1)
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(ValueError, match="rng_seed"):
+                ScalingConfig(rng_seed=seed)
 
     def test_scaling_config_defaults(self):
         cfg = ScalingConfig()
