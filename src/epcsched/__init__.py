@@ -21,8 +21,9 @@ from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
                       probe_tick)
 from .report import (BucketStat, figure_dataset, mean_waiting, summary,
                      turnaround_sum, waiting_by_memory, waiting_cdf)
-from .scheduler import (PendingQueue, Placement, binpack_select, feasible,
-                        schedule_tick, spread_select)
+from .scheduler import (Occupancy, PendingQueue, Placement, binpack_select,
+                        feasible, schedule_tick, snapshot_usage,
+                        spread_select)
 from .synthetic import (bundled_trace_path, load_bundled_trace,
                         synthetic_trace)
 from .trace import (BorgColumns, JobKind, JobSpec, RawJobRecord,
@@ -36,15 +37,14 @@ __all__ = [
     "ConfigError", "DriverError", "DriverState", "EpcModel", "EventKind",
     "ExperimentConfig", "InitResult", "JobKind", "JobOutcome", "JobSpec",
     "JobStatus", "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES",
-    "MetricSample", "NodeSpec", "NodeState", "OutOfOrderSampleError",
-    "PendingQueue", "Placement", "Pod", "RawJobRecord", "ScalingConfig",
-    "SeriesStore", "SimConfig", "SimEvent", "SimResult", "TraceParseError",
-    "WindowQuery", "binpack_select", "bundled_trace_path",
-    "default_cluster", "feasible",
-    "figure_dataset", "inject_malicious", "load_bundled_trace",
-    "load_cluster", "load_config", "materialize", "mean_waiting",
-    "pages_for", "parse_trace", "probe_tick", "run", "run_experiment",
-    "schedule_tick", "slice_and_sample", "spread_select", "startup_delay",
-    "summary", "synthetic_trace", "turnaround_sum", "waiting_by_memory",
-    "waiting_cdf",
+    "MetricSample", "NodeSpec", "NodeState", "Occupancy",
+    "OutOfOrderSampleError", "PendingQueue", "Placement", "Pod",
+    "RawJobRecord", "ScalingConfig", "SeriesStore", "SimConfig", "SimEvent",
+    "SimResult", "TraceParseError", "WindowQuery", "binpack_select",
+    "bundled_trace_path", "default_cluster", "feasible", "figure_dataset",
+    "inject_malicious", "load_bundled_trace", "load_cluster", "load_config",
+    "materialize", "mean_waiting", "pages_for", "parse_trace", "probe_tick",
+    "run", "run_experiment", "schedule_tick", "slice_and_sample",
+    "snapshot_usage", "spread_select", "startup_delay", "summary",
+    "synthetic_trace", "turnaround_sum", "waiting_by_memory", "waiting_cdf",
 ]

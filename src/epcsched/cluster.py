@@ -157,7 +157,8 @@ class Pod:
 class ClusterState:
     """All node states plus the running pods, keyed by job id.  A pod exists
     from a granted placement until its job finishes; everything else that
-    counts per pod (node reservations, driver pages) is a cache of it."""
+    counts per pod (node reservations, driver pages) is a cache of it.
+    Nodes are never added or removed after construction."""
 
     nodes: dict[str, NodeState]
     pods: dict[str, Pod] = field(default_factory=dict)
@@ -175,6 +176,17 @@ class ClusterState:
 
     def sgx_node_ids(self) -> list[str]:
         return [nid for nid in self.nodes if self.nodes[nid].is_sgx]
+
+    # Candidate orders, by node id.  The node set is fixed for the life of
+    # the state, one run, so each is built once and dies with the run.
+    @cached_property
+    def sgx_nodes(self) -> list[NodeState]:
+        return [node for _, node in sorted(self.nodes.items()) if node.is_sgx]
+
+    @cached_property
+    def plain_nodes(self) -> list[NodeState]:
+        return [node for _, node in sorted(self.nodes.items())
+                if not node.is_sgx]
 
 
 def default_cluster() -> list[NodeSpec]:

@@ -118,10 +118,6 @@ class DriverState:
             node.owned[pod_id] = held - pages
         node.free_pages += pages
 
-    def pages_of(self, pod_id: str) -> int:
-        """Pages currently owned by pod_id (0 when it owns none)."""
-        return sum(node.owned.get(pod_id, 0) for node in self.nodes.values())
-
 
 def startup_delay(alloc_bytes: int | float, model: EpcModel) -> float:
     """Enclave construction time in milliseconds for an allocation of

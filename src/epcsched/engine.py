@@ -189,9 +189,7 @@ class _Engine:
                                    self.config.policy, self.config.window_ms)
         for placement in placements:
             self._handle_placement(placement.job_id, placement.node_id, now)
-        backlog = sum(job.declared_epc_pages for job in self.queue
-                      if job.kind.uses_epc) * PAGE_SIZE
-        self.pending_epc.append((now, backlog))
+        self.pending_epc.append((now, self.queue.epc_pages * PAGE_SIZE))
         if placements:
             self.last_progress_ms = now
         if self._all_terminal():
@@ -258,13 +256,23 @@ class _Engine:
                 > self.config.window_ms + self.config.scheduler_period_ms)
 
     def _mark_unfinished(self) -> None:
-        for job in self.queue.jobs():
-            self.queue.remove(job.job_id)
+        for job in self.queue.drain():
             self._record(job, JobStatus.UNFINISHED)
 
     def _check_invariants(self, now: int) -> None:
         """Check the per-pod caches against the pod records: node
-        reservations, driver page ownership and, under enforcement, limits."""
+        reservations, driver page ownership and, under enforcement, limits;
+        and the queue's page counter against its jobs, none of which may
+        have a pod."""
+        queue = self.queue
+        backlog = sum(job.declared_epc_pages for job in queue
+                      if job.kind.uses_epc)
+        if queue.epc_pages != backlog:
+            raise AssertionError(f"t={now}: queue page counter "
+                                 f"{queue.epc_pages} != queued pages {backlog}")
+        for job in queue:
+            if job.job_id in self.cluster.pods:
+                raise AssertionError(f"t={now}: queued {job.job_id} has a pod")
         want = {node_id: [0, 0, {}] for node_id in self.cluster.nodes}
         for pod_id, pod in self.cluster.pods.items():
             job, node_want = pod.job, want[pod.node_id]

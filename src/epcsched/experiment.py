@@ -233,6 +233,9 @@ def load_config(path) -> ExperimentConfig:
     return config_from_mapping(data)
 
 
+_NODE_KEYS = frozenset({"node_id", "std_capacity", "epc_total", "epc_usable"})
+
+
 def load_cluster(path) -> list[NodeSpec]:
     """Read a cluster file: a JSON list of {node_id, std_capacity, and for
     enclave-capable nodes epc_total / epc_usable}.  Sizes may be plain bytes
@@ -252,7 +255,14 @@ def load_cluster(path) -> list[NodeSpec]:
         if not isinstance(row, dict) or "node_id" not in row or "std_capacity" not in row:
             raise ConfigError(
                 f"cluster file {path}: each node needs node_id and std_capacity")
-        node_id = str(row["node_id"])
+        node_id = row["node_id"]
+        if not isinstance(node_id, str) or not node_id:
+            raise ConfigError(f"cluster file {path}: node_id must be a "
+                              f"non-empty string, got {node_id!r}")
+        unknown = sorted(set(row) - _NODE_KEYS)
+        if unknown:
+            raise ConfigError(f"cluster file {path}: node {node_id!r}: "
+                              f"unknown key {unknown[0]!r}")
         if node_id in seen:
             raise ConfigError(f"cluster file {path}: duplicate node_id {node_id!r}")
         seen.add(node_id)

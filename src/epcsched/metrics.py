@@ -2,10 +2,11 @@
 the scheduler reads.
 
 The query semantics mirror the monitoring stack the scheduler was built
-against: per (pod, node) group, take the maximum nonzero sample inside the
-closed window [now - window, now]; then sum those maxima per node.  Nodes
-with no qualifying sample are absent from the result, which the caller must
-treat as zero usage.
+against: per (pod, node) group and metric, take the maximum nonzero sample
+inside the closed window [now - window, now]; then sum those maxima per node.
+One query answers every metric at once.  Metrics and nodes with no
+qualifying sample are absent from the result, which the caller must treat as
+zero usage.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cluster import ClusterState
 from .driver import DriverState
@@ -46,9 +47,8 @@ class MetricSample:
 
 @dataclass(frozen=True)
 class WindowQuery:
-    """Aggregate one metric over the closed window [now - window, now]."""
+    """Aggregate every metric over the closed window [now - window, now]."""
 
-    metric: str
     now_ms: int
     window_ms: int = 25_000
 
@@ -63,14 +63,19 @@ _Key = tuple[str, str, str]  # (node, pod, metric)
 
 
 class _Stream:
-    """Samples of one (node, pod, metric) series, times kept sorted."""
+    """Samples of one (node, pod, metric) series, times kept sorted.
 
-    __slots__ = ("key", "times", "values")
+    `since` is the time of the last sample whose value differs from the
+    tip's, or -1 when no sample does: every sample after it holds the tip's
+    value."""
+
+    __slots__ = ("key", "times", "values", "since")
 
     def __init__(self, key: _Key):
         self.key = key
         self.times: list[int] = []
         self.values: list[int] = []
+        self.since = -1
 
 
 class SeriesStore:
@@ -81,8 +86,9 @@ class SeriesStore:
     are also filed under their tip, the time of their last sample: a stream
     whose tip is older than the window's start has no sample inside it, so a
     query bisects the sorted tips and visits only the streams that can
-    contribute, then bisects into each of those.  Its cost is bounded by the
-    window, not the history length.
+    contribute.  A stream whose value has not changed inside the window
+    answers with its tip's value; any other is bisected.  The cost is
+    bounded by the window, not the history length.
 
     Each sample is stored once, in its stream; the log keeps append order as
     one stream reference per sample, replayed with a cursor per stream.
@@ -98,30 +104,38 @@ class SeriesStore:
         return len(self._log)
 
     def append(self, sample: MetricSample) -> None:
-        key = (sample.node_id, sample.pod_id, sample.metric)
-        time_ms = sample.time_ms
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._streams[key] = _Stream(key)
-            self._file(key, stream, time_ms)
-        else:
-            tip = stream.times[-1]
-            if time_ms < tip:
-                raise OutOfOrderSampleError(
-                    f"sample at {time_ms}ms precedes stream {key} tip {tip}ms")
-            if time_ms != tip:
-                self._unfile(key, tip)
-                self._file(key, stream, time_ms)
-        stream.times.append(time_ms)
-        stream.values.append(sample.value)
-        self._log.append(stream)
+        self._append_rows(sample.time_ms, ((sample.node_id, sample.pod_id,
+                                            sample.metric, sample.value),))
 
-    def _file(self, key: _Key, stream: _Stream, tip: int) -> None:
-        bucket = self._by_tip.get(tip)
-        if bucket is None:
-            bucket = self._by_tip[tip] = {}
-            insort(self._tips, tip)
-        bucket[key] = stream
+    def _append_rows(self, time_ms: int,
+                     rows: Iterable[tuple[str, str, str, int]]) -> None:
+        """Append (node, pod, metric, value) samples that share one time,
+        without a `MetricSample` each: the path under `append`, which
+        validates, and under the probe, whose times and values are never
+        negative."""
+        streams, log = self._streams, self._log
+        bucket = self._by_tip.get(time_ms)
+        for node_id, pod_id, metric, value in rows:
+            key = (node_id, pod_id, metric)
+            stream = streams.get(key)
+            if stream is None:
+                stream = streams[key] = _Stream(key)
+            else:
+                tip = stream.times[-1]
+                if time_ms < tip:
+                    raise OutOfOrderSampleError(
+                        f"sample at {time_ms}ms precedes stream {key} tip {tip}ms")
+                if value != stream.values[-1]:
+                    stream.since = tip
+                if time_ms != tip:
+                    self._unfile(key, tip)
+            if bucket is None:
+                bucket = self._by_tip[time_ms] = {}
+                insort(self._tips, time_ms)
+            bucket[key] = stream
+            stream.times.append(time_ms)
+            stream.values.append(value)
+            log.append(stream)
 
     def _unfile(self, key: _Key, tip: int) -> None:
         bucket = self._by_tip[tip]
@@ -130,27 +144,38 @@ class SeriesStore:
             del self._by_tip[tip]
             del self._tips[bisect_left(self._tips, tip)]
 
-    def per_node_usage(self, q: WindowQuery) -> dict[str, int]:
-        """Sum, per node, of each pod's maximum nonzero sample in the window.
+    def per_node_usage(self, q: WindowQuery) -> dict[str, dict[str, int]]:
+        """Per metric, the sum per node of each pod's maximum nonzero sample
+        in the window, for every metric in one pass over the window's
+        streams.
 
         Zero-valued samples never qualify, so an idle pod cannot drag a
         node's aggregate down and a node whose pods only reported zeros is
-        simply absent from the result.
+        simply absent from its metric's map.
         """
-        out: dict[str, int] = {}
+        out: dict[str, dict[str, int]] = {}
         lo_bound, now = q.now_ms - q.window_ms, q.now_ms
-        tips = self._tips
+        tips, by_tip = self._tips, self._by_tip
         for i in range(bisect_left(tips, lo_bound), len(tips)):
-            for (node_id, _pod, metric), stream in self._by_tip[tips[i]].items():
-                if metric != q.metric:
-                    continue
-                times = stream.times
-                # Values are never negative, so the window's maximum is its
-                # maximum nonzero sample whenever it is nonzero at all.
-                best = max(stream.values[bisect_left(times, lo_bound):
-                                         bisect_right(times, now)], default=0)
+            tip = tips[i]
+            inside = tip <= now
+            for (node_id, _pod, metric), stream in by_tip[tip].items():
+                if inside and stream.since < lo_bound:
+                    # The tip is in the window, and every sample of the
+                    # window holds the tip's value.
+                    best = stream.values[-1]
+                else:
+                    times = stream.times
+                    hi = len(times) if inside else bisect_right(times, now)
+                    # Values are never negative, so the window's maximum is
+                    # its maximum nonzero sample whenever it is nonzero.
+                    best = max(stream.values[bisect_left(times, lo_bound):hi],
+                               default=0)
                 if best:
-                    out[node_id] = out.get(node_id, 0) + best
+                    per_node = out.get(metric)
+                    if per_node is None:
+                        per_node = out[metric] = {}
+                    per_node[node_id] = per_node.get(node_id, 0) + best
         return out
 
     def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
@@ -176,20 +201,21 @@ def probe_tick(cluster: ClusterState, driver: DriverState, store: SeriesStore,
                now_ms: int) -> None:
     """Record one sample per running pod, as the per-node usage probe would.
 
-    Enclave-backed pods report the pages the driver says they own, plus their
-    advertised standard-memory request for the untrusted part; standard pods
-    report the memory they actually touch.  Pods count from placement, so a
-    pod still in enclave construction is already visible here.
+    Enclave-backed pods report the pages the driver says they own on their
+    node, plus their advertised standard-memory request for the untrusted
+    part; standard pods report the memory they actually touch.  Pods count
+    from placement, so a pod still in enclave construction is already
+    visible here.
     """
+    rows = []
     for pod in sorted(cluster.pods.values(),
                       key=lambda p: (p.node_id, p.job.job_id)):
-        job = pod.job
+        job, node_id = pod.job, pod.node_id
         if job.kind.uses_epc:
-            store.append(MetricSample(now_ms, pod.node_id, job.job_id,
-                                      METRIC_EPC_PAGES,
-                                      driver.pages_of(job.job_id)))
+            rows.append((node_id, job.job_id, METRIC_EPC_PAGES,
+                         driver.nodes[node_id].owned.get(job.job_id, 0)))
             std_usage = job.requested_mem
         else:
             std_usage = job.actual_mem
-        store.append(MetricSample(now_ms, pod.node_id, job.job_id,
-                                  METRIC_STD_BYTES, std_usage))
+        rows.append((node_id, job.job_id, METRIC_STD_BYTES, std_usage))
+    store._append_rows(now_ms, rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable, Mapping
 
@@ -26,24 +27,15 @@ class Placement:
     decided_at_ms: int
 
 
-@dataclass(frozen=True)
-class NodeUsage:
-    """Measured usage of one node inside the query window."""
-
-    epc_pages: int = 0
-    std_bytes: int = 0
-
-
-_NO_USAGE = NodeUsage()
-
-
 class PendingQueue:
     """Jobs waiting for placement, in first-come-first-served order
-    (submit time, then job id).  Placement or a kill removes a job; there is
-    no other way out."""
+    (submit time, then job id), with the running sum of the protected pages
+    they declare.  Placement or a kill takes a job out; there is no other
+    way out."""
 
     def __init__(self, jobs: Iterable[JobSpec] = ()):
         self._jobs: list[JobSpec] = []
+        self.epc_pages = 0  # standard jobs declare none
         for job in jobs:
             self.push(job)
 
@@ -53,12 +45,20 @@ class PendingQueue:
 
     def push(self, job: JobSpec) -> None:
         insort(self._jobs, job, key=self._key)
+        self.epc_pages += job.declared_epc_pages
 
-    def remove(self, job_id: str) -> JobSpec:
-        for i, job in enumerate(self._jobs):
-            if job.job_id == job_id:
-                return self._jobs.pop(i)
-        raise KeyError(job_id)
+    def take(self, placed: list[JobSpec]) -> None:
+        """Remove the queued jobs one walk placed, in one pass."""
+        if not placed:
+            return
+        gone = {job.job_id for job in placed}
+        self._jobs = [job for job in self._jobs if job.job_id not in gone]
+        self.epc_pages -= sum(job.declared_epc_pages for job in placed)
+
+    def drain(self) -> list[JobSpec]:
+        """Empty the queue; its jobs in queue order."""
+        jobs, self._jobs, self.epc_pages = self._jobs, [], 0
+        return jobs
 
     def jobs(self) -> list[JobSpec]:
         """Snapshot in queue order."""
@@ -71,39 +71,88 @@ class PendingQueue:
         return iter(self._jobs)
 
 
-def feasible(job: JobSpec, node: NodeState,
-             usage: Mapping[str, NodeUsage]) -> bool:
+class _Headroom(dict):
+    """node id -> one resource's headroom, computed on first read."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[str], int]):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, node_id: str) -> int:
+        value = self[node_id] = self._compute(node_id)
+        return value
+
+
+class Occupancy:
+    """One tick's view of how much more each node can take: per node and
+    resource, the headroom capacity - max(measured, reserved).
+
+    It is built from one window query per tick.  A node's entries are
+    computed when a policy first reads them, so a walk that stops at the
+    first fitting node never looks at the rest.  A reservation made during
+    the walk goes through `reserve`, which drops that node's entries; the
+    next read recomputes them from the new reservations, so later jobs of
+    the same walk see it.  A node without protected memory has page
+    headroom -1, below any request."""
+
+    __slots__ = ("cluster", "std_free", "epc_free")
+
+    def __init__(self, cluster: ClusterState,
+                 measured: Mapping[str, Mapping[str, int]]):
+        seen_std = measured.get(METRIC_STD_BYTES, {})
+        seen_epc = measured.get(METRIC_EPC_PAGES, {})
+        nodes = cluster.nodes
+
+        def std_free(node_id: str) -> int:
+            node = nodes[node_id]
+            return node.spec.std_capacity - max(seen_std.get(node_id, 0),
+                                                node.reserved_std)
+
+        def epc_free(node_id: str) -> int:
+            node = nodes[node_id]
+            epc = node.spec.epc
+            if epc is None:
+                return -1
+            return epc.usable_pages - max(seen_epc.get(node_id, 0),
+                                          node.reserved_epc_pages)
+
+        self.cluster = cluster
+        self.std_free = _Headroom(std_free)
+        self.epc_free = _Headroom(epc_free)
+
+    def reserve(self, node_id: str, std_bytes: int, epc_pages: int) -> None:
+        """Reserve on the node and drop its headroom entries."""
+        self.cluster.nodes[node_id].reserve(std_bytes, epc_pages)
+        self.std_free.pop(node_id, None)
+        self.epc_free.pop(node_id, None)
+
+
+def feasible(job: JobSpec, node_id: str, view: Occupancy) -> bool:
     """Whether the node can take the job right now.
 
-    Enclave jobs need an enclave-capable node with enough usable pages beyond
-    max(measured, reserved) occupancy; every job additionally needs standard
-    memory for its advertised request (an enclave job's untrusted part lives
-    there too).
+    Enclave jobs need an enclave-capable node with at least their declared
+    pages of headroom; every job additionally needs standard-memory headroom
+    for its advertised request (an enclave job's untrusted part lives there
+    too).
     """
-    seen = usage.get(node.node_id, _NO_USAGE)
-    spec = node.spec
-    if job.kind.uses_epc:
-        if spec.epc is None:
-            return False
-        occupied = max(seen.epc_pages, node.reserved_epc_pages)
-        if occupied + job.declared_epc_pages > spec.epc.usable_pages:
-            return False
-    occupied_std = max(seen.std_bytes, node.reserved_std)
-    return occupied_std + job.requested_mem <= spec.std_capacity
+    if job.kind.uses_epc and view.epc_free[node_id] < job.declared_epc_pages:
+        return False
+    return view.std_free[node_id] >= job.requested_mem
 
 
-def binpack_select(job: JobSpec, nodes: Mapping[str, NodeState],
-                   usage: Mapping[str, NodeUsage]) -> str | None:
+def binpack_select(job: JobSpec, view: Occupancy) -> str | None:
     """First feasible node in a fixed order, so load piles up on the lowest
     node ids.  Standard jobs try enclave-capable nodes last, keeping the
     scarce protected-memory hosts free for jobs that need them."""
+    cluster = view.cluster
     if job.kind.uses_epc:
-        candidates = sorted((n for n in nodes.values() if n.is_sgx),
-                            key=lambda n: n.node_id)
+        candidates = cluster.sgx_nodes
     else:
-        candidates = sorted(nodes.values(), key=lambda n: (n.is_sgx, n.node_id))
+        candidates = chain(cluster.plain_nodes, cluster.sgx_nodes)
     for node in candidates:
-        if feasible(job, node, usage):
+        if feasible(job, node.node_id, view):
             return node.node_id
     return None
 
@@ -139,12 +188,11 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
 
 
 def _pick_balanced(job: JobSpec, candidates: list[NodeState],
-                   usage: Mapping[str, NodeUsage],
-                   load: Callable[[NodeState, int], float],
+                   view: Occupancy, load: Callable[[NodeState, int], float],
                    extra: int) -> str | None:
-    """Among feasible candidates, the one whose hypothetical placement leaves
-    the candidate set's load fractions with the smallest population stddev;
-    ties go to the lowest node id.
+    """Among feasible candidates (given in node id order), the one whose
+    hypothetical placement leaves the candidate set's load fractions with
+    the smallest population stddev; ties go to the lowest node id.
 
     A score is the float `statistics.pstdev` gives for the set, so two
     different variances that round to one stddev still tie.  Every float
@@ -153,53 +201,51 @@ def _pick_balanced(job: JobSpec, candidates: list[NodeState],
     (n*Q - S*S) / (n*D)**2 from the running sums S = sum(N), Q = sum(N*N),
     so each target costs O(1) and the decision O(nodes)."""
     base = [load(n, 0).as_integer_ratio() for n in candidates]
-    targets = [(t, load(t, extra).as_integer_ratio())
-               for t in sorted(candidates, key=lambda n: n.node_id)
-               if feasible(job, t, usage)]
+    targets = [(i, load(t, extra).as_integer_ratio())
+               for i, t in enumerate(candidates)
+               if feasible(job, t.node_id, view)]
     if not targets:
         return None
     bits = max(d.bit_length() for _, d in base + [r for _, r in targets])
-    lifted = {n.node_id: num << (bits - den.bit_length())
-              for n, (num, den) in zip(candidates, base)}
-    total = sum(lifted.values())
-    squares = sum(v * v for v in lifted.values())
+    lifted = [num << (bits - den.bit_length()) for num, den in base]
+    total = sum(lifted)
+    squares = sum(v * v for v in lifted)
     count = len(candidates)
     scale = (count << (bits - 1)) ** 2
-    best_id: str | None = None
+    best: int | None = None
     best_score, best_var = 0.0, 0
-    for target, (num, tden) in targets:
-        old = lifted[target.node_id]
+    for i, (num, tden) in targets:
+        old = lifted[i]
         new = num << (bits - tden.bit_length())
         s = total - old + new
         var = count * (squares - old * old + new * new) - s * s
-        if best_id is not None and var >= best_var:
+        if best is not None and var >= best_var:
             continue  # a correctly rounded sqrt never decreases
         score = _sqrt_of_ratio(var, scale)
-        if best_id is None or score < best_score:
-            best_id, best_score, best_var = target.node_id, score, var
-    return best_id
+        if best is None or score < best_score:
+            best, best_score, best_var = i, score, var
+    return candidates[best].node_id
 
 
-def spread_select(job: JobSpec, nodes: Mapping[str, NodeState],
-                  usage: Mapping[str, NodeUsage]) -> str | None:
+def spread_select(job: JobSpec, view: Occupancy) -> str | None:
     """Evens out the reserved fraction of the resource the job cares about.
 
     Enclave jobs balance page reservations across enclave-capable nodes.
     Standard jobs balance standard memory across the plain nodes and fall
     back to enclave-capable ones only when no plain node is feasible."""
+    cluster = view.cluster
     if job.kind.uses_epc:
-        sgx = [n for n in nodes.values() if n.is_sgx]
-        return _pick_balanced(job, sgx, usage, _epc_fraction,
+        return _pick_balanced(job, cluster.sgx_nodes, view, _epc_fraction,
                               job.declared_epc_pages)
-    plain = [n for n in nodes.values() if not n.is_sgx]
-    chosen = _pick_balanced(job, plain, usage, _std_fraction, job.requested_mem)
+    chosen = _pick_balanced(job, cluster.plain_nodes, view, _std_fraction,
+                            job.requested_mem)
     if chosen is not None:
         return chosen
-    sgx = [n for n in nodes.values() if n.is_sgx]
-    return _pick_balanced(job, sgx, usage, _std_fraction, job.requested_mem)
+    return _pick_balanced(job, cluster.sgx_nodes, view, _std_fraction,
+                          job.requested_mem)
 
 
-# The policy contract, which every entry must keep: select(job, nodes, usage)
+# The policy contract, which every entry must keep: select(job, view)
 # returns None only if no node of the job's candidate set is `feasible`, and
 # that set depends only on the job's kind (the enclave-capable nodes for
 # enclave jobs, all nodes for standard jobs).  `schedule_tick` relies on it
@@ -210,13 +256,11 @@ POLICIES: dict[str, Callable[..., str | None]] = {
 }
 
 
-def snapshot_usage(store: SeriesStore, now_ms: int,
-                   window_ms: int = 25_000) -> dict[str, NodeUsage]:
-    """One windowed usage query per metric, merged per node."""
-    epc = store.per_node_usage(WindowQuery(METRIC_EPC_PAGES, now_ms, window_ms))
-    std = store.per_node_usage(WindowQuery(METRIC_STD_BYTES, now_ms, window_ms))
-    return {node_id: NodeUsage(epc.get(node_id, 0), std.get(node_id, 0))
-            for node_id in epc.keys() | std.keys()}
+def snapshot_usage(cluster: ClusterState, store: SeriesStore, now_ms: int,
+                   window_ms: int = 25_000) -> Occupancy:
+    """The tick's occupancy view, from one window query for every metric."""
+    return Occupancy(cluster,
+                     store.per_node_usage(WindowQuery(now_ms, window_ms)))
 
 
 def schedule_tick(queue: PendingQueue, cluster: ClusterState,
@@ -228,7 +272,7 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
     queue); reservations made for jobs placed earlier in the same walk are
     visible to later ones, so one tick cannot over-commit a node.  Jobs with
     no feasible node simply stay queued without blocking the jobs behind
-    them.
+    them.  Placed jobs leave the queue together after the walk.
 
     Within a walk the snapshot is fixed and reservations only grow, and
     `feasible` is monotone in a job's requested memory and declared pages.
@@ -244,19 +288,25 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
         raise ValueError(f"unknown policy {policy!r}") from None
     if not queue:
         return []
-    usage = snapshot_usage(store, now_ms, window_ms)
+    view = snapshot_usage(cluster, store, now_ms, window_ms)
     placements: list[Placement] = []
+    placed: list[JobSpec] = []
     std_failed: int | None = None
     enclave_failed: list[tuple[int, int]] = []
-    for job in queue.jobs():
+    for job in queue:
         mem, pages = job.requested_mem, job.declared_epc_pages
         enclave = job.kind.uses_epc
         if enclave:
-            if any(m <= mem and p <= pages for m, p in enclave_failed):
+            dominated = False
+            for m, p in enclave_failed:
+                if m <= mem and p <= pages:
+                    dominated = True
+                    break
+            if dominated:
                 continue
         elif std_failed is not None and std_failed <= mem:
             continue
-        node_id = select(job, cluster.nodes, usage)
+        node_id = select(job, view)
         if node_id is None:
             if enclave:
                 enclave_failed = [(m, p) for m, p in enclave_failed
@@ -265,7 +315,8 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
             else:
                 std_failed = mem
             continue
-        cluster.nodes[node_id].reserve(mem, pages)
-        queue.remove(job.job_id)
+        view.reserve(node_id, mem, pages)
+        placed.append(job)
         placements.append(Placement(job.job_id, node_id, now_ms))
+    queue.take(placed)
     return placements

@@ -48,9 +48,10 @@ class JobKind(Enum):
     SGX = "sgx"
     MALICIOUS_SGX = "malicious_sgx"
 
-    @property
-    def uses_epc(self) -> bool:
-        return self is not JobKind.STANDARD
+    def __init__(self, value: str):
+        # A plain member attribute: the scheduler reads it for every queued
+        # job on every tick.
+        self.uses_epc = value != "standard"
 
 
 @dataclass(frozen=True)

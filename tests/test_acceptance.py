@@ -22,9 +22,10 @@ from epcsched._units import MIB
 from epcsched.cluster import ClusterState, EpcModel, NodeSpec, NodeState, default_cluster
 from epcsched.driver import DriverError, DriverState, startup_delay
 from epcsched.engine import JobStatus, SimConfig, run
-from epcsched.metrics import MetricSample, SeriesStore, WindowQuery
+from epcsched.metrics import (METRIC_EPC_PAGES, MetricSample, SeriesStore,
+                              WindowQuery)
 from epcsched.report import mean_waiting, turnaround_sum
-from epcsched.scheduler import NodeUsage, binpack_select, feasible, spread_select
+from epcsched.scheduler import Occupancy, binpack_select, spread_select
 from epcsched.synthetic import load_bundled_trace
 from epcsched.trace import (JobKind, JobSpec, ScalingConfig, inject_malicious,
                             materialize, parse_trace, slice_and_sample)
@@ -108,8 +109,10 @@ def test_window_query_matches_bruteforce_oracle():
         for _ in range(5):
             now = int(rng.integers(0, 600))
             window = int(rng.integers(1, 200))
-            got = store.per_node_usage(WindowQuery("m", now, window))
-            assert got == oracle(kept, "m", now, window)
+            got = store.per_node_usage(WindowQuery(now, window))
+            assert set(got) <= {"m", "other"}
+            for metric in ("m", "other"):
+                assert got.get(metric, {}) == oracle(kept, metric, now, window)
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"oracle comparison took {elapsed:.2f}s"
@@ -247,6 +250,13 @@ def _sgx_state(node_id: str, reserved: int) -> NodeState:
     return state
 
 
+def _fits(job: JobSpec, node: NodeState, measured_pages: int) -> bool:
+    """Page admission for an enclave job, from first principles: declared
+    pages beyond max(measured, reserved) occupancy."""
+    occupied = max(measured_pages, node.reserved_epc_pages)
+    return occupied + job.declared_epc_pages <= node.spec.epc.usable_pages
+
+
 class TestInvariantSuite:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2 ** 24)),
@@ -305,18 +315,16 @@ class TestInvariantSuite:
         nodes = {}
         for i in range(n):
             nodes[f"s{i}"] = _sgx_state(f"s{i}", data.draw(st.integers(0, 100)))
-        usage = {nid: NodeUsage(epc_pages=data.draw(st.integers(0, 120)))
+        usage = {nid: data.draw(st.integers(0, 120))
                  for nid in nodes if data.draw(st.booleans())}
         job = JobSpec("j", JobKind.SGX, 0, 0, PAGE, 0,
                       data.draw(st.integers(1, 60)), 0)
-        pick = binpack_select(job, nodes, usage)
+        view = Occupancy(ClusterState(nodes), {METRIC_EPC_PAGES: usage})
+        pick = binpack_select(job, view)
         order = sorted(nodes)
-        if pick is None:
-            assert not any(feasible(job, nodes[nid], usage) for nid in order)
-        else:
-            first_feasible = next(nid for nid in order
-                                  if feasible(job, nodes[nid], usage))
-            assert pick == first_feasible
+        fits = [nid for nid in order
+                if _fits(job, nodes[nid], usage.get(nid, 0))]
+        assert pick == (fits[0] if fits else None)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -326,14 +334,15 @@ class TestInvariantSuite:
         n = data.draw(st.integers(2, 5))
         reserved = {f"s{i}": data.draw(st.integers(0, 90)) for i in range(n)}
         nodes = {nid: _sgx_state(nid, r) for nid, r in reserved.items()}
-        usage = {nid: NodeUsage(epc_pages=data.draw(st.integers(0, 110)))
+        usage = {nid: data.draw(st.integers(0, 110))
                  for nid in nodes if data.draw(st.booleans())}
         declared = data.draw(st.integers(1, 50))
         job = JobSpec("j", JobKind.SGX, 0, 0, PAGE, 0, declared, 0)
-        pick = spread_select(job, nodes, usage)
+        view = Occupancy(ClusterState(nodes), {METRIC_EPC_PAGES: usage})
+        pick = spread_select(job, view)
         best, best_score = None, None
         for nid in sorted(nodes):
-            if not feasible(job, nodes[nid], usage):
+            if not _fits(job, nodes[nid], usage.get(nid, 0)):
                 continue
             loads = [(reserved[other] + (declared if other == nid else 0)) / 100
                      for other in reserved]

@@ -41,15 +41,14 @@ class TestEnclaveInit:
         d.register_limit("p1", 60)
         assert d.enclave_init("n1", "p1", 60) is InitResult.GRANTED
         assert d.nodes["n1"].free_pages == 40
-        assert d.nodes["n1"].owned["p1"] == 60
-        assert d.pages_of("p1") == 60
+        assert d.nodes["n1"].owned == {"p1": 60}
 
     def test_limit_denial(self):
         d = fresh_driver(100)
         d.register_limit("p1", 10)
         assert d.enclave_init("n1", "p1", 11) is InitResult.DENIED_LIMIT
         assert d.nodes["n1"].free_pages == 100
-        assert d.pages_of("p1") == 0
+        assert "p1" not in d.nodes["n1"].owned
 
     def test_capacity_denial(self):
         d = fresh_driver(5)
@@ -68,7 +67,7 @@ class TestEnclaveInit:
         assert d.enclave_init("n1", "p1", 40) is InitResult.GRANTED
         assert d.enclave_init("n1", "p1", 30) is InitResult.DENIED_LIMIT
         assert d.enclave_init("n1", "p1", 20) is InitResult.GRANTED
-        assert d.pages_of("p1") == 60
+        assert d.nodes["n1"].owned["p1"] == 60
 
     def test_enforce_off_skips_limit(self):
         d = fresh_driver(100)

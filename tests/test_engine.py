@@ -7,6 +7,7 @@ import pytest
 from conftest import GIB, sgx_job, sgx_node, std_job, std_node
 from epcsched.cluster import NodeState
 from epcsched.driver import DriverState
+from epcsched.scheduler import PendingQueue
 from epcsched.engine import (
     ConfigError,
     EventKind,
@@ -277,4 +278,24 @@ class TestInvariantChecker:
         with pytest.raises(AssertionError, match=re.escape(
                 f"t=25190 s1: reserved std, reserved pages, driver pages "
                 f"{cached} != pod records [0, 0, {{}}]")):
+            run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
+
+    def test_missed_backlog_decrement_is_caught(self, monkeypatch):
+        # "a" is placed by the tick at t=5000, which leaves the queue empty.
+        take = PendingQueue.take
+
+        def take_keeping_pages(self, placed):
+            pages = self.epc_pages
+            take(self, placed)
+            self.epc_pages = pages
+
+        monkeypatch.setattr(PendingQueue, "take", take_keeping_pages)
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=5000: queue page counter 14362 != queued pages 0")):
+            run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
+
+    def test_placed_job_left_queued_is_caught(self, monkeypatch):
+        monkeypatch.setattr(PendingQueue, "take", lambda self, placed: None)
+        with pytest.raises(AssertionError,
+                           match=re.escape("t=5000: queued a has a pod")):
             run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))

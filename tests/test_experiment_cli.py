@@ -192,6 +192,24 @@ class TestLoadCluster:
         with pytest.raises(ConfigError, match=key):
             load_cluster(p)
 
+    @pytest.mark.parametrize("key", ["epc_usabel", "EPC_TOTAL", "memory"])
+    def test_unknown_node_key_names_it_and_the_node(self, tmp_path, key):
+        p = tmp_path / "cluster.json"
+        p.write_text(json.dumps([{"node_id": "a", "std_capacity": "8GiB"},
+                                 {"node_id": "enc", "std_capacity": "8GiB",
+                                  key: "128MiB"}]))
+        with pytest.raises(ConfigError, match=f"node 'enc': unknown key '{key}'"):
+            load_cluster(p)
+
+    @pytest.mark.parametrize("node_id", [None, "", 7, ["a"], {"id": "a"}, True])
+    def test_node_id_must_be_a_non_empty_string(self, tmp_path, node_id):
+        p = tmp_path / "cluster.json"
+        p.write_text(json.dumps([{"node_id": node_id, "std_capacity": "8GiB"}]))
+        with pytest.raises(ConfigError,
+                           match="node_id must be a non-empty string, got "
+                                 + re.escape(repr(node_id))):
+            load_cluster(p)
+
     def test_rejects_duplicate_node_ids(self, tmp_path):
         p = tmp_path / "cluster.json"
         p.write_text(json.dumps([
@@ -401,6 +419,19 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"trace = {trace_path}\nnot_a_key = 1\n")
         assert main(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("row", [
+        {"node_id": "enc", "std_capacity": "8GiB", "epc_usabel": "64MiB"},
+        {"node_id": None, "std_capacity": "8GiB"}])
+    def test_bad_cluster_node_exits_2_before_any_output(self, tmp_path,
+                                                       trace_path, capsys, row):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(json.dumps([row]))
+        cfg_path = flat_config(tmp_path, trace_path, f"cluster = {cluster}\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "epc_usabel" in err or "node_id" in err
+        assert not (tmp_path / "artifacts").exists()
 
     def test_missing_trace_exits_3(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -38,6 +38,23 @@ def oracle_per_node_usage(samples, metric, now_ms, window_ms):
     return out
 
 
+def usage_of(store, metric, now_ms, window_ms=25_000):
+    """One metric's per-node map from the all-metrics window query."""
+    return store.per_node_usage(WindowQuery(now_ms, window_ms)).get(metric, {})
+
+
+def assert_matches_oracle(store, samples, now_ms, window_ms):
+    """The one-pass query against the oracle, metric by metric; a metric
+    with no qualifying sample is absent."""
+    got = store.per_node_usage(WindowQuery(now_ms, window_ms))
+    want = {}
+    for metric in {s.metric for s in samples}:
+        per_node = oracle_per_node_usage(samples, metric, now_ms, window_ms)
+        if per_node:
+            want[metric] = per_node
+    assert got == want
+
+
 def store_with(rows):
     store = SeriesStore()
     for t, node, pod, metric, value in rows:
@@ -68,7 +85,9 @@ class TestAppend:
         with pytest.raises(ValueError):
             MetricSample(0, "n", "p", "m", -1)
         with pytest.raises(ValueError):
-            WindowQuery("m", now_ms=0, window_ms=0)
+            WindowQuery(now_ms=0, window_ms=0)
+        with pytest.raises(ValueError):
+            WindowQuery(now_ms=-1)
 
 
 class TestWindowQuery:
@@ -77,47 +96,48 @@ class TestWindowQuery:
             (5_000, "n1", "p1", "m", 10),
             (9_000, "n1", "p1", "m", 20),
         ])
-        assert store.per_node_usage(WindowQuery("m", 10_000)) == {"n1": 20}
+        assert usage_of(store, "m", 10_000) == {"n1": 20}
 
     def test_sum_across_pods(self):
         store = store_with([
             (5_000, "n1", "a", "m", 5),
             (5_000, "n1", "b", "m", 7),
         ])
-        assert store.per_node_usage(WindowQuery("m", 10_000)) == {"n1": 12}
+        assert usage_of(store, "m", 10_000) == {"n1": 12}
 
     def test_zero_samples_never_qualify(self):
         store = store_with([
             (5_000, "n1", "p1", "m", 0),
             (6_000, "n1", "p2", "m", 0),
         ])
-        assert store.per_node_usage(WindowQuery("m", 10_000)) == {}
+        assert usage_of(store, "m", 10_000) == {}
 
     def test_window_is_closed_on_both_ends(self):
         store = store_with([(1_000, "n1", "p1", "m", 3)])
-        assert store.per_node_usage(WindowQuery("m", 26_000, 25_000)) == {"n1": 3}
-        assert store.per_node_usage(WindowQuery("m", 1_000, 25_000)) == {"n1": 3}
-        assert store.per_node_usage(WindowQuery("m", 26_001, 25_000)) == {}
-        assert store.per_node_usage(WindowQuery("m", 999, 25_000)) == {}
+        assert usage_of(store, "m", 26_000, 25_000) == {"n1": 3}
+        assert usage_of(store, "m", 1_000, 25_000) == {"n1": 3}
+        assert usage_of(store, "m", 26_001, 25_000) == {}
+        assert usage_of(store, "m", 999, 25_000) == {}
 
     def test_stale_pod_still_counts_inside_window(self):
         # A pod that stopped reporting holds its node's aggregate up until
         # its last sample leaves the window.
         store = store_with([(20_000, "n1", "gone", "m", 100)])
-        assert store.per_node_usage(WindowQuery("m", 45_000)) == {"n1": 100}
-        assert store.per_node_usage(WindowQuery("m", 45_001)) == {}
+        assert usage_of(store, "m", 45_000) == {"n1": 100}
+        assert usage_of(store, "m", 45_001) == {}
 
     def test_metric_filter(self):
         store = store_with([
             (5_000, "n1", "p1", "m", 10),
             (5_000, "n1", "p1", "other", 99),
         ])
-        assert store.per_node_usage(WindowQuery("m", 10_000)) == {"n1": 10}
+        assert usage_of(store, "m", 10_000) == {"n1": 10}
+        assert usage_of(store, "other", 10_000) == {"n1": 99}
 
     def test_nodes_without_samples_absent(self):
         store = store_with([(5_000, "n1", "p1", "m", 10)])
-        out = store.per_node_usage(WindowQuery("m", 10_000))
-        assert "n2" not in out
+        out = store.per_node_usage(WindowQuery(10_000))
+        assert out == {"m": {"n1": 10}}
 
     def test_matches_oracle_on_random_histories(self):
         rng = np.random.default_rng(7)
@@ -138,9 +158,7 @@ class TestWindowQuery:
             for _ in range(20):
                 now = int(rng.integers(0, 250))
                 window = int(rng.integers(1, 100))
-                got = store.per_node_usage(WindowQuery("m", now, window))
-                want = oracle_per_node_usage(kept, "m", now, window)
-                assert got == want
+                assert_matches_oracle(store, kept, now, window)
 
 
 _STREAM_KEYS = st.tuples(st.sampled_from(["n1", "n2", "n3"]),
@@ -149,12 +167,10 @@ _STREAM_KEYS = st.tuples(st.sampled_from(["n1", "n2", "n3"]),
 _APPEND = st.tuples(st.just("append"), st.integers(0, 7),
                     st.one_of(st.just(0), st.integers(1, 30)),
                     st.integers(0, 5))
-_QUERY = st.tuples(st.just("query"), st.integers(0, 700),
-                   st.integers(1, 120), st.sampled_from(["m", "other"]))
+_QUERY = st.tuples(st.just("query"), st.integers(0, 700), st.integers(1, 120))
 # A query whose window starts or ends exactly on an appended sample's time.
 _EDGE_QUERY = st.tuples(st.just("edge"), st.integers(0, 100),
-                        st.integers(1, 120), st.sampled_from(["m", "other"]),
-                        st.booleans())
+                        st.integers(1, 120), st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,24 +197,59 @@ def test_index_matches_oracle_on_interleaved_histories(streams, ops):
             if op[0] == "edge":
                 if not kept:
                     continue
-                _, which, window, metric, at_start = op
+                _, which, window, at_start = op
                 now = kept[which % len(kept)].time_ms + (window if at_start else 0)
             else:
-                _, now, window, metric = op
-            got = store.per_node_usage(WindowQuery(metric, now, window))
-            assert got == oracle_per_node_usage(kept, metric, now, window)
+                _, now, window = op
+            assert_matches_oracle(store, kept, now, window)
     last = max((s.time_ms for s in kept), default=0)
-    for metric in ("m", "other"):
-        for now, window in ((last, 1), (last, 10_000), (last + 121, 120)):
-            got = store.per_node_usage(WindowQuery(metric, now, window))
-            assert got == oracle_per_node_usage(kept, metric, now, window)
+    for now, window in ((last, 1), (last, 10_000), (last + 121, 120)):
+        assert_matches_oracle(store, kept, now, window)
+
+
+# Every (node, pod) pair may report both metrics, in any interleaving, each
+# stream on its own clock; values come from a small range, so runs of equal
+# values and changes both occur.  A query sits on, or one millisecond off,
+# either edge of the window around an appended sample.
+_PAIR_APPEND = st.tuples(st.just("append"), st.sampled_from(["n1", "n2"]),
+                         st.sampled_from(["a", "b"]),
+                         st.sampled_from([METRIC_EPC_PAGES, METRIC_STD_BYTES]),
+                         st.integers(0, 9), st.integers(0, 3))
+_NEAR_EDGE = st.tuples(st.just("edge"), st.integers(0, 200),
+                       st.integers(1, 40), st.booleans(), st.integers(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(st.one_of(_PAIR_APPEND, _NEAR_EDGE), max_size=100))
+def test_one_pass_query_matches_oracle_for_each_metric(ops):
+    store, kept, tips = SeriesStore(), [], {}
+    for op in ops:
+        if op[0] == "append":
+            _, node, pod, metric, step, value = op
+            t = tips.get((node, pod, metric), 0) + step
+            tips[(node, pod, metric)] = t
+            sample = MetricSample(t, node, pod, metric, value)
+            store.append(sample)
+            kept.append(sample)
+            continue
+        _, which, window, at_start, nudge = op
+        if not kept:
+            continue
+        t = kept[which % len(kept)].time_ms
+        now = (t + window if at_start else t) + nudge
+        if now >= 0:
+            assert_matches_oracle(store, kept, now, window)
+    for stream_tip in set(tips.values()):
+        for window in (1, 5, 40):
+            for now in (stream_tip, stream_tip + window, stream_tip + window + 1):
+                assert_matches_oracle(store, kept, now, window)
 
 
 def test_query_cost_tracks_window_not_history():
     store = SeriesStore()
     for i in range(200_000):
         store.append(MetricSample(i, "n1", f"p{i % 8}", "m", 1 + i % 3))
-    q = WindowQuery("m", 200_000, 100)
+    q = WindowQuery(200_000, 100)
     t0 = time.perf_counter()
     for _ in range(200):
         store.per_node_usage(q)
@@ -213,10 +264,10 @@ def test_query_cost_tracks_live_streams_not_history():
         store.append(MetricSample(i, f"n{i % 4}", f"old{i}", "m", 1))
     for pod in range(4):
         store.append(MetricSample(1_000_000, "n0", f"live{pod}", "m", 2))
-    q = WindowQuery("m", 1_000_000, 25_000)
+    q = WindowQuery(1_000_000, 25_000)
     t0 = time.perf_counter()
     for _ in range(200):
-        assert store.per_node_usage(q) == {"n0": 8}
+        assert store.per_node_usage(q) == {"m": {"n0": 8}}
     assert time.perf_counter() - t0 < 0.5
 
 

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from statistics import pstdev
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from epcsched.metrics import (
     SeriesStore,
 )
 from epcsched.scheduler import (
-    NodeUsage,
+    Occupancy,
     PendingQueue,
     Placement,
     binpack_select,
@@ -32,8 +33,25 @@ from epcsched.trace import JobKind, JobSpec
 USABLE = 23_936
 
 
+class NodeUsage(NamedTuple):
+    """Measured usage of one node, as the tests state it."""
+
+    epc_pages: int = 0
+    std_bytes: int = 0
+
+
 def cluster_of(*specs) -> ClusterState:
     return ClusterState.from_specs(specs)
+
+
+def view_of(nodes, usage=None) -> Occupancy:
+    """The occupancy view of a cluster (or a dict of node states) under the
+    measured usage `usage`, a map node id -> NodeUsage."""
+    cluster = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes)
+    usage = usage or {}
+    return Occupancy(cluster, {
+        METRIC_EPC_PAGES: {nid: u.epc_pages for nid, u in usage.items()},
+        METRIC_STD_BYTES: {nid: u.std_bytes for nid, u in usage.items()}})
 
 
 class TestPendingQueue:
@@ -44,13 +62,21 @@ class TestPendingQueue:
         q.push(std_job("a", submit_ms=5))
         assert [j.job_id for j in q.jobs()] == ["a", "b", "late"]
 
-    def test_remove(self):
-        q = PendingQueue([std_job("a"), std_job("b")])
-        removed = q.remove("a")
-        assert removed.job_id == "a"
-        assert len(q) == 1
-        with pytest.raises(KeyError):
-            q.remove("a")
+    def test_take_removes_placed_jobs_and_their_pages(self):
+        jobs = [sgx_job("a", declared=5), std_job("b", submit_ms=1),
+                sgx_job("c", submit_ms=2, declared=7), std_job("d", submit_ms=3)]
+        q = PendingQueue(jobs)
+        assert q.epc_pages == 12
+        q.take([jobs[2], jobs[1]])
+        assert [j.job_id for j in q] == ["a", "d"]
+        assert q.epc_pages == 5
+        q.take([])
+        assert len(q) == 2 and q.epc_pages == 5
+
+    def test_drain_empties_in_order(self):
+        q = PendingQueue([sgx_job("b", submit_ms=1, declared=3), std_job("a")])
+        assert [j.job_id for j in q.drain()] == ["a", "b"]
+        assert len(q) == 0 and q.epc_pages == 0
 
     def test_iteration(self):
         q = PendingQueue([std_job("a"), std_job("b", submit_ms=1)])
@@ -59,63 +85,78 @@ class TestPendingQueue:
 
 class TestFeasible:
     def test_enclave_job_needs_enclave_node(self):
-        assert not feasible(sgx_job("j"), cluster_of(std_node("n1")).nodes["n1"], {})
+        assert not feasible(sgx_job("j"), "n1", view_of(cluster_of(std_node("n1"))))
 
     def test_epc_headroom_uses_max_of_measured_and_reserved(self):
-        node = cluster_of(sgx_node("s1")).nodes["s1"]
+        cluster = cluster_of(sgx_node("s1"))
         job = sgx_job("j", declared=14_000)
-        assert feasible(job, node, {"s1": NodeUsage(epc_pages=9_000)})
-        assert not feasible(job, node, {"s1": NodeUsage(epc_pages=10_000)})
-        node.reserve(0, 10_000)
-        assert not feasible(job, node, {})
+        assert feasible(job, "s1", view_of(cluster, {"s1": NodeUsage(epc_pages=9_000)}))
+        assert not feasible(job, "s1",
+                            view_of(cluster, {"s1": NodeUsage(epc_pages=10_000)}))
+        cluster.nodes["s1"].reserve(0, 10_000)
+        assert not feasible(job, "s1", view_of(cluster))
 
     def test_exact_fit_allowed(self):
-        node = cluster_of(sgx_node("s1")).nodes["s1"]
-        node.reserve(0, USABLE - 100)
-        assert feasible(sgx_job("j", declared=100), node, {})
-        assert not feasible(sgx_job("j", declared=101), node, {})
+        cluster = cluster_of(sgx_node("s1"))
+        cluster.nodes["s1"].reserve(0, USABLE - 100)
+        assert feasible(sgx_job("j", declared=100), "s1", view_of(cluster))
+        assert not feasible(sgx_job("j", declared=101), "s1", view_of(cluster))
 
     def test_std_memory_checked_for_enclave_jobs_too(self):
-        node = cluster_of(sgx_node("s1", std_capacity=GIB)).nodes["s1"]
-        assert not feasible(sgx_job("j", declared=1, requested_mem=GIB + 1), node, {})
-        assert feasible(sgx_job("j", declared=1, requested_mem=GIB), node, {})
+        view = view_of(cluster_of(sgx_node("s1", std_capacity=GIB)))
+        assert not feasible(sgx_job("j", declared=1, requested_mem=GIB + 1), "s1", view)
+        assert feasible(sgx_job("j", declared=1, requested_mem=GIB), "s1", view)
 
     def test_standard_job_fits_any_node_kind(self):
-        cluster = cluster_of(std_node("n1"), sgx_node("s1"))
+        view = view_of(cluster_of(std_node("n1"), sgx_node("s1")))
         job = std_job("j", requested=GIB)
-        assert feasible(job, cluster.nodes["n1"], {})
-        assert feasible(job, cluster.nodes["s1"], {})
+        assert feasible(job, "n1", view)
+        assert feasible(job, "s1", view)
 
     def test_measured_std_blocks(self):
-        node = cluster_of(std_node("n1", std_capacity=4 * GIB)).nodes["n1"]
+        cluster = cluster_of(std_node("n1", std_capacity=4 * GIB))
         job = std_job("j", requested=2 * GIB)
-        assert feasible(job, node, {"n1": NodeUsage(std_bytes=2 * GIB)})
-        assert not feasible(job, node, {"n1": NodeUsage(std_bytes=2 * GIB + 1)})
+        assert feasible(job, "n1",
+                        view_of(cluster, {"n1": NodeUsage(std_bytes=2 * GIB)}))
+        assert not feasible(job, "n1",
+                            view_of(cluster, {"n1": NodeUsage(std_bytes=2 * GIB + 1)}))
+
+    def test_reserve_lowers_headroom_to_max_of_measured_and_reserved(self):
+        cluster = cluster_of(sgx_node("s1", std_capacity=100))
+        cluster.nodes["s1"].reserve(10, 100)
+        view = view_of(cluster, {"s1": NodeUsage(epc_pages=1_000, std_bytes=40)})
+        assert (view.std_free["s1"], view.epc_free["s1"]) == (60, USABLE - 1_000)
+        view.reserve("s1", 20, 500)  # reserved 30 and 600: measured still binds
+        assert (view.std_free["s1"], view.epc_free["s1"]) == (60, USABLE - 1_000)
+        view.reserve("s1", 20, 500)  # reserved 50 and 1,100: reservations bind
+        assert (view.std_free["s1"], view.epc_free["s1"]) == (50, USABLE - 1_100)
+        assert (cluster.nodes["s1"].reserved_std,
+                cluster.nodes["s1"].reserved_epc_pages) == (50, 1_100)
 
 
 class TestBinpack:
     def test_enclave_jobs_pile_onto_first_node(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
-        assert binpack_select(sgx_job("j"), cluster.nodes, {}) == "s1"
+        assert binpack_select(sgx_job("j"), view_of(cluster)) == "s1"
 
     def test_skips_full_nodes(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, USABLE)
-        assert binpack_select(sgx_job("j", declared=10), cluster.nodes, {}) == "s2"
+        assert binpack_select(sgx_job("j", declared=10), view_of(cluster)) == "s2"
 
     def test_none_when_nothing_fits(self):
         cluster = cluster_of(sgx_node("s1"))
         cluster.nodes["s1"].reserve(0, USABLE)
-        assert binpack_select(sgx_job("j", declared=1), cluster.nodes, {}) is None
+        assert binpack_select(sgx_job("j", declared=1), view_of(cluster)) is None
 
     def test_standard_jobs_avoid_enclave_nodes(self):
         cluster = cluster_of(sgx_node("a-sgx"), std_node("z-plain"))
-        assert binpack_select(std_job("j"), cluster.nodes, {}) == "z-plain"
+        assert binpack_select(std_job("j"), view_of(cluster)) == "z-plain"
 
     def test_standard_jobs_spill_onto_enclave_nodes_last(self):
         cluster = cluster_of(sgx_node("a-sgx"), std_node("z-plain", std_capacity=GIB))
         job = std_job("j", requested=2 * GIB)
-        assert binpack_select(job, cluster.nodes, {}) == "a-sgx"
+        assert binpack_select(job, view_of(cluster)) == "a-sgx"
 
 
 class TestSpread:
@@ -123,33 +164,33 @@ class TestSpread:
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, 4_000)
         cluster.nodes["s2"].reserve(0, 8_000)
-        assert spread_select(sgx_job("j", declared=2_000), cluster.nodes, {}) == "s1"
+        assert spread_select(sgx_job("j", declared=2_000), view_of(cluster)) == "s1"
 
     def test_tie_goes_to_lowest_node_id(self):
         cluster = cluster_of(sgx_node("s2"), sgx_node("s1"))
-        assert spread_select(sgx_job("j", declared=100), cluster.nodes, {}) == "s1"
+        assert spread_select(sgx_job("j", declared=100), view_of(cluster)) == "s1"
 
     def test_measured_usage_gates_feasibility(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         usage = {"s1": NodeUsage(epc_pages=USABLE)}
-        assert spread_select(sgx_job("j", declared=10), cluster.nodes, usage) == "s2"
+        assert spread_select(sgx_job("j", declared=10), view_of(cluster, usage)) == "s2"
 
     def test_standard_jobs_balance_plain_nodes(self):
         cluster = cluster_of(std_node("n1", std_capacity=10 * GIB),
                              std_node("n2", std_capacity=10 * GIB),
                              sgx_node("s1"))
         cluster.nodes["n1"].reserve(6 * GIB, 0)
-        assert spread_select(std_job("j", requested=GIB), cluster.nodes, {}) == "n2"
+        assert spread_select(std_job("j", requested=GIB), view_of(cluster)) == "n2"
 
     def test_standard_jobs_fall_back_to_enclave_nodes(self):
         cluster = cluster_of(std_node("n1", std_capacity=GIB), sgx_node("s1"))
         job = std_job("j", requested=2 * GIB)
-        assert spread_select(job, cluster.nodes, {}) == "s1"
+        assert spread_select(job, view_of(cluster)) == "s1"
 
     def test_none_when_nothing_fits(self):
         cluster = cluster_of(sgx_node("s1"))
         cluster.nodes["s1"].reserve(0, USABLE)
-        assert spread_select(sgx_job("j", declared=1), cluster.nodes, {}) is None
+        assert spread_select(sgx_job("j", declared=1), view_of(cluster)) is None
 
     def test_matches_exhaustive_oracle(self):
         # Independent argmin over hypothetical post-placement stddev.
@@ -185,7 +226,35 @@ class TestSpread:
                 if best is None or score < best_score - 1e-12:
                     best, best_score = nid, score
 
-            assert spread_select(job, cluster.nodes, measured) == best
+            assert spread_select(job, view_of(cluster, measured)) == best
+
+
+def _seed_feasible(job, node, usage):
+    """Admission as written before the occupancy view, kept verbatim:
+    max(measured, reserved) per resource, taken for each (job, node)."""
+    seen = usage.get(node.node_id, NodeUsage())
+    spec = node.spec
+    if job.kind.uses_epc:
+        if spec.epc is None:
+            return False
+        occupied = max(seen.epc_pages, node.reserved_epc_pages)
+        if occupied + job.declared_epc_pages > spec.epc.usable_pages:
+            return False
+    occupied_std = max(seen.std_bytes, node.reserved_std)
+    return occupied_std + job.requested_mem <= spec.std_capacity
+
+
+def _seed_binpack_select(job, nodes, usage):
+    """`binpack` before candidate orders were built once per run, verbatim."""
+    if job.kind.uses_epc:
+        candidates = sorted((n for n in nodes.values() if n.is_sgx),
+                            key=lambda n: n.node_id)
+    else:
+        candidates = sorted(nodes.values(), key=lambda n: (n.is_sgx, n.node_id))
+    for node in candidates:
+        if _seed_feasible(job, node, usage):
+            return node.node_id
+    return None
 
 
 def _seed_pick_balanced(job, candidates, usage, load, extra):
@@ -194,7 +263,7 @@ def _seed_pick_balanced(job, candidates, usage, load, extra):
     best_id = None
     best_score = 0.0
     for target in sorted(candidates, key=lambda n: n.node_id):
-        if not feasible(job, target, usage):
+        if not _seed_feasible(job, target, usage):
             continue
         loads = [load(n, extra if n is target else 0) for n in candidates]
         score = pstdev(loads)
@@ -287,7 +356,7 @@ class TestSpreadExactOracle:
         nodes = _node_states(rows)
         usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
         job = JobSpec("j", kind, 0, 0, requested_mem, 0, declared, 0)
-        assert spread_select(job, nodes, usage) == _seed_spread_select(
+        assert spread_select(job, view_of(nodes, usage)) == _seed_spread_select(
             job, nodes, usage)
 
     @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=40),
@@ -325,7 +394,7 @@ class TestSpreadExactOracle:
         for i, node in enumerate(cluster.nodes.values()):
             node.reserve(i, i if epc else 0)
         job = sgx_job("j", declared=1) if epc else std_job("j", requested=1)
-        assert spread_select(job, cluster.nodes, {}) == "n000"
+        assert spread_select(job, view_of(cluster)) == "n000"
         assert calls["feasible"] == n
         assert calls["load"] + calls["feasible"] <= 3 * n
 
@@ -385,28 +454,33 @@ def test_snapshot_usage_merges_metrics():
     store.append(MetricSample(0, "n1", "p1", METRIC_EPC_PAGES, 7))
     store.append(MetricSample(0, "n2", "p2", METRIC_STD_BYTES, 9))
     store.append(MetricSample(0, "n1", "p1", METRIC_STD_BYTES, 3))
-    usage = snapshot_usage(store, now_ms=0)
-    assert usage == {"n1": NodeUsage(7, 3), "n2": NodeUsage(0, 9)}
+    cluster = cluster_of(sgx_node("n1"), std_node("n2"))
+    cluster.nodes["n1"].reserve(5, 2)
+    view = snapshot_usage(cluster, store, now_ms=0)
+    assert [view.epc_free["n1"], view.epc_free["n2"]] == [USABLE - 7, -1]
+    assert [view.std_free["n1"], view.std_free["n2"]] == [8 * GIB - 5,
+                                                          64 * GIB - 9]
 
 
-def _seed_schedule_tick(queue, cluster, store, now_ms, policy="binpack",
-                        window_ms=25_000):
+_SEED_POLICIES = {"binpack": _seed_binpack_select, "spread": _seed_spread_select}
+
+
+def _seed_schedule_tick(jobs, nodes, usage, now_ms, policy):
     """The walk `schedule_tick` made before it skipped dominated jobs, kept
-    verbatim as the reference for exact placements."""
-    try:
-        select = scheduler.POLICIES[policy]
-    except KeyError:
-        raise ValueError(f"unknown policy {policy!r}") from None
-    usage = snapshot_usage(store, now_ms, window_ms)
+    verbatim as the reference for exact placements, over the seed policies
+    and admission.  `usage` is the measured usage; returns the placements
+    and the jobs left queued."""
+    select = _SEED_POLICIES[policy]
+    queue = sorted(jobs, key=lambda j: (j.submit_ms, j.job_id))
     placements: list[Placement] = []
-    for job in queue.jobs():
-        node_id = select(job, cluster.nodes, usage)
+    for job in list(queue):
+        node_id = select(job, nodes, usage)
         if node_id is None:
             continue
-        cluster.nodes[node_id].reserve(job.requested_mem, job.declared_epc_pages)
-        queue.remove(job.job_id)
+        nodes[node_id].reserve(job.requested_mem, job.declared_epc_pages)
+        queue.remove(job)
         placements.append(Placement(job.job_id, node_id, now_ms))
-    return placements
+    return placements, queue
 
 
 @st.composite
@@ -460,18 +534,25 @@ class TestTickSkipsDominatedJobs:
     @given(st.sampled_from(sorted(scheduler.POLICIES)), _tick_nodes(),
            _tick_jobs())
     def test_same_walk_as_the_unskipped_loop(self, policy, nodes, jobs):
+        # Same placements, same queue left in the same order, the same
+        # backlog counter, and the same reservations on every node.
         rows, usage = nodes
-        store = _usage_store(usage, 1_000)
-        results = []
-        for tick in (schedule_tick, _seed_schedule_tick):
-            cluster = ClusterState(_node_states(rows))
-            queue = PendingQueue(jobs)
-            placements = tick(queue, cluster, store, 1_000, policy)
-            results.append((
-                placements, [j.job_id for j in queue.jobs()],
+        cluster = ClusterState(_node_states(rows))
+        queue = PendingQueue(jobs)
+        placements = schedule_tick(queue, cluster, _usage_store(usage, 1_000),
+                                   1_000, policy)
+        got = (placements, queue.jobs(), queue.epc_pages,
+               [(n.reserved_std, n.reserved_epc_pages)
+                for n in cluster.nodes.values()])
+        seed_nodes = _node_states(rows)
+        seed_placements, left = _seed_schedule_tick(
+            jobs, seed_nodes,
+            {nid: NodeUsage(*u) for nid, u in usage.items()}, 1_000, policy)
+        want = (seed_placements, left,
+                sum(j.declared_epc_pages for j in left if j.kind.uses_epc),
                 [(n.reserved_std, n.reserved_epc_pages)
-                 for n in cluster.nodes.values()]))
-        assert results[0] == results[1]
+                 for n in seed_nodes.values()])
+        assert got == want
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(scheduler.POLICIES)), _tick_nodes(),
@@ -481,10 +562,12 @@ class TestTickSkipsDominatedJobs:
         rows, usage = nodes
         nodes = _node_states(rows)
         usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
+        view = view_of(nodes, usage)
         select = scheduler.POLICIES[policy]
         for job in jobs:
-            fits = any(feasible(job, n, usage) for n in _candidates(job, nodes))
-            assert (select(job, nodes, usage) is not None) == fits
+            fits = any(_seed_feasible(job, n, usage)
+                       for n in _candidates(job, nodes))
+            assert (select(job, view) is not None) == fits
 
     @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
     @pytest.mark.parametrize("enclave", [True, False])
@@ -492,9 +575,9 @@ class TestTickSkipsDominatedJobs:
                                                enclave):
         calls = []
 
-        def counted(job, nodes, usage, select=scheduler.POLICIES[policy]):
+        def counted(job, view, select=scheduler.POLICIES[policy]):
             calls.append(job.job_id)
-            return select(job, nodes, usage)
+            return select(job, view)
 
         monkeypatch.setitem(scheduler.POLICIES, policy, counted)
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"), std_node("n1"))
