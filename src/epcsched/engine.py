@@ -27,7 +27,7 @@ from ._units import PAGE_SIZE
 from .cluster import ClusterState, NodeSpec, Pod
 from .driver import DriverState, InitResult, startup_delay
 from .metrics import SeriesStore, probe_tick
-from .scheduler import POLICIES, PendingQueue, schedule_tick
+from .scheduler import POLICIES, PendingQueue, schedule_tick, spread_sums
 from .trace import JobKind, JobSpec
 
 
@@ -262,8 +262,9 @@ class _Engine:
     def _check_invariants(self, now: int) -> None:
         """Check the per-pod caches against the pod records: node
         reservations, driver page ownership and, under enforcement, limits;
-        and the queue's page counter against its jobs, none of which may
-        have a pod."""
+        the queue's page counter against its jobs, none of which may have a
+        pod; and under `spread`, each kept load and its sums against a
+        fresh lift of the reservation it was computed from."""
         queue = self.queue
         backlog = sum(job.declared_epc_pages for job in queue
                       if job.kind.uses_epc)
@@ -303,6 +304,11 @@ class _Engine:
                 raise AssertionError(
                     f"t={now} {node_id}: free {counters.free_pages} != total "
                     f"{counters.total_pages} - owned {sum(owned.values())}")
+        if self.config.policy == "spread":
+            for name, sums in spread_sums(self.cluster).items():
+                if sums.fresh() != (sums.lifted, sums.total, sums.squares):
+                    raise AssertionError(f"t={now}: spread load sums of "
+                                         f"{name} != a fresh lift of their reservations")
 
 
 def run(jobs: list[JobSpec], cluster: list[NodeSpec],

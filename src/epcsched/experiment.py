@@ -22,8 +22,8 @@ from .cluster import (DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcModel,
                       NodeSpec, default_cluster)
 from .engine import ConfigError, SimConfig, SimResult, run
 from .report import (JOBS_FILE, META_FILE, OUTCOMES_FILE, PENDING_FILE,
-                     SAMPLES_FILE, SUMMARY_FILE, summary, write_outcomes_csv,
-                     write_pending_csv)
+                     SAMPLES_FILE, STAGING_SUFFIX, SUMMARY_FILE, summary,
+                     write_outcomes_csv, write_pending_csv)
 from .trace import (RawJobRecord, ScalingConfig, inject_malicious, materialize,
                     parse_trace, slice_and_sample, write_jobs_csv)
 
@@ -366,7 +366,7 @@ def run_point(cfg: ExperimentConfig, records: list[RawJobRecord],
 
 def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
                    meta: dict) -> None:
-    staging = out_root / (label + ".tmp")
+    staging = out_root / (label + STAGING_SUFFIX)
     final = out_root / label
     if staging.exists():
         shutil.rmtree(staging)

@@ -27,6 +27,7 @@ SAMPLES_FILE = "samples.csv"
 SUMMARY_FILE = "summary.json"
 JOBS_FILE = "jobs.csv"
 META_FILE = "meta.json"
+STAGING_SUFFIX = ".tmp"  # a run directory while it is written
 
 OUTCOMES_FIELDS = ("job_id", "kind", "submit_ms", "start_ms", "finish_ms",
                    "status", "node_id", "declared_pages", "actual_pages")
@@ -217,8 +218,12 @@ def waiting_by_memory(outcomes: Sequence[JobOutcome],
 
 
 def _run_dirs(root: Path) -> list[tuple[Path, dict]]:
+    """Finished run directories with their metadata, by name; a staging
+    directory left by a killed run is not one."""
     runs = []
     for meta_path in sorted(root.glob("*/" + META_FILE)):
+        if meta_path.parent.name.endswith(STAGING_SUFFIX):
+            continue
         with open(meta_path, encoding="utf-8") as fh:
             runs.append((meta_path.parent, json.load(fh)))
     return runs

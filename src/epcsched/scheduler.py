@@ -95,9 +95,12 @@ class Occupancy:
     the walk goes through `reserve`, which drops that node's entries; the
     next read recomputes them from the new reservations, so later jobs of
     the same walk see it.  A node without protected memory has page
-    headroom -1, below any request."""
+    headroom -1, below any request.  A policy that reads every candidate
+    anyway (`spread`) computes headroom from the measured maps `seen_std`
+    and `seen_epc` and the live reservations instead of filling the
+    entries."""
 
-    __slots__ = ("cluster", "std_free", "epc_free")
+    __slots__ = ("cluster", "seen_std", "seen_epc", "std_free", "epc_free")
 
     def __init__(self, cluster: ClusterState,
                  measured: Mapping[str, Mapping[str, int]]):
@@ -119,6 +122,8 @@ class Occupancy:
                                           node.reserved_epc_pages)
 
         self.cluster = cluster
+        self.seen_std = seen_std
+        self.seen_epc = seen_epc
         self.std_free = _Headroom(std_free)
         self.epc_free = _Headroom(epc_free)
 
@@ -157,14 +162,6 @@ def binpack_select(job: JobSpec, view: Occupancy) -> str | None:
     return None
 
 
-def _epc_fraction(node: NodeState, extra_pages: int) -> float:
-    return (node.reserved_epc_pages + extra_pages) / node.spec.epc.usable_pages
-
-
-def _std_fraction(node: NodeState, extra_bytes: int) -> float:
-    return (node.reserved_std + extra_bytes) / node.spec.std_capacity
-
-
 # A ratio of at least this many bits has an integer square root of at least
 # two bits more than a float's significand, enough to round it to odd.
 _SQRT_BITS = 2 * sys.float_info.mant_dig + 3
@@ -187,44 +184,128 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-def _pick_balanced(job: JobSpec, candidates: list[NodeState],
-                   view: Occupancy, load: Callable[[NodeState, int], float],
-                   extra: int) -> str | None:
-    """Among feasible candidates (given in node id order), the one whose
-    hypothetical placement leaves the candidate set's load fractions with
-    the smallest population stddev; ties go to the lowest node id.
+def _lift(load: float, unit: float) -> int:
+    """load * unit as an integer, for unit a power of two that is a multiple
+    of the float's denominator: scaling by a power of two is exact."""
+    return int(load * unit)
 
-    A score is the float `statistics.pstdev` gives for the set, so two
-    different variances that round to one stddev still tie.  Every float
-    load is a dyadic rational: lifted to integers N over one power-of-two
-    denominator D, the variance with one term changed is
-    (n*Q - S*S) / (n*D)**2 from the running sums S = sum(N), Q = sum(N*N),
-    so each target costs O(1) and the decision O(nodes)."""
-    base = [load(n, 0).as_integer_ratio() for n in candidates]
-    targets = [(i, load(t, extra).as_integer_ratio())
-               for i, t in enumerate(candidates)
-               if feasible(job, t.node_id, view)]
-    if not targets:
+
+class _LoadSums:
+    """One candidate list's loads on one resource, kept for a run.
+
+    A node's load is the float r / c of its reservation r and capacity c.
+    A nonzero load r / c <= 1 is at least 2**-b for b the bit length of the
+    list's largest capacity, so its last significand bit is worth at least
+    2**-bits, bits = b + 52: every load is held exactly as the integer
+    N = load * 2**bits, with S = sum(N), Q = sum(N*N) and the reservation
+    each N was lifted from.  `refresh` relifts only the nodes whose
+    reservation no longer matches, so the sums follow the reservations
+    however they change and no caller of `NodeState.reserve`/`release` has
+    to report to them."""
+
+    __slots__ = ("nodes", "ids", "pages", "caps", "bits", "unit", "reserved",
+                 "lifted", "total", "squares")
+
+    def __init__(self, nodes: list[NodeState], pages: bool):
+        self.nodes = nodes
+        self.ids = [node.node_id for node in nodes]
+        self.pages = pages
+        self.caps = [node.spec.epc.usable_pages if pages
+                     else node.spec.std_capacity for node in nodes]
+        self.bits = (max((cap.bit_length() for cap in self.caps), default=0)
+                     + sys.float_info.mant_dig - 1)
+        self.unit = float(1 << self.bits)
+        self.reserved = self.current()
+        self.lifted, self.total, self.squares = self.fresh()
+
+    def current(self) -> list[int]:
+        """Each node's reservation of the resource, now."""
+        if self.pages:
+            return [node.reserved_epc_pages for node in self.nodes]
+        return [node.reserved_std for node in self.nodes]
+
+    def fresh(self) -> tuple[list[int], int, int]:
+        """N, S and Q computed anew from the stored reservations."""
+        unit = self.unit
+        lifted = [_lift(r / cap, unit)
+                  for r, cap in zip(self.reserved, self.caps)]
+        return lifted, sum(lifted), sum(v * v for v in lifted)
+
+    def refresh(self) -> None:
+        """Bring every N, and S and Q, up to the current reservations."""
+        now = self.current()
+        if now == self.reserved:
+            return
+        lifted, caps, unit = self.lifted, self.caps, self.unit
+        total, squares = self.total, self.squares
+        for i, (r, was) in enumerate(zip(now, self.reserved)):
+            if r != was:
+                old, new = lifted[i], _lift(r / caps[i], unit)
+                lifted[i] = new
+                total += new - old
+                squares += new * new - old * old
+        self.reserved, self.total, self.squares = now, total, squares
+
+
+def spread_sums(cluster: ClusterState) -> dict[str, _LoadSums]:
+    """The load sums `spread` keeps for a cluster state, by list name:
+    enclave-capable nodes by pages, plain nodes by standard memory, and
+    enclave-capable nodes by standard memory for the standard fallback.
+    Built on first use and kept on the state for its run, where its
+    candidate orders are kept too."""
+    sums = vars(cluster).get("_spread_sums")
+    if sums is None:
+        sums = vars(cluster)["_spread_sums"] = {
+            "enclave nodes by pages": _LoadSums(cluster.sgx_nodes, True),
+            "plain nodes by std memory": _LoadSums(cluster.plain_nodes, False),
+            "enclave nodes by std memory": _LoadSums(cluster.sgx_nodes, False)}
+    return sums
+
+
+def _pick_balanced(job: JobSpec, sums: _LoadSums,
+                   view: Occupancy) -> str | None:
+    """Among the feasible nodes of the job's list (in node id order), the
+    one whose hypothetical placement leaves the list's loads with the
+    smallest population stddev; ties go to the lowest node id.
+
+    A score is the float `statistics.pstdev` gives for the list, so two
+    different variances that round to one stddev still tie.  With N_i
+    replaced by N', the variance is (n*Q' - S'*S') / (n * 2**bits)**2 for
+    S' = S - N_i + N' and Q' = Q - N_i**2 + N'**2, so on top of the sums,
+    which carry over from earlier decisions, each target costs O(1).
+    Feasibility is `feasible`, read from the measured usage and the
+    reservations directly rather than through the view's lazy headroom."""
+    nodes = sums.nodes
+    if not nodes:
         return None
-    bits = max(d.bit_length() for _, d in base + [r for _, r in targets])
-    lifted = [num << (bits - den.bit_length()) for num, den in base]
-    total = sum(lifted)
-    squares = sum(v * v for v in lifted)
-    count = len(candidates)
-    scale = (count << (bits - 1)) ** 2
-    best: int | None = None
+    sums.refresh()
+    mem, pages = job.requested_mem, job.declared_epc_pages
+    seen_std, seen_epc, by_pages = view.seen_std, view.seen_epc, sums.pages
+    extra = pages if by_pages else mem
+    unit, total, squares = sums.unit, sums.total, sums.squares
+    count = len(nodes)
+    scale = (count << sums.bits) ** 2
+    best: str | None = None
     best_score, best_var = 0.0, 0
-    for i, (num, tden) in targets:
-        old = lifted[i]
-        new = num << (bits - tden.bit_length())
+    for node_id, node, cap, r, old in zip(sums.ids, nodes, sums.caps,
+                                          sums.reserved, sums.lifted):
+        # headroom = capacity - max(measured, reserved), as in `feasible`
+        seen, held = seen_std.get(node_id, 0), node.reserved_std
+        if (seen if seen > held else held) + mem > node.spec.std_capacity:
+            continue
+        if by_pages:
+            seen = seen_epc.get(node_id, 0)
+            if (seen if seen > r else r) + pages > cap:
+                continue
+        new = _lift((r + extra) / cap, unit)
         s = total - old + new
         var = count * (squares - old * old + new * new) - s * s
         if best is not None and var >= best_var:
             continue  # a correctly rounded sqrt never decreases
         score = _sqrt_of_ratio(var, scale)
         if best is None or score < best_score:
-            best, best_score, best_var = i, score, var
-    return candidates[best].node_id
+            best, best_score, best_var = node_id, score, var
+    return best
 
 
 def spread_select(job: JobSpec, view: Occupancy) -> str | None:
@@ -233,16 +314,13 @@ def spread_select(job: JobSpec, view: Occupancy) -> str | None:
     Enclave jobs balance page reservations across enclave-capable nodes.
     Standard jobs balance standard memory across the plain nodes and fall
     back to enclave-capable ones only when no plain node is feasible."""
-    cluster = view.cluster
+    sums = spread_sums(view.cluster)
     if job.kind.uses_epc:
-        return _pick_balanced(job, cluster.sgx_nodes, view, _epc_fraction,
-                              job.declared_epc_pages)
-    chosen = _pick_balanced(job, cluster.plain_nodes, view, _std_fraction,
-                            job.requested_mem)
+        return _pick_balanced(job, sums["enclave nodes by pages"], view)
+    chosen = _pick_balanced(job, sums["plain nodes by std memory"], view)
     if chosen is not None:
         return chosen
-    return _pick_balanced(job, cluster.sgx_nodes, view, _std_fraction,
-                          job.requested_mem)
+    return _pick_balanced(job, sums["enclave nodes by std memory"], view)
 
 
 # The policy contract, which every entry must keep: select(job, view)

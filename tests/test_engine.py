@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conftest import GIB, sgx_job, sgx_node, std_job, std_node
+from epcsched import scheduler
 from epcsched.cluster import NodeState
 from epcsched.driver import DriverState
 from epcsched.scheduler import PendingQueue
@@ -299,3 +300,17 @@ class TestInvariantChecker:
         with pytest.raises(AssertionError,
                            match=re.escape("t=5000: queued a has a pod")):
             run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
+
+    def test_stale_spread_sums_are_caught(self, monkeypatch):
+        # "a" is placed at t=5000; the tick at t=10000 places "b" and
+        # refreshes the page sums after "a"'s reservation, without relifting.
+        def stale_refresh(self):
+            self.reserved = self.current()
+
+        monkeypatch.setattr(scheduler._LoadSums, "refresh", stale_refresh)
+        jobs = self.JOBS + [sgx_job("b", submit_ms=6_000, declared=100)]
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=10000: spread load sums of enclave nodes by pages != a "
+                "fresh lift of their reservations")):
+            run(jobs, [sgx_node("s1"), sgx_node("s2")],
+                SimConfig(policy="spread", check_invariants=True))

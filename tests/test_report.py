@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -263,3 +264,11 @@ class TestFigureDatasets:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             figure_dataset(tmp_path, 6)
+
+    def test_leftover_staging_directory_is_skipped(self, artifact_dir):
+        # what a run killed after writing meta.json but before the rename
+        # leaves behind
+        shutil.copytree(artifact_dir / "run-a", artifact_dir / "run-a.tmp")
+        lines = figure_dataset(artifact_dir, 10).read_text().splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [
+            "run-a", "run-b", "workload"]

@@ -257,6 +257,16 @@ def _seed_binpack_select(job, nodes, usage):
     return None
 
 
+def _epc_fraction(node: NodeState, extra_pages: int) -> float:
+    """A node's page load as `spread` computed it before its sums were kept
+    across decisions, verbatim."""
+    return (node.reserved_epc_pages + extra_pages) / node.spec.epc.usable_pages
+
+
+def _std_fraction(node: NodeState, extra_bytes: int) -> float:
+    return (node.reserved_std + extra_bytes) / node.spec.std_capacity
+
+
 def _seed_pick_balanced(job, candidates, usage, load, extra):
     """The pstdev loop `spread` used before its running-sums rewrite, kept
     verbatim as the reference for exact picks."""
@@ -275,15 +285,15 @@ def _seed_pick_balanced(job, candidates, usage, load, extra):
 def _seed_spread_select(job, nodes, usage):
     if job.kind.uses_epc:
         sgx = [n for n in nodes.values() if n.is_sgx]
-        return _seed_pick_balanced(job, sgx, usage, scheduler._epc_fraction,
+        return _seed_pick_balanced(job, sgx, usage, _epc_fraction,
                                    job.declared_epc_pages)
     plain = [n for n in nodes.values() if not n.is_sgx]
-    chosen = _seed_pick_balanced(job, plain, usage, scheduler._std_fraction,
+    chosen = _seed_pick_balanced(job, plain, usage, _std_fraction,
                                  job.requested_mem)
     if chosen is not None:
         return chosen
     sgx = [n for n in nodes.values() if n.is_sgx]
-    return _seed_pick_balanced(job, sgx, usage, scheduler._std_fraction,
+    return _seed_pick_balanced(job, sgx, usage, _std_fraction,
                                job.requested_mem)
 
 
@@ -373,30 +383,164 @@ class TestSpreadExactOracle:
                                         var.denominator * k * k) == score
 
     @pytest.mark.parametrize("epc", [True, False])
-    def test_one_decision_is_linear_in_nodes(self, monkeypatch, epc):
-        # Counts calls instead of timing: the pstdev loop makes n*n load calls.
+    def test_one_change_costs_one_lift_plus_the_targets(self, monkeypatch, epc):
+        # Counts lifts instead of timing: rebuilding the sums for every
+        # decision would lift all n loads again.
         n = 512
-        calls = {"load": 0, "feasible": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        load_name = "_epc_fraction" if epc else "_std_fraction"
-        monkeypatch.setattr(scheduler, load_name,
-                            counted("load", getattr(scheduler, load_name)))
-        monkeypatch.setattr(scheduler, "feasible",
-                            counted("feasible", scheduler.feasible))
         make = sgx_node if epc else std_node
         cluster = cluster_of(*(make(f"n{i:03d}") for i in range(n)))
         for i, node in enumerate(cluster.nodes.values()):
             node.reserve(i, i if epc else 0)
         job = sgx_job("j", declared=1) if epc else std_job("j", requested=1)
-        assert spread_select(job, view_of(cluster)) == "n000"
-        assert calls["feasible"] == n
-        assert calls["load"] + calls["feasible"] <= 3 * n
+        # every other node is measured full, so only half are targets
+        full = NodeUsage(USABLE, 64 * GIB) if epc else NodeUsage(0, 64 * GIB)
+        usage = {nid: full for nid in list(cluster.nodes)[1::2]}
+        assert spread_select(job, view_of(cluster, usage)) == "n000"
+        cluster.nodes["n000"].reserve(n, n if epc else 0)
+        lifts = []
+        lift = scheduler._lift
+        monkeypatch.setattr(scheduler, "_lift",
+                            lambda *args: lifts.append(args) or lift(*args))
+        pick = spread_select(job, view_of(cluster, usage))
+        assert pick == _seed_spread_select(job, cluster.nodes, usage) == "n002"
+        assert len(lifts) <= n // 2 + 1
+
+
+def _pstdev_after(job, nodes, usage, target_id):
+    """pstdev of the target's candidate list after placing the job there."""
+    target = nodes[target_id]
+    if job.kind.uses_epc:
+        load, extra = _epc_fraction, job.declared_epc_pages
+    else:
+        load, extra = _std_fraction, job.requested_mem
+    same = [n for n in nodes.values() if n.is_sgx == target.is_sgx]
+    return pstdev(load(n, extra if n is target else 0) for n in same)
+
+
+class TestSpreadSumsAcrossDecisions:
+    """`spread` keeps its load sums on the cluster state for the run and
+    brings them up to the reservations at each decision."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_same_picks_as_pstdev_loop_over_a_sequence(self, data):
+        n = data.draw(st.integers(1, 6), label="nodes")
+        specs = []
+        for i in range(n):
+            sgx = data.draw(st.booleans())
+            pages = data.draw(st.sampled_from([1, 7, 100, USABLE]))
+            specs.append(NodeSpec(
+                f"n{i}", data.draw(st.sampled_from([3, 1_000, 8 * GIB])),
+                EpcModel(total_bytes=pages * PAGE, usable_bytes=pages * PAGE)
+                if sgx else None))
+        cluster = cluster_of(*specs)
+        nodes = list(cluster.nodes.values())
+        usage: dict[str, NodeUsage] = {}
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            step = data.draw(st.sampled_from(
+                ["reserve", "release", "measure", "decide", "decide"]))
+            node = data.draw(st.sampled_from(nodes))
+            usable = node.spec.epc.usable_pages if node.is_sgx else 0
+            if step == "reserve":
+                node.reserve(
+                    data.draw(st.integers(0, node.spec.std_capacity
+                                          - node.reserved_std)),
+                    data.draw(st.integers(0, usable - node.reserved_epc_pages)))
+            elif step == "release":
+                node.release(data.draw(st.integers(0, node.reserved_std)),
+                             data.draw(st.integers(0, node.reserved_epc_pages)))
+            elif step == "measure":
+                usage[node.node_id] = NodeUsage(
+                    data.draw(st.integers(0, usable)),
+                    data.draw(st.integers(0, node.spec.std_capacity)))
+            else:
+                kind = data.draw(st.sampled_from([JobKind.SGX,
+                                                  JobKind.STANDARD]))
+                mem = data.draw(st.sampled_from([0, 1, 2, 500, GIB]))
+                pages = data.draw(st.integers(1, USABLE)) if kind.uses_epc else 0
+                job = JobSpec("j", kind, 0, 0, mem, 0, pages, 0)
+                view = view_of(cluster, usage)
+                pick = spread_select(job, view)
+                assert pick == _seed_spread_select(job, cluster.nodes, usage)
+                if pick is not None and data.draw(st.booleans()):
+                    view.reserve(pick, mem, pages)
+
+    @pytest.mark.parametrize("sgx", [True, False])
+    def test_reserve_and_release_between_decisions(self, sgx):
+        # After the partial release "a" is still the most loaded node, but
+        # a stale (unreleased) load on "a" would make "a" the best target.
+        make = sgx_node if sgx else std_node
+        cluster = cluster_of(*(make(i) for i in ("a", "b", "c")))
+        job = sgx_job("j", declared=10) if sgx else std_job("j", requested=10)
+        a = cluster.nodes["a"]
+        picks = [spread_select(job, view_of(cluster))]
+        a.reserve(1_000, 1_000 if sgx else 0)
+        picks.append(spread_select(job, view_of(cluster)))
+        a.release(500, 500 if sgx else 0)
+        picks.append(spread_select(job, view_of(cluster)))
+        a.release(500, 500 if sgx else 0)
+        picks.append(spread_select(job, view_of(cluster)))
+        assert picks == ["a", "b", "b", "a"]
+
+    def test_all_enclave_cluster(self):
+        cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
+        cluster.nodes["s1"].reserve(GIB, 10)
+        assert spread_select(std_job("p", requested=GIB),
+                             view_of(cluster)) == "s2"
+        assert spread_select(sgx_job("e", declared=5), view_of(cluster)) == "s2"
+
+    def test_all_plain_cluster(self):
+        cluster = cluster_of(std_node("n1"), std_node("n2"))
+        cluster.nodes["n1"].reserve(GIB, 0)
+        assert spread_select(sgx_job("e", declared=1), view_of(cluster)) is None
+        assert spread_select(std_job("p", requested=GIB),
+                             view_of(cluster)) == "n2"
+
+    @pytest.mark.parametrize("sgx", [True, False])
+    def test_single_node(self, sgx):
+        cluster = cluster_of(sgx_node("a") if sgx else std_node("a"))
+        job = sgx_job("j", declared=USABLE) if sgx else std_job(
+            "j", requested=64 * GIB)
+        assert spread_select(job, view_of(cluster)) == "a"
+        cluster.nodes["a"].reserve(job.requested_mem, job.declared_epc_pages)
+        assert spread_select(job, view_of(cluster)) is None
+        cluster.nodes["a"].release(job.requested_mem, job.declared_epc_pages)
+        assert spread_select(job, view_of(cluster)) == "a"
+
+    def test_fully_reserved_node_is_never_a_target(self):
+        cluster = cluster_of(sgx_node("s1"), sgx_node("s2"), sgx_node("s3"))
+        cluster.nodes["s1"].reserve(0, USABLE)
+        cluster.nodes["s3"].reserve(0, 10)
+        for declared in (1, USABLE - 10, USABLE):
+            job = sgx_job("j", declared=declared)
+            pick = spread_select(job, view_of(cluster))
+            assert pick == _seed_spread_select(job, cluster.nodes, {}) == "s2"
+
+    def test_scores_are_pstdev_across_decisions(self, monkeypatch):
+        # A uniform error in the scale of the sums leaves every pick alone,
+        # so the score values themselves are checked.
+        scores = []
+        sqrt = scheduler._sqrt_of_ratio
+        monkeypatch.setattr(scheduler, "_sqrt_of_ratio",
+                            lambda *args: scores.append(sqrt(*args))
+                            or scores[-1])
+        cluster = cluster_of(*(sgx_node(f"s{i}") for i in range(4)),
+                             std_node("n1"), std_node("n2", 3 * GIB))
+        for i, node in enumerate(cluster.nodes.values()):
+            node.reserve(i * 7 * 2 ** 20, 1_000 * i if node.is_sgx else 0)
+        for job in [sgx_job("a", declared=3_333), std_job("b", requested=GIB),
+                    sgx_job("c", declared=2_000), std_job("d", requested=GIB)]:
+            scores.clear()
+            view = view_of(cluster)
+            pick = spread_select(job, view)
+            assert pick == _seed_spread_select(job, cluster.nodes, {})
+            expected = {_pstdev_after(job, cluster.nodes, {}, nid)
+                        for nid in cluster.nodes
+                        if _seed_feasible(job, cluster.nodes[nid], {})
+                        and cluster.nodes[nid].is_sgx == cluster.nodes[pick].is_sgx}
+            assert scores and set(scores) <= expected
+            assert min(scores) == _pstdev_after(job, cluster.nodes, {}, pick)
+            view.reserve(pick, job.requested_mem, job.declared_epc_pages)
 
 
 class TestScheduleTick:
