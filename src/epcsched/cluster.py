@@ -174,9 +174,6 @@ class ClusterState:
             raise ValueError("cluster needs at least one node")
         return cls(nodes=nodes)
 
-    def sgx_node_ids(self) -> list[str]:
-        return [nid for nid in self.nodes if self.nodes[nid].is_sgx]
-
     # Candidate orders, by node id.  The node set is fixed for the life of
     # the state, one run, so each is built once and dies with the run.
     @cached_property

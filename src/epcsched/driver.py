@@ -59,10 +59,8 @@ class DriverState:
     def for_cluster(cls, cluster: ClusterState) -> "DriverState":
         """One counter set per enclave-capable node, budgeted at its usable
         pages (the slice the hardware can actually hand out)."""
-        return cls({
-            node_id: cluster.nodes[node_id].spec.epc.usable_pages
-            for node_id in cluster.sgx_node_ids()
-        })
+        return cls({node.node_id: node.spec.epc.usable_pages
+                    for node in cluster.sgx_nodes})
 
     def register_limit(self, pod_id: str, pages: int) -> None:
         if pages < 0:

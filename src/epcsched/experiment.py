@@ -390,15 +390,32 @@ def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
         raise
 
 
+def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int | None, float]]:
+    """The (usable protected bytes, enclave fraction) of every sweep point,
+    in run order.  Two points whose run labels match would write one
+    directory, so they are a ConfigError naming both."""
+    points = [(epc, frac) for epc in cfg.epc_usable_sweep or (None,)
+              for frac in cfg.sgx_fraction_sweep or (cfg.scaling.sgx_fraction,)]
+    seen: dict[str, str] = {}
+    for epc, frac in points:
+        label = _label(epc, frac, cfg)
+        name = (f"(epc_usable {'default' if epc is None else epc}, "
+                f"sgx_fraction {frac!r})")
+        if label in seen:
+            raise ConfigError(f"sweep points {seen[label]} and {name} share "
+                              f"the run label {label!r}")
+        seen[label] = name
+    return points
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Expand the config's sweeps and replay every point.  Returns the
     artifact root, which holds one subdirectory per sweep point."""
+    points = _sweep_points(cfg)
     records = slice_and_sample(
         parse_trace(cfg.trace_file, cfg.trace_format), cfg.scaling)
-    epc_points = (list(cfg.epc_usable_sweep)
-                  if cfg.epc_usable_sweep is not None else [None])
-    for epc in epc_points:  # a bad point fails the sweep before anything runs
-        _point_cluster(cfg, epc)
+    for epc in cfg.epc_usable_sweep or (None,):
+        _point_cluster(cfg, epc)  # a bad point fails before anything runs
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     echo = {
@@ -413,10 +430,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    frac_points = (list(cfg.sgx_fraction_sweep)
-                   if cfg.sgx_fraction_sweep is not None
-                   else [cfg.scaling.sgx_fraction])
-    points = [(epc, frac) for epc in epc_points for frac in frac_points]
     if cfg.workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(run_point, cfg, records, epc, frac,

@@ -60,10 +60,6 @@ class PendingQueue:
         jobs, self._jobs, self.epc_pages = self._jobs, [], 0
         return jobs
 
-    def jobs(self) -> list[JobSpec]:
-        """Snapshot in queue order."""
-        return list(self._jobs)
-
     def __len__(self) -> int:
         return len(self._jobs)
 
@@ -71,80 +67,40 @@ class PendingQueue:
         return iter(self._jobs)
 
 
-class _Headroom(dict):
-    """node id -> one resource's headroom, computed on first read."""
-
-    __slots__ = ("_compute",)
-
-    def __init__(self, compute: Callable[[str], int]):
-        super().__init__()
-        self._compute = compute
-
-    def __missing__(self, node_id: str) -> int:
-        value = self[node_id] = self._compute(node_id)
-        return value
-
-
 class Occupancy:
-    """One tick's view of how much more each node can take: per node and
-    resource, the headroom capacity - max(measured, reserved).
+    """One tick's measured usage, from one window query: per node, the
+    standard bytes (`seen_std`) and protected pages (`seen_epc`) its pods
+    were seen using in the window.  Admission reads it together with the
+    node's live reservations, so a reservation made earlier in the walk is
+    seen by the jobs after it with nothing here to update."""
 
-    It is built from one window query per tick.  A node's entries are
-    computed when a policy first reads them, so a walk that stops at the
-    first fitting node never looks at the rest.  A reservation made during
-    the walk goes through `reserve`, which drops that node's entries; the
-    next read recomputes them from the new reservations, so later jobs of
-    the same walk see it.  A node without protected memory has page
-    headroom -1, below any request.  A policy that reads every candidate
-    anyway (`spread`) computes headroom from the measured maps `seen_std`
-    and `seen_epc` and the live reservations instead of filling the
-    entries."""
-
-    __slots__ = ("cluster", "seen_std", "seen_epc", "std_free", "epc_free")
+    __slots__ = ("cluster", "seen_std", "seen_epc")
 
     def __init__(self, cluster: ClusterState,
                  measured: Mapping[str, Mapping[str, int]]):
-        seen_std = measured.get(METRIC_STD_BYTES, {})
-        seen_epc = measured.get(METRIC_EPC_PAGES, {})
-        nodes = cluster.nodes
-
-        def std_free(node_id: str) -> int:
-            node = nodes[node_id]
-            return node.spec.std_capacity - max(seen_std.get(node_id, 0),
-                                                node.reserved_std)
-
-        def epc_free(node_id: str) -> int:
-            node = nodes[node_id]
-            epc = node.spec.epc
-            if epc is None:
-                return -1
-            return epc.usable_pages - max(seen_epc.get(node_id, 0),
-                                          node.reserved_epc_pages)
-
         self.cluster = cluster
-        self.seen_std = seen_std
-        self.seen_epc = seen_epc
-        self.std_free = _Headroom(std_free)
-        self.epc_free = _Headroom(epc_free)
-
-    def reserve(self, node_id: str, std_bytes: int, epc_pages: int) -> None:
-        """Reserve on the node and drop its headroom entries."""
-        self.cluster.nodes[node_id].reserve(std_bytes, epc_pages)
-        self.std_free.pop(node_id, None)
-        self.epc_free.pop(node_id, None)
+        self.seen_std = measured.get(METRIC_STD_BYTES, {})
+        self.seen_epc = measured.get(METRIC_EPC_PAGES, {})
 
 
 def feasible(job: JobSpec, node_id: str, view: Occupancy) -> bool:
-    """Whether the node can take the job right now.
+    """Whether the node can take the job right now: its request fits under
+    the headroom capacity - max(measured, reserved) of each resource.
 
-    Enclave jobs need an enclave-capable node with at least their declared
-    pages of headroom; every job additionally needs standard-memory headroom
-    for its advertised request (an enclave job's untrusted part lives there
-    too).
+    Enclave jobs need page headroom for their declared pages, which a node
+    without protected memory never has (its page headroom counts as -1);
+    every job additionally needs standard-memory headroom for its advertised
+    request (an enclave job's untrusted part lives there too).
     """
-    if job.kind.uses_epc and view.epc_free[node_id] < job.declared_epc_pages:
-        return False
-    return view.std_free[node_id] >= job.requested_mem
+    node = view.cluster.nodes[node_id]
+    if job.kind.uses_epc:
+        epc = node.spec.epc
+        free = -1 if epc is None else epc.usable_pages - max(
+            view.seen_epc.get(node_id, 0), node.reserved_epc_pages)
+        if free < job.declared_epc_pages:
+            return False
+    return node.spec.std_capacity - max(view.seen_std.get(node_id, 0),
+                                        node.reserved_std) >= job.requested_mem
 
 
 def binpack_select(job: JobSpec, view: Occupancy) -> str | None:
@@ -273,8 +229,8 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums,
     replaced by N', the variance is (n*Q' - S'*S') / (n * 2**bits)**2 for
     S' = S - N_i + N' and Q' = Q - N_i**2 + N'**2, so on top of the sums,
     which carry over from earlier decisions, each target costs O(1).
-    Feasibility is `feasible`, read from the measured usage and the
-    reservations directly rather than through the view's lazy headroom."""
+    Feasibility is the rule of `feasible`, written out over the list's own
+    capacities and reservations so that a target costs no call."""
     nodes = sums.nodes
     if not nodes:
         return None
@@ -393,7 +349,7 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
             else:
                 std_failed = mem
             continue
-        view.reserve(node_id, mem, pages)
+        cluster.nodes[node_id].reserve(mem, pages)
         placed.append(job)
         placements.append(Placement(job.job_id, node_id, now_ms))
     queue.take(placed)

@@ -183,41 +183,27 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     """
     records: list[RawJobRecord] = []
     seen: dict[str, int] = {}
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if [h.strip() for h in header] != list(CANONICAL_FIELDS):
+    for lineno, row in _csv_rows(source, CANONICAL_FIELDS):
+        job_id = row[0].strip()
+        try:
+            submit_s, duration_s, assigned, peak = (float(v) for v in row[1:])
+        except ValueError:
             raise TraceParseError(
-                f"expected header {','.join(CANONICAL_FIELDS)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CANONICAL_FIELDS):
-                raise TraceParseError(
-                    f"expected {len(CANONICAL_FIELDS)} fields, got {len(row)}",
-                    line=lineno)
-            job_id = row[0].strip()
-            try:
-                submit_s, duration_s, assigned, peak = (float(v) for v in row[1:])
-            except ValueError:
-                raise TraceParseError(
-                    f"non-numeric field in {row!r}", line=lineno) from None
-            if duration_s < 0:
-                log.warning("dropping job %s (line %d): negative duration %s",
-                            job_id, lineno, duration_s)
-                continue
-            if job_id in seen:
-                raise TraceParseError(
-                    f"duplicate job_id {job_id!r} (first seen on line {seen[job_id]})",
-                    line=lineno)
-            try:
-                rec = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
-            except ValueError as exc:
-                raise TraceParseError(str(exc), line=lineno) from None
-            seen[job_id] = lineno
-            records.append(rec)
+                f"non-numeric field in {row!r}", line=lineno) from None
+        if duration_s < 0:
+            log.warning("dropping job %s (line %d): negative duration %s",
+                        job_id, lineno, duration_s)
+            continue
+        if job_id in seen:
+            raise TraceParseError(
+                f"duplicate job_id {job_id!r} (first seen on line {seen[job_id]})",
+                line=lineno)
+        try:
+            rec = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line=lineno) from None
+        seen[job_id] = lineno
+        records.append(rec)
     records.sort(key=lambda r: r.submit_s)
     return records
 

@@ -145,11 +145,11 @@ class TestClusterState:
 
     def test_sgx_node_ids(self):
         cluster = ClusterState.from_specs([std_node("a"), sgx_node("s1"), sgx_node("s2")])
-        assert cluster.sgx_node_ids() == ["s1", "s2"]
+        assert [n.node_id for n in cluster.sgx_nodes] == ["s1", "s2"]
 
     def test_default_cluster_shape(self):
         cluster = ClusterState.from_specs(default_cluster())
         assert list(cluster.nodes) == ["node-1", "node-2", "sgx-1", "sgx-2"]
-        assert cluster.sgx_node_ids() == ["sgx-1", "sgx-2"]
+        assert [n.node_id for n in cluster.sgx_nodes] == ["sgx-1", "sgx-2"]
         for nid in ("sgx-1", "sgx-2"):
             assert cluster.nodes[nid].epc.usable_pages == 23_936

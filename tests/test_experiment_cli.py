@@ -361,6 +361,31 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sweep, first, second", [
+        ({"sgx_fraction_sweep": "0.251,0.254"},
+         "(epc_usable default, sgx_fraction 0.251)",
+         "(epc_usable default, sgx_fraction 0.254)"),
+        ({"sgx_fraction_sweep": "0.5,0.1,0.5"},
+         "(epc_usable default, sgx_fraction 0.5)",
+         "(epc_usable default, sgx_fraction 0.5)"),
+        ({"epc_usable_sweep": "64MiB,67108864", "sgx_fraction": "0.2"},
+         "(epc_usable 67108864, sgx_fraction 0.2)",
+         "(epc_usable 67108864, sgx_fraction 0.2)")])
+    def test_points_sharing_a_label_fail_before_any_output(
+            self, tmp_path, trace_path, workers, sweep, first, second):
+        # One label is one directory: the later point would replace the
+        # earlier one, or share its staging directory.
+        out = tmp_path / "artifacts"
+        cfg = config_from_mapping({"trace": str(trace_path),
+                                   "output_dir": str(out),
+                                   "workers": workers, **sweep})
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"sweep points {first} and {second} "
+                                           "share the run label 'epc-")):
+            run_experiment(cfg)
+        assert not out.exists()
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers see the patched writer only by fork")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -431,6 +456,15 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "epc_usabel" in err or "node_id" in err
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_points_sharing_a_label_exit_2_before_any_output(
+            self, tmp_path, trace_path, capsys):
+        cfg_path = flat_config(tmp_path, trace_path,
+                               "sgx_fraction_sweep = 0.251, 0.254\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "0.251" in err and "0.254" in err
         assert not (tmp_path / "artifacts").exists()
 
     def test_missing_trace_exits_3(self, tmp_path):

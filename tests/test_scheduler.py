@@ -54,13 +54,27 @@ def view_of(nodes, usage=None) -> Occupancy:
         METRIC_STD_BYTES: {nid: u.std_bytes for nid, u in usage.items()}})
 
 
+def assert_headroom(view, node_id, std, pages):
+    """`feasible` sees exactly `std` bytes and `pages` pages of headroom on
+    the node: a request of h fits and one of h + 1 does not.  Page headroom
+    -1 (no protected memory) fits no enclave job."""
+    def fits(job):
+        return feasible(job, node_id, view)
+
+    assert fits(std_job("m", requested=std))
+    assert not fits(std_job("m", requested=std + 1))
+    if pages >= 1:
+        assert fits(sgx_job("p", declared=pages, requested_mem=0))
+    assert not fits(sgx_job("p", declared=max(pages + 1, 1), requested_mem=0))
+
+
 class TestPendingQueue:
     def test_fcfs_order(self):
         q = PendingQueue()
         q.push(std_job("late", submit_ms=10))
         q.push(std_job("b", submit_ms=5))
         q.push(std_job("a", submit_ms=5))
-        assert [j.job_id for j in q.jobs()] == ["a", "b", "late"]
+        assert [j.job_id for j in q] == ["a", "b", "late"]
 
     def test_take_removes_placed_jobs_and_their_pages(self):
         jobs = [sgx_job("a", declared=5), std_job("b", submit_ms=1),
@@ -122,16 +136,17 @@ class TestFeasible:
                             view_of(cluster, {"n1": NodeUsage(std_bytes=2 * GIB + 1)}))
 
     def test_reserve_lowers_headroom_to_max_of_measured_and_reserved(self):
+        # The view is built once, as for one tick; reservations made after
+        # it count at once.
         cluster = cluster_of(sgx_node("s1", std_capacity=100))
-        cluster.nodes["s1"].reserve(10, 100)
+        node = cluster.nodes["s1"]
+        node.reserve(10, 100)
         view = view_of(cluster, {"s1": NodeUsage(epc_pages=1_000, std_bytes=40)})
-        assert (view.std_free["s1"], view.epc_free["s1"]) == (60, USABLE - 1_000)
-        view.reserve("s1", 20, 500)  # reserved 30 and 600: measured still binds
-        assert (view.std_free["s1"], view.epc_free["s1"]) == (60, USABLE - 1_000)
-        view.reserve("s1", 20, 500)  # reserved 50 and 1,100: reservations bind
-        assert (view.std_free["s1"], view.epc_free["s1"]) == (50, USABLE - 1_100)
-        assert (cluster.nodes["s1"].reserved_std,
-                cluster.nodes["s1"].reserved_epc_pages) == (50, 1_100)
+        assert_headroom(view, "s1", std=60, pages=USABLE - 1_000)
+        node.reserve(20, 500)  # reserved 30 and 600: measured still binds
+        assert_headroom(view, "s1", std=60, pages=USABLE - 1_000)
+        node.reserve(20, 500)  # reserved 50 and 1,100: reservations bind
+        assert_headroom(view, "s1", std=50, pages=USABLE - 1_100)
 
 
 class TestBinpack:
@@ -463,7 +478,7 @@ class TestSpreadSumsAcrossDecisions:
                 pick = spread_select(job, view)
                 assert pick == _seed_spread_select(job, cluster.nodes, usage)
                 if pick is not None and data.draw(st.booleans()):
-                    view.reserve(pick, mem, pages)
+                    cluster.nodes[pick].reserve(mem, pages)
 
     @pytest.mark.parametrize("sgx", [True, False])
     def test_reserve_and_release_between_decisions(self, sgx):
@@ -540,7 +555,8 @@ class TestSpreadSumsAcrossDecisions:
                         and cluster.nodes[nid].is_sgx == cluster.nodes[pick].is_sgx}
             assert scores and set(scores) <= expected
             assert min(scores) == _pstdev_after(job, cluster.nodes, {}, pick)
-            view.reserve(pick, job.requested_mem, job.declared_epc_pages)
+            cluster.nodes[pick].reserve(job.requested_mem,
+                                        job.declared_epc_pages)
 
 
 class TestScheduleTick:
@@ -568,7 +584,7 @@ class TestScheduleTick:
                           sgx_job("ok", submit_ms=1, declared=10)])
         placements = schedule_tick(q, cluster, SeriesStore(), now_ms=0)
         assert [p.job_id for p in placements] == ["ok"]
-        assert [j.job_id for j in q.jobs()] == ["huge"]
+        assert [j.job_id for j in q] == ["huge"]
 
     def test_measured_usage_respected(self):
         cluster = cluster_of(sgx_node("s1"))
@@ -601,9 +617,8 @@ def test_snapshot_usage_merges_metrics():
     cluster = cluster_of(sgx_node("n1"), std_node("n2"))
     cluster.nodes["n1"].reserve(5, 2)
     view = snapshot_usage(cluster, store, now_ms=0)
-    assert [view.epc_free["n1"], view.epc_free["n2"]] == [USABLE - 7, -1]
-    assert [view.std_free["n1"], view.std_free["n2"]] == [8 * GIB - 5,
-                                                          64 * GIB - 9]
+    assert_headroom(view, "n1", std=8 * GIB - 5, pages=USABLE - 7)
+    assert_headroom(view, "n2", std=64 * GIB - 9, pages=-1)
 
 
 _SEED_POLICIES = {"binpack": _seed_binpack_select, "spread": _seed_spread_select}
@@ -685,7 +700,7 @@ class TestTickSkipsDominatedJobs:
         queue = PendingQueue(jobs)
         placements = schedule_tick(queue, cluster, _usage_store(usage, 1_000),
                                    1_000, policy)
-        got = (placements, queue.jobs(), queue.epc_pages,
+        got = (placements, list(queue), queue.epc_pages,
                [(n.reserved_std, n.reserved_epc_pages)
                 for n in cluster.nodes.values()])
         seed_nodes = _node_states(rows)
