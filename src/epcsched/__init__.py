@@ -10,7 +10,7 @@ directories and plot-ready datasets; `synthetic` ships a workload to replay.
 """
 
 from .cluster import (CapacityError, ClusterState, EpcModel, NodeSpec,
-                      NodeState, Pod, default_cluster, pages_for)
+                      NodeState, Pod, default_cluster)
 from .driver import DriverError, DriverState, InitResult, startup_delay
 from .engine import (ConfigError, EventKind, JobOutcome, JobStatus, SimConfig,
                      SimEvent, SimResult, run)
@@ -26,25 +26,25 @@ from .scheduler import (Occupancy, PendingQueue, Placement, binpack_select,
                         spread_select)
 from .synthetic import (bundled_trace_path, load_bundled_trace,
                         synthetic_trace)
-from .trace import (BorgColumns, JobKind, JobSpec, RawJobRecord,
-                    ScalingConfig, TraceParseError, inject_malicious,
-                    materialize, parse_trace, slice_and_sample)
+from .trace import (JobKind, JobSpec, RawJobRecord, ScalingConfig,
+                    TraceParseError, inject_malicious, materialize,
+                    parse_trace, slice_and_sample)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorgColumns", "BucketStat", "CapacityError", "ClusterState",
-    "ConfigError", "DriverError", "DriverState", "EpcModel", "EventKind",
-    "ExperimentConfig", "InitResult", "JobKind", "JobOutcome", "JobSpec",
-    "JobStatus", "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES",
-    "MetricSample", "NodeSpec", "NodeState", "Occupancy",
-    "OutOfOrderSampleError", "PendingQueue", "Placement", "Pod",
-    "RawJobRecord", "ScalingConfig", "SeriesStore", "SimConfig", "SimEvent",
-    "SimResult", "TraceParseError", "WindowQuery", "binpack_select",
-    "bundled_trace_path", "default_cluster", "feasible", "figure_dataset",
-    "inject_malicious", "load_bundled_trace", "load_cluster", "load_config",
-    "materialize", "mean_waiting", "pages_for", "parse_trace", "probe_tick",
-    "run", "run_experiment", "schedule_tick", "slice_and_sample",
-    "snapshot_usage", "spread_select", "startup_delay", "summary",
-    "synthetic_trace", "turnaround_sum", "waiting_by_memory", "waiting_cdf",
+    "BucketStat", "CapacityError", "ClusterState", "ConfigError",
+    "DriverError", "DriverState", "EpcModel", "EventKind", "ExperimentConfig",
+    "InitResult", "JobKind", "JobOutcome", "JobSpec", "JobStatus",
+    "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES", "MetricSample",
+    "NodeSpec", "NodeState", "Occupancy", "OutOfOrderSampleError",
+    "PendingQueue", "Placement", "Pod", "RawJobRecord", "ScalingConfig",
+    "SeriesStore", "SimConfig", "SimEvent", "SimResult", "TraceParseError",
+    "WindowQuery", "binpack_select", "bundled_trace_path", "default_cluster",
+    "feasible", "figure_dataset", "inject_malicious", "load_bundled_trace",
+    "load_cluster", "load_config", "materialize", "mean_waiting",
+    "parse_trace", "probe_tick", "run", "run_experiment", "schedule_tick",
+    "slice_and_sample", "snapshot_usage", "spread_select", "startup_delay",
+    "summary", "synthetic_trace", "turnaround_sum", "waiting_by_memory",
+    "waiting_cdf",
 ]

@@ -8,7 +8,6 @@ be handed out, and reservations above it are a hard fault, not a soft error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -39,20 +38,17 @@ class EpcModel:
 
     total_bytes: int = DEFAULT_EPC_TOTAL
     usable_bytes: int = DEFAULT_EPC_USABLE
-    page_size: int = PAGE_SIZE
     aesm_startup_ms: float = 100.0
     rate_below_ms_per_mib: float = 1.6
     rate_above_ms_per_mib: float = 4.5
     fixed_above_ms: float = 200.0
 
     def __post_init__(self):
-        if self.page_size <= 0:
-            raise ValueError("page_size must be positive")
         if self.total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
         if not 0 < self.usable_bytes <= self.total_bytes:
             raise ValueError("usable_bytes must lie in (0, total_bytes]")
-        if self.usable_bytes % self.page_size:
+        if self.usable_bytes % PAGE_SIZE:
             raise ValueError("usable_bytes must be a whole number of pages")
         if (self.aesm_startup_ms < 0 or self.rate_below_ms_per_mib < 0
                 or self.rate_above_ms_per_mib < 0 or self.fixed_above_ms < 0):
@@ -61,20 +57,11 @@ class EpcModel:
     @cached_property
     def usable_pages(self) -> int:
         # computed once per model: admission reads it for every candidate
-        return self.usable_bytes // self.page_size
+        return self.usable_bytes // PAGE_SIZE
 
     @property
     def usable_mib(self) -> float:
         return self.usable_bytes / MIB
-
-
-def pages_for(nbytes: int | float, model: EpcModel) -> int:
-    """Pages needed to hold nbytes, rounded up to whole pages."""
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    if isinstance(nbytes, int):
-        return -(-nbytes // model.page_size)
-    return math.ceil(nbytes / model.page_size)
 
 
 @dataclass(frozen=True)
@@ -112,10 +99,6 @@ class NodeState:
     @property
     def is_sgx(self) -> bool:
         return self.spec.is_sgx
-
-    @property
-    def epc(self) -> EpcModel | None:
-        return self.spec.epc
 
     def reserve(self, std_bytes: int, epc_pages: int) -> None:
         if std_bytes < 0 or epc_pages < 0:

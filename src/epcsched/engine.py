@@ -1,17 +1,18 @@
 """Deterministic replay engine tying the pieces together.
 
-Time is an integer millisecond clock.  Events at the same instant run in a
-fixed kind order (finishes first, then startup completions, the usage probe,
-the scheduler tick, and submissions last), with insertion order as the final
+Time is an integer millisecond clock.  The heap holds three event kinds,
+which at the same instant run in a fixed order (finishes first, then the
+usage probe, then the scheduler tick), with insertion order as the final
 tie-break, so two runs over the same inputs produce byte-identical outputs.
 
-A job's life: submission queues it; a scheduler tick may place it, which
-reserves node resources and, for enclave jobs, registers its declared page
-limit and initializes the enclave.  A denied initialization kills the job on
-the spot (the enclave cannot be built; re-queueing would just retry the same
-doomed init) and releases its reservations.  A granted job holds its node
-through the enclave construction delay, runs for its duration, and releases
-everything when it finishes.  Waiting time counts submission to placement;
+A job's life: a job submitted at t is queued, and first tried, by the first
+scheduler tick after t.  A tick may place it, which reserves node resources
+and, for enclave jobs, registers its declared page limit and initializes the
+enclave.  A denied initialization kills the job on the spot (the enclave
+cannot be built; re-queueing would just retry the same doomed init) and
+releases its reservations.  A granted job holds its node through the enclave
+construction delay, runs for its duration, and releases everything at the
+finish its placement scheduled.  Waiting time counts submission to placement;
 the construction delay extends the finish time instead, so both readings of
 "start" stay recomputable from the outcome timestamps.
 """
@@ -38,20 +39,18 @@ class ConfigError(ValueError):
 class EventKind(IntEnum):
     # Numeric order is the tie-break order at equal timestamps.
     FINISH = 0
-    STARTUP_DONE = 1
-    PROBE_TICK = 2
-    SCHEDULER_TICK = 3
-    SUBMIT = 4
+    PROBE_TICK = 1
+    SCHEDULER_TICK = 2
 
 
 class SimEvent(NamedTuple):
-    """A heap entry, ordered as a plain tuple: time, then kind, then `seq`.
-    `seq` is unique, so the payload is never compared."""
+    """A heap entry, ordered as a plain tuple: time, kind, then the unique
+    `seq`, so `job_id` (set on finishes) is never compared."""
 
     time_ms: int
     kind: EventKind
     seq: int
-    payload: str | None = None
+    job_id: str | None = None
 
 
 class JobStatus(Enum):
@@ -129,6 +128,10 @@ class _Engine:
             if job.job_id in self.jobs:
                 raise ValueError(f"duplicate job_id {job.job_id!r}")
             self.jobs[job.job_id] = job
+        # Jobs in queue order; the ones before the cursor have been queued.
+        self.arrivals = sorted(self.jobs.values(),
+                               key=lambda j: (j.submit_ms, j.job_id))
+        self.arrived = 0
         self.config = config
         self.cluster = ClusterState.from_specs(cluster_specs)
         self.driver = DriverState.for_cluster(self.cluster)
@@ -141,50 +144,45 @@ class _Engine:
         self.makespan_ms = 0
         self.last_progress_ms = 0
 
-    def _push(self, time_ms: int, kind: EventKind, payload: str | None = None):
-        heapq.heappush(self.heap, SimEvent(time_ms, kind, self.seq, payload))
+    def _push(self, time_ms: int, kind: EventKind, job_id: str | None = None):
+        heapq.heappush(self.heap, SimEvent(time_ms, kind, self.seq, job_id))
         self.seq += 1
 
     def _all_terminal(self) -> bool:
         return len(self.outcomes) == len(self.jobs)
 
     def run(self) -> SimResult:
-        for job in sorted(self.jobs.values(),
-                          key=lambda j: (j.submit_ms, j.job_id)):
-            self._push(job.submit_ms, EventKind.SUBMIT, job.job_id)
         if self.jobs:
             self._push(0, EventKind.PROBE_TICK)
             self._push(0, EventKind.SCHEDULER_TICK)
         while self.heap:
-            event = heapq.heappop(self.heap)
-            self._dispatch(event)
+            now, kind, _, job_id = heapq.heappop(self.heap)
+            if kind is EventKind.FINISH:
+                self._on_finish(job_id, now)
+            elif kind is EventKind.SCHEDULER_TICK:
+                self._on_scheduler_tick(now)
+            elif not self._all_terminal():  # the probe chain ends with the jobs
+                probe_tick(self.cluster, self.driver, self.store, now)
+                self._push(now + self.config.probe_period_ms,
+                           EventKind.PROBE_TICK)
             if self.config.check_invariants:
-                self._check_invariants(event.time_ms)
+                self._check_invariants(now)
         outcomes = sorted(self.outcomes.values(),
                           key=lambda o: (o.submitted_ms, o.job_id))
         return SimResult(outcomes=outcomes, store=self.store,
                          pending_epc=self.pending_epc,
                          makespan_ms=self.makespan_ms)
 
-    def _dispatch(self, event: SimEvent) -> None:
-        kind, now = event.kind, event.time_ms
-        if kind is EventKind.SUBMIT:
-            self.queue.push(self.jobs[event.payload])
-            self.last_progress_ms = now
-        elif kind is EventKind.SCHEDULER_TICK:
-            self._on_scheduler_tick(now)
-        elif kind is EventKind.PROBE_TICK:
-            if not self._all_terminal():
-                probe_tick(self.cluster, self.driver, self.store, now)
-                self._push(now + self.config.probe_period_ms,
-                           EventKind.PROBE_TICK)
-        elif kind is EventKind.STARTUP_DONE:
-            job = self.jobs[event.payload]
-            self._push(now + job.duration_ms, EventKind.FINISH, job.job_id)
-        elif kind is EventKind.FINISH:
-            self._on_finish(event.payload, now)
-
     def _on_scheduler_tick(self, now: int) -> None:
+        arrivals, i = self.arrivals, self.arrived
+        while i < len(arrivals) and arrivals[i].submit_ms < now:
+            self.queue.push(arrivals[i])
+            i += 1
+        if i > self.arrived:
+            # A finish since the last tick may have set a later time already.
+            self.last_progress_ms = max(self.last_progress_ms,
+                                        arrivals[i - 1].submit_ms)
+            self.arrived = i
         placements = schedule_tick(self.queue, self.cluster, self.store, now,
                                    self.config.policy, self.config.window_ms)
         for placement in placements:
@@ -223,7 +221,7 @@ class _Engine:
         if job.kind.uses_epc and self.config.include_startup_delays:
             startup_ms = int(round(startup_delay(job.actual_mem, node.spec.epc)))
         self.cluster.pods[job_id] = Pod(job, node_id, now)
-        self._push(now + startup_ms, EventKind.STARTUP_DONE, job_id)
+        self._push(now + startup_ms + job.duration_ms, EventKind.FINISH, job_id)
 
     def _on_finish(self, job_id: str, now: int) -> None:
         pod = self.cluster.pods.pop(job_id)
@@ -247,11 +245,11 @@ class _Engine:
             actual_pages=job.actual_epc_pages)
 
     def _stuck(self, now: int, placements: list) -> bool:
-        """Nothing running, nothing left to submit (every job is queued or
-        terminal), nothing placeable, and a full metrics window has already
-        drained: the queue can never move again."""
+        """Nothing running, nothing left to submit, nothing placeable, and a
+        full metrics window has already drained: the queue can never move
+        again."""
         return (len(self.queue) > 0 and not placements and not self.cluster.pods
-                and len(self.queue) + len(self.outcomes) == len(self.jobs)
+                and self.arrived == len(self.arrivals)
                 and now - self.last_progress_ms
                 > self.config.window_ms + self.config.scheduler_period_ms)
 

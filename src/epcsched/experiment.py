@@ -15,9 +15,9 @@ import shutil
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from ._units import format_size, parse_size
+from ._units import PAGE_SIZE, format_size, parse_size
 from .cluster import (DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcModel,
                       NodeSpec, default_cluster)
 from .engine import ConfigError, SimConfig, SimResult, run
@@ -288,10 +288,10 @@ def _sweep_epc_model(base: EpcModel, swept_bytes: int,
                      apply_fraction: bool) -> EpcModel:
     if apply_fraction:
         usable = swept_bytes * DEFAULT_EPC_USABLE // DEFAULT_EPC_TOTAL
-        usable -= usable % base.page_size
+        usable -= usable % PAGE_SIZE
         total = swept_bytes
     else:
-        if swept_bytes % base.page_size:
+        if swept_bytes % PAGE_SIZE:
             raise ConfigError(
                 f"swept usable size {swept_bytes} is not page-aligned")
         usable = total = swept_bytes
@@ -323,21 +323,17 @@ def _label(epc_bytes: int | None, fraction: float,
     return "_".join(parts)
 
 
-def _point_cluster(cfg: ExperimentConfig,
-                   epc_bytes: int | None) -> list[NodeSpec]:
-    """The cluster of one sweep point; ConfigError if the point cannot run."""
-    specs = _apply_epc(load_cluster(cfg.cluster_file), epc_bytes,
-                       cfg.apply_usable_fraction)
-    if cfg.malicious is not None and not any(s.is_sgx for s in specs):
-        raise ConfigError("malicious jobs need an enclave-capable node")
-    return specs
+class SweepPoint(NamedTuple):
+    label: str
+    epc_bytes: int | None  # swept usable protected bytes; None: the file's
+    fraction: float
 
 
 def run_point(cfg: ExperimentConfig, records: list[RawJobRecord],
-              epc_bytes: int | None, fraction: float, out_root: str) -> str:
-    """Replay one sweep point and write its artifact directory.  Returns the
-    run label."""
-    specs = _point_cluster(cfg, epc_bytes)
+              point: SweepPoint, specs: list[NodeSpec], out_root: str) -> str:
+    """Replay one sweep point on its cluster and write its artifact
+    directory.  Returns the run label."""
+    label, epc_bytes, fraction = point
     scaling = replace(cfg.scaling, sgx_fraction=fraction)
     jobs = materialize(records, scaling)
     if cfg.malicious is not None:
@@ -348,7 +344,6 @@ def run_point(cfg: ExperimentConfig, records: list[RawJobRecord],
                                 cfg.malicious.use_fraction,
                                 sgx_specs[0].epc.usable_pages)
     result = run(jobs, specs, cfg.sim_config())
-    label = _label(epc_bytes, fraction, cfg)
     _write_run_dir(Path(out_root), label, jobs, result, {
         "label": label,
         "epc_usable_sweep_bytes": epc_bytes,
@@ -390,15 +385,15 @@ def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
         raise
 
 
-def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int | None, float]]:
-    """The (usable protected bytes, enclave fraction) of every sweep point,
-    in run order.  Two points whose run labels match would write one
-    directory, so they are a ConfigError naming both."""
-    points = [(epc, frac) for epc in cfg.epc_usable_sweep or (None,)
+def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
+    """Every sweep point with its run label, in run order.  Two points whose
+    labels match would write one directory, so they are a ConfigError
+    naming both."""
+    points = [SweepPoint(_label(epc, frac, cfg), epc, frac)
+              for epc in cfg.epc_usable_sweep or (None,)
               for frac in cfg.sgx_fraction_sweep or (cfg.scaling.sgx_fraction,)]
     seen: dict[str, str] = {}
-    for epc, frac in points:
-        label = _label(epc, frac, cfg)
+    for label, epc, frac in points:
         name = (f"(epc_usable {'default' if epc is None else epc}, "
                 f"sgx_fraction {frac!r})")
         if label in seen:
@@ -408,14 +403,23 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int | None, float]]:
     return points
 
 
+def _sweep_clusters(cfg: ExperimentConfig) -> dict[int | None, list[NodeSpec]]:
+    """The cluster of every swept usable size, from one read of the cluster
+    file; ConfigError if a point cannot run."""
+    base = load_cluster(cfg.cluster_file)
+    if cfg.malicious is not None and not any(s.is_sgx for s in base):
+        raise ConfigError("malicious jobs need an enclave-capable node")
+    return {epc: _apply_epc(base, epc, cfg.apply_usable_fraction)
+            for epc in cfg.epc_usable_sweep or (None,)}
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Expand the config's sweeps and replay every point.  Returns the
     artifact root, which holds one subdirectory per sweep point."""
     points = _sweep_points(cfg)
     records = slice_and_sample(
         parse_trace(cfg.trace_file, cfg.trace_format), cfg.scaling)
-    for epc in cfg.epc_usable_sweep or (None,):
-        _point_cluster(cfg, epc)  # a bad point fails before anything runs
+    clusters = _sweep_clusters(cfg)  # a bad point fails before anything runs
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     echo = {
@@ -432,8 +436,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     if cfg.workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_point, cfg, records, epc, frac,
-                                   str(out_root)) for epc, frac in points]
+            futures = [pool.submit(run_point, cfg, records, point,
+                                   clusters[point.epc_bytes], str(out_root))
+                       for point in points]
             # The first failure cancels the points that have not started.
             wait(futures, return_when=FIRST_EXCEPTION)
             pool.shutdown(cancel_futures=True)
@@ -441,6 +446,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 if not future.cancelled():
                     future.result()
     else:
-        for epc, frac in points:
-            run_point(cfg, records, epc, frac, str(out_root))
+        for point in points:
+            run_point(cfg, records, point, clusters[point.epc_bytes],
+                      str(out_root))
     return out_root

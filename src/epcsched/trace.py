@@ -163,13 +163,12 @@ def _open_write(dest):
             yield fh
 
 
-def parse_trace(source, fmt: str = "canonical_csv",
-                columns: "BorgColumns | None" = None) -> list[RawJobRecord]:
+def parse_trace(source, fmt: str = "canonical_csv") -> list[RawJobRecord]:
     """Dispatch to a trace reader.  fmt is 'canonical_csv' or 'borg_tables'."""
     if fmt == "canonical_csv":
         return parse_canonical_csv(source)
     if fmt == "borg_tables":
-        return parse_borg_tables(source, columns=columns)
+        return parse_borg_tables(source)
     raise ValueError(f"unknown trace format {fmt!r}")
 
 
@@ -208,20 +207,10 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class BorgColumns:
-    """Column indices into 2011 public cluster-trace shards.  Configurable
-    because derived extracts often drop or reorder columns."""
-
-    event_time: int = 0
-    event_job_id: int = 2
-    event_task_index: int = 3
-    event_type: int = 5
-    event_mem_request: int = 10
-    usage_job_id: int = 2
-    usage_task_index: int = 3
-    usage_max_mem: int = 10
-
+# Column indices into 2011 public cluster-trace shards.
+_EVENT_TIME, _EVENT_JOB_ID, _EVENT_TASK_INDEX = 0, 2, 3
+_EVENT_TYPE, _EVENT_MEM_REQUEST = 5, 10
+_USAGE_JOB_ID, _USAGE_TASK_INDEX, _USAGE_MAX_MEM = 2, 3, 10
 
 _EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH = 0, 1, 4
 
@@ -248,7 +237,7 @@ def _shard_error(shard: Path, rowno: int, row: list[str],
     return TraceParseError(f"{shard}: {reason}", line=rowno)
 
 
-def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRecord]:
+def parse_borg_tables(root) -> list[RawJobRecord]:
     """Adapt a directory of gzipped 2011-schema shards into canonical records.
 
     Expects task_events/ and task_usage/ subdirectories of *.csv.gz files.
@@ -259,7 +248,6 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
     Out-of-range fractions are clamped to [0, 1]: the public trace carries a
     handful of requests above the rescaling ceiling.
     """
-    cols = columns or BorgColumns()
     root = Path(root)
     events_dir = root / "task_events"
     usage_dir = root / "task_usage"
@@ -272,9 +260,9 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
     request: dict[tuple[str, str], float] = {}
     for shard, rowno, row in _shard_rows(events_dir):
         try:
-            key = (row[cols.event_job_id], row[cols.event_task_index])
-            etype = int(row[cols.event_type])
-            t = _finite(row[cols.event_time]) / 1e6  # raw timestamps are microseconds
+            key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
+            etype = int(row[_EVENT_TYPE])
+            t = _finite(row[_EVENT_TIME]) / 1e6  # raw timestamps are microseconds
             if etype == _EV_SUBMIT:
                 submit.setdefault(key, t)
             elif etype == _EV_SCHEDULE:
@@ -282,7 +270,7 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
             elif etype == _EV_FINISH:
                 finish.setdefault(key, t)
             if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
-                field = row[cols.event_mem_request].strip()
+                field = row[_EVENT_MEM_REQUEST].strip()
                 if field:
                     request[key] = _finite(field)
         except (IndexError, ValueError) as exc:
@@ -292,8 +280,8 @@ def parse_borg_tables(root, columns: BorgColumns | None = None) -> list[RawJobRe
     if usage_dir.is_dir():
         for shard, rowno, row in _shard_rows(usage_dir):
             try:
-                key = (row[cols.usage_job_id], row[cols.usage_task_index])
-                field = row[cols.usage_max_mem].strip()
+                key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
+                field = row[_USAGE_MAX_MEM].strip()
                 if field:
                     value = _finite(field)
                     if value > peak.get(key, -1.0):
@@ -327,8 +315,9 @@ def slice_and_sample(records: Sequence[RawJobRecord],
     return [replace(r, submit_s=r.submit_s - cfg.slice_start_s) for r in sampled]
 
 
-def _ceil_pages(nbytes: int, page_size: int) -> int:
-    return -(-nbytes // page_size)
+def _ceil_pages(nbytes: int) -> int:
+    """Pages needed to hold nbytes, rounded up to whole pages."""
+    return -(-nbytes // PAGE_SIZE)
 
 
 def _tag_uniforms(seed: int, n: int) -> list[float]:
@@ -341,8 +330,8 @@ def _tag_uniforms(seed: int, n: int) -> list[float]:
     return gen.random(4 * n)[::4].tolist()
 
 
-def materialize(records: Sequence[RawJobRecord], cfg: ScalingConfig,
-                page_size: int = PAGE_SIZE) -> list[JobSpec]:
+def materialize(records: Sequence[RawJobRecord],
+                cfg: ScalingConfig) -> list[JobSpec]:
     """Scale fraction records into concrete jobs.
 
     Record i becomes an enclave job iff its seeded uniform draw falls below
@@ -359,8 +348,8 @@ def materialize(records: Sequence[RawJobRecord], cfg: ScalingConfig,
         actual = int(round(rec.max_mem_frac * multiplier))
         if sgx:
             kind = JobKind.SGX
-            declared_pages = max(1, _ceil_pages(requested, page_size))
-            actual_pages = _ceil_pages(actual, page_size)
+            declared_pages = max(1, _ceil_pages(requested))
+            actual_pages = _ceil_pages(actual)
         else:
             kind = JobKind.STANDARD
             declared_pages = actual_pages = 0
@@ -378,8 +367,7 @@ def materialize(records: Sequence[RawJobRecord], cfg: ScalingConfig,
 
 
 def inject_malicious(jobs: Sequence[JobSpec], n: int, declared_pages: int,
-                     use_fraction: float, usable_pages: int,
-                     page_size: int = PAGE_SIZE) -> list[JobSpec]:
+                     use_fraction: float, usable_pages: int) -> list[JobSpec]:
     """Append n adversarial enclave jobs that declare a tiny page limit but
     allocate use_fraction of the target protected-memory budget.
 
@@ -402,8 +390,8 @@ def inject_malicious(jobs: Sequence[JobSpec], n: int, declared_pages: int,
             kind=JobKind.MALICIOUS_SGX,
             submit_ms=0,
             duration_ms=span,
-            requested_mem=page_size,
-            actual_mem=actual_pages * page_size,
+            requested_mem=PAGE_SIZE,
+            actual_mem=actual_pages * PAGE_SIZE,
             declared_epc_pages=declared_pages,
             actual_epc_pages=actual_pages,
         ))

@@ -15,10 +15,8 @@ from epcsched.cluster import (
     EpcModel,
     NodeState,
     default_cluster,
-    pages_for,
 )
-
-MODEL = EpcModel()
+from epcsched.trace import _ceil_pages
 
 
 class TestEpcModel:
@@ -55,23 +53,22 @@ class TestEpcModel:
 
 
 class TestPagesFor:
+    """Byte counts round up to whole pages through `trace._ceil_pages`, the
+    one helper that turns bytes into pages."""
+
     @pytest.mark.parametrize(
         "nbytes,pages",
         [(0, 0), (1, 1), (4096, 1), (4097, 2), (8192, 2), (98_041_856, 23_936)],
     )
     def test_exact_ceiling(self, nbytes, pages):
-        assert pages_for(nbytes, MODEL) == pages
+        assert _ceil_pages(nbytes) == pages
 
     def test_float_input(self):
-        assert pages_for(4096.5, MODEL) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            pages_for(-1, MODEL)
+        assert _ceil_pages(4096.5) == 2
 
     @given(st.integers(min_value=0, max_value=2 ** 40))
     def test_ceiling_property(self, nbytes):
-        p = pages_for(nbytes, MODEL)
+        p = _ceil_pages(nbytes)
         assert p * 4096 >= nbytes
         assert (p - 1) * 4096 < nbytes or p == 0
 
@@ -152,4 +149,4 @@ class TestClusterState:
         assert list(cluster.nodes) == ["node-1", "node-2", "sgx-1", "sgx-2"]
         assert [n.node_id for n in cluster.sgx_nodes] == ["sgx-1", "sgx-2"]
         for nid in ("sgx-1", "sgx-2"):
-            assert cluster.nodes[nid].epc.usable_pages == 23_936
+            assert cluster.nodes[nid].spec.epc.usable_pages == 23_936

@@ -29,16 +29,15 @@ def outcomes_by_id(result):
 
 class TestEventOrdering:
     def test_kind_order_at_equal_time(self):
+        assert [kind.name for kind in EventKind] == [
+            "FINISH", "PROBE_TICK", "SCHEDULER_TICK"]
         order = sorted([
-            SimEvent(5, EventKind.SUBMIT, 0),
-            SimEvent(5, EventKind.SCHEDULER_TICK, 1),
-            SimEvent(5, EventKind.PROBE_TICK, 2),
-            SimEvent(5, EventKind.STARTUP_DONE, 3),
-            SimEvent(5, EventKind.FINISH, 4),
+            SimEvent(5, EventKind.SCHEDULER_TICK, 0),
+            SimEvent(5, EventKind.PROBE_TICK, 1),
+            SimEvent(5, EventKind.FINISH, 2),
         ])
         assert [e.kind for e in order] == [
-            EventKind.FINISH, EventKind.STARTUP_DONE, EventKind.PROBE_TICK,
-            EventKind.SCHEDULER_TICK, EventKind.SUBMIT]
+            EventKind.FINISH, EventKind.PROBE_TICK, EventKind.SCHEDULER_TICK]
 
     def test_seq_breaks_remaining_ties(self):
         a = SimEvent(5, EventKind.FINISH, 1)
@@ -205,6 +204,17 @@ class TestUnfinished:
         by_id = outcomes_by_id(run(jobs, [sgx_node("s1")]))
         assert by_id["late"].status is JobStatus.COMPLETED
         assert by_id["toobig"].status is JobStatus.UNFINISHED
+
+    def test_stuck_clock_starts_at_the_later_finish(self):
+        # r finishes at 10s; the tick at 10s then queues toobig, submitted at
+        # 6s.  The last progress is the finish, not the submission: a window
+        # plus a period past 10s is the tick at 45s.
+        jobs = [std_job("r", submit_ms=0, duration_ms=5_000),
+                sgx_job("toobig", submit_ms=6_000, declared=USABLE + 1)]
+        result = run(jobs, [sgx_node("s1"), std_node("n1")])
+        assert outcomes_by_id(result)["r"].finished_ms == 10_000
+        assert outcomes_by_id(result)["toobig"].status is JobStatus.UNFINISHED
+        assert result.pending_epc[-1][0] == 45_000
 
 
 class TestDeterminism:

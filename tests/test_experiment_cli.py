@@ -386,6 +386,45 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cluster_file_read_once_per_experiment(self, tmp_path, trace_path,
+                                                   monkeypatch, workers):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(json.dumps([
+            {"node_id": "n1", "std_capacity": "64GiB"},
+            {"node_id": "s1", "std_capacity": "8GiB", "epc_usable": "64MiB"}]))
+        reads = []
+        real = experiment.load_cluster
+        monkeypatch.setattr(experiment, "load_cluster",
+                            lambda path: reads.append(path) or real(path))
+        root = run_experiment(config_from_mapping({
+            "trace": str(trace_path),
+            "cluster": str(cluster),
+            "output_dir": str(tmp_path / "artifacts"),
+            "epc_usable_sweep": "32MiB,64MiB",
+            "sgx_fraction_sweep": "0.5,1.0",
+            "workers": workers,
+        }))
+        assert reads == [str(cluster)]
+        assert sorted(p.name for p in root.iterdir() if p.is_dir()) == [
+            f"epc-{size}MiB_sgx-{frac}_binpack"
+            for size in (32, 64) for frac in ("050", "100")]
+
+    def test_errors_come_label_then_trace_then_cluster(self, tmp_path,
+                                                       trace_path):
+        bad = {"trace": str(tmp_path / "missing.csv"),
+               "cluster": str(tmp_path / "nope.json"),
+               "output_dir": str(tmp_path / "artifacts")}
+        with pytest.raises(ConfigError, match="share the run label"):
+            run_experiment(config_from_mapping(
+                {**bad, "sgx_fraction_sweep": "0.5,0.5"}))
+        with pytest.raises(FileNotFoundError, match="missing.csv"):
+            run_experiment(config_from_mapping(bad))
+        with pytest.raises(FileNotFoundError, match="nope.json"):
+            run_experiment(config_from_mapping({**bad,
+                                                "trace": str(trace_path)}))
+        assert not (tmp_path / "artifacts").exists()
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers see the patched writer only by fork")
     @pytest.mark.parametrize("workers", [1, 2])

@@ -15,7 +15,6 @@ from epcsched.trace import (
     DEFAULT_SGX_MULTIPLIER,
     DEFAULT_STD_MULTIPLIER,
     JOBS_FIELDS,
-    BorgColumns,
     JobKind,
     JobSpec,
     RawJobRecord,
@@ -190,18 +189,6 @@ class TestBorgTables:
         with pytest.raises(TraceParseError, match="line 1: .*non-finite") as err:
             parse_trace(tmp_path, fmt="borg_tables")
         assert str(shard) in str(err.value)
-
-    def test_custom_columns(self, tmp_path):
-        cols = BorgColumns(event_time=1, event_job_id=0, event_task_index=2,
-                           event_type=3, event_mem_request=4)
-        self._write_shard(tmp_path / "task_events" / "p.csv.gz", [
-            ["7", "0", "0", "0", "0.5"],
-            ["7", "1000000", "0", "1", ""],
-            ["7", "3000000", "0", "4", ""],
-        ])
-        records = parse_trace(tmp_path, fmt="borg_tables", columns=cols)
-        assert len(records) == 1
-        assert records[0].duration_s == 2.0
 
 
 class TestSliceAndSample:
