@@ -139,8 +139,8 @@ class Pod:
 @dataclass
 class ClusterState:
     """All node states plus the running pods, keyed by job id.  A pod exists
-    from a granted placement until its job finishes; everything else that
-    counts per pod (node reservations, driver pages) is a cache of it.
+    from a granted placement until its job finishes; the per-node counters
+    (node reservations, driver free pages) are caches of sums over it.
     Nodes are never added or removed after construction."""
 
     nodes: dict[str, NodeState]

@@ -1,14 +1,14 @@
 """Facsimile of the kernel driver that hands out protected-memory pages.
 
-Keeps the two things the real driver knows: how many pages each node has left
-and how many each pod owns, plus the set-once page limits pods announce.  An
-enclave either gets all its pages at initialization or is denied; there is no
-partial grant and no paging out of live enclaves in this model.
+Keeps the one thing the real driver must know on its own: how many pages each
+node has left.  A pod's grant and limit come with each call, from the pod's
+own record.  An enclave either gets all its pages at initialization or is
+denied; there is no partial grant and no paging out of live enclaves in this
+model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -17,8 +17,8 @@ from .cluster import ClusterState, EpcModel
 
 
 class DriverError(RuntimeError):
-    """Misuse of the driver interface (unknown node, unregistered pod,
-    releasing pages never granted).  Indicates a bug in the caller."""
+    """Misuse of the driver interface (unknown node, releasing more pages
+    than were granted).  Indicates a bug in the caller."""
 
 
 class InitResult(Enum):
@@ -27,94 +27,56 @@ class InitResult(Enum):
     DENIED_CAPACITY = "denied_capacity"
 
 
-@dataclass
-class NodePages:
-    """Per-node page counters.  free_pages always equals total minus the sum
-    of owned pages; the counters only move through init and release."""
-
-    total_pages: int
-    free_pages: int
-    owned: dict[str, int] = field(default_factory=dict)
-
-
 class DriverState:
-    """Page accounting across all enclave-capable nodes.
-
-    Limits live in one flat registry keyed by pod identifier: a pod exists on
-    exactly one node, and the registry models the write-once limit a pod
-    announces before its enclave is built.  Attempts to re-register model a
-    container trying to raise its own limit and are rejected.
-    """
+    """Free pages per enclave-capable node, with each node's total to check
+    releases against.  Counters only move through init and release."""
 
     def __init__(self, node_totals: Mapping[str, int]):
-        self.nodes: dict[str, NodePages] = {}
-        for node_id in sorted(node_totals):
-            total = node_totals[node_id]
+        for node_id, total in node_totals.items():
             if total < 0:
                 raise ValueError(f"negative page total for {node_id}")
-            self.nodes[node_id] = NodePages(total_pages=total, free_pages=total)
-        self.limits: dict[str, int] = {}
+        self.total_pages = dict(sorted(node_totals.items()))
+        self.free_pages = dict(self.total_pages)
 
     @classmethod
     def for_cluster(cls, cluster: ClusterState) -> "DriverState":
-        """One counter set per enclave-capable node, budgeted at its usable
+        """One counter per enclave-capable node, budgeted at its usable
         pages (the slice the hardware can actually hand out)."""
         return cls({node.node_id: node.spec.epc.usable_pages
                     for node in cluster.sgx_nodes})
 
-    def register_limit(self, pod_id: str, pages: int) -> None:
+    def _free(self, node_id: str, pages: int) -> int:
+        """Free pages on node_id, once the call's arguments check out."""
         if pages < 0:
-            raise ValueError("limit must be >= 0")
-        if pod_id in self.limits:
-            raise DriverError(f"limit for {pod_id} already registered")
-        self.limits[pod_id] = pages
+            raise ValueError("pages must be >= 0")
+        if node_id not in self.free_pages:
+            raise DriverError(f"unknown node {node_id!r}")
+        return self.free_pages[node_id]
 
-    def limit_of(self, pod_id: str) -> int | None:
-        return self.limits.get(pod_id)
-
-    def enclave_init(self, node_id: str, pod_id: str, pages: int,
+    def enclave_init(self, node_id: str, pages: int, limit: int,
                      enforce: bool = True) -> InitResult:
-        """Try to grant `pages` protected pages to pod_id on node_id.
+        """Try to grant an enclave all its `pages` on node_id at once.
 
-        With enforcement on, the grant is denied when it would push the pod
-        over its registered limit; capacity denial applies either way.  The
+        With enforcement on, the grant is denied when `pages` exceeds the
+        limit the pod announced; capacity denial applies either way.  The
         checks run limit first so an over-limit pod is reported as such even
         when the node is also out of pages.
         """
-        if pages < 0:
-            raise ValueError("pages must be >= 0")
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise DriverError(f"unknown node {node_id!r}")
-        held = node.owned.get(pod_id, 0)
-        if enforce:
-            limit = self.limits.get(pod_id)
-            if limit is None:
-                raise DriverError(f"no limit registered for {pod_id}")
-            if held + pages > limit:
-                return InitResult.DENIED_LIMIT
-        if pages > node.free_pages:
+        free = self._free(node_id, pages)
+        if enforce and pages > limit:
+            return InitResult.DENIED_LIMIT
+        if pages > free:
             return InitResult.DENIED_CAPACITY
-        if held + pages:  # a zero-page grant leaves no ownership record
-            node.owned[pod_id] = held + pages
-        node.free_pages -= pages
+        self.free_pages[node_id] = free - pages
         return InitResult.GRANTED
 
-    def enclave_release(self, node_id: str, pod_id: str, pages: int) -> None:
-        if pages < 0:
-            raise ValueError("pages must be >= 0")
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise DriverError(f"unknown node {node_id!r}")
-        held = node.owned.get(pod_id, 0)
-        if pages > held:
-            raise DriverError(
-                f"{pod_id} releases {pages} pages on {node_id} but owns {held}")
-        if pages == held:
-            node.owned.pop(pod_id, None)
-        else:
-            node.owned[pod_id] = held - pages
-        node.free_pages += pages
+    def enclave_release(self, node_id: str, pages: int) -> None:
+        free = self._free(node_id, pages)
+        granted = self.total_pages[node_id] - free
+        if pages > granted:
+            raise DriverError(f"release of {pages} pages on {node_id}, "
+                              f"which has {granted} granted")
+        self.free_pages[node_id] = free + pages
 
 
 def startup_delay(alloc_bytes: int | float, model: EpcModel) -> float:

@@ -7,8 +7,8 @@ tie-break, so two runs over the same inputs produce byte-identical outputs.
 
 A job's life: a job submitted at t is queued, and first tried, by the first
 scheduler tick after t.  A tick may place it, which reserves node resources
-and, for enclave jobs, registers its declared page limit and initializes the
-enclave.  A denied initialization kills the job on the spot (the enclave
+and, for enclave jobs, initializes the enclave against its declared page
+limit.  A denied initialization kills the job on the spot (the enclave
 cannot be built; re-queueing would just retry the same doomed init) and
 releases its reservations.  A granted job holds its node through the enclave
 construction delay, runs for its duration, and releases everything at the
@@ -162,7 +162,7 @@ class _Engine:
             elif kind is EventKind.SCHEDULER_TICK:
                 self._on_scheduler_tick(now)
             elif not self._all_terminal():  # the probe chain ends with the jobs
-                probe_tick(self.cluster, self.driver, self.store, now)
+                probe_tick(self.cluster, self.store, now)
                 self._push(now + self.config.probe_period_ms,
                            EventKind.PROBE_TICK)
             if self.config.check_invariants:
@@ -202,9 +202,8 @@ class _Engine:
         job = self.jobs[job_id]
         node = self.cluster.nodes[node_id]
         if job.kind.uses_epc:
-            self.driver.register_limit(job_id, job.declared_epc_pages)
-            granted = self.driver.enclave_init(node_id, job_id,
-                                               job.actual_epc_pages,
+            granted = self.driver.enclave_init(node_id, job.actual_epc_pages,
+                                               job.declared_epc_pages,
                                                enforce=self.config.enforce_limits)
             if granted is not InitResult.GRANTED:
                 if (self.config.check_invariants
@@ -227,7 +226,7 @@ class _Engine:
         pod = self.cluster.pods.pop(job_id)
         job, node_id = pod.job, pod.node_id
         if job.kind.uses_epc:
-            self.driver.enclave_release(node_id, job_id, job.actual_epc_pages)
+            self.driver.enclave_release(node_id, job.actual_epc_pages)
         self.cluster.nodes[node_id].release(job.requested_mem,
                                             job.declared_epc_pages)
         self._record(job, JobStatus.COMPLETED, node_id,
@@ -258,11 +257,12 @@ class _Engine:
             self._record(job, JobStatus.UNFINISHED)
 
     def _check_invariants(self, now: int) -> None:
-        """Check the per-pod caches against the pod records: node
-        reservations, driver page ownership and, under enforcement, limits;
-        the queue's page counter against its jobs, none of which may have a
-        pod; and under `spread`, each kept load and its sums against a
-        fresh lift of the reservation it was computed from."""
+        """Check the per-node counters against the pod records: node
+        reservations, driver pages in use and, under enforcement, each
+        enclave's pages against its limit; the queue's page counter against
+        its jobs, none of which may have a pod; and under `spread`, each kept
+        load and its sums against a fresh lift of the reservation it was
+        computed from."""
         queue = self.queue
         backlog = sum(job.declared_epc_pages for job in queue
                       if job.kind.uses_epc)
@@ -272,23 +272,23 @@ class _Engine:
         for job in queue:
             if job.job_id in self.cluster.pods:
                 raise AssertionError(f"t={now}: queued {job.job_id} has a pod")
-        want = {node_id: [0, 0, {}] for node_id in self.cluster.nodes}
+        want = {node_id: [0, 0, 0] for node_id in self.cluster.nodes}
         for pod_id, pod in self.cluster.pods.items():
             job, node_want = pod.job, want[pod.node_id]
             node_want[0] += job.requested_mem
             if not job.kind.uses_epc:
                 continue
             node_want[1] += job.declared_epc_pages
-            if job.actual_epc_pages:  # a zero-page grant leaves no record
-                node_want[2][pod_id] = job.actual_epc_pages
+            node_want[2] += job.actual_epc_pages
             if (self.config.enforce_limits
-                    and job.actual_epc_pages > self.driver.limit_of(pod_id)):
+                    and job.actual_epc_pages > job.declared_epc_pages):
                 raise AssertionError(f"t={now} {pod.node_id}: {pod_id} holds "
                                      f"{job.actual_epc_pages} pages over its limit")
+        driver = self.driver
         for node_id, node in self.cluster.nodes.items():
-            counters = self.driver.nodes.get(node_id)
-            owned = counters.owned if counters else {}
-            got = [node.reserved_std, node.reserved_epc_pages, owned]
+            in_use = (driver.total_pages.get(node_id, 0)
+                      - driver.free_pages.get(node_id, 0))
+            got = [node.reserved_std, node.reserved_epc_pages, in_use]
             if got != want[node_id]:
                 raise AssertionError(
                     f"t={now} {node_id}: reserved std, reserved pages, driver "
@@ -297,11 +297,6 @@ class _Engine:
             if (node.reserved_std > node.spec.std_capacity
                     or node.reserved_epc_pages > usable):
                 raise AssertionError(f"t={now} {node_id}: over-commit")
-            if counters and (counters.free_pages
-                             != counters.total_pages - sum(owned.values())):
-                raise AssertionError(
-                    f"t={now} {node_id}: free {counters.free_pages} != total "
-                    f"{counters.total_pages} - owned {sum(owned.values())}")
         if self.config.policy == "spread":
             for name, sums in spread_sums(self.cluster).items():
                 if sums.fresh() != (sums.lifted, sums.total, sums.squares):

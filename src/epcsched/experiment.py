@@ -108,10 +108,14 @@ def _as_bool(value: Any, key: str) -> bool:
 
 
 def _as_int(value: Any, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+    # int() would truncate 2.5 and read true as 1; an integral float passes.
+    if not isinstance(value, bool) and (not isinstance(value, float)
+                                        or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
 def _as_float(value: Any, key: str) -> float:

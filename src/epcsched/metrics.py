@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .cluster import ClusterState
-from .driver import DriverState
 from .trace import _open_write
 
 METRIC_EPC_PAGES = "epc_pages"
@@ -197,13 +196,12 @@ class SeriesStore:
             writer.writerows(self._rows())
 
 
-def probe_tick(cluster: ClusterState, driver: DriverState, store: SeriesStore,
-               now_ms: int) -> None:
+def probe_tick(cluster: ClusterState, store: SeriesStore, now_ms: int) -> None:
     """Record one sample per running pod, as the per-node usage probe would.
 
-    Enclave-backed pods report the pages the driver says they own on their
-    node, plus their advertised standard-memory request for the untrusted
-    part; standard pods report the memory they actually touch.  Pods count
+    Enclave-backed pods report their actual pages, all of which the granted
+    initialization that created the pod handed out, plus their advertised
+    standard-memory request for the untrusted part; standard pods report the memory they actually touch.  Pods count
     from placement, so a pod still in enclave construction is already
     visible here.
     """
@@ -213,7 +211,7 @@ def probe_tick(cluster: ClusterState, driver: DriverState, store: SeriesStore,
         job, node_id = pod.job, pod.node_id
         if job.kind.uses_epc:
             rows.append((node_id, job.job_id, METRIC_EPC_PAGES,
-                         driver.nodes[node_id].owned.get(job.job_id, 0)))
+                         job.actual_epc_pages))
             std_usage = job.requested_mem
         else:
             std_usage = job.actual_mem

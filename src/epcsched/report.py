@@ -217,15 +217,22 @@ def waiting_by_memory(outcomes: Sequence[JobOutcome],
             "std": _bucket_stats(std_pairs, std_edges)}
 
 
-def _run_dirs(root: Path) -> list[tuple[Path, dict]]:
-    """Finished run directories with their metadata, by name; a staging
+def _run_dirs(root: Path) -> list[tuple[Path, str]]:
+    """Finished run directories with their labels, by name; a staging
     directory left by a killed run is not one."""
     runs = []
     for meta_path in sorted(root.glob("*/" + META_FILE)):
         if meta_path.parent.name.endswith(STAGING_SUFFIX):
             continue
         with open(meta_path, encoding="utf-8") as fh:
-            runs.append((meta_path.parent, json.load(fh)))
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise TraceParseError(f"{meta_path}: {exc}") from None
+        if not isinstance(meta, dict) or not isinstance(meta.get("label"), str):
+            raise TraceParseError(
+                f"{meta_path}: expected an object with a string label")
+        runs.append((meta_path.parent, meta["label"]))
     return runs
 
 
@@ -256,32 +263,36 @@ def figure_dataset(artifact_dir, figure: int, dest=None) -> Path:
     lines: list[str] = []
     if figure == 6:
         lines.append("# label time_ms pending_epc_bytes")
-        for run_dir, meta in runs:
+        for run_dir, label in runs:
             for time_ms, backlog in read_pending_csv(run_dir / PENDING_FILE):
-                lines.append(f"{meta['label']} {time_ms} {backlog}")
+                lines.append(f"{label} {time_ms} {backlog}")
     elif figure in (7, 9):
         lines.append("# label waiting_ms cumulative_fraction")
-        for run_dir, meta in runs:
+        for run_dir, label in runs:
             outcomes = read_outcomes_csv(run_dir / OUTCOMES_FILE)
             for wait_ms, fraction in waiting_cdf(outcomes):
-                lines.append(f"{meta['label']} {wait_ms} {_fmt(fraction)}")
+                lines.append(f"{label} {wait_ms} {_fmt(fraction)}")
     elif figure == 8:
         lines.append("# label class bucket_lo bucket_hi count mean_waiting_ms ci95_ms")
-        for run_dir, meta in runs:
+        for run_dir, label in runs:
             outcomes = read_outcomes_csv(run_dir / OUTCOMES_FILE)
             jobs = {j.job_id: j for j in _read_jobs(run_dir)}
+            for o in outcomes:
+                if o.job_id not in jobs:
+                    raise TraceParseError(f"{run_dir / JOBS_FILE}: no job "
+                                          f"{o.job_id!r} of {OUTCOMES_FILE}")
             table = waiting_by_memory(outcomes, jobs)
             for klass, buckets in sorted(table.items()):
                 for b in buckets:
                     lines.append(
-                        f"{meta['label']} {klass} {b.lo} {b.hi} {b.count} "
+                        f"{label} {klass} {b.lo} {b.hi} {b.count} "
                         f"{_fmt(b.mean_ms)} {_fmt(b.ci95_ms)}")
     elif figure == 10:
         lines.append("# label total_turnaround_ms")
         workload_ms = None
-        for run_dir, meta in runs:
+        for run_dir, label in runs:
             outcomes = read_outcomes_csv(run_dir / OUTCOMES_FILE)
-            lines.append(f"{meta['label']} {turnaround_sum(outcomes)}")
+            lines.append(f"{label} {turnaround_sum(outcomes)}")
             if workload_ms is None:
                 jobs = _read_jobs(run_dir)
                 workload_ms = sum(j.duration_ms for j in jobs)

@@ -15,131 +15,106 @@ def fresh_driver(total: int = 100) -> DriverState:
     return DriverState({"n1": total})
 
 
-class TestLimits:
-    def test_register_and_read_back(self):
-        d = fresh_driver()
-        d.register_limit("p1", 40)
-        assert d.limit_of("p1") == 40
-        assert d.limit_of("p2") is None
-
-    def test_reregistration_rejected(self):
-        d = fresh_driver()
-        d.register_limit("p1", 40)
-        with pytest.raises(DriverError):
-            d.register_limit("p1", 80)
-        assert d.limit_of("p1") == 40
-
-    def test_negative_limit_rejected(self):
-        d = fresh_driver()
-        with pytest.raises(ValueError):
-            d.register_limit("p1", -1)
-
-
 class TestEnclaveInit:
     def test_grant_moves_pages(self):
         d = fresh_driver(100)
-        d.register_limit("p1", 60)
-        assert d.enclave_init("n1", "p1", 60) is InitResult.GRANTED
-        assert d.nodes["n1"].free_pages == 40
-        assert d.nodes["n1"].owned == {"p1": 60}
+        assert d.enclave_init("n1", 60, 60) is InitResult.GRANTED
+        assert d.free_pages == {"n1": 40}
+        assert d.total_pages == {"n1": 100}
 
     def test_limit_denial(self):
         d = fresh_driver(100)
-        d.register_limit("p1", 10)
-        assert d.enclave_init("n1", "p1", 11) is InitResult.DENIED_LIMIT
-        assert d.nodes["n1"].free_pages == 100
-        assert "p1" not in d.nodes["n1"].owned
+        assert d.enclave_init("n1", 11, 10) is InitResult.DENIED_LIMIT
+        assert d.free_pages == {"n1": 100}
 
     def test_capacity_denial(self):
         d = fresh_driver(5)
-        d.register_limit("p1", 100)
-        assert d.enclave_init("n1", "p1", 6) is InitResult.DENIED_CAPACITY
-        assert d.nodes["n1"].free_pages == 5
+        assert d.enclave_init("n1", 6, 100) is InitResult.DENIED_CAPACITY
+        assert d.free_pages == {"n1": 5}
 
     def test_limit_checked_before_capacity(self):
         d = fresh_driver(5)
-        d.register_limit("p1", 10)
-        assert d.enclave_init("n1", "p1", 100) is InitResult.DENIED_LIMIT
-
-    def test_grants_accumulate_against_limit(self):
-        d = fresh_driver(100)
-        d.register_limit("p1", 60)
-        assert d.enclave_init("n1", "p1", 40) is InitResult.GRANTED
-        assert d.enclave_init("n1", "p1", 30) is InitResult.DENIED_LIMIT
-        assert d.enclave_init("n1", "p1", 20) is InitResult.GRANTED
-        assert d.nodes["n1"].owned["p1"] == 60
+        assert d.enclave_init("n1", 100, 10) is InitResult.DENIED_LIMIT
 
     def test_enforce_off_skips_limit(self):
         d = fresh_driver(100)
-        assert d.enclave_init("n1", "p1", 80, enforce=False) is InitResult.GRANTED
-        assert d.enclave_init("n1", "p1", 30, enforce=False) is InitResult.DENIED_CAPACITY
+        assert d.enclave_init("n1", 80, 0, enforce=False) is InitResult.GRANTED
+        assert d.enclave_init("n1", 30, 0, enforce=False) is InitResult.DENIED_CAPACITY
+        assert d.free_pages == {"n1": 20}
 
-    def test_enforce_requires_registered_limit(self):
-        d = fresh_driver(100)
-        with pytest.raises(DriverError):
-            d.enclave_init("n1", "p1", 1)
+    def test_zero_pages_granted_at_zero_limit(self):
+        d = fresh_driver(0)
+        assert d.enclave_init("n1", 0, 0) is InitResult.GRANTED
+        assert d.free_pages == {"n1": 0}
+
+    def test_negative_pages_rejected(self):
+        d = fresh_driver()
+        with pytest.raises(ValueError):
+            d.enclave_init("n1", -1, 10)
+        with pytest.raises(ValueError):
+            d.enclave_release("n1", -1)
 
     def test_unknown_node(self):
         d = fresh_driver()
-        d.register_limit("p1", 1)
         with pytest.raises(DriverError):
-            d.enclave_init("nope", "p1", 1)
+            d.enclave_init("nope", 1, 1)
+        with pytest.raises(DriverError):
+            d.enclave_release("nope", 0)
 
 
 class TestEnclaveRelease:
     def test_partial_then_full(self):
+        """Releases return a node's granted pages in any split."""
         d = fresh_driver(100)
-        d.register_limit("p1", 60)
-        d.enclave_init("n1", "p1", 60)
-        d.enclave_release("n1", "p1", 25)
-        assert d.nodes["n1"].owned["p1"] == 35
-        assert d.nodes["n1"].free_pages == 65
-        d.enclave_release("n1", "p1", 35)
-        assert "p1" not in d.nodes["n1"].owned
-        assert d.nodes["n1"].free_pages == 100
+        d.enclave_init("n1", 35, 35)
+        d.enclave_init("n1", 25, 25)
+        d.enclave_release("n1", 25)
+        assert d.free_pages == {"n1": 65}
+        d.enclave_release("n1", 35)
+        assert d.free_pages == {"n1": 100}
 
     def test_over_release_rejected(self):
         d = fresh_driver(100)
-        d.register_limit("p1", 60)
-        d.enclave_init("n1", "p1", 10)
-        with pytest.raises(DriverError):
-            d.enclave_release("n1", "p1", 11)
+        d.enclave_init("n1", 10, 60)
+        with pytest.raises(DriverError, match="which has 10 granted"):
+            d.enclave_release("n1", 11)
+        assert d.free_pages == {"n1": 90}
 
     def test_release_without_grant_rejected(self):
         d = fresh_driver()
         with pytest.raises(DriverError):
-            d.enclave_release("n1", "p1", 1)
+            d.enclave_release("n1", 1)
 
 
 class TestForCluster:
     def test_only_sgx_nodes_with_usable_budget(self):
         cluster = ClusterState.from_specs([std_node("a"), sgx_node("s1")])
         d = DriverState.for_cluster(cluster)
-        assert list(d.nodes) == ["s1"]
-        assert d.nodes["s1"].total_pages == 23_936
-        assert d.nodes["s1"].free_pages == 23_936
+        assert d.total_pages == {"s1": 23_936}
+        assert d.free_pages == {"s1": 23_936}
 
 
-@given(st.lists(
-    st.tuples(st.sampled_from(["p1", "p2", "p3"]),
-              st.booleans(),
-              st.integers(0, 40)),
-    max_size=60))
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 40)), max_size=60))
 def test_conservation_under_any_op_sequence(ops):
-    """free == total - sum(owned) after every successful operation."""
+    """free == total - pages granted and not yet released, after every
+    operation; an init is granted, and a release accepted, exactly when
+    that count allows it."""
     d = DriverState({"n1": 100})
-    for pod, is_init, pages in ops:
-        try:
-            if is_init:
-                d.enclave_init("n1", pod, pages, enforce=False)
-            else:
-                d.enclave_release("n1", pod, pages)
-        except DriverError:
-            pass
-        node = d.nodes["n1"]
-        assert node.free_pages == 100 - sum(node.owned.values())
-        assert node.free_pages >= 0
-        assert all(v > 0 for v in node.owned.values())
+    held = 0
+    for is_init, pages in ops:
+        if is_init:
+            granted = d.enclave_init("n1", pages, 0, enforce=False)
+            assert (granted is InitResult.GRANTED) == (pages <= 100 - held)
+            if granted is InitResult.GRANTED:
+                held += pages
+        elif pages <= held:
+            d.enclave_release("n1", pages)
+            held -= pages
+        else:
+            with pytest.raises(DriverError):
+                d.enclave_release("n1", pages)
+        assert d.free_pages["n1"] == 100 - held
+        assert 0 <= d.free_pages["n1"] <= 100
 
 
 class TestStartupDelay:

@@ -37,6 +37,12 @@ j4,6,20,0.05,0.05
 """
 
 
+# Config keys whose value must be an integer.
+INTEGER_KEYS = ["sampling_stride", "rng_seed", "malicious_n",
+                "malicious_declared_pages", "scheduler_period_ms",
+                "probe_period_ms", "window_ms", "workers"]
+
+
 @pytest.fixture()
 def trace_path(tmp_path):
     p = tmp_path / "trace.csv"
@@ -143,6 +149,16 @@ class TestConfigParsing:
     def test_bad_typed_value_names_its_key(self, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_mapping({"trace": "t.csv", key: "bogus"})
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_integer_key_rejects_fraction_and_bool(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_mapping({"trace": "t.csv", key: value})
+
+    def test_integral_float_is_an_integer(self):
+        cfg = config_from_mapping({"trace": "t.csv", "window_ms": 30000.0})
+        assert cfg.window_ms == 30_000 and type(cfg.window_ms) is int
 
     def test_flat_line_without_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -504,6 +520,18 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "0.251" in err and "0.254" in err
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_non_integer_value_exits_2_before_any_output(
+            self, tmp_path, trace_path, capsys, key, value):
+        cfg_path = tmp_path / "experiment.json"
+        cfg_path.write_text(json.dumps({
+            "trace": str(trace_path), key: value,
+            "output_dir": str(tmp_path / "artifacts")}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "artifacts").exists()
 
     def test_missing_trace_exits_3(self, tmp_path):

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GIB, sgx_job, sgx_node, std_job, std_node
+from conftest import GIB, PAGE, sgx_job, sgx_node, std_job, std_node
 from epcsched.cluster import ClusterState, Pod
-from epcsched.driver import DriverState
 from epcsched.metrics import (
     METRIC_EPC_PAGES,
     METRIC_STD_BYTES,
@@ -274,31 +273,31 @@ def test_query_cost_tracks_live_streams_not_history():
 class TestProbeTick:
     def test_samples_running_pods_only(self):
         cluster = ClusterState.from_specs([std_node("n1"), sgx_node("s1")])
-        driver = DriverState.for_cluster(cluster)
         store = SeriesStore()
 
         job_std = std_job("web", requested=2 * GIB, actual=GIB)
-        job_sgx = sgx_job("enc", declared=500, requested_mem=4096)
-        driver.register_limit("enc", 500)
-        driver.enclave_init("s1", "enc", 500)
+        job_sgx = sgx_job("enc", declared=500, actual=450, requested_mem=4096)
+        job_empty = sgx_job("empty", declared=10, actual=0)
         # inserted out of order: the probe sorts by node, then pod
         cluster.pods = {"enc": Pod(job_sgx, "s1", 0),
-                        "web": Pod(job_std, "n1", 0)}
+                        "web": Pod(job_std, "n1", 0),
+                        "empty": Pod(job_empty, "s1", 0)}
 
-        probe_tick(cluster, driver, store, 10_000)
+        probe_tick(cluster, store, 10_000)
         rows = [(s.time_ms, s.node_id, s.pod_id, s.metric, s.value)
                 for s in store.samples()]
         assert rows == [
             (10_000, "n1", "web", METRIC_STD_BYTES, GIB),
-            (10_000, "s1", "enc", METRIC_EPC_PAGES, 500),
+            (10_000, "s1", "empty", METRIC_EPC_PAGES, 0),
+            (10_000, "s1", "empty", METRIC_STD_BYTES, PAGE),
+            (10_000, "s1", "enc", METRIC_EPC_PAGES, 450),
             (10_000, "s1", "enc", METRIC_STD_BYTES, 4096),
         ]
 
     def test_idle_cluster_appends_nothing(self):
         cluster = ClusterState.from_specs([std_node("n1")])
-        driver = DriverState.for_cluster(cluster)
         store = SeriesStore()
-        probe_tick(cluster, driver, store, 0)
+        probe_tick(cluster, store, 0)
         assert len(store) == 0
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 import epcsched
 from conftest import GIB, sgx_job, std_job
+from epcsched.cli import main
 from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import (
     _T975,
@@ -30,7 +32,7 @@ from epcsched.report import (
     write_outcomes_csv,
     write_pending_csv,
 )
-from epcsched.trace import JobKind, TraceParseError
+from epcsched.trace import JobKind, TraceParseError, write_jobs_csv
 
 
 def completed(job_id, submit, start, finish, kind=JobKind.STANDARD):
@@ -264,6 +266,30 @@ class TestFigureDatasets:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             figure_dataset(tmp_path, 6)
+
+    @pytest.mark.parametrize("text, reason", [
+        ('["run-a"]', "expected an object with a string label"),
+        ('{"epc_usable_sweep_bytes": 1}', "expected an object with a string label"),
+        ("run-a", "Expecting value"),
+    ], ids=["list", "no-label", "not-json"])
+    def test_corrupt_meta_names_the_file_and_exits_3(
+            self, artifact_dir, capsys, text, reason):
+        meta = artifact_dir / "run-b" / "meta.json"
+        meta.write_text(text)
+        with pytest.raises(TraceParseError, match=re.escape(f"{meta}: {reason}")):
+            figure_dataset(artifact_dir, 7)
+        assert main(["report", "--dir", str(artifact_dir), "--figure", "7"]) == 3
+        assert str(meta) in capsys.readouterr().err
+
+    def test_fig8_outcome_without_job_names_both_and_exits_3(
+            self, artifact_dir, capsys):
+        jobs_file = artifact_dir / "run-b" / "jobs.csv"
+        write_jobs_csv([std_job("y")], jobs_file)
+        with pytest.raises(TraceParseError, match=re.escape(
+                f"{jobs_file}: no job 'x' of outcomes.csv")):
+            figure_dataset(artifact_dir, 8)
+        assert main(["report", "--dir", str(artifact_dir), "--figure", "8"]) == 3
+        assert str(jobs_file) in capsys.readouterr().err
 
     def test_leftover_staging_directory_is_skipped(self, artifact_dir):
         # what a run killed after writing meta.json but before the rename
