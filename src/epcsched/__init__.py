@@ -3,10 +3,11 @@ containers against a scarce protected-memory region.
 
 The pieces compose bottom-up: traces become job specs (`trace`), jobs land on
 modeled nodes (`cluster`) whose protected pages a driver facsimile hands out
-(`driver`), probes feed a windowed metrics store (`metrics`) that placement
-policies read (`scheduler`), and an integer-millisecond event loop replays
-the whole thing (`engine`).  `experiment` and `report` wrap runs into sweep
-directories and plot-ready datasets; `synthetic` ships a workload to replay.
+(`driver`), placement policies (`scheduler`) read each node's measured
+usage from a ledger of every pod's lingering window (`metrics`), and an
+integer-millisecond event loop replays the whole thing (`engine`).
+`experiment` and `report` wrap runs into sweep directories and plot-ready
+datasets; `synthetic` ships a workload to replay.
 """
 
 from .cluster import (CapacityError, ClusterState, EpcModel, NodeSpec,
@@ -17,8 +18,8 @@ from .engine import (ConfigError, EventKind, JobOutcome, JobStatus, SimConfig,
 from .experiment import (ExperimentConfig, MaliciousConfig, load_cluster,
                          load_config, run_experiment)
 from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
-                      OutOfOrderSampleError, SeriesStore, WindowQuery,
-                      probe_tick)
+                      OutOfOrderSampleError, PodSamples, SeriesStore,
+                      UsageLedger, WindowQuery)
 from .report import (BucketStat, figure_dataset, mean_waiting, summary,
                      turnaround_sum, waiting_by_memory, waiting_cdf)
 from .scheduler import (Occupancy, PendingQueue, Placement, binpack_select,
@@ -34,17 +35,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BucketStat", "CapacityError", "ClusterState", "ConfigError",
-    "DriverError", "DriverState", "EpcModel", "EventKind", "ExperimentConfig",
-    "InitResult", "JobKind", "JobOutcome", "JobSpec", "JobStatus",
-    "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES", "MetricSample",
-    "NodeSpec", "NodeState", "Occupancy", "OutOfOrderSampleError",
-    "PendingQueue", "Placement", "Pod", "RawJobRecord", "ScalingConfig",
-    "SeriesStore", "SimConfig", "SimEvent", "SimResult", "TraceParseError",
-    "WindowQuery", "binpack_select", "bundled_trace_path", "default_cluster",
-    "feasible", "figure_dataset", "inject_malicious", "load_bundled_trace",
-    "load_cluster", "load_config", "materialize", "mean_waiting",
-    "parse_trace", "probe_tick", "run", "run_experiment", "schedule_tick",
-    "slice_and_sample", "snapshot_usage", "spread_select", "startup_delay",
-    "summary", "synthetic_trace", "turnaround_sum", "waiting_by_memory",
-    "waiting_cdf",
+    "DriverError", "DriverState", "EpcModel", "EventKind",
+    "ExperimentConfig", "InitResult", "JobKind", "JobOutcome", "JobSpec",
+    "JobStatus", "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES",
+    "MetricSample", "NodeSpec", "NodeState", "Occupancy",
+    "OutOfOrderSampleError", "PendingQueue", "Placement", "Pod",
+    "PodSamples", "RawJobRecord", "ScalingConfig", "SeriesStore",
+    "SimConfig", "SimEvent", "SimResult", "TraceParseError", "UsageLedger",
+    "WindowQuery", "binpack_select", "bundled_trace_path",
+    "default_cluster", "feasible", "figure_dataset", "inject_malicious",
+    "load_bundled_trace", "load_cluster", "load_config", "materialize",
+    "mean_waiting", "parse_trace", "run", "run_experiment",
+    "schedule_tick", "slice_and_sample", "snapshot_usage", "spread_select",
+    "startup_delay", "summary", "synthetic_trace", "turnaround_sum",
+    "waiting_by_memory", "waiting_cdf",
 ]

@@ -1,9 +1,9 @@
 """Deterministic replay engine tying the pieces together.
 
-Time is an integer millisecond clock.  The heap holds three event kinds,
+Time is an integer millisecond clock.  The heap holds two event kinds,
 which at the same instant run in a fixed order (finishes first, then the
-usage probe, then the scheduler tick), with insertion order as the final
-tie-break, so two runs over the same inputs produce byte-identical outputs.
+scheduler tick), with insertion order as the final tie-break, so two runs
+over the same inputs produce byte-identical outputs.
 
 A job's life: a job submitted at t is queued, and first tried, by the first
 scheduler tick after t.  A tick may place it, which reserves node resources
@@ -15,6 +15,14 @@ construction delay, runs for its duration, and releases everything at the
 finish its placement scheduled.  Waiting time counts submission to placement;
 the construction delay extends the finish time instead, so both readings of
 "start" stay recomputable from the outcome timestamps.
+
+Usage probes fire at every multiple of the probe period while any job is
+live, after that instant's finishes and before its scheduler tick, so a pod
+is sampled at the probe ticks strictly between its placement and its
+finish.  Its sampled values never change, so no probe event runs: the
+`UsageLedger` answers the scheduler's window query from each pod's sampled
+interval, and the result's `PodSamples` streams the samples from the same
+intervals.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import NamedTuple
 from ._units import PAGE_SIZE
 from .cluster import ClusterState, NodeSpec, Pod
 from .driver import DriverState, InitResult, startup_delay
-from .metrics import SeriesStore, probe_tick
+from .metrics import PodSamples, UsageLedger, WindowQuery
 from .scheduler import POLICIES, PendingQueue, schedule_tick, spread_sums
 from .trace import JobKind, JobSpec
 
@@ -39,8 +47,7 @@ class ConfigError(ValueError):
 class EventKind(IntEnum):
     # Numeric order is the tie-break order at equal timestamps.
     FINISH = 0
-    PROBE_TICK = 1
-    SCHEDULER_TICK = 2
+    SCHEDULER_TICK = 1
 
 
 class SimEvent(NamedTuple):
@@ -115,7 +122,7 @@ class SimResult:
     """Everything a run leaves behind, ordered deterministically."""
 
     outcomes: list[JobOutcome]
-    store: SeriesStore
+    store: PodSamples
     pending_epc: list[tuple[int, int]]  # (time_ms, queued declared EPC bytes)
     makespan_ms: int                    # latest completion (0 if none)
 
@@ -135,7 +142,7 @@ class _Engine:
         self.config = config
         self.cluster = ClusterState.from_specs(cluster_specs)
         self.driver = DriverState.for_cluster(self.cluster)
-        self.store = SeriesStore()
+        self.ledger = UsageLedger(config.probe_period_ms, config.window_ms)
         self.queue = PendingQueue()
         self.heap: list[SimEvent] = []
         self.seq = 0
@@ -153,23 +160,20 @@ class _Engine:
 
     def run(self) -> SimResult:
         if self.jobs:
-            self._push(0, EventKind.PROBE_TICK)
             self._push(0, EventKind.SCHEDULER_TICK)
         while self.heap:
             now, kind, _, job_id = heapq.heappop(self.heap)
             if kind is EventKind.FINISH:
                 self._on_finish(job_id, now)
-            elif kind is EventKind.SCHEDULER_TICK:
+            else:
                 self._on_scheduler_tick(now)
-            elif not self._all_terminal():  # the probe chain ends with the jobs
-                probe_tick(self.cluster, self.store, now)
-                self._push(now + self.config.probe_period_ms,
-                           EventKind.PROBE_TICK)
             if self.config.check_invariants:
                 self._check_invariants(now)
         outcomes = sorted(self.outcomes.values(),
                           key=lambda o: (o.submitted_ms, o.job_id))
-        return SimResult(outcomes=outcomes, store=self.store,
+        return SimResult(outcomes=outcomes,
+                         store=PodSamples(self.ledger.pods,
+                                          self.config.probe_period_ms),
                          pending_epc=self.pending_epc,
                          makespan_ms=self.makespan_ms)
 
@@ -183,7 +187,7 @@ class _Engine:
             self.last_progress_ms = max(self.last_progress_ms,
                                         arrivals[i - 1].submit_ms)
             self.arrived = i
-        placements = schedule_tick(self.queue, self.cluster, self.store, now,
+        placements = schedule_tick(self.queue, self.cluster, self.ledger, now,
                                    self.config.policy, self.config.window_ms)
         for placement in placements:
             self._handle_placement(placement.job_id, placement.node_id, now)
@@ -219,12 +223,15 @@ class _Engine:
         startup_ms = 0
         if job.kind.uses_epc and self.config.include_startup_delays:
             startup_ms = int(round(startup_delay(job.actual_mem, node.spec.epc)))
-        self.cluster.pods[job_id] = Pod(job, node_id, now)
-        self._push(now + startup_ms + job.duration_ms, EventKind.FINISH, job_id)
+        pod = self.cluster.pods[job_id] = Pod(job, node_id, now)
+        finish_ms = now + startup_ms + job.duration_ms
+        self.ledger.place(pod, finish_ms)
+        self._push(finish_ms, EventKind.FINISH, job_id)
 
     def _on_finish(self, job_id: str, now: int) -> None:
         pod = self.cluster.pods.pop(job_id)
         job, node_id = pod.job, pod.node_id
+        self.ledger.finish(pod, now)
         if job.kind.uses_epc:
             self.driver.enclave_release(node_id, job.actual_epc_pages)
         self.cluster.nodes[node_id].release(job.requested_mem,
@@ -260,7 +267,8 @@ class _Engine:
         """Check the per-node counters against the pod records: node
         reservations, driver pages in use and, under enforcement, each
         enclave's pages against its limit; the queue's page counter against
-        its jobs, none of which may have a pod; and under `spread`, each kept
+        its jobs, none of which may have a pod; the usage ledger against a
+        fresh window over the pod intervals; and under `spread`, each kept
         load and its sums against a fresh lift of the reservation it was
         computed from."""
         queue = self.queue
@@ -297,6 +305,12 @@ class _Engine:
             if (node.reserved_std > node.spec.std_capacity
                     or node.reserved_epc_pages > usable):
                 raise AssertionError(f"t={now} {node_id}: over-commit")
+        ledger = self.ledger
+        kept = ledger.per_node_usage(WindowQuery(now, ledger.window))
+        fresh = ledger.fresh(now)
+        if kept != fresh:
+            raise AssertionError(f"t={now}: usage ledger {kept} != a fresh "
+                                 f"window over the pod intervals {fresh}")
         if self.config.policy == "spread":
             for name, sums in spread_sums(self.cluster).items():
                 if sums.fresh() != (sums.lifted, sums.total, sums.squares):
@@ -306,7 +320,7 @@ class _Engine:
 
 def run(jobs: list[JobSpec], cluster: list[NodeSpec],
         config: SimConfig | None = None) -> SimResult:
-    """Replay a workload on a cluster and return outcomes, the probed sample
-    store, and the queued-protected-memory series sampled at every scheduler
-    tick (after that tick's placements)."""
+    """Replay a workload on a cluster and return outcomes, the probed
+    samples, and the queued-protected-memory series sampled at every
+    scheduler tick (after that tick's placements)."""
     return _Engine(jobs, cluster, config or SimConfig()).run()

@@ -1,5 +1,5 @@
-"""Time-series store for probed usage samples and the sliding-window query
-the scheduler reads.
+"""Measured usage: the sliding-window query the scheduler reads, and the
+samples a run's probes take.
 
 The query semantics mirror the monitoring stack the scheduler was built
 against: per (pod, node) group and metric, take the maximum nonzero sample
@@ -7,16 +7,23 @@ inside the closed window [now - window, now]; then sum those maxima per node.
 One query answers every metric at once.  Metrics and nodes with no
 qualifying sample are absent from the result, which the caller must treat as
 zero usage.
+
+`SeriesStore` answers it by scanning appended samples.  A replay needs no
+samples to answer it: a pod's probed values never change, so the window
+counts a pod over one interval of time, and `UsageLedger` keeps each node's
+sum over those intervals.  `PodSamples` streams the samples the probes would
+have written from the same intervals.
 """
 
 from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
-from .cluster import ClusterState
+from .cluster import Pod
 from .trace import _open_write
 
 METRIC_EPC_PAGES = "epc_pages"
@@ -62,119 +69,73 @@ _Key = tuple[str, str, str]  # (node, pod, metric)
 
 
 class _Stream:
-    """Samples of one (node, pod, metric) series, times kept sorted.
+    """Samples of one (node, pod, metric) series, times kept sorted."""
 
-    `since` is the time of the last sample whose value differs from the
-    tip's, or -1 when no sample does: every sample after it holds the tip's
-    value."""
-
-    __slots__ = ("key", "times", "values", "since")
+    __slots__ = ("key", "times", "values")
 
     def __init__(self, key: _Key):
         self.key = key
         self.times: list[int] = []
         self.values: list[int] = []
-        self.since = -1
+
+
+def _add(per_node: dict[str, int], node_id: str, delta: int) -> None:
+    """Add to a node's entry, keeping only nonzero entries."""
+    value = per_node.get(node_id, 0) + delta
+    if value:
+        per_node[node_id] = value
+    else:
+        del per_node[node_id]
 
 
 class SeriesStore:
     """Append-only sample store, queryable per window.
 
     Streams are keyed by (node, pod, metric).  Within a stream, time must not
-    go backwards; across streams there is no ordering requirement.  Streams
-    are also filed under their tip, the time of their last sample: a stream
-    whose tip is older than the window's start has no sample inside it, so a
-    query bisects the sorted tips and visits only the streams that can
-    contribute.  A stream whose value has not changed inside the window
-    answers with its tip's value; any other is bisected.  The cost is
-    bounded by the window, not the history length.
-
-    Each sample is stored once, in its stream; the log keeps append order as
-    one stream reference per sample, replayed with a cursor per stream.
+    go backwards; across streams there is no ordering requirement.  A query
+    visits every stream, so its cost grows with the history: this is the
+    plain reference that `UsageLedger` is checked against.  Each sample is
+    stored once, in its stream; the log keeps append order as one stream
+    reference per sample, replayed with a cursor per stream.
     """
 
     def __init__(self):
         self._streams: dict[_Key, _Stream] = {}
-        self._by_tip: dict[int, dict[_Key, _Stream]] = {}
-        self._tips: list[int] = []  # the keys of _by_tip, sorted
         self._log: list[_Stream] = []
 
     def __len__(self) -> int:
         return len(self._log)
 
     def append(self, sample: MetricSample) -> None:
-        self._append_rows(sample.time_ms, ((sample.node_id, sample.pod_id,
-                                            sample.metric, sample.value),))
-
-    def _append_rows(self, time_ms: int,
-                     rows: Iterable[tuple[str, str, str, int]]) -> None:
-        """Append (node, pod, metric, value) samples that share one time,
-        without a `MetricSample` each: the path under `append`, which
-        validates, and under the probe, whose times and values are never
-        negative."""
-        streams, log = self._streams, self._log
-        bucket = self._by_tip.get(time_ms)
-        for node_id, pod_id, metric, value in rows:
-            key = (node_id, pod_id, metric)
-            stream = streams.get(key)
-            if stream is None:
-                stream = streams[key] = _Stream(key)
-            else:
-                tip = stream.times[-1]
-                if time_ms < tip:
-                    raise OutOfOrderSampleError(
-                        f"sample at {time_ms}ms precedes stream {key} tip {tip}ms")
-                if value != stream.values[-1]:
-                    stream.since = tip
-                if time_ms != tip:
-                    self._unfile(key, tip)
-            if bucket is None:
-                bucket = self._by_tip[time_ms] = {}
-                insort(self._tips, time_ms)
-            bucket[key] = stream
-            stream.times.append(time_ms)
-            stream.values.append(value)
-            log.append(stream)
-
-    def _unfile(self, key: _Key, tip: int) -> None:
-        bucket = self._by_tip[tip]
-        del bucket[key]
-        if not bucket:
-            del self._by_tip[tip]
-            del self._tips[bisect_left(self._tips, tip)]
+        key = (sample.node_id, sample.pod_id, sample.metric)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = _Stream(key)
+        elif sample.time_ms < stream.times[-1]:
+            raise OutOfOrderSampleError(f"sample at {sample.time_ms}ms precedes "
+                                        f"stream {key} tip {stream.times[-1]}ms")
+        stream.times.append(sample.time_ms)
+        stream.values.append(sample.value)
+        self._log.append(stream)
 
     def per_node_usage(self, q: WindowQuery) -> dict[str, dict[str, int]]:
         """Per metric, the sum per node of each pod's maximum nonzero sample
-        in the window, for every metric in one pass over the window's
-        streams.
+        in the window.
 
         Zero-valued samples never qualify, so an idle pod cannot drag a
         node's aggregate down and a node whose pods only reported zeros is
         simply absent from its metric's map.
         """
         out: dict[str, dict[str, int]] = {}
-        lo_bound, now = q.now_ms - q.window_ms, q.now_ms
-        tips, by_tip = self._tips, self._by_tip
-        for i in range(bisect_left(tips, lo_bound), len(tips)):
-            tip = tips[i]
-            inside = tip <= now
-            for (node_id, _pod, metric), stream in by_tip[tip].items():
-                if inside and stream.since < lo_bound:
-                    # The tip is in the window, and every sample of the
-                    # window holds the tip's value.
-                    best = stream.values[-1]
-                else:
-                    times = stream.times
-                    hi = len(times) if inside else bisect_right(times, now)
-                    # Values are never negative, so the window's maximum is
-                    # its maximum nonzero sample whenever it is nonzero.
-                    best = max(stream.values[bisect_left(times, lo_bound):hi],
-                               default=0)
-                if best:
-                    per_node = out.get(metric)
-                    if per_node is None:
-                        per_node = out[metric] = {}
-                    per_node[node_id] = per_node.get(node_id, 0) + best
+        lo, now = q.now_ms - q.window_ms, q.now_ms
+        for (node_id, _pod, metric), stream in self._streams.items():
+            times = stream.times
+            # Values are never negative, so the window's maximum is its
+            # maximum nonzero sample whenever it is nonzero.
+            best = max(stream.values[bisect_left(times, lo):
+                                     bisect_right(times, now)], default=0)
+            if best:
+                _add(out.setdefault(metric, {}), node_id, best)
         return out
 
     def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
@@ -186,7 +147,7 @@ class SeriesStore:
             yield (stream.times[i], *stream.key, stream.values[i])
 
     def samples(self) -> Iterator[MetricSample]:
-        """All samples in append order."""
+        """All samples in order."""
         return (MetricSample(*row) for row in self._rows())
 
     def write_csv(self, dest) -> None:
@@ -196,24 +157,171 @@ class SeriesStore:
             writer.writerows(self._rows())
 
 
-def probe_tick(cluster: ClusterState, store: SeriesStore, now_ms: int) -> None:
-    """Record one sample per running pod, as the per-node usage probe would.
+class PodInterval(NamedTuple):
+    """The probe ticks that sample one pod, from `first` to `last`, and the
+    values they read: `epc` pages (None for a standard pod, which reports
+    none) and `std` bytes.  Ordered by (node, pod) like the probe."""
 
-    Enclave-backed pods report their actual pages, all of which the granted
-    initialization that created the pod handed out, plus their advertised
-    standard-memory request for the untrusted part; standard pods report the memory they actually touch.  Pods count
-    from placement, so a pod still in enclave construction is already
-    visible here.
+    node_id: str
+    pod_id: str
+    first: int
+    last: int
+    epc: int | None
+    std: int
+
+
+class UsageLedger:
+    """Every node's measured usage in one run, kept from its pods' intervals
+    instead of from samples.
+
+    Probes fire at every multiple of `probe_period_ms` while any job is live,
+    after that instant's finishes and before its scheduler tick, and a pod's
+    probed values never change.  A pod placed at t and finished at f is
+    therefore sampled at exactly the probe ticks strictly between t and f,
+    `first` = (t // P + 1) * P through `last`, the largest multiple of P
+    below f; a pod with first > last is never sampled.  As the period is
+    shorter than the window, the window query at `now` counts the pod
+    exactly when first <= now <= last + window: a finished pod lingers on
+    its node for a window after its last sample.
+
+    The ledger adds a pod's values to its node at `first` and takes them off
+    once `now` passes last + window.  Placements and finishes happen in time
+    order, so activations (in `pods`, behind a cursor) and expiries (queued
+    at each finish) are both already sorted by the time they fall due, and a
+    query costs O(1) amortized per pod.  Queries must not go back in time.
     """
-    rows = []
-    for pod in sorted(cluster.pods.values(),
-                      key=lambda p: (p.node_id, p.job.job_id)):
-        job, node_id = pod.job, pod.node_id
+
+    def __init__(self, probe_period_ms: int, window_ms: int):
+        self.period = probe_period_ms
+        self.window = window_ms
+        self.pods: list[PodInterval] = []  # sampled pods in placement order
+        self._active = 0                   # pods[:_active] have been added
+        self._settled = 0                  # pods[:_settled] no longer count
+        self._expiries: deque[PodInterval] = deque()
+        self._now = 0
+        self._std: dict[str, int] = {}
+        self._epc: dict[str, int] = {}
+
+    def _interval(self, pod: Pod, finished_ms: int) -> PodInterval | None:
+        period, job = self.period, pod.job
+        first = (pod.placed_ms // period + 1) * period
+        last = (finished_ms - 1) // period * period
+        if first > last:
+            return None
         if job.kind.uses_epc:
-            rows.append((node_id, job.job_id, METRIC_EPC_PAGES,
-                         job.actual_epc_pages))
-            std_usage = job.requested_mem
+            # all its pages came from the granted init that created the pod
+            epc, std = job.actual_epc_pages, job.requested_mem
         else:
-            std_usage = job.actual_mem
-        rows.append((node_id, job.job_id, METRIC_STD_BYTES, std_usage))
-    store._append_rows(now_ms, rows)
+            epc, std = None, job.actual_mem
+        return PodInterval(pod.node_id, job.job_id, first, last, epc, std)
+
+    def place(self, pod: Pod, finish_ms: int) -> None:
+        """A pod just placed, which is to finish at finish_ms."""
+        interval = self._interval(pod, finish_ms)
+        if interval is not None:
+            self.pods.append(interval)
+
+    def finish(self, pod: Pod, now_ms: int) -> None:
+        """A pod finished now: it expires a window after its last sample."""
+        interval = self._interval(pod, now_ms)
+        if interval is not None:
+            self._expiries.append(interval)
+
+    def per_node_usage(self, q: WindowQuery) -> dict[str, dict[str, int]]:
+        """The window query of `SeriesStore.per_node_usage` at q.now_ms, for
+        the ledger's own window."""
+        if q.window_ms != self.window:
+            raise ValueError(f"ledger keeps a {self.window}ms window, "
+                             f"queried for {q.window_ms}ms")
+        now = q.now_ms
+        if now < self._now:
+            raise ValueError(f"ledger at {self._now}ms queried for {now}ms")
+        self._now = now
+        pods, i = self.pods, self._active
+        std, epc = self._std, self._epc
+        while i < len(pods) and pods[i].first <= now:
+            _count(std, epc, pods[i], 1)
+            i += 1
+        self._active = i
+        expiries, window = self._expiries, self.window
+        while expiries and expiries[0].last + window < now:
+            _count(std, epc, expiries.popleft(), -1)
+        return _usage(std, epc)
+
+    def fresh(self, now_ms: int) -> dict[str, dict[str, int]]:
+        """The same answer from a scan of the intervals, skipping the
+        leading ones that have already stopped counting: time only moves
+        forward, so they never count again."""
+        pods, window = self.pods, self.window
+        i = self._settled
+        while i < len(pods) and pods[i].last + window < now_ms:
+            i += 1
+        self._settled = i
+        std: dict[str, int] = {}
+        epc: dict[str, int] = {}
+        for k in range(i, len(pods)):
+            pod = pods[k]
+            if pod.first <= now_ms <= pod.last + window:
+                _count(std, epc, pod, 1)
+        return _usage(std, epc)
+
+
+def _count(std: dict[str, int], epc: dict[str, int], pod: PodInterval,
+           sign: int) -> None:
+    """Add a pod's nonzero values to, or with sign -1 take them off, the
+    per-node sums."""
+    if pod.std:
+        _add(std, pod.node_id, sign * pod.std)
+    if pod.epc:
+        _add(epc, pod.node_id, sign * pod.epc)
+
+
+def _usage(std: dict[str, int], epc: dict[str, int]) -> dict[str, dict[str, int]]:
+    """Per-node sums as a window query's answer, copied."""
+    out = {}
+    if std:
+        out[METRIC_STD_BYTES] = dict(std)
+    if epc:
+        out[METRIC_EPC_PAGES] = dict(epc)
+    return out
+
+
+class PodSamples:
+    """The samples a run's probes take, streamed from its pods' intervals
+    rather than held: at each probe tick, every sampled pod in (node, pod)
+    order, `epc_pages` before `std_bytes`."""
+
+    def __init__(self, pods: list[PodInterval], probe_period_ms: int):
+        self.pods = pods  # sorted by `first`, as placements are
+        self.period = probe_period_ms
+        self._len = sum(((pod.last - pod.first) // probe_period_ms + 1)
+                        * (1 if pod.epc is None else 2) for pod in pods)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
+        pods, period = self.pods, self.period
+        live: list[PodInterval] = []  # sampled at `now`, in (node, pod) order
+        i, now = 0, 0
+        while i < len(pods) or live:
+            if not live:
+                now = pods[i].first
+            while i < len(pods) and pods[i].first <= now:
+                insort(live, pods[i])
+                i += 1
+            for node_id, pod_id, _, _, epc, std in live:
+                if epc is not None:
+                    yield (now, node_id, pod_id, METRIC_EPC_PAGES, epc)
+                yield (now, node_id, pod_id, METRIC_STD_BYTES, std)
+            now += period
+            live = [pod for pod in live if pod.last >= now]
+
+    def samples(self) -> Iterator[MetricSample]:
+        """All samples in order."""
+        return (MetricSample(*row) for row in self._rows())
+
+    def write_csv(self, dest) -> None:
+        # `SeriesStore.write_csv` stays the one writer of samples files, and
+        # the one name `bench/layers.py` times them under.
+        SeriesStore.write_csv(self, dest)

@@ -65,19 +65,17 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
             ])
 
 
+def _outcome_of_row(line: int, row: list[str]) -> JobOutcome:
+    return JobOutcome(
+        job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
+        started_ms=int(row[3]) if row[3] else None,
+        finished_ms=int(row[4]) if row[4] else None,
+        status=JobStatus(row[5]), node_id=row[6] or None,
+        declared_pages=int(row[7]), actual_pages=int(row[8]))
+
+
 def read_outcomes_csv(source) -> list[JobOutcome]:
-    outcomes = []
-    for line, row in _csv_rows(source, OUTCOMES_FIELDS):
-        try:
-            outcomes.append(JobOutcome(
-                job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
-                started_ms=int(row[3]) if row[3] else None,
-                finished_ms=int(row[4]) if row[4] else None,
-                status=JobStatus(row[5]), node_id=row[6] or None,
-                declared_pages=int(row[7]), actual_pages=int(row[8])))
-        except ValueError as exc:
-            raise TraceParseError(str(exc), line=line) from None
-    return outcomes
+    return list(_csv_rows(source, OUTCOMES_FIELDS, _outcome_of_row))
 
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
@@ -88,16 +86,17 @@ def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
             writer.writerow([time_ms, backlog])
 
 
+def _pending_of_row(line: int, row: list[str]) -> tuple[int, int]:
+    try:
+        time_ms, backlog = map(int, row)
+    except ValueError:
+        raise ValueError(f"expected integers {','.join(PENDING_FIELDS)}, "
+                         f"got {','.join(row)!r}") from None
+    return time_ms, backlog
+
+
 def read_pending_csv(source) -> list[tuple[int, int]]:
-    series = []
-    for line, row in _csv_rows(source, PENDING_FIELDS):
-        try:
-            time_ms, backlog = map(int, row)
-        except ValueError:
-            raise TraceParseError(f"expected integers {','.join(PENDING_FIELDS)}"
-                                  f", got {','.join(row)!r}", line=line) from None
-        series.append((time_ms, backlog))
-    return series
+    return list(_csv_rows(source, PENDING_FIELDS, _pending_of_row))
 
 
 def summary(outcomes: Sequence[JobOutcome]) -> dict:

@@ -16,7 +16,8 @@ from math import isqrt
 from typing import Callable, Iterable, Mapping
 
 from .cluster import ClusterState, NodeState
-from .metrics import METRIC_EPC_PAGES, METRIC_STD_BYTES, SeriesStore, WindowQuery
+from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, SeriesStore,
+                      UsageLedger, WindowQuery)
 from .trace import JobSpec
 
 
@@ -290,15 +291,17 @@ POLICIES: dict[str, Callable[..., str | None]] = {
 }
 
 
-def snapshot_usage(cluster: ClusterState, store: SeriesStore, now_ms: int,
-                   window_ms: int = 25_000) -> Occupancy:
-    """The tick's occupancy view, from one window query for every metric."""
+def snapshot_usage(cluster: ClusterState, store: SeriesStore | UsageLedger,
+                   now_ms: int, window_ms: int = 25_000) -> Occupancy:
+    """The tick's occupancy view, from one window query for every metric:
+    to a run's usage ledger, or to a store of samples."""
     return Occupancy(cluster,
                      store.per_node_usage(WindowQuery(now_ms, window_ms)))
 
 
 def schedule_tick(queue: PendingQueue, cluster: ClusterState,
-                  store: SeriesStore, now_ms: int, policy: str = "binpack",
+                  store: SeriesStore | UsageLedger, now_ms: int,
+                  policy: str = "binpack",
                   window_ms: int = 25_000) -> list[Placement]:
     """Walk the queue in order once, placing every job that fits somewhere.
 

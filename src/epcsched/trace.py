@@ -14,11 +14,12 @@ import gzip
 import io
 import logging
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,10 +37,14 @@ JOBS_FIELDS = ("job_id", "kind", "submit_ms", "duration_ms", "requested_mem",
 
 
 class TraceParseError(ValueError):
-    """Input violates the trace contract.  Carries the 1-based source line."""
+    """Input violates the trace contract.  Carries the 1-based source line;
+    the message also names the file, when there is one."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 
@@ -180,29 +185,27 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     logged diagnostic (truncated exports produce them).  Records come back
     sorted by submit time.
     """
-    records: list[RawJobRecord] = []
     seen: dict[str, int] = {}
-    for lineno, row in _csv_rows(source, CANONICAL_FIELDS):
+
+    def decode(lineno: int, row: list[str]) -> RawJobRecord | None:
         job_id = row[0].strip()
         try:
             submit_s, duration_s, assigned, peak = (float(v) for v in row[1:])
         except ValueError:
-            raise TraceParseError(
-                f"non-numeric field in {row!r}", line=lineno) from None
+            raise ValueError(f"non-numeric field in {row!r}") from None
         if duration_s < 0:
             log.warning("dropping job %s (line %d): negative duration %s",
                         job_id, lineno, duration_s)
-            continue
+            return None
         if job_id in seen:
-            raise TraceParseError(
-                f"duplicate job_id {job_id!r} (first seen on line {seen[job_id]})",
-                line=lineno)
-        try:
-            rec = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
-        except ValueError as exc:
-            raise TraceParseError(str(exc), line=lineno) from None
+            raise ValueError(f"duplicate job_id {job_id!r} (first seen on "
+                             f"line {seen[job_id]})")
+        rec = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
         seen[job_id] = lineno
-        records.append(rec)
+        return rec
+
+    records = [rec for rec in _csv_rows(source, CANONICAL_FIELDS, decode)
+               if rec is not None]
     records.sort(key=lambda r: r.submit_s)
     return records
 
@@ -234,7 +237,7 @@ def _shard_error(shard: Path, rowno: int, row: list[str],
                  exc: Exception) -> TraceParseError:
     reason = (f"short row ({len(row)} fields)" if isinstance(exc, IndexError)
               else str(exc))
-    return TraceParseError(f"{shard}: {reason}", line=rowno)
+    return TraceParseError(reason, line=rowno, path=str(shard))
 
 
 def parse_borg_tables(root) -> list[RawJobRecord]:
@@ -423,34 +426,41 @@ def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
                              j.declared_epc_pages, j.actual_epc_pages])
 
 
-def _csv_rows(source, fields: tuple[str, ...]):
-    """(line number, row) of every non-blank row of a CSV file whose header
-    must equal `fields`; a row of any other width is a TraceParseError.  An
-    empty source has no rows."""
+def _csv_rows(source, fields: tuple[str, ...],
+              decode: Callable[[int, list[str]], object]) -> Iterator:
+    """decode(line number, row) of every non-blank row of a CSV file whose
+    header must equal `fields`.  A row of any other width, or one that
+    `decode` rejects with a ValueError, is a TraceParseError naming the file
+    (a path, or an open file's name) and the line.  An empty source has no
+    rows."""
+    path = (os.fspath(source) if isinstance(source, (str, os.PathLike))
+            else getattr(source, "name", None))
     with _open_text(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None and tuple(h.strip() for h in header) != fields:
-            raise TraceParseError(f"expected header {','.join(fields)}", line=1)
+            raise TraceParseError(f"expected header {','.join(fields)}",
+                                  line=1, path=path)
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(fields):
                 raise TraceParseError(f"expected {len(fields)} fields, got "
-                                      f"{len(row)}", line=reader.line_num)
-            yield reader.line_num, row
+                                      f"{len(row)}", line=line, path=path)
+            try:
+                value = decode(line, row)
+            except ValueError as exc:
+                raise TraceParseError(str(exc), line=line, path=path) from None
+            yield value
+
+
+def _job_of_row(line: int, row: list[str]) -> JobSpec:
+    return JobSpec(job_id=row[0], kind=JobKind(row[1]),
+                   submit_ms=int(row[2]), duration_ms=int(row[3]),
+                   requested_mem=int(row[4]), actual_mem=int(row[5]),
+                   declared_epc_pages=int(row[6]), actual_epc_pages=int(row[7]))
 
 
 def read_jobs_csv(source) -> list[JobSpec]:
-    jobs = []
-    for lineno, row in _csv_rows(source, JOBS_FIELDS):
-        try:
-            jobs.append(JobSpec(
-                job_id=row[0], kind=JobKind(row[1]),
-                submit_ms=int(row[2]), duration_ms=int(row[3]),
-                requested_mem=int(row[4]), actual_mem=int(row[5]),
-                declared_epc_pages=int(row[6]), actual_epc_pages=int(row[7]),
-            ))
-        except ValueError as exc:
-            raise TraceParseError(str(exc), line=lineno) from None
-    return jobs
+    return list(_csv_rows(source, JOBS_FIELDS, _job_of_row))

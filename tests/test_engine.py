@@ -8,6 +8,7 @@ from conftest import GIB, sgx_job, sgx_node, std_job, std_node
 from epcsched import scheduler
 from epcsched.cluster import NodeState
 from epcsched.driver import DriverState
+from epcsched.metrics import UsageLedger
 from epcsched.scheduler import PendingQueue
 from epcsched.engine import (
     ConfigError,
@@ -30,14 +31,13 @@ def outcomes_by_id(result):
 class TestEventOrdering:
     def test_kind_order_at_equal_time(self):
         assert [kind.name for kind in EventKind] == [
-            "FINISH", "PROBE_TICK", "SCHEDULER_TICK"]
+            "FINISH", "SCHEDULER_TICK"]
         order = sorted([
             SimEvent(5, EventKind.SCHEDULER_TICK, 0),
-            SimEvent(5, EventKind.PROBE_TICK, 1),
-            SimEvent(5, EventKind.FINISH, 2),
+            SimEvent(5, EventKind.FINISH, 1),
         ])
         assert [e.kind for e in order] == [
-            EventKind.FINISH, EventKind.PROBE_TICK, EventKind.SCHEDULER_TICK]
+            EventKind.FINISH, EventKind.SCHEDULER_TICK]
 
     def test_seq_breaks_remaining_ties(self):
         a = SimEvent(5, EventKind.FINISH, 1)
@@ -310,6 +310,18 @@ class TestInvariantChecker:
         with pytest.raises(AssertionError,
                            match=re.escape("t=5000: queued a has a pod")):
             run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
+
+    def test_ledger_that_never_expires_is_caught(self, monkeypatch):
+        # "a" was last sampled at t=20000, so the tick at t=50000 is the
+        # first one whose window no longer counts it; "b" keeps ticking.
+        monkeypatch.setattr(UsageLedger, "finish", lambda self, pod, now: None)
+        jobs = self.JOBS + [sgx_job("b", submit_ms=40_000, declared=100)]
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=50000: usage ledger {'std_bytes': {'s1': 8192}, "
+                "'epc_pages': {'s1': 14462}} != a fresh window over the pod "
+                "intervals {'std_bytes': {'s1': 4096}, 'epc_pages': "
+                "{'s1': 100}}")):
+            run(jobs, [sgx_node("s1")], SimConfig(check_invariants=True))
 
     def test_stale_spread_sums_are_caught(self, monkeypatch):
         # "a" is placed at t=5000; the tick at t=10000 places "b" and

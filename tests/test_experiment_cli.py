@@ -571,7 +571,7 @@ class TestCli:
         cfg_path = flat_config(tmp_path, trace_path)
         assert main(["run", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
-        assert "line 6" in err and field in err
+        assert f"{trace_path}: line 6" in err and field in err
         assert not (tmp_path / "artifacts").exists()
 
     def test_scale_short_borg_row_exits_3(self, tmp_path, capsys):
@@ -597,7 +597,8 @@ class TestCli:
         rc = main(["report", "--dir", str(tmp_path / "artifacts"),
                    "--figure", "7"])
         assert rc == 3
-        assert "line 6: expected 9 fields, got 3" in capsys.readouterr().err
+        assert (f"{outcomes}: line 6: expected 9 fields, got 3"
+                in capsys.readouterr().err)
 
     def test_scale_bad_trace_exits_3(self, tmp_path):
         assert main(["scale", "--in", str(tmp_path / "nope.csv"),

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GIB, PAGE, sgx_job, sgx_node, std_job, std_node
-from epcsched.cluster import ClusterState, Pod
+from conftest import GIB, PAGE, sgx_job, std_job
+from epcsched.cluster import Pod
 from epcsched.metrics import (
     METRIC_EPC_PAGES,
     METRIC_STD_BYTES,
     MetricSample,
     OutOfOrderSampleError,
+    PodSamples,
     SeriesStore,
+    UsageLedger,
     WindowQuery,
-    probe_tick,
 )
 
 
@@ -256,36 +257,48 @@ def test_query_cost_tracks_window_not_history():
     assert elapsed < 1.0
 
 
-def test_query_cost_tracks_live_streams_not_history():
-    # 40k finished pods, one sample each, long before the window; four live.
-    store = SeriesStore()
+def test_ledger_query_cost_tracks_live_pods_not_history():
+    # 40k finished pods, long expired before the query; four live.
+    ledger = UsageLedger(10, 25_000)
     for i in range(40_000):
-        store.append(MetricSample(i, f"n{i % 4}", f"old{i}", "m", 1))
-    for pod in range(4):
-        store.append(MetricSample(1_000_000, "n0", f"live{pod}", "m", 2))
-    q = WindowQuery(1_000_000, 25_000)
+        pod = Pod(std_job(f"old{i}", requested=1), f"n{i % 4}", i * 10)
+        ledger.place(pod, i * 10 + 25)
+        ledger.finish(pod, i * 10 + 25)
+    for i in range(4):
+        pod = Pod(std_job(f"live{i}", requested=2), "n0", 999_000)
+        ledger.place(pod, 2_000_000)
     t0 = time.perf_counter()
-    for _ in range(200):
-        assert store.per_node_usage(q) == {"m": {"n0": 8}}
+    ledger.per_node_usage(WindowQuery(1_000_000, 25_000))
+    for now in range(1_000_001, 1_000_201):
+        assert ledger.per_node_usage(WindowQuery(now, 25_000)) == {
+            METRIC_STD_BYTES: {"n0": 8}}
     assert time.perf_counter() - t0 < 0.5
 
 
-class TestProbeTick:
-    def test_samples_running_pods_only(self):
-        cluster = ClusterState.from_specs([std_node("n1"), sgx_node("s1")])
-        store = SeriesStore()
+def ledger_with(pods, period=10_000, window=25_000):
+    """A ledger and its samples for (pod, finish_ms) pairs in placement
+    order, every finish already past."""
+    ledger = UsageLedger(period, window)
+    for pod, finish_ms in pods:
+        ledger.place(pod, finish_ms)
+    for pod, finish_ms in sorted(pods, key=lambda p: p[1]):
+        ledger.finish(pod, finish_ms)
+    return ledger, PodSamples(ledger.pods, period)
 
+
+class TestPodSamples:
+    def test_samples_running_pods_in_node_then_pod_order(self):
         job_std = std_job("web", requested=2 * GIB, actual=GIB)
         job_sgx = sgx_job("enc", declared=500, actual=450, requested_mem=4096)
         job_empty = sgx_job("empty", declared=10, actual=0)
-        # inserted out of order: the probe sorts by node, then pod
-        cluster.pods = {"enc": Pod(job_sgx, "s1", 0),
-                        "web": Pod(job_std, "n1", 0),
-                        "empty": Pod(job_empty, "s1", 0)}
-
-        probe_tick(cluster, store, 10_000)
+        # placed out of order: the probe sorts by node, then pod
+        _, samples = ledger_with([(Pod(job_sgx, "s1", 0), 10_001),
+                                  (Pod(job_std, "n1", 0), 10_001),
+                                  (Pod(job_empty, "s1", 0), 10_001)])
         rows = [(s.time_ms, s.node_id, s.pod_id, s.metric, s.value)
-                for s in store.samples()]
+                for s in samples.samples()]
+        # an enclave pod reports its actual pages and its advertised
+        # standard request; a standard pod the memory it touches
         assert rows == [
             (10_000, "n1", "web", METRIC_STD_BYTES, GIB),
             (10_000, "s1", "empty", METRIC_EPC_PAGES, 0),
@@ -293,12 +306,78 @@ class TestProbeTick:
             (10_000, "s1", "enc", METRIC_EPC_PAGES, 450),
             (10_000, "s1", "enc", METRIC_STD_BYTES, 4096),
         ]
+        assert len(samples) == 5
 
-    def test_idle_cluster_appends_nothing(self):
-        cluster = ClusterState.from_specs([std_node("n1")])
+    def test_ticks_strictly_between_placement_and_finish(self):
+        _, samples = ledger_with([
+            (Pod(std_job("a"), "n1", 0), 30_000),       # 10s, 20s
+            (Pod(std_job("b"), "n1", 10_000), 10_500),  # none
+            (Pod(std_job("c"), "n1", 15_000), 60_001),  # 20s .. 60s
+            (Pod(std_job("d"), "n1", 90_000), 100_001)])  # 100s
+        rows = [(s.time_ms, s.pod_id) for s in samples.samples()]
+        assert rows == [(10_000, "a"), (20_000, "a"), (20_000, "c"),
+                        (30_000, "c"), (40_000, "c"), (50_000, "c"),
+                        (60_000, "c"), (100_000, "d")]
+        assert len(samples) == len(rows)
+
+    def test_no_pods_no_samples(self):
+        _, samples = ledger_with([])
+        assert len(samples) == 0 and list(samples.samples()) == []
+        buf = io.StringIO()
+        samples.write_csv(buf)
+        assert buf.getvalue() == "time_ms,node,pod,metric,value\n"
+
+
+class TestUsageLedger:
+    def test_rejects_another_window(self):
+        with pytest.raises(ValueError, match="25000ms window"):
+            UsageLedger(10_000, 25_000).per_node_usage(WindowQuery(0, 20_000))
+
+    def test_rejects_going_back_in_time(self):
+        ledger = UsageLedger(10_000, 25_000)
+        ledger.per_node_usage(WindowQuery(5_000))
+        with pytest.raises(ValueError, match="queried for 4999ms"):
+            ledger.per_node_usage(WindowQuery(4_999))
+
+    def test_zero_values_never_count(self):
+        pod = Pod(sgx_job("empty", declared=10, actual=0), "s1", 0)
+        ledger, _ = ledger_with([(pod, 30_000)])
+        assert ledger.per_node_usage(WindowQuery(10_000)) == {
+            METRIC_STD_BYTES: {"s1": PAGE}}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["n1", "n2"]),
+                              st.integers(0, 60), st.integers(0, 50),
+                              st.booleans()), max_size=12),
+           st.integers(1, 9), st.integers(0, 30),
+           st.lists(st.integers(0, 400), max_size=30))
+    def test_matches_the_store_of_its_samples(self, pods, period, extra,
+                                              queries):
+        """Placed at increasing times, finished at any: at any increasing
+        `now`, the ledger answers like a scan of its own samples."""
+        window = period + 1 + extra
+        placed, ledger = 0, UsageLedger(period, window)
+        intervals = []
+        for i, (node, step, duration, enclave) in enumerate(pods):
+            placed += step
+            job = (sgx_job(f"p{i}", declared=3, actual=i % 3,
+                           requested_mem=i % 2) if enclave
+                   else std_job(f"p{i}", requested=i % 4))
+            pod = Pod(job, node, placed)
+            ledger.place(pod, placed + duration)
+            intervals.append((pod, placed + duration))
         store = SeriesStore()
-        probe_tick(cluster, store, 0)
-        assert len(store) == 0
+        for sample in PodSamples(ledger.pods, period).samples():
+            store.append(sample)
+        finishes = sorted(intervals, key=lambda p: p[1])
+        done = 0
+        for now in sorted(queries):
+            while done < len(finishes) and finishes[done][1] <= now:
+                ledger.finish(*finishes[done])
+                done += 1
+            q = WindowQuery(now, window)
+            assert ledger.per_node_usage(q) == store.per_node_usage(q)
+            assert ledger.fresh(now) == store.per_node_usage(q)
 
 
 def test_write_csv():

@@ -19,6 +19,7 @@ from epcsched.cli import main
 from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import (
     _T975,
+    OUTCOMES_FIELDS,
     BucketStat,
     figure_dataset,
     mean_waiting,
@@ -32,7 +33,9 @@ from epcsched.report import (
     write_outcomes_csv,
     write_pending_csv,
 )
-from epcsched.trace import JobKind, TraceParseError, write_jobs_csv
+from epcsched.trace import (CANONICAL_FIELDS, JOBS_FIELDS, JobKind,
+                            TraceParseError, parse_canonical_csv, read_jobs_csv,
+                            write_jobs_csv)
 
 
 def completed(job_id, submit, start, finish, kind=JobKind.STANDARD):
@@ -210,6 +213,44 @@ class TestCsvRoundTrips:
         text = f"time_ms,pending_epc_bytes\n0,0\n{row}\n"
         with pytest.raises(ValueError, match="line 3"):
             read_pending_csv(io.StringIO(text))
+
+
+_BAD_CSVS = {
+    "outcomes": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
+                 "a,standard,0\n"),
+    "outcomes value": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
+                       "a,standard,0,1,2,Done,n1,0,0\n"),
+    "pending": (read_pending_csv, "time_ms,pending_epc_bytes\n0,lots\n"),
+    "jobs": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\nj,standard,0\n"),
+    "jobs value": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
+                   "j,standard,0,1,2,3,x,0\n"),
+    "canonical": (parse_canonical_csv, ",".join(CANONICAL_FIELDS) + "\n"
+                  "j,0,1,nope,0.1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CSVS))
+def test_csv_errors_name_the_file_and_line(tmp_path, name):
+    reader, text = _BAD_CSVS[name]
+    path = tmp_path / "run-a" / "bad.csv"
+    path.parent.mkdir()
+    path.write_text(text)
+    with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 2: ")):
+        reader(path)
+    with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 2: ")):
+        reader(str(path))
+    with open(path, encoding="utf-8") as fh:  # an open file, by its name
+        with pytest.raises(TraceParseError,
+                           match=re.escape(f"{path}: line 2: ")):
+            reader(fh)
+    with pytest.raises(TraceParseError, match=r"^line 2: ") as err:
+        reader(io.StringIO(text))  # nothing to name
+    assert err.value.line == 2
+    header = "x\n" + text.split("\n", 1)[1]
+    path.write_text(header)
+    with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 1: "
+                                                        "expected header")):
+        reader(path)
 
 
 class TestFigureDatasets:

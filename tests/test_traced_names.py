@@ -11,12 +11,10 @@ from collections import Counter
 import pytest
 
 from conftest import sgx_job, sgx_node, std_job, std_node
-from epcsched import driver, engine, metrics, scheduler
+from epcsched import driver, engine, scheduler
 from epcsched.engine import SimConfig, run
 
-TRACED = [(metrics.SeriesStore, "per_node_usage"),
-          (scheduler, "snapshot_usage"),
-          (engine, "probe_tick"),
+TRACED = [(scheduler, "snapshot_usage"),
           (engine, "schedule_tick"),
           (driver.DriverState, "enclave_init"),
           (driver.DriverState, "enclave_release")]
