@@ -3,9 +3,10 @@ containers against a scarce protected-memory region.
 
 The pieces compose bottom-up: traces become job specs (`trace`), jobs land on
 modeled nodes (`cluster`) whose protected pages a driver facsimile hands out
-(`driver`), placement policies (`scheduler`) read each node's measured
-usage from a ledger of every pod's lingering window (`metrics`), and an
-integer-millisecond event loop replays the whole thing (`engine`).
+(`driver`), placement policies (`scheduler`) admit against each node's
+measured usage, which a ledger of every pod's lingering window keeps on the
+node (`metrics`), and an integer-millisecond event loop replays the whole
+thing (`engine`).
 `experiment` and `report` wrap runs into sweep directories and plot-ready
 datasets; `synthetic` ships a workload to replay.
 """
@@ -22,9 +23,8 @@ from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
                       UsageLedger, WindowQuery)
 from .report import (BucketStat, figure_dataset, mean_waiting, summary,
                      turnaround_sum, waiting_by_memory, waiting_cdf)
-from .scheduler import (Occupancy, PendingQueue, Placement, binpack_select,
-                        feasible, schedule_tick, snapshot_usage,
-                        spread_select)
+from .scheduler import (PendingQueue, Placement, binpack_select, feasible,
+                        schedule_tick, spread_select)
 from .synthetic import (bundled_trace_path, load_bundled_trace,
                         synthetic_trace)
 from .trace import (JobKind, JobSpec, RawJobRecord, ScalingConfig,
@@ -38,7 +38,7 @@ __all__ = [
     "DriverError", "DriverState", "EpcModel", "EventKind",
     "ExperimentConfig", "InitResult", "JobKind", "JobOutcome", "JobSpec",
     "JobStatus", "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES",
-    "MetricSample", "NodeSpec", "NodeState", "Occupancy",
+    "MetricSample", "NodeSpec", "NodeState",
     "OutOfOrderSampleError", "PendingQueue", "Placement", "Pod",
     "PodSamples", "RawJobRecord", "ScalingConfig", "SeriesStore",
     "SimConfig", "SimEvent", "SimResult", "TraceParseError", "UsageLedger",
@@ -46,7 +46,7 @@ __all__ = [
     "default_cluster", "feasible", "figure_dataset", "inject_malicious",
     "load_bundled_trace", "load_cluster", "load_config", "materialize",
     "mean_waiting", "parse_trace", "run", "run_experiment",
-    "schedule_tick", "slice_and_sample", "snapshot_usage", "spread_select",
+    "schedule_tick", "slice_and_sample", "spread_select",
     "startup_delay", "summary", "synthetic_trace", "turnaround_sum",
     "waiting_by_memory", "waiting_cdf",
 ]

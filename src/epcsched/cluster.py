@@ -86,11 +86,16 @@ class NodeSpec:
 
 @dataclass
 class NodeState:
-    """Mutable per-node reservations, a cache of the pods placed on it."""
+    """Mutable per-node counters.  The reservations are a cache of the pods
+    placed on the node; the measured usage is a cache of the pod intervals
+    of the run's `UsageLedger` that count in the window at the ledger's last
+    advance, which a replay makes at every scheduler tick."""
 
     spec: NodeSpec
     reserved_std: int = 0
     reserved_epc_pages: int = 0
+    measured_std: int = 0
+    measured_epc_pages: int = 0
 
     @property
     def node_id(self) -> str:

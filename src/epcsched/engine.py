@@ -20,8 +20,9 @@ Usage probes fire at every multiple of the probe period while any job is
 live, after that instant's finishes and before its scheduler tick, so a pod
 is sampled at the probe ticks strictly between its placement and its
 finish.  Its sampled values never change, so no probe event runs: the
-`UsageLedger` answers the scheduler's window query from each pod's sampled
-interval, and the result's `PodSamples` streams the samples from the same
+`UsageLedger` keeps each node's measured usage from each pod's sampled
+interval and advances it to the tick's window just before each scheduler
+tick, and the result's `PodSamples` streams the samples from the same
 intervals.
 """
 
@@ -35,7 +36,7 @@ from typing import NamedTuple
 from ._units import PAGE_SIZE
 from .cluster import ClusterState, NodeSpec, Pod
 from .driver import DriverState, InitResult, startup_delay
-from .metrics import PodSamples, UsageLedger, WindowQuery
+from .metrics import PodSamples, UsageLedger
 from .scheduler import POLICIES, PendingQueue, schedule_tick, spread_sums
 from .trace import JobKind, JobSpec
 
@@ -142,7 +143,8 @@ class _Engine:
         self.config = config
         self.cluster = ClusterState.from_specs(cluster_specs)
         self.driver = DriverState.for_cluster(self.cluster)
-        self.ledger = UsageLedger(config.probe_period_ms, config.window_ms)
+        self.ledger = UsageLedger(self.cluster, config.probe_period_ms,
+                                  config.window_ms)
         self.queue = PendingQueue()
         self.heap: list[SimEvent] = []
         self.seq = 0
@@ -187,8 +189,9 @@ class _Engine:
             self.last_progress_ms = max(self.last_progress_ms,
                                         arrivals[i - 1].submit_ms)
             self.arrived = i
-        placements = schedule_tick(self.queue, self.cluster, self.ledger, now,
-                                   self.config.policy, self.config.window_ms)
+        self.ledger.advance(now)
+        placements = schedule_tick(self.queue, self.cluster, now,
+                                   self.config.policy)
         for placement in placements:
             self._handle_placement(placement.job_id, placement.node_id, now)
         self.pending_epc.append((now, self.queue.epc_pages * PAGE_SIZE))
@@ -267,10 +270,10 @@ class _Engine:
         """Check the per-node counters against the pod records: node
         reservations, driver pages in use and, under enforcement, each
         enclave's pages against its limit; the queue's page counter against
-        its jobs, none of which may have a pod; the usage ledger against a
-        fresh window over the pod intervals; and under `spread`, each kept
-        load and its sums against a fresh lift of the reservation it was
-        computed from."""
+        its jobs, none of which may have a pod; each node's measured usage,
+        advanced to now, against a fresh window over the pod intervals; and
+        under `spread`, each kept load and its sums against a fresh lift of
+        the reservation it was computed from."""
         queue = self.queue
         backlog = sum(job.declared_epc_pages for job in queue
                       if job.kind.uses_epc)
@@ -305,11 +308,12 @@ class _Engine:
             if (node.reserved_std > node.spec.std_capacity
                     or node.reserved_epc_pages > usable):
                 raise AssertionError(f"t={now} {node_id}: over-commit")
-        ledger = self.ledger
-        kept = ledger.per_node_usage(WindowQuery(now, ledger.window))
-        fresh = ledger.fresh(now)
+        self.ledger.advance(now)
+        kept = {node_id: (node.measured_std, node.measured_epc_pages)
+                for node_id, node in self.cluster.nodes.items()}
+        fresh = self.ledger.fresh(now)
         if kept != fresh:
-            raise AssertionError(f"t={now}: usage ledger {kept} != a fresh "
+            raise AssertionError(f"t={now}: measured usage {kept} != a fresh "
                                  f"window over the pod intervals {fresh}")
         if self.config.policy == "spread":
             for name, sums in spread_sums(self.cluster).items():

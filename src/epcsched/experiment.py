@@ -24,8 +24,9 @@ from .engine import ConfigError, SimConfig, SimResult, run
 from .report import (JOBS_FILE, META_FILE, OUTCOMES_FILE, PENDING_FILE,
                      SAMPLES_FILE, STAGING_SUFFIX, SUMMARY_FILE, summary,
                      write_outcomes_csv, write_pending_csv)
-from .trace import (RawJobRecord, ScalingConfig, inject_malicious, materialize,
-                    parse_trace, slice_and_sample, write_jobs_csv)
+from .trace import (RawJobRecord, ScalingConfig, inject_malicious,
+                    malicious_id, materialize, parse_trace, slice_and_sample,
+                    write_jobs_csv)
 
 
 @dataclass(frozen=True)
@@ -343,8 +344,8 @@ def run_point(cfg: ExperimentConfig, records: list[RawJobRecord],
     if cfg.malicious is not None:
         sgx_specs = sorted((s for s in specs if s.is_sgx),
                            key=lambda s: s.node_id)
-        n = cfg.malicious.n if cfg.malicious.n is not None else len(sgx_specs)
-        jobs = inject_malicious(jobs, n, cfg.malicious.declared_pages,
+        jobs = inject_malicious(jobs, _malicious_n(cfg, specs),
+                                cfg.malicious.declared_pages,
                                 cfg.malicious.use_fraction,
                                 sgx_specs[0].epc.usable_pages)
     result = run(jobs, specs, cfg.sim_config())
@@ -407,6 +408,29 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     return points
 
 
+def _malicious_n(cfg: ExperimentConfig, specs: list[NodeSpec]) -> int:
+    """How many malicious jobs a point on this cluster injects: the
+    configured count, or one per enclave-capable node for `auto`."""
+    if cfg.malicious.n is not None:
+        return cfg.malicious.n
+    return sum(spec.is_sgx for spec in specs)
+
+
+def _check_malicious_ids(cfg: ExperimentConfig, records: list[RawJobRecord],
+                         clusters: dict[int | None, list[NodeSpec]]) -> None:
+    """ConfigError if a trace job has the id of a malicious job that some
+    point injects."""
+    if cfg.malicious is None:
+        return
+    ids = {rec.job_id for rec in records}
+    n = max(_malicious_n(cfg, specs) for specs in clusters.values())
+    for k in range(n):
+        if malicious_id(k) in ids:
+            raise ConfigError(
+                f"trace {cfg.trace_file}: job {malicious_id(k)!r} has the id "
+                f"of an injected malicious job (malicious_n = {n})")
+
+
 def _sweep_clusters(cfg: ExperimentConfig) -> dict[int | None, list[NodeSpec]]:
     """The cluster of every swept usable size, from one read of the cluster
     file; ConfigError if a point cannot run."""
@@ -424,6 +448,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     records = slice_and_sample(
         parse_trace(cfg.trace_file, cfg.trace_format), cfg.scaling)
     clusters = _sweep_clusters(cfg)  # a bad point fails before anything runs
+    _check_malicious_ids(cfg, records, clusters)
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     echo = {

@@ -1,5 +1,6 @@
-"""Measured usage: the sliding-window query the scheduler reads, and the
-samples a run's probes take.
+"""Measured usage: the sliding-window query that defines it, the ledger
+that keeps it on the nodes during a replay, and the samples a run's probes
+take.
 
 The query semantics mirror the monitoring stack the scheduler was built
 against: per (pod, node) group and metric, take the maximum nonzero sample
@@ -11,8 +12,9 @@ zero usage.
 `SeriesStore` answers it by scanning appended samples.  A replay needs no
 samples to answer it: a pod's probed values never change, so the window
 counts a pod over one interval of time, and `UsageLedger` keeps each node's
-sum over those intervals.  `PodSamples` streams the samples the probes would
-have written from the same intervals.
+sum over those intervals in the node's `measured_std` and
+`measured_epc_pages`, which admission reads.  `PodSamples` streams the
+samples the probes would have written from the same intervals.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .cluster import Pod
+from .cluster import ClusterState, NodeState, Pod
 from .trace import _open_write
 
 METRIC_EPC_PAGES = "epc_pages"
@@ -79,15 +81,6 @@ class _Stream:
         self.values: list[int] = []
 
 
-def _add(per_node: dict[str, int], node_id: str, delta: int) -> None:
-    """Add to a node's entry, keeping only nonzero entries."""
-    value = per_node.get(node_id, 0) + delta
-    if value:
-        per_node[node_id] = value
-    else:
-        del per_node[node_id]
-
-
 class SeriesStore:
     """Append-only sample store, queryable per window.
 
@@ -135,7 +128,8 @@ class SeriesStore:
             best = max(stream.values[bisect_left(times, lo):
                                      bisect_right(times, now)], default=0)
             if best:
-                _add(out.setdefault(metric, {}), node_id, best)
+                per_node = out.setdefault(metric, {})
+                per_node[node_id] = per_node.get(node_id, 0) + best
         return out
 
     def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
@@ -171,8 +165,8 @@ class PodInterval(NamedTuple):
 
 
 class UsageLedger:
-    """Every node's measured usage in one run, kept from its pods' intervals
-    instead of from samples.
+    """Every node's measured usage in one run, kept on the nodes from its
+    pods' intervals instead of from samples.
 
     Probes fire at every multiple of `probe_period_ms` while any job is live,
     after that instant's finishes and before its scheduler tick, and a pod's
@@ -184,14 +178,18 @@ class UsageLedger:
     exactly when first <= now <= last + window: a finished pod lingers on
     its node for a window after its last sample.
 
-    The ledger adds a pod's values to its node at `first` and takes them off
-    once `now` passes last + window.  Placements and finishes happen in time
-    order, so activations (in `pods`, behind a cursor) and expiries (queued
-    at each finish) are both already sorted by the time they fall due, and a
-    query costs O(1) amortized per pod.  Queries must not go back in time.
+    `advance(now)` adds a pod's values to its node at `first` and takes them
+    off once `now` passes last + window, so that every node's `measured_std`
+    and `measured_epc_pages` then hold the window query's answer at `now`.
+    Placements and finishes happen in time order, so activations (in `pods`,
+    behind a cursor) and expiries (queued at each finish) are both already
+    sorted by the time they fall due, and advancing costs O(1) amortized per
+    pod.  The ledger must not go back in time.
     """
 
-    def __init__(self, probe_period_ms: int, window_ms: int):
+    def __init__(self, cluster: ClusterState, probe_period_ms: int,
+                 window_ms: int):
+        self.nodes = cluster.nodes
         self.period = probe_period_ms
         self.window = window_ms
         self.pods: list[PodInterval] = []  # sampled pods in placement order
@@ -199,8 +197,6 @@ class UsageLedger:
         self._settled = 0                  # pods[:_settled] no longer count
         self._expiries: deque[PodInterval] = deque()
         self._now = 0
-        self._std: dict[str, int] = {}
-        self._epc: dict[str, int] = {}
 
     def _interval(self, pod: Pod, finished_ms: int) -> PodInterval | None:
         period, job = self.period, pod.job
@@ -227,63 +223,48 @@ class UsageLedger:
         if interval is not None:
             self._expiries.append(interval)
 
-    def per_node_usage(self, q: WindowQuery) -> dict[str, dict[str, int]]:
-        """The window query of `SeriesStore.per_node_usage` at q.now_ms, for
-        the ledger's own window."""
-        if q.window_ms != self.window:
-            raise ValueError(f"ledger keeps a {self.window}ms window, "
-                             f"queried for {q.window_ms}ms")
-        now = q.now_ms
-        if now < self._now:
-            raise ValueError(f"ledger at {self._now}ms queried for {now}ms")
-        self._now = now
-        pods, i = self.pods, self._active
-        std, epc = self._std, self._epc
-        while i < len(pods) and pods[i].first <= now:
-            _count(std, epc, pods[i], 1)
+    def advance(self, now_ms: int) -> None:
+        """Bring every node's measured usage to the window ending at now_ms:
+        the answer `SeriesStore.per_node_usage` gives for the ledger's own
+        window, zero where it has no entry."""
+        if now_ms < self._now:
+            raise ValueError(f"ledger at {self._now}ms advanced to {now_ms}ms")
+        self._now = now_ms
+        nodes, pods, i = self.nodes, self.pods, self._active
+        while i < len(pods) and pods[i].first <= now_ms:
+            _count(nodes[pods[i].node_id], pods[i], 1)
             i += 1
         self._active = i
         expiries, window = self._expiries, self.window
-        while expiries and expiries[0].last + window < now:
-            _count(std, epc, expiries.popleft(), -1)
-        return _usage(std, epc)
+        while expiries and expiries[0].last + window < now_ms:
+            pod = expiries.popleft()
+            _count(nodes[pod.node_id], pod, -1)
 
-    def fresh(self, now_ms: int) -> dict[str, dict[str, int]]:
-        """The same answer from a scan of the intervals, skipping the
-        leading ones that have already stopped counting: time only moves
-        forward, so they never count again."""
+    def fresh(self, now_ms: int) -> dict[str, tuple[int, int]]:
+        """Each node's (standard bytes, pages) in the window at now_ms, from
+        a scan of the intervals that skips the leading ones that have
+        already stopped counting: time only moves forward, so they never
+        count again."""
         pods, window = self.pods, self.window
         i = self._settled
         while i < len(pods) and pods[i].last + window < now_ms:
             i += 1
         self._settled = i
-        std: dict[str, int] = {}
-        epc: dict[str, int] = {}
+        out = dict.fromkeys(self.nodes, (0, 0))
         for k in range(i, len(pods)):
             pod = pods[k]
             if pod.first <= now_ms <= pod.last + window:
-                _count(std, epc, pod, 1)
-        return _usage(std, epc)
+                std, epc = out[pod.node_id]
+                out[pod.node_id] = (std + pod.std, epc + (pod.epc or 0))
+        return out
 
 
-def _count(std: dict[str, int], epc: dict[str, int], pod: PodInterval,
-           sign: int) -> None:
-    """Add a pod's nonzero values to, or with sign -1 take them off, the
-    per-node sums."""
-    if pod.std:
-        _add(std, pod.node_id, sign * pod.std)
+def _count(node: NodeState, pod: PodInterval, sign: int) -> None:
+    """Add a pod's values to, or with sign -1 take them off, its node's
+    measured usage."""
+    node.measured_std += sign * pod.std
     if pod.epc:
-        _add(epc, pod.node_id, sign * pod.epc)
-
-
-def _usage(std: dict[str, int], epc: dict[str, int]) -> dict[str, dict[str, int]]:
-    """Per-node sums as a window query's answer, copied."""
-    out = {}
-    if std:
-        out[METRIC_STD_BYTES] = dict(std)
-    if epc:
-        out[METRIC_EPC_PAGES] = dict(epc)
-    return out
+        node.measured_epc_pages += sign * pod.epc
 
 
 class PodSamples:

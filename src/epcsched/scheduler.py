@@ -3,7 +3,10 @@
 Admission never trusts declarations alone: a node's occupancy is the maximum
 of what the probes measured and what reservations say, so a node looks full
 both while measurements lag behind fresh placements and while real usage
-exceeds what jobs reserved.  Protected memory is never over-committed.
+exceeds what jobs reserved.  Protected memory is never over-committed.  Both
+halves are counters on the node: `NodeState.measured_*`, which the caller
+brings up to the tick's window before the tick (a replay advances its
+`UsageLedger`), and `NodeState.reserved_*`.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .cluster import ClusterState, NodeState
-from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, SeriesStore,
-                      UsageLedger, WindowQuery)
 from .trace import JobSpec
 
 
@@ -68,23 +69,7 @@ class PendingQueue:
         return iter(self._jobs)
 
 
-class Occupancy:
-    """One tick's measured usage, from one window query: per node, the
-    standard bytes (`seen_std`) and protected pages (`seen_epc`) its pods
-    were seen using in the window.  Admission reads it together with the
-    node's live reservations, so a reservation made earlier in the walk is
-    seen by the jobs after it with nothing here to update."""
-
-    __slots__ = ("cluster", "seen_std", "seen_epc")
-
-    def __init__(self, cluster: ClusterState,
-                 measured: Mapping[str, Mapping[str, int]]):
-        self.cluster = cluster
-        self.seen_std = measured.get(METRIC_STD_BYTES, {})
-        self.seen_epc = measured.get(METRIC_EPC_PAGES, {})
-
-
-def feasible(job: JobSpec, node_id: str, view: Occupancy) -> bool:
+def feasible(job: JobSpec, node: NodeState) -> bool:
     """Whether the node can take the job right now: its request fits under
     the headroom capacity - max(measured, reserved) of each resource.
 
@@ -93,28 +78,26 @@ def feasible(job: JobSpec, node_id: str, view: Occupancy) -> bool:
     every job additionally needs standard-memory headroom for its advertised
     request (an enclave job's untrusted part lives there too).
     """
-    node = view.cluster.nodes[node_id]
     if job.kind.uses_epc:
         epc = node.spec.epc
         free = -1 if epc is None else epc.usable_pages - max(
-            view.seen_epc.get(node_id, 0), node.reserved_epc_pages)
+            node.measured_epc_pages, node.reserved_epc_pages)
         if free < job.declared_epc_pages:
             return False
-    return node.spec.std_capacity - max(view.seen_std.get(node_id, 0),
+    return node.spec.std_capacity - max(node.measured_std,
                                         node.reserved_std) >= job.requested_mem
 
 
-def binpack_select(job: JobSpec, view: Occupancy) -> str | None:
+def binpack_select(job: JobSpec, cluster: ClusterState) -> str | None:
     """First feasible node in a fixed order, so load piles up on the lowest
     node ids.  Standard jobs try enclave-capable nodes last, keeping the
     scarce protected-memory hosts free for jobs that need them."""
-    cluster = view.cluster
     if job.kind.uses_epc:
         candidates = cluster.sgx_nodes
     else:
         candidates = chain(cluster.plain_nodes, cluster.sgx_nodes)
     for node in candidates:
-        if feasible(job, node.node_id, view):
+        if feasible(job, node):
             return node.node_id
     return None
 
@@ -219,8 +202,7 @@ def spread_sums(cluster: ClusterState) -> dict[str, _LoadSums]:
     return sums
 
 
-def _pick_balanced(job: JobSpec, sums: _LoadSums,
-                   view: Occupancy) -> str | None:
+def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
     """Among the feasible nodes of the job's list (in node id order), the
     one whose hypothetical placement leaves the list's loads with the
     smallest population stddev; ties go to the lowest node id.
@@ -237,7 +219,7 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums,
         return None
     sums.refresh()
     mem, pages = job.requested_mem, job.declared_epc_pages
-    seen_std, seen_epc, by_pages = view.seen_std, view.seen_epc, sums.pages
+    by_pages = sums.pages
     extra = pages if by_pages else mem
     unit, total, squares = sums.unit, sums.total, sums.squares
     count = len(nodes)
@@ -247,11 +229,11 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums,
     for node_id, node, cap, r, old in zip(sums.ids, nodes, sums.caps,
                                           sums.reserved, sums.lifted):
         # headroom = capacity - max(measured, reserved), as in `feasible`
-        seen, held = seen_std.get(node_id, 0), node.reserved_std
+        seen, held = node.measured_std, node.reserved_std
         if (seen if seen > held else held) + mem > node.spec.std_capacity:
             continue
         if by_pages:
-            seen = seen_epc.get(node_id, 0)
+            seen = node.measured_epc_pages
             if (seen if seen > r else r) + pages > cap:
                 continue
         new = _lift((r + extra) / cap, unit)
@@ -265,53 +247,45 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums,
     return best
 
 
-def spread_select(job: JobSpec, view: Occupancy) -> str | None:
+def spread_select(job: JobSpec, cluster: ClusterState) -> str | None:
     """Evens out the reserved fraction of the resource the job cares about.
 
     Enclave jobs balance page reservations across enclave-capable nodes.
     Standard jobs balance standard memory across the plain nodes and fall
     back to enclave-capable ones only when no plain node is feasible."""
-    sums = spread_sums(view.cluster)
+    sums = spread_sums(cluster)
     if job.kind.uses_epc:
-        return _pick_balanced(job, sums["enclave nodes by pages"], view)
-    chosen = _pick_balanced(job, sums["plain nodes by std memory"], view)
+        return _pick_balanced(job, sums["enclave nodes by pages"])
+    chosen = _pick_balanced(job, sums["plain nodes by std memory"])
     if chosen is not None:
         return chosen
-    return _pick_balanced(job, sums["enclave nodes by std memory"], view)
+    return _pick_balanced(job, sums["enclave nodes by std memory"])
 
 
-# The policy contract, which every entry must keep: select(job, view)
-# returns None only if no node of the job's candidate set is `feasible`, and
-# that set depends only on the job's kind (the enclave-capable nodes for
-# enclave jobs, all nodes for standard jobs).  `schedule_tick` relies on it
-# to skip jobs that a failure earlier in the same tick already rules out.
+# The policy contract, which every entry must keep: select(job, cluster)
+# reads each node's measured usage and reservations off its `NodeState`,
+# changes neither, and returns None only if no node of the job's candidate
+# set is `feasible`; that set depends only on the job's kind (the
+# enclave-capable nodes for enclave jobs, all nodes for standard jobs).
+# `schedule_tick` relies on it to skip jobs that a failure earlier in the
+# same tick already rules out.
 POLICIES: dict[str, Callable[..., str | None]] = {
     "binpack": binpack_select,
     "spread": spread_select,
 }
 
 
-def snapshot_usage(cluster: ClusterState, store: SeriesStore | UsageLedger,
-                   now_ms: int, window_ms: int = 25_000) -> Occupancy:
-    """The tick's occupancy view, from one window query for every metric:
-    to a run's usage ledger, or to a store of samples."""
-    return Occupancy(cluster,
-                     store.per_node_usage(WindowQuery(now_ms, window_ms)))
-
-
-def schedule_tick(queue: PendingQueue, cluster: ClusterState,
-                  store: SeriesStore | UsageLedger, now_ms: int,
-                  policy: str = "binpack",
-                  window_ms: int = 25_000) -> list[Placement]:
+def schedule_tick(queue: PendingQueue, cluster: ClusterState, now_ms: int,
+                  policy: str = "binpack") -> list[Placement]:
     """Walk the queue in order once, placing every job that fits somewhere.
 
-    Measured usage is snapshotted once per tick (not at all for an empty
-    queue); reservations made for jobs placed earlier in the same walk are
+    Admission reads the nodes' measured usage as the caller left it for this
+    tick; reservations made for jobs placed earlier in the same walk are
     visible to later ones, so one tick cannot over-commit a node.  Jobs with
     no feasible node simply stay queued without blocking the jobs behind
     them.  Placed jobs leave the queue together after the walk.
 
-    Within a walk the snapshot is fixed and reservations only grow, and
+    Within a walk measured usage is fixed and reservations only grow, and
     `feasible` is monotone in a job's requested memory and declared pages.
     By the policy contract a job therefore cannot be placed if an earlier
     job of its class (standard or enclave) that asked for no more of either
@@ -323,9 +297,6 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
         select = POLICIES[policy]
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
-    if not queue:
-        return []
-    view = snapshot_usage(cluster, store, now_ms, window_ms)
     placements: list[Placement] = []
     placed: list[JobSpec] = []
     std_failed: int | None = None
@@ -343,7 +314,7 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
                 continue
         elif std_failed is not None and std_failed <= mem:
             continue
-        node_id = select(job, view)
+        node_id = select(job, cluster)
         if node_id is None:
             if enclave:
                 enclave_failed = [(m, p) for m, p in enclave_failed

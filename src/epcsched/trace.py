@@ -197,12 +197,8 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
             log.warning("dropping job %s (line %d): negative duration %s",
                         job_id, lineno, duration_s)
             return None
-        if job_id in seen:
-            raise ValueError(f"duplicate job_id {job_id!r} (first seen on "
-                             f"line {seen[job_id]})")
-        rec = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
-        seen[job_id] = lineno
-        return rec
+        _first_sighting(seen, job_id, lineno)
+        return RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
 
     records = [rec for rec in _csv_rows(source, CANONICAL_FIELDS, decode)
                if rec is not None]
@@ -369,6 +365,11 @@ def materialize(records: Sequence[RawJobRecord],
     return jobs
 
 
+def malicious_id(k: int) -> str:
+    """The job id of the k-th injected malicious job."""
+    return f"malicious-{k}"
+
+
 def inject_malicious(jobs: Sequence[JobSpec], n: int, declared_pages: int,
                      use_fraction: float, usable_pages: int) -> list[JobSpec]:
     """Append n adversarial enclave jobs that declare a tiny page limit but
@@ -389,7 +390,7 @@ def inject_malicious(jobs: Sequence[JobSpec], n: int, declared_pages: int,
     out = list(jobs)
     for k in range(n):
         out.append(JobSpec(
-            job_id=f"malicious-{k}",
+            job_id=malicious_id(k),
             kind=JobKind.MALICIOUS_SGX,
             submit_ms=0,
             duration_ms=span,
@@ -455,12 +456,24 @@ def _csv_rows(source, fields: tuple[str, ...],
             yield value
 
 
-def _job_of_row(line: int, row: list[str]) -> JobSpec:
-    return JobSpec(job_id=row[0], kind=JobKind(row[1]),
-                   submit_ms=int(row[2]), duration_ms=int(row[3]),
-                   requested_mem=int(row[4]), actual_mem=int(row[5]),
-                   declared_epc_pages=int(row[6]), actual_epc_pages=int(row[7]))
+def _first_sighting(seen: dict[str, int], job_id: str, line: int) -> None:
+    """Note the line a job id is on; a ValueError naming both lines if the
+    id was seen before."""
+    if job_id in seen:
+        raise ValueError(f"duplicate job_id {job_id!r} (first seen on line "
+                         f"{seen[job_id]})")
+    seen[job_id] = line
 
 
 def read_jobs_csv(source) -> list[JobSpec]:
-    return list(_csv_rows(source, JOBS_FIELDS, _job_of_row))
+    seen: dict[str, int] = {}
+
+    def decode(line: int, row: list[str]) -> JobSpec:
+        _first_sighting(seen, row[0], line)
+        return JobSpec(job_id=row[0], kind=JobKind(row[1]),
+                       submit_ms=int(row[2]), duration_ms=int(row[3]),
+                       requested_mem=int(row[4]), actual_mem=int(row[5]),
+                       declared_epc_pages=int(row[6]),
+                       actual_epc_pages=int(row[7]))
+
+    return list(_csv_rows(source, JOBS_FIELDS, decode))

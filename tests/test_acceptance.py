@@ -22,10 +22,9 @@ from epcsched._units import MIB
 from epcsched.cluster import ClusterState, EpcModel, NodeSpec, NodeState, default_cluster
 from epcsched.driver import DriverError, DriverState, InitResult, startup_delay
 from epcsched.engine import JobStatus, SimConfig, run
-from epcsched.metrics import (METRIC_EPC_PAGES, MetricSample, SeriesStore,
-                              WindowQuery)
+from epcsched.metrics import MetricSample, SeriesStore, WindowQuery
 from epcsched.report import mean_waiting, turnaround_sum
-from epcsched.scheduler import Occupancy, binpack_select, spread_select
+from epcsched.scheduler import binpack_select, spread_select
 from epcsched.synthetic import load_bundled_trace
 from epcsched.trace import (JobKind, JobSpec, ScalingConfig, inject_malicious,
                             materialize, parse_trace, slice_and_sample)
@@ -257,6 +256,15 @@ def _fits(job: JobSpec, node: NodeState, measured_pages: int) -> bool:
     return occupied + job.declared_epc_pages <= node.spec.epc.usable_pages
 
 
+def _measuring(nodes: dict[str, NodeState],
+               pages: dict[str, int]) -> ClusterState:
+    """The nodes as one cluster, each measuring the given pages (none if it
+    has no entry)."""
+    for node_id, node in nodes.items():
+        node.measured_epc_pages = pages.get(node_id, 0)
+    return ClusterState(nodes)
+
+
 class TestInvariantSuite:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2 ** 24)),
@@ -323,8 +331,7 @@ class TestInvariantSuite:
                  for nid in nodes if data.draw(st.booleans())}
         job = JobSpec("j", JobKind.SGX, 0, 0, PAGE, 0,
                       data.draw(st.integers(1, 60)), 0)
-        view = Occupancy(ClusterState(nodes), {METRIC_EPC_PAGES: usage})
-        pick = binpack_select(job, view)
+        pick = binpack_select(job, _measuring(nodes, usage))
         order = sorted(nodes)
         fits = [nid for nid in order
                 if _fits(job, nodes[nid], usage.get(nid, 0))]
@@ -342,8 +349,7 @@ class TestInvariantSuite:
                  for nid in nodes if data.draw(st.booleans())}
         declared = data.draw(st.integers(1, 50))
         job = JobSpec("j", JobKind.SGX, 0, 0, PAGE, 0, declared, 0)
-        view = Occupancy(ClusterState(nodes), {METRIC_EPC_PAGES: usage})
-        pick = spread_select(job, view)
+        pick = spread_select(job, _measuring(nodes, usage))
         best, best_score = None, None
         for nid in sorted(nodes):
             if not _fits(job, nodes[nid], usage.get(nid, 0)):

@@ -317,10 +317,8 @@ class TestInvariantChecker:
         monkeypatch.setattr(UsageLedger, "finish", lambda self, pod, now: None)
         jobs = self.JOBS + [sgx_job("b", submit_ms=40_000, declared=100)]
         with pytest.raises(AssertionError, match=re.escape(
-                "t=50000: usage ledger {'std_bytes': {'s1': 8192}, "
-                "'epc_pages': {'s1': 14462}} != a fresh window over the pod "
-                "intervals {'std_bytes': {'s1': 4096}, 'epc_pages': "
-                "{'s1': 100}}")):
+                "t=50000: measured usage {'s1': (8192, 14462)} != a fresh "
+                "window over the pod intervals {'s1': (4096, 100)}")):
             run(jobs, [sgx_node("s1")], SimConfig(check_invariants=True))
 
     def test_stale_spread_sums_are_caught(self, monkeypatch):

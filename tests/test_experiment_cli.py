@@ -534,6 +534,32 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "artifacts").exists()
 
+    # The default cluster has two enclave-capable nodes, so `auto` injects
+    # malicious-0 and malicious-1.
+    @pytest.mark.parametrize("n, clash", [("auto", "malicious-1"),
+                                          ("1", "malicious-0")])
+    def test_trace_job_with_an_injected_id_exits_2_before_any_output(
+            self, tmp_path, trace_path, capsys, n, clash):
+        trace_path.write_text(TRACE + f"{clash},8,10,0.1,0.1\n")
+        cfg_path = flat_config(tmp_path, trace_path, f"malicious_n = {n}\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"trace {trace_path}: job '{clash}'" in err
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_trace_job_beyond_the_injected_ids_runs(self, tmp_path,
+                                                    trace_path):
+        trace_path.write_text(TRACE + "malicious-5,8,10,0.1,0.1\n")
+        cfg_path = flat_config(tmp_path, trace_path, "malicious_n = 2\n")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (point,) = [p for p in (tmp_path / "artifacts").iterdir()
+                    if p.is_dir()]
+        kinds = {j.job_id: j.kind for j in read_jobs_csv(point / "jobs.csv")}
+        assert kinds["malicious-0"] is kinds["malicious-1"] is (
+            JobKind.MALICIOUS_SGX)
+        assert kinds["malicious-5"] is not JobKind.MALICIOUS_SGX
+        assert len(kinds) == 7
+
     def test_missing_trace_exits_3(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"trace = {tmp_path / 'missing.csv'}\n")
@@ -598,6 +624,19 @@ class TestCli:
                    "--figure", "7"])
         assert rc == 3
         assert (f"{outcomes}: line 6: expected 9 fields, got 3"
+                in capsys.readouterr().err)
+
+    def test_report_duplicate_job_exits_3(self, tmp_path, trace_path, capsys):
+        cfg_path = flat_config(tmp_path, trace_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (point,) = [p for p in (tmp_path / "artifacts").iterdir() if p.is_dir()]
+        jobs = point / "jobs.csv"
+        lines = jobs.read_text().splitlines(keepends=True)
+        jobs.write_text("".join(lines + lines[1:2]))
+        rc = main(["report", "--dir", str(tmp_path / "artifacts"),
+                   "--figure", "8"])
+        assert rc == 3
+        assert (f"{jobs}: line 6: duplicate job_id 'j1' (first seen on line 2)"
                 in capsys.readouterr().err)
 
     def test_scale_bad_trace_exits_3(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GIB, PAGE, sgx_job, sgx_node, std_job, std_node
-from epcsched import scheduler
+from epcsched import engine, scheduler
 from epcsched._units import MIB
 from epcsched.cluster import EpcModel, NodeSpec
 from epcsched.engine import JobStatus, SimConfig, run
@@ -19,18 +19,23 @@ USABLE = 23_936
 
 
 def recorded_run(monkeypatch, jobs, nodes, config):
-    """Run, keeping (now, measured usage) of every view admission reads."""
+    """Run, keeping (now, measured usage) of every tick: each node's
+    `measured_*` fields as `schedule_tick` is entered, as the nonzero
+    per-metric maps of a window query."""
     views = []
-    snapshot = scheduler.snapshot_usage
+    tick = engine.schedule_tick
 
-    def recording(cluster, store, now_ms, window_ms=25_000):
-        view = snapshot(cluster, store, now_ms, window_ms)
-        measured = {METRIC_STD_BYTES: dict(view.seen_std),
-                    METRIC_EPC_PAGES: dict(view.seen_epc)}
+    def recording(queue, cluster, now_ms, *args):
+        measured = {METRIC_STD_BYTES: {}, METRIC_EPC_PAGES: {}}
+        for node_id, node in cluster.nodes.items():
+            for metric, value in ((METRIC_STD_BYTES, node.measured_std),
+                                  (METRIC_EPC_PAGES, node.measured_epc_pages)):
+                if value:
+                    measured[metric][node_id] = value
         views.append((now_ms, {k: v for k, v in measured.items() if v}))
-        return view
+        return tick(queue, cluster, now_ms, *args)
 
-    monkeypatch.setattr(scheduler, "snapshot_usage", recording)
+    monkeypatch.setattr(engine, "schedule_tick", recording)
     result = run(jobs, nodes, config)
     monkeypatch.undo()
     return result, views
@@ -217,8 +222,8 @@ def test_empty_run_has_no_samples():
 
 
 def test_tick_reads_the_ledger(monkeypatch):
-    """The engine hands its ledger to the tick: a replay never builds a
-    sample store."""
+    """The tick reads the measured usage the engine's ledger keeps on the
+    nodes: a replay never builds a sample store."""
     def refuse(self, q):
         raise AssertionError("a replay scanned a sample store")
 

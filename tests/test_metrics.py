@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GIB, PAGE, sgx_job, std_job
-from epcsched.cluster import Pod
+from conftest import GIB, PAGE, sgx_job, std_job, std_node
+from epcsched.cluster import ClusterState, Pod
 from epcsched.metrics import (
     METRIC_EPC_PAGES,
     METRIC_STD_BYTES,
@@ -257,9 +257,33 @@ def test_query_cost_tracks_window_not_history():
     assert elapsed < 1.0
 
 
-def test_ledger_query_cost_tracks_live_pods_not_history():
-    # 40k finished pods, long expired before the query; four live.
-    ledger = UsageLedger(10, 25_000)
+def ledger_on(node_ids, period=10_000, window=25_000):
+    """A ledger over a cluster of plain nodes with the given ids."""
+    cluster = ClusterState.from_specs(std_node(nid) for nid in node_ids)
+    return UsageLedger(cluster, period, window)
+
+
+def measured(ledger):
+    """Every node's measured (standard bytes, pages), as the ledger left
+    them."""
+    return {nid: (node.measured_std, node.measured_epc_pages)
+            for nid, node in ledger.nodes.items()}
+
+
+def window_of(store, now_ms, window_ms, node_ids):
+    """A window query to a sample store as every node's (standard bytes,
+    pages), zero where it has no entry."""
+    usage = store.per_node_usage(WindowQuery(now_ms, window_ms))
+    std = usage.get(METRIC_STD_BYTES, {})
+    epc = usage.get(METRIC_EPC_PAGES, {})
+    assert set(usage) <= {METRIC_STD_BYTES, METRIC_EPC_PAGES}
+    assert set(std) | set(epc) <= set(node_ids)
+    return {nid: (std.get(nid, 0), epc.get(nid, 0)) for nid in node_ids}
+
+
+def test_ledger_advance_cost_tracks_live_pods_not_history():
+    # 40k finished pods, long expired before the first advance; four live.
+    ledger = ledger_on(["n0", "n1", "n2", "n3"], period=10)
     for i in range(40_000):
         pod = Pod(std_job(f"old{i}", requested=1), f"n{i % 4}", i * 10)
         ledger.place(pod, i * 10 + 25)
@@ -268,17 +292,18 @@ def test_ledger_query_cost_tracks_live_pods_not_history():
         pod = Pod(std_job(f"live{i}", requested=2), "n0", 999_000)
         ledger.place(pod, 2_000_000)
     t0 = time.perf_counter()
-    ledger.per_node_usage(WindowQuery(1_000_000, 25_000))
+    ledger.advance(1_000_000)
     for now in range(1_000_001, 1_000_201):
-        assert ledger.per_node_usage(WindowQuery(now, 25_000)) == {
-            METRIC_STD_BYTES: {"n0": 8}}
+        ledger.advance(now)
+        assert measured(ledger) == {"n0": (8, 0), "n1": (0, 0), "n2": (0, 0),
+                                    "n3": (0, 0)}
     assert time.perf_counter() - t0 < 0.5
 
 
 def ledger_with(pods, period=10_000, window=25_000):
     """A ledger and its samples for (pod, finish_ms) pairs in placement
-    order, every finish already past."""
-    ledger = UsageLedger(period, window)
+    order, every finish already past, on nodes "n1" and "s1"."""
+    ledger = ledger_on(["n1", "s1"], period, window)
     for pod, finish_ms in pods:
         ledger.place(pod, finish_ms)
     for pod, finish_ms in sorted(pods, key=lambda p: p[1]):
@@ -329,21 +354,18 @@ class TestPodSamples:
 
 
 class TestUsageLedger:
-    def test_rejects_another_window(self):
-        with pytest.raises(ValueError, match="25000ms window"):
-            UsageLedger(10_000, 25_000).per_node_usage(WindowQuery(0, 20_000))
-
     def test_rejects_going_back_in_time(self):
-        ledger = UsageLedger(10_000, 25_000)
-        ledger.per_node_usage(WindowQuery(5_000))
-        with pytest.raises(ValueError, match="queried for 4999ms"):
-            ledger.per_node_usage(WindowQuery(4_999))
+        ledger = ledger_on(["n1"])
+        ledger.advance(5_000)
+        ledger.advance(5_000)
+        with pytest.raises(ValueError, match="advanced to 4999ms"):
+            ledger.advance(4_999)
 
     def test_zero_values_never_count(self):
         pod = Pod(sgx_job("empty", declared=10, actual=0), "s1", 0)
         ledger, _ = ledger_with([(pod, 30_000)])
-        assert ledger.per_node_usage(WindowQuery(10_000)) == {
-            METRIC_STD_BYTES: {"s1": PAGE}}
+        ledger.advance(10_000)
+        assert measured(ledger) == {"n1": (0, 0), "s1": (PAGE, 0)}
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["n1", "n2"]),
@@ -353,10 +375,11 @@ class TestUsageLedger:
            st.lists(st.integers(0, 400), max_size=30))
     def test_matches_the_store_of_its_samples(self, pods, period, extra,
                                               queries):
-        """Placed at increasing times, finished at any: at any increasing
-        `now`, the ledger answers like a scan of its own samples."""
+        """Placed at increasing times, finished at any: advanced to any
+        increasing `now`, the ledger leaves on every node what a scan of its
+        own samples answers."""
         window = period + 1 + extra
-        placed, ledger = 0, UsageLedger(period, window)
+        placed, ledger = 0, ledger_on(["n1", "n2"], period, window)
         intervals = []
         for i, (node, step, duration, enclave) in enumerate(pods):
             placed += step
@@ -375,9 +398,10 @@ class TestUsageLedger:
             while done < len(finishes) and finishes[done][1] <= now:
                 ledger.finish(*finishes[done])
                 done += 1
-            q = WindowQuery(now, window)
-            assert ledger.per_node_usage(q) == store.per_node_usage(q)
-            assert ledger.fresh(now) == store.per_node_usage(q)
+            want = window_of(store, now, window, ["n1", "n2"])
+            ledger.advance(now)
+            assert measured(ledger) == want
+            assert ledger.fresh(now) == want
 
 
 def test_write_csv():

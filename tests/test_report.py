@@ -215,37 +215,48 @@ class TestCsvRoundTrips:
             read_pending_csv(io.StringIO(text))
 
 
+_JOB_ROW = "j,standard,0,1,2,3,0,0\n"
+
+# (reader, text, the line its error names)
 _BAD_CSVS = {
     "outcomes": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
-                 "a,standard,0\n"),
+                 "a,standard,0\n", 2),
     "outcomes value": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
-                       "a,standard,0,1,2,Done,n1,0,0\n"),
-    "pending": (read_pending_csv, "time_ms,pending_epc_bytes\n0,lots\n"),
-    "jobs": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\nj,standard,0\n"),
+                       "a,standard,0,1,2,Done,n1,0,0\n", 2),
+    "pending": (read_pending_csv, "time_ms,pending_epc_bytes\n0,lots\n", 2),
+    "jobs": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\nj,standard,0\n", 2),
     "jobs value": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
-                   "j,standard,0,1,2,3,x,0\n"),
+                   "j,standard,0,1,2,3,x,0\n", 2),
+    "jobs duplicate": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
+                       + _JOB_ROW + _JOB_ROW, 3),
     "canonical": (parse_canonical_csv, ",".join(CANONICAL_FIELDS) + "\n"
-                  "j,0,1,nope,0.1\n"),
+                  "j,0,1,nope,0.1\n", 2),
+    "canonical duplicate": (parse_canonical_csv,
+                            ",".join(CANONICAL_FIELDS) + "\n"
+                            "j,0,1,0.1,0.1\nj,1,1,0.1,0.1\n", 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CSVS))
 def test_csv_errors_name_the_file_and_line(tmp_path, name):
-    reader, text = _BAD_CSVS[name]
+    reader, text, line = _BAD_CSVS[name]
     path = tmp_path / "run-a" / "bad.csv"
     path.parent.mkdir()
     path.write_text(text)
-    with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 2: ")):
+    at = re.escape(f"{path}: line {line}: ")
+    with pytest.raises(TraceParseError, match=at):
         reader(path)
-    with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 2: ")):
+    with pytest.raises(TraceParseError, match=at):
         reader(str(path))
     with open(path, encoding="utf-8") as fh:  # an open file, by its name
-        with pytest.raises(TraceParseError,
-                           match=re.escape(f"{path}: line 2: ")):
+        with pytest.raises(TraceParseError, match=at):
             reader(fh)
-    with pytest.raises(TraceParseError, match=r"^line 2: ") as err:
+    with pytest.raises(TraceParseError, match=f"^line {line}: ") as err:
         reader(io.StringIO(text))  # nothing to name
-    assert err.value.line == 2
+    assert err.value.line == line
+    if "duplicate" in name:  # both lines named
+        assert str(err.value) == ("line 3: duplicate job_id 'j' (first seen "
+                                  "on line 2)")
     header = "x\n" + text.split("\n", 1)[1]
     path.write_text(header)
     with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 1: "

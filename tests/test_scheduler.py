@@ -17,15 +17,14 @@ from epcsched.metrics import (
     METRIC_STD_BYTES,
     MetricSample,
     SeriesStore,
+    WindowQuery,
 )
 from epcsched.scheduler import (
-    Occupancy,
     PendingQueue,
     Placement,
     binpack_select,
     feasible,
     schedule_tick,
-    snapshot_usage,
     spread_select,
 )
 from epcsched.trace import JobKind, JobSpec
@@ -44,22 +43,34 @@ def cluster_of(*specs) -> ClusterState:
     return ClusterState.from_specs(specs)
 
 
-def view_of(nodes, usage=None) -> Occupancy:
-    """The occupancy view of a cluster (or a dict of node states) under the
-    measured usage `usage`, a map node id -> NodeUsage."""
+def with_usage(nodes, usage=None) -> ClusterState:
+    """A cluster (or one over a dict of node states) whose nodes measure the
+    usage `usage`, a map node id -> NodeUsage; the nodes it leaves out
+    measure none."""
     cluster = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes)
     usage = usage or {}
-    return Occupancy(cluster, {
-        METRIC_EPC_PAGES: {nid: u.epc_pages for nid, u in usage.items()},
-        METRIC_STD_BYTES: {nid: u.std_bytes for nid, u in usage.items()}})
+    for node_id, node in cluster.nodes.items():
+        node.measured_epc_pages, node.measured_std = usage.get(node_id,
+                                                               NodeUsage())
+    return cluster
 
 
-def assert_headroom(view, node_id, std, pages):
+def with_window(cluster, store, now_ms, window_ms=25_000) -> ClusterState:
+    """The cluster with every node measuring what a window query to a sample
+    store answers for it."""
+    usage = store.per_node_usage(WindowQuery(now_ms, window_ms))
+    epc = usage.get(METRIC_EPC_PAGES, {})
+    std = usage.get(METRIC_STD_BYTES, {})
+    return with_usage(cluster, {nid: NodeUsage(epc.get(nid, 0), std.get(nid, 0))
+                                for nid in cluster.nodes})
+
+
+def assert_headroom(node, std, pages):
     """`feasible` sees exactly `std` bytes and `pages` pages of headroom on
     the node: a request of h fits and one of h + 1 does not.  Page headroom
     -1 (no protected memory) fits no enclave job."""
     def fits(job):
-        return feasible(job, node_id, view)
+        return feasible(job, node)
 
     assert fits(std_job("m", requested=std))
     assert not fits(std_job("m", requested=std + 1))
@@ -99,79 +110,81 @@ class TestPendingQueue:
 
 class TestFeasible:
     def test_enclave_job_needs_enclave_node(self):
-        assert not feasible(sgx_job("j"), "n1", view_of(cluster_of(std_node("n1"))))
+        assert not feasible(sgx_job("j"), NodeState(std_node("n1")))
 
     def test_epc_headroom_uses_max_of_measured_and_reserved(self):
-        cluster = cluster_of(sgx_node("s1"))
+        node = NodeState(sgx_node("s1"))
         job = sgx_job("j", declared=14_000)
-        assert feasible(job, "s1", view_of(cluster, {"s1": NodeUsage(epc_pages=9_000)}))
-        assert not feasible(job, "s1",
-                            view_of(cluster, {"s1": NodeUsage(epc_pages=10_000)}))
-        cluster.nodes["s1"].reserve(0, 10_000)
-        assert not feasible(job, "s1", view_of(cluster))
+        node.measured_epc_pages = 9_000
+        assert feasible(job, node)
+        node.measured_epc_pages = 10_000
+        assert not feasible(job, node)
+        node.measured_epc_pages = 0
+        node.reserve(0, 10_000)
+        assert not feasible(job, node)
 
     def test_exact_fit_allowed(self):
-        cluster = cluster_of(sgx_node("s1"))
-        cluster.nodes["s1"].reserve(0, USABLE - 100)
-        assert feasible(sgx_job("j", declared=100), "s1", view_of(cluster))
-        assert not feasible(sgx_job("j", declared=101), "s1", view_of(cluster))
+        node = NodeState(sgx_node("s1"))
+        node.reserve(0, USABLE - 100)
+        assert feasible(sgx_job("j", declared=100), node)
+        assert not feasible(sgx_job("j", declared=101), node)
 
     def test_std_memory_checked_for_enclave_jobs_too(self):
-        view = view_of(cluster_of(sgx_node("s1", std_capacity=GIB)))
-        assert not feasible(sgx_job("j", declared=1, requested_mem=GIB + 1), "s1", view)
-        assert feasible(sgx_job("j", declared=1, requested_mem=GIB), "s1", view)
+        node = NodeState(sgx_node("s1", std_capacity=GIB))
+        assert not feasible(sgx_job("j", declared=1, requested_mem=GIB + 1), node)
+        assert feasible(sgx_job("j", declared=1, requested_mem=GIB), node)
 
     def test_standard_job_fits_any_node_kind(self):
-        view = view_of(cluster_of(std_node("n1"), sgx_node("s1")))
         job = std_job("j", requested=GIB)
-        assert feasible(job, "n1", view)
-        assert feasible(job, "s1", view)
+        assert feasible(job, NodeState(std_node("n1")))
+        assert feasible(job, NodeState(sgx_node("s1")))
 
     def test_measured_std_blocks(self):
-        cluster = cluster_of(std_node("n1", std_capacity=4 * GIB))
+        node = NodeState(std_node("n1", std_capacity=4 * GIB))
         job = std_job("j", requested=2 * GIB)
-        assert feasible(job, "n1",
-                        view_of(cluster, {"n1": NodeUsage(std_bytes=2 * GIB)}))
-        assert not feasible(job, "n1",
-                            view_of(cluster, {"n1": NodeUsage(std_bytes=2 * GIB + 1)}))
+        node.measured_std = 2 * GIB
+        assert feasible(job, node)
+        node.measured_std = 2 * GIB + 1
+        assert not feasible(job, node)
 
     def test_reserve_lowers_headroom_to_max_of_measured_and_reserved(self):
-        # The view is built once, as for one tick; reservations made after
-        # it count at once.
-        cluster = cluster_of(sgx_node("s1", std_capacity=100))
-        node = cluster.nodes["s1"]
+        # Measured usage is set once, as for one tick; reservations made
+        # after it count at once.
+        node = NodeState(sgx_node("s1", std_capacity=100))
         node.reserve(10, 100)
-        view = view_of(cluster, {"s1": NodeUsage(epc_pages=1_000, std_bytes=40)})
-        assert_headroom(view, "s1", std=60, pages=USABLE - 1_000)
+        node.measured_epc_pages, node.measured_std = 1_000, 40
+        assert_headroom(node, std=60, pages=USABLE - 1_000)
         node.reserve(20, 500)  # reserved 30 and 600: measured still binds
-        assert_headroom(view, "s1", std=60, pages=USABLE - 1_000)
+        assert_headroom(node, std=60, pages=USABLE - 1_000)
         node.reserve(20, 500)  # reserved 50 and 1,100: reservations bind
-        assert_headroom(view, "s1", std=50, pages=USABLE - 1_100)
+        assert_headroom(node, std=50, pages=USABLE - 1_100)
+        assert_headroom(NodeState(std_node("n1", std_capacity=9)), std=9,
+                        pages=-1)
 
 
 class TestBinpack:
     def test_enclave_jobs_pile_onto_first_node(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
-        assert binpack_select(sgx_job("j"), view_of(cluster)) == "s1"
+        assert binpack_select(sgx_job("j"), cluster) == "s1"
 
     def test_skips_full_nodes(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, USABLE)
-        assert binpack_select(sgx_job("j", declared=10), view_of(cluster)) == "s2"
+        assert binpack_select(sgx_job("j", declared=10), cluster) == "s2"
 
     def test_none_when_nothing_fits(self):
         cluster = cluster_of(sgx_node("s1"))
         cluster.nodes["s1"].reserve(0, USABLE)
-        assert binpack_select(sgx_job("j", declared=1), view_of(cluster)) is None
+        assert binpack_select(sgx_job("j", declared=1), cluster) is None
 
     def test_standard_jobs_avoid_enclave_nodes(self):
         cluster = cluster_of(sgx_node("a-sgx"), std_node("z-plain"))
-        assert binpack_select(std_job("j"), view_of(cluster)) == "z-plain"
+        assert binpack_select(std_job("j"), cluster) == "z-plain"
 
     def test_standard_jobs_spill_onto_enclave_nodes_last(self):
         cluster = cluster_of(sgx_node("a-sgx"), std_node("z-plain", std_capacity=GIB))
         job = std_job("j", requested=2 * GIB)
-        assert binpack_select(job, view_of(cluster)) == "a-sgx"
+        assert binpack_select(job, cluster) == "a-sgx"
 
 
 class TestSpread:
@@ -179,33 +192,33 @@ class TestSpread:
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, 4_000)
         cluster.nodes["s2"].reserve(0, 8_000)
-        assert spread_select(sgx_job("j", declared=2_000), view_of(cluster)) == "s1"
+        assert spread_select(sgx_job("j", declared=2_000), cluster) == "s1"
 
     def test_tie_goes_to_lowest_node_id(self):
         cluster = cluster_of(sgx_node("s2"), sgx_node("s1"))
-        assert spread_select(sgx_job("j", declared=100), view_of(cluster)) == "s1"
+        assert spread_select(sgx_job("j", declared=100), cluster) == "s1"
 
     def test_measured_usage_gates_feasibility(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         usage = {"s1": NodeUsage(epc_pages=USABLE)}
-        assert spread_select(sgx_job("j", declared=10), view_of(cluster, usage)) == "s2"
+        assert spread_select(sgx_job("j", declared=10), with_usage(cluster, usage)) == "s2"
 
     def test_standard_jobs_balance_plain_nodes(self):
         cluster = cluster_of(std_node("n1", std_capacity=10 * GIB),
                              std_node("n2", std_capacity=10 * GIB),
                              sgx_node("s1"))
         cluster.nodes["n1"].reserve(6 * GIB, 0)
-        assert spread_select(std_job("j", requested=GIB), view_of(cluster)) == "n2"
+        assert spread_select(std_job("j", requested=GIB), cluster) == "n2"
 
     def test_standard_jobs_fall_back_to_enclave_nodes(self):
         cluster = cluster_of(std_node("n1", std_capacity=GIB), sgx_node("s1"))
         job = std_job("j", requested=2 * GIB)
-        assert spread_select(job, view_of(cluster)) == "s1"
+        assert spread_select(job, cluster) == "s1"
 
     def test_none_when_nothing_fits(self):
         cluster = cluster_of(sgx_node("s1"))
         cluster.nodes["s1"].reserve(0, USABLE)
-        assert spread_select(sgx_job("j", declared=1), view_of(cluster)) is None
+        assert spread_select(sgx_job("j", declared=1), cluster) is None
 
     def test_matches_exhaustive_oracle(self):
         # Independent argmin over hypothetical post-placement stddev.
@@ -241,7 +254,7 @@ class TestSpread:
                 if best is None or score < best_score - 1e-12:
                     best, best_score = nid, score
 
-            assert spread_select(job, view_of(cluster, measured)) == best
+            assert spread_select(job, with_usage(cluster, measured)) == best
 
 
 def _seed_feasible(job, node, usage):
@@ -381,7 +394,7 @@ class TestSpreadExactOracle:
         nodes = _node_states(rows)
         usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
         job = JobSpec("j", kind, 0, 0, requested_mem, 0, declared, 0)
-        assert spread_select(job, view_of(nodes, usage)) == _seed_spread_select(
+        assert spread_select(job, with_usage(nodes, usage)) == _seed_spread_select(
             job, nodes, usage)
 
     @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=40),
@@ -410,13 +423,13 @@ class TestSpreadExactOracle:
         # every other node is measured full, so only half are targets
         full = NodeUsage(USABLE, 64 * GIB) if epc else NodeUsage(0, 64 * GIB)
         usage = {nid: full for nid in list(cluster.nodes)[1::2]}
-        assert spread_select(job, view_of(cluster, usage)) == "n000"
+        assert spread_select(job, with_usage(cluster, usage)) == "n000"
         cluster.nodes["n000"].reserve(n, n if epc else 0)
         lifts = []
         lift = scheduler._lift
         monkeypatch.setattr(scheduler, "_lift",
                             lambda *args: lifts.append(args) or lift(*args))
-        pick = spread_select(job, view_of(cluster, usage))
+        pick = spread_select(job, with_usage(cluster, usage))
         assert pick == _seed_spread_select(job, cluster.nodes, usage) == "n002"
         assert len(lifts) <= n // 2 + 1
 
@@ -474,8 +487,7 @@ class TestSpreadSumsAcrossDecisions:
                 mem = data.draw(st.sampled_from([0, 1, 2, 500, GIB]))
                 pages = data.draw(st.integers(1, USABLE)) if kind.uses_epc else 0
                 job = JobSpec("j", kind, 0, 0, mem, 0, pages, 0)
-                view = view_of(cluster, usage)
-                pick = spread_select(job, view)
+                pick = spread_select(job, with_usage(cluster, usage))
                 assert pick == _seed_spread_select(job, cluster.nodes, usage)
                 if pick is not None and data.draw(st.booleans()):
                     cluster.nodes[pick].reserve(mem, pages)
@@ -488,39 +500,39 @@ class TestSpreadSumsAcrossDecisions:
         cluster = cluster_of(*(make(i) for i in ("a", "b", "c")))
         job = sgx_job("j", declared=10) if sgx else std_job("j", requested=10)
         a = cluster.nodes["a"]
-        picks = [spread_select(job, view_of(cluster))]
+        picks = [spread_select(job, cluster)]
         a.reserve(1_000, 1_000 if sgx else 0)
-        picks.append(spread_select(job, view_of(cluster)))
+        picks.append(spread_select(job, cluster))
         a.release(500, 500 if sgx else 0)
-        picks.append(spread_select(job, view_of(cluster)))
+        picks.append(spread_select(job, cluster))
         a.release(500, 500 if sgx else 0)
-        picks.append(spread_select(job, view_of(cluster)))
+        picks.append(spread_select(job, cluster))
         assert picks == ["a", "b", "b", "a"]
 
     def test_all_enclave_cluster(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(GIB, 10)
         assert spread_select(std_job("p", requested=GIB),
-                             view_of(cluster)) == "s2"
-        assert spread_select(sgx_job("e", declared=5), view_of(cluster)) == "s2"
+                             cluster) == "s2"
+        assert spread_select(sgx_job("e", declared=5), cluster) == "s2"
 
     def test_all_plain_cluster(self):
         cluster = cluster_of(std_node("n1"), std_node("n2"))
         cluster.nodes["n1"].reserve(GIB, 0)
-        assert spread_select(sgx_job("e", declared=1), view_of(cluster)) is None
+        assert spread_select(sgx_job("e", declared=1), cluster) is None
         assert spread_select(std_job("p", requested=GIB),
-                             view_of(cluster)) == "n2"
+                             cluster) == "n2"
 
     @pytest.mark.parametrize("sgx", [True, False])
     def test_single_node(self, sgx):
         cluster = cluster_of(sgx_node("a") if sgx else std_node("a"))
         job = sgx_job("j", declared=USABLE) if sgx else std_job(
             "j", requested=64 * GIB)
-        assert spread_select(job, view_of(cluster)) == "a"
+        assert spread_select(job, cluster) == "a"
         cluster.nodes["a"].reserve(job.requested_mem, job.declared_epc_pages)
-        assert spread_select(job, view_of(cluster)) is None
+        assert spread_select(job, cluster) is None
         cluster.nodes["a"].release(job.requested_mem, job.declared_epc_pages)
-        assert spread_select(job, view_of(cluster)) == "a"
+        assert spread_select(job, cluster) == "a"
 
     def test_fully_reserved_node_is_never_a_target(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"), sgx_node("s3"))
@@ -528,7 +540,7 @@ class TestSpreadSumsAcrossDecisions:
         cluster.nodes["s3"].reserve(0, 10)
         for declared in (1, USABLE - 10, USABLE):
             job = sgx_job("j", declared=declared)
-            pick = spread_select(job, view_of(cluster))
+            pick = spread_select(job, cluster)
             assert pick == _seed_spread_select(job, cluster.nodes, {}) == "s2"
 
     def test_scores_are_pstdev_across_decisions(self, monkeypatch):
@@ -546,8 +558,7 @@ class TestSpreadSumsAcrossDecisions:
         for job in [sgx_job("a", declared=3_333), std_job("b", requested=GIB),
                     sgx_job("c", declared=2_000), std_job("d", requested=GIB)]:
             scores.clear()
-            view = view_of(cluster)
-            pick = spread_select(job, view)
+            pick = spread_select(job, cluster)
             assert pick == _seed_spread_select(job, cluster.nodes, {})
             expected = {_pstdev_after(job, cluster.nodes, {}, nid)
                         for nid in cluster.nodes
@@ -564,7 +575,7 @@ class TestScheduleTick:
         cluster = cluster_of(sgx_node("s1"))
         q = PendingQueue([sgx_job("b", submit_ms=5, declared=100),
                           sgx_job("a", submit_ms=0, declared=100)])
-        placements = schedule_tick(q, cluster, SeriesStore(), now_ms=0)
+        placements = schedule_tick(q, cluster, now_ms=0)
         assert [(p.job_id, p.node_id, p.decided_at_ms) for p in placements] == [
             ("a", "s1", 0), ("b", "s1", 0)]
         assert len(q) == 0
@@ -574,7 +585,7 @@ class TestScheduleTick:
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         big = USABLE - 100
         q = PendingQueue([sgx_job("a", declared=big), sgx_job("b", declared=big)])
-        placements = schedule_tick(q, cluster, SeriesStore(), now_ms=0)
+        placements = schedule_tick(q, cluster, now_ms=0)
         assert {(p.job_id, p.node_id) for p in placements} == {
             ("a", "s1"), ("b", "s2")}
 
@@ -582,7 +593,7 @@ class TestScheduleTick:
         cluster = cluster_of(sgx_node("s1"))
         q = PendingQueue([sgx_job("huge", submit_ms=0, declared=USABLE + 1),
                           sgx_job("ok", submit_ms=1, declared=10)])
-        placements = schedule_tick(q, cluster, SeriesStore(), now_ms=0)
+        placements = schedule_tick(q, cluster, now_ms=0)
         assert [p.job_id for p in placements] == ["ok"]
         assert [j.job_id for j in q] == ["huge"]
 
@@ -591,34 +602,23 @@ class TestScheduleTick:
         store = SeriesStore()
         store.append(MetricSample(1_000, "s1", "old", METRIC_EPC_PAGES, USABLE))
         q = PendingQueue([sgx_job("j", declared=10)])
-        assert schedule_tick(q, cluster, store, now_ms=10_000) == []
+        assert schedule_tick(q, with_window(cluster, store, 10_000),
+                             now_ms=10_000) == []
         # by 27s the stale sample has left the 25s window
-        assert schedule_tick(q, cluster, store, now_ms=27_000) == [
-            Placement("j", "s1", 27_000)]
+        assert schedule_tick(q, with_window(cluster, store, 27_000),
+                             now_ms=27_000) == [Placement("j", "s1", 27_000)]
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            schedule_tick(PendingQueue(), cluster_of(std_node("n1")),
-                          SeriesStore(), 0, policy="notreal")
+            schedule_tick(PendingQueue(), cluster_of(std_node("n1")), 0,
+                          policy="notreal")
 
     def test_spread_policy_dispatch(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, 1_000)
         q = PendingQueue([sgx_job("j", declared=10)])
-        placements = schedule_tick(q, cluster, SeriesStore(), 0, policy="spread")
+        placements = schedule_tick(q, cluster, 0, policy="spread")
         assert placements[0].node_id == "s2"
-
-
-def test_snapshot_usage_merges_metrics():
-    store = SeriesStore()
-    store.append(MetricSample(0, "n1", "p1", METRIC_EPC_PAGES, 7))
-    store.append(MetricSample(0, "n2", "p2", METRIC_STD_BYTES, 9))
-    store.append(MetricSample(0, "n1", "p1", METRIC_STD_BYTES, 3))
-    cluster = cluster_of(sgx_node("n1"), std_node("n2"))
-    cluster.nodes["n1"].reserve(5, 2)
-    view = snapshot_usage(cluster, store, now_ms=0)
-    assert_headroom(view, "n1", std=8 * GIB - 5, pages=USABLE - 7)
-    assert_headroom(view, "n2", std=64 * GIB - 9, pages=-1)
 
 
 _SEED_POLICIES = {"binpack": _seed_binpack_select, "spread": _seed_spread_select}
@@ -698,8 +698,9 @@ class TestTickSkipsDominatedJobs:
         rows, usage = nodes
         cluster = ClusterState(_node_states(rows))
         queue = PendingQueue(jobs)
-        placements = schedule_tick(queue, cluster, _usage_store(usage, 1_000),
-                                   1_000, policy)
+        placements = schedule_tick(
+            queue, with_window(cluster, _usage_store(usage, 1_000), 1_000),
+            1_000, policy)
         got = (placements, list(queue), queue.epc_pages,
                [(n.reserved_std, n.reserved_epc_pages)
                 for n in cluster.nodes.values()])
@@ -721,12 +722,12 @@ class TestTickSkipsDominatedJobs:
         rows, usage = nodes
         nodes = _node_states(rows)
         usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
-        view = view_of(nodes, usage)
+        cluster = with_usage(nodes, usage)
         select = scheduler.POLICIES[policy]
         for job in jobs:
             fits = any(_seed_feasible(job, n, usage)
                        for n in _candidates(job, nodes))
-            assert (select(job, view) is not None) == fits
+            assert (select(job, cluster) is not None) == fits
 
     @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
     @pytest.mark.parametrize("enclave", [True, False])
@@ -734,9 +735,9 @@ class TestTickSkipsDominatedJobs:
                                                enclave):
         calls = []
 
-        def counted(job, view, select=scheduler.POLICIES[policy]):
+        def counted(job, cluster, select=scheduler.POLICIES[policy]):
             calls.append(job.job_id)
-            return select(job, view)
+            return select(job, cluster)
 
         monkeypatch.setitem(scheduler.POLICIES, policy, counted)
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"), std_node("n1"))
@@ -749,16 +750,8 @@ class TestTickSkipsDominatedJobs:
                        for i in range(100)]
             other = sgx_job("ok", submit_ms=1, declared=10)
         q = PendingQueue(misfits + [other])
-        placements = schedule_tick(q, cluster, SeriesStore(), 0, policy)
+        placements = schedule_tick(q, cluster, 0, policy)
         # a failure of one class rules out no job of the other
         assert [p.job_id for p in placements] == ["ok"]
         assert calls == ["f000", "ok"]
         assert len(q) == 100
-
-    def test_empty_queue_takes_no_snapshot(self, monkeypatch):
-        def refuse(self, q):
-            raise AssertionError("window queried for an empty queue")
-
-        monkeypatch.setattr(SeriesStore, "per_node_usage", refuse)
-        assert schedule_tick(PendingQueue(), cluster_of(std_node("n1")),
-                             SeriesStore(), 0) == []

@@ -11,10 +11,10 @@ from collections import Counter
 import pytest
 
 from conftest import sgx_job, sgx_node, std_job, std_node
-from epcsched import driver, engine, scheduler
+from epcsched import driver, engine, metrics, scheduler
 from epcsched.engine import SimConfig, run
 
-TRACED = [(scheduler, "snapshot_usage"),
+TRACED = [(metrics.UsageLedger, "advance"),
           (engine, "schedule_tick"),
           (driver.DriverState, "enclave_init"),
           (driver.DriverState, "enclave_release")]
