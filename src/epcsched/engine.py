@@ -67,8 +67,7 @@ class JobStatus(Enum):
     UNFINISHED = "Unfinished"
 
 
-@dataclass(frozen=True)
-class JobOutcome:
+class JobOutcome(NamedTuple):
     """Terminal record of one job.  Killed jobs keep the node that rejected
     them but no start or finish; unfinished jobs never left the queue."""
 
@@ -248,10 +247,8 @@ class _Engine:
                 node_id: str | None = None, started_ms: int | None = None,
                 finished_ms: int | None = None) -> None:
         self.outcomes[job.job_id] = JobOutcome(
-            job_id=job.job_id, kind=job.kind, submitted_ms=job.submit_ms,
-            started_ms=started_ms, finished_ms=finished_ms, status=status,
-            node_id=node_id, declared_pages=job.declared_epc_pages,
-            actual_pages=job.actual_epc_pages)
+            job.job_id, job.kind, job.submit_ms, started_ms, finished_ms,
+            status, node_id, job.declared_epc_pages, job.actual_epc_pages)
 
     def _stuck(self, now: int, placements: list) -> bool:
         """Nothing running, nothing left to submit, nothing placeable, and a

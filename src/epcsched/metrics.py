@@ -23,6 +23,7 @@ import csv
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
 from .cluster import ClusterState, NodeState, Pod
@@ -145,10 +146,15 @@ class SeriesStore:
         return (MetricSample(*row) for row in self._rows())
 
     def write_csv(self, dest) -> None:
+        """The samples file: a header, then `_rows()` as CSV.  The rows come
+        from the `_write_rows` of whichever object is written, so a
+        `PodSamples` is written through this method too."""
         with _open_write(dest) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SAMPLES_FIELDS)
-            writer.writerows(self._rows())
+            fh.write(",".join(SAMPLES_FIELDS) + "\n")
+            self._write_rows(fh)
+
+    def _write_rows(self, fh) -> None:
+        csv.writer(fh, lineterminator="\n").writerows(self._rows())
 
 
 class PodInterval(NamedTuple):
@@ -302,7 +308,58 @@ class PodSamples:
         """All samples in order."""
         return (MetricSample(*row) for row in self._rows())
 
+    def _write_rows(self, fh) -> None:
+        """Write `_rows()` as CSV one probe tick per string.
+
+        Each pod's line tails, ",node,pod,metric,value", are formatted once
+        by a csv writer (so ids that need quoting are quoted exactly as a
+        writer of whole rows quotes them) when the pod joins the live set,
+        and the tick's list of tails is rebuilt only when that set changes.
+        A tick is then its time stamp in front of every tail."""
+        formatted = _Lines()
+        format_row = csv.writer(formatted, lineterminator="\n").writerow
+        pods, period = self.pods, self.period
+        live: list[tuple[str, str, int, list[str]]] = []  # (node, pod, last, tails)
+        exits: list[int] = []  # heap of the live pods' `last`
+        tails: list[str] = []  # of the live pods, in order
+        changed = False
+        i, now = 0, 0
+        while i < len(pods) or live:
+            if not live:
+                now = pods[i].first
+            while i < len(pods) and pods[i].first <= now:
+                node_id, pod_id, _, last, epc, std = pods[i]
+                # an empty first field: each line written is the tail
+                if epc is not None:
+                    format_row(("", node_id, pod_id, METRIC_EPC_PAGES, epc))
+                format_row(("", node_id, pod_id, METRIC_STD_BYTES, std))
+                # (node, pod) is unique, so `last` and the tails are never
+                # compared
+                insort(live, (node_id, pod_id, last,
+                              [line[:-1] for line in formatted]))
+                formatted.clear()
+                heappush(exits, last)
+                changed = True
+                i += 1
+            if changed:
+                tails = [tail for pod in live for tail in pod[3]]
+                changed = False
+            stamp = str(now)
+            fh.write(stamp + ("\n" + stamp).join(tails) + "\n")
+            now += period
+            if exits[0] < now:
+                while exits and exits[0] < now:
+                    heappop(exits)
+                live = [pod for pod in live if pod[2] >= now]
+                changed = True
+
     def write_csv(self, dest) -> None:
         # `SeriesStore.write_csv` stays the one writer of samples files, and
         # the one name `bench/layers.py` times them under.
         SeriesStore.write_csv(self, dest)
+
+
+class _Lines(list):
+    """A list a csv writer writes to: each row it writes is one item."""
+
+    write = list.append

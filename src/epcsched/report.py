@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .engine import JobOutcome, JobStatus
-from .trace import (JobKind, JobSpec, TraceParseError, _csv_rows,
-                    _open_write, read_jobs_csv)
+from .trace import (JobSpec, TraceParseError, _csv_rows, _job_kind,
+                    _member_of, _open_write, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -55,23 +55,38 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
     with _open_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OUTCOMES_FIELDS)
-        for o in outcomes:
-            writer.writerow([
-                o.job_id, o.kind.value, o.submitted_ms,
-                "" if o.started_ms is None else o.started_ms,
-                "" if o.finished_ms is None else o.finished_ms,
-                o.status.value, o.node_id or "",
-                o.declared_pages, o.actual_pages,
-            ])
+        # the writer writes None, a job with no start, finish or node, as ""
+        writer.writerows((o.job_id, o.kind.value, o.submitted_ms, o.started_ms,
+                          o.finished_ms, o.status.value, o.node_id,
+                          o.declared_pages, o.actual_pages) for o in outcomes)
+
+
+_job_status = _member_of(JobStatus)
 
 
 def _outcome_of_row(line: int, row: list[str]) -> JobOutcome:
-    return JobOutcome(
-        job_id=row[0], kind=JobKind(row[1]), submitted_ms=int(row[2]),
-        started_ms=int(row[3]) if row[3] else None,
-        finished_ms=int(row[4]) if row[4] else None,
-        status=JobStatus(row[5]), node_id=row[6] or None,
-        declared_pages=int(row[7]), actual_pages=int(row[8]))
+    """One outcome row.  Its times must fit its status: a completed job has
+    submit <= start <= finish, a killed or unfinished one neither a start
+    nor a finish."""
+    (job_id, kind, submitted, started, finished, status, node_id, declared,
+     actual) = row
+    kind, submitted = _job_kind(kind), int(submitted)
+    started = int(started) if started else None
+    finished = int(finished) if finished else None
+    status = _job_status(status)
+    if status is JobStatus.COMPLETED:
+        if started is None or finished is None:
+            raise ValueError(f"{status.value} job {job_id!r} needs a "
+                             "start_ms and a finish_ms")
+        if not submitted <= started <= finished:
+            raise ValueError(f"job {job_id!r}: expected submit_ms <= start_ms "
+                             f"<= finish_ms, got {submitted}, {started}, "
+                             f"{finished}")
+    elif started is not None or finished is not None:
+        raise ValueError(f"{status.value} job {job_id!r} has a start_ms or "
+                         "a finish_ms")
+    return JobOutcome(job_id, kind, submitted, started, finished, status,
+                      node_id or None, int(declared), int(actual))
 
 
 def read_outcomes_csv(source) -> list[JobOutcome]:

@@ -59,6 +59,24 @@ class JobKind(Enum):
         self.uses_epc = value != "standard"
 
 
+def _member_of(enum: type[Enum]) -> Callable[[str], Enum]:
+    """A reader's decoder of one enum's values: the member by one dict
+    lookup, where calling the enum costs several Python calls per row.  A
+    value no member has raises the ValueError calling the enum raises."""
+    members = {member.value: member for member in enum}
+
+    def member_of(value: str) -> Enum:
+        try:
+            return members[value]
+        except KeyError:
+            raise ValueError(f"{value!r} is not a valid "
+                             f"{enum.__qualname__}") from None
+    return member_of
+
+
+_job_kind = _member_of(JobKind)
+
+
 @dataclass(frozen=True)
 class RawJobRecord:
     """One normalized trace row.  Memory is a fraction of the source machine."""
@@ -470,7 +488,7 @@ def read_jobs_csv(source) -> list[JobSpec]:
 
     def decode(line: int, row: list[str]) -> JobSpec:
         _first_sighting(seen, row[0], line)
-        return JobSpec(job_id=row[0], kind=JobKind(row[1]),
+        return JobSpec(job_id=row[0], kind=_job_kind(row[1]),
                        submit_ms=int(row[2]), duration_ms=int(row[3]),
                        requested_mem=int(row[4]), actual_mem=int(row[5]),
                        declared_epc_pages=int(row[6]),

@@ -626,6 +626,21 @@ class TestCli:
         assert (f"{outcomes}: line 6: expected 9 fields, got 3"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("figure", [7, 8, 9, 10])
+    def test_report_completed_row_without_finish_exits_3(
+            self, tmp_path, trace_path, capsys, figure):
+        cfg_path = flat_config(tmp_path, trace_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (point,) = [p for p in (tmp_path / "artifacts").iterdir() if p.is_dir()]
+        outcomes = point / "outcomes.csv"
+        outcomes.write_text(outcomes.read_text()
+                            + "j1,standard,0,5000,,Completed,n1,0,0\n")
+        rc = main(["report", "--dir", str(tmp_path / "artifacts"),
+                   "--figure", str(figure)])
+        assert rc == 3
+        assert (f"{outcomes}: line 6: Completed job 'j1' needs a start_ms and "
+                "a finish_ms" in capsys.readouterr().err)
+
     def test_report_duplicate_job_exits_3(self, tmp_path, trace_path, capsys):
         cfg_path = flat_config(tmp_path, trace_path)
         assert main(["run", "--config", str(cfg_path)]) == 0

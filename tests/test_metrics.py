@@ -1,5 +1,6 @@
 """Sample store and sliding-window aggregation."""
 
+import csv
 import io
 import time
 
@@ -14,6 +15,7 @@ from epcsched.metrics import (
     METRIC_STD_BYTES,
     MetricSample,
     OutOfOrderSampleError,
+    SAMPLES_FIELDS,
     PodSamples,
     SeriesStore,
     UsageLedger,
@@ -351,6 +353,37 @@ class TestPodSamples:
         buf = io.StringIO()
         samples.write_csv(buf)
         assert buf.getvalue() == "time_ms,node,pod,metric,value\n"
+
+
+# Ids a csv writer must quote (a comma, a quote) or keep as they are (spaces).
+_QUOTED_NODES = ["n1", "a,b", 'q"x', "sp ace", " lead"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_QUOTED_NODES),
+                          st.sampled_from(["p", "p,", 'p"', "p q ", ""]),
+                          st.integers(0, 40), st.integers(0, 50),
+                          st.booleans(), st.integers(0, 3)), max_size=15),
+       st.integers(1, 9))
+def test_samples_file_is_what_a_writer_of_whole_rows_writes(pods, period):
+    """Written one probe tick per string, the samples file has the bytes a
+    csv writer gives for `_rows()`: over ids that need quoting, enclave pods
+    with zero pages, pods no tick samples (placed and finished between two
+    ticks) and gaps with no live pod."""
+    ledger = ledger_on(_QUOTED_NODES, period, period + 1)
+    placed = 0
+    for i, (node, prefix, step, duration, enclave, size) in enumerate(pods):
+        placed += step
+        job = (sgx_job(f"{prefix}{i}", declared=3, actual=size) if enclave
+               else std_job(f"{prefix}{i}", requested=size))
+        ledger.place(Pod(job, node, placed), placed + duration)
+    samples = PodSamples(ledger.pods, period)
+    got, want = io.StringIO(), io.StringIO()
+    samples.write_csv(got)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(SAMPLES_FIELDS)
+    writer.writerows(samples._rows())
+    assert got.getvalue() == want.getvalue()
 
 
 class TestUsageLedger:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epcsched
 from conftest import GIB, sgx_job, std_job
@@ -196,6 +197,20 @@ class TestCsvRoundTrips:
         with pytest.raises(TraceParseError, match="line 3"):
             read_outcomes_csv(io.StringIO(buf.getvalue() + row + "\n"))
 
+    @pytest.mark.parametrize("row, reason", [
+        ("a,standard,0,5,,Completed,n1,0,0", "needs a start_ms and a finish_ms"),
+        ("a,standard,0,,9,Completed,n1,0,0", "needs a start_ms and a finish_ms"),
+        ("a,standard,7,5,9,Completed,n1,0,0", "got 7, 5, 9"),
+        ("a,standard,0,9,5,Completed,n1,0,0", "got 0, 9, 5"),
+        ("a,sgx,0,5,,Killed,s1,1,9", "Killed job 'a' has a start_ms"),
+        ("a,sgx,0,,9,Killed,s1,1,9", "Killed job 'a' has a start_ms"),
+        ("a,sgx,0,,9,Unfinished,,1,1", "Unfinished job 'a' has a start_ms"),
+    ])
+    def test_outcome_times_must_fit_the_status(self, row, reason):
+        text = ",".join(OUTCOMES_FIELDS) + "\n" + row + "\n"
+        with pytest.raises(TraceParseError, match=f"^line 2: .*{reason}"):
+            read_outcomes_csv(io.StringIO(text))
+
     def test_pending(self):
         series = [(0, 0), (5_000, 123_456)]
         buf = io.StringIO()
@@ -215,31 +230,67 @@ class TestCsvRoundTrips:
             read_pending_csv(io.StringIO(text))
 
 
-_JOB_ROW = "j,standard,0,1,2,3,0,0\n"
+# Ids a csv writer quotes, or keeps with their spaces.
+_IDS = st.text(alphabet='ab ,"', min_size=1, max_size=5)
 
-# (reader, text, the line its error names)
+
+@st.composite
+def _outcomes(draw):
+    """An outcome whose times fit its status, as the engine writes them."""
+    status = draw(st.sampled_from(JobStatus))
+    submit = draw(st.integers(0, 10 ** 12))
+    start = finish = None
+    if status is JobStatus.COMPLETED:
+        start = submit + draw(st.integers(0, 10 ** 6))
+        finish = start + draw(st.integers(0, 10 ** 6))
+    return JobOutcome(draw(_IDS), draw(st.sampled_from(JobKind)), submit,
+                      start, finish, status, draw(st.none() | _IDS),
+                      draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_outcomes(), max_size=8))
+def test_outcomes_csv_round_trip(outcomes):
+    buf = io.StringIO()
+    write_outcomes_csv(outcomes, buf)
+    assert read_outcomes_csv(io.StringIO(buf.getvalue())) == outcomes
+
+
+_JOB_ROW = "j,standard,0,1,2,3,0,0\n"
+_DUPLICATE = "duplicate job_id 'j' (first seen on line 2)"
+
+# (reader, text, the line its error names, the whole message or None)
 _BAD_CSVS = {
     "outcomes": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
-                 "a,standard,0\n", 2),
+                 "a,standard,0\n", 2, None),
     "outcomes value": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
-                       "a,standard,0,1,2,Done,n1,0,0\n", 2),
-    "pending": (read_pending_csv, "time_ms,pending_epc_bytes\n0,lots\n", 2),
-    "jobs": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\nj,standard,0\n", 2),
+                       "a,standard,0,1,2,Done,n1,0,0\n", 2, None),
+    "outcomes kind": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
+                      "a,standard,0,1,2,Completed,n1,0,0\n"
+                      "b,weird,0,1,2,Completed,n1,0,0\n", 3,
+                      "'weird' is not a valid JobKind"),
+    "pending": (read_pending_csv, "time_ms,pending_epc_bytes\n0,lots\n", 2,
+                None),
+    "jobs": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\nj,standard,0\n", 2,
+             None),
     "jobs value": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
-                   "j,standard,0,1,2,3,x,0\n", 2),
+                   "j,standard,0,1,2,3,x,0\n", 2, None),
+    "jobs kind": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n" + _JOB_ROW
+                  + "k,weird,0,1,2,3,0,0\n", 3,
+                  "'weird' is not a valid JobKind"),
     "jobs duplicate": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
-                       + _JOB_ROW + _JOB_ROW, 3),
+                       + _JOB_ROW + _JOB_ROW, 3, _DUPLICATE),
     "canonical": (parse_canonical_csv, ",".join(CANONICAL_FIELDS) + "\n"
-                  "j,0,1,nope,0.1\n", 2),
+                  "j,0,1,nope,0.1\n", 2, None),
     "canonical duplicate": (parse_canonical_csv,
                             ",".join(CANONICAL_FIELDS) + "\n"
-                            "j,0,1,0.1,0.1\nj,1,1,0.1,0.1\n", 3),
+                            "j,0,1,0.1,0.1\nj,1,1,0.1,0.1\n", 3, _DUPLICATE),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CSVS))
 def test_csv_errors_name_the_file_and_line(tmp_path, name):
-    reader, text, line = _BAD_CSVS[name]
+    reader, text, line, message = _BAD_CSVS[name]
     path = tmp_path / "run-a" / "bad.csv"
     path.parent.mkdir()
     path.write_text(text)
@@ -254,9 +305,8 @@ def test_csv_errors_name_the_file_and_line(tmp_path, name):
     with pytest.raises(TraceParseError, match=f"^line {line}: ") as err:
         reader(io.StringIO(text))  # nothing to name
     assert err.value.line == line
-    if "duplicate" in name:  # both lines named
-        assert str(err.value) == ("line 3: duplicate job_id 'j' (first seen "
-                                  "on line 2)")
+    if message is not None:
+        assert str(err.value) == f"line {line}: {message}"
     header = "x\n" + text.split("\n", 1)[1]
     path.write_text(header)
     with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 1: "

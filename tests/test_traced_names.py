@@ -3,7 +3,8 @@
 `bench/layers.py` replaces these attributes from outside and counts the calls
 that go through them.  A renamed entry point, or a caller that stops looking
 it up by name, would read 0 in the split instead of failing, so this checks
-that each exists and that a replay reaches each through its name.
+that each exists and that a replay (or, for the artifact writers and
+readers, a sweep and its figure datasets) reaches each through its name.
 """
 
 from collections import Counter
@@ -11,7 +12,7 @@ from collections import Counter
 import pytest
 
 from conftest import sgx_job, sgx_node, std_job, std_node
-from epcsched import driver, engine, metrics, scheduler
+from epcsched import driver, engine, experiment, metrics, report, scheduler
 from epcsched.engine import SimConfig, run
 
 TRACED = [(metrics.UsageLedger, "advance"),
@@ -19,8 +20,31 @@ TRACED = [(metrics.UsageLedger, "advance"),
           (driver.DriverState, "enclave_init"),
           (driver.DriverState, "enclave_release")]
 
+# The writers as the sweep looks them up, and the readers as the figure
+# datasets do.
+ARTIFACT_IO = [(metrics.SeriesStore, "write_csv"),
+               (experiment, "write_jobs_csv"),
+               (experiment, "write_outcomes_csv"),
+               (experiment, "write_pending_csv"),
+               (report, "read_outcomes_csv"),
+               (report, "read_pending_csv"),
+               (report, "read_jobs_csv")]
 
-@pytest.mark.parametrize("owner, name", TRACED)
+
+def counted(calls: Counter, label: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[label] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_calls(monkeypatch, targets, calls: Counter) -> None:
+    """Replace each (owner, name) with a wrapper counting calls[name]."""
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(calls, name, vars(owner)[name]))
+
+
+@pytest.mark.parametrize("owner, name", TRACED + ARTIFACT_IO)
 def test_entry_point_exists(owner, name):
     assert callable(vars(owner)[name])
 
@@ -33,18 +57,25 @@ def test_policy_registry():
 @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
 def test_replay_calls_each_entry_point_by_name(monkeypatch, policy):
     calls = Counter()
-
-    def counted(label, fn):
-        def wrapper(*args, **kwargs):
-            calls[label] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for owner, name in TRACED:
-        monkeypatch.setattr(owner, name, counted(name, vars(owner)[name]))
+    count_calls(monkeypatch, TRACED, calls)
     for key, select in list(scheduler.POLICIES.items()):
-        monkeypatch.setitem(scheduler.POLICIES, key, counted(key, select))
+        monkeypatch.setitem(scheduler.POLICIES, key, counted(calls, key, select))
     jobs = [sgx_job("e", declared=10), std_job("s", submit_ms=1_000)]
     run(jobs, [sgx_node("s1"), std_node("n1")], SimConfig(policy=policy))
     assert all(calls[name] > 0 for _, name in TRACED), calls
     assert calls[policy] == 2, calls
+
+
+def test_sweep_and_figures_call_each_artifact_function_by_name(monkeypatch,
+                                                               tmp_path):
+    calls = Counter()
+    count_calls(monkeypatch, ARTIFACT_IO, calls)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("job_id,submit_s,duration_s,assigned_mem_frac,"
+                     "max_mem_frac\nj1,0,30,0.2,0.15\nj2,2,40,0.1,0.1\n")
+    root = experiment.run_experiment(experiment.ExperimentConfig(
+        trace_file=str(trace), sgx_fraction_sweep=(0.0, 1.0),
+        output_dir=str(tmp_path / "out")))
+    for figure in report.FIGURES:
+        report.figure_dataset(root, figure)
+    assert all(calls[name] > 0 for _, name in ARTIFACT_IO), calls
