@@ -89,13 +89,18 @@ class NodeState:
     """Mutable per-node counters.  The reservations are a cache of the pods
     placed on the node; the measured usage is a cache of the pod intervals
     of the run's `UsageLedger` that count in the window at the ledger's last
-    advance, which a replay makes at every scheduler tick."""
+    advance, which a replay makes at every scheduler tick.
+
+    `changed`, when set, is a set that `reserve` and `release` add the
+    node's id to: `spread` keeps load sums over the reservations and
+    brings only the recorded nodes up to date at its next decision."""
 
     spec: NodeSpec
     reserved_std: int = 0
     reserved_epc_pages: int = 0
     measured_std: int = 0
     measured_epc_pages: int = 0
+    changed: set[str] | None = field(default=None, repr=False, compare=False)
 
     @property
     def node_id(self) -> str:
@@ -121,6 +126,8 @@ class NodeState:
                 f"exceeds usable {self.spec.epc.usable_pages}")
         self.reserved_std += std_bytes
         self.reserved_epc_pages += epc_pages
+        if self.changed is not None:
+            self.changed.add(self.spec.node_id)
 
     def release(self, std_bytes: int, epc_pages: int) -> None:
         if std_bytes < 0 or epc_pages < 0:
@@ -130,6 +137,8 @@ class NodeState:
                 f"{self.node_id}: releasing more than is reserved")
         self.reserved_std -= std_bytes
         self.reserved_epc_pages -= epc_pages
+        if self.changed is not None:
+            self.changed.add(self.spec.node_id)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from ._units import PAGE_SIZE
 from .cluster import ClusterState, NodeSpec, Pod
 from .driver import DriverState, InitResult, startup_delay
 from .metrics import PodSamples, UsageLedger
-from .scheduler import POLICIES, PendingQueue, schedule_tick, spread_sums
+from .scheduler import POLICIES, PendingQueue, schedule_tick, spread_state
 from .trace import JobKind, JobSpec
 
 
@@ -269,8 +269,10 @@ class _Engine:
         enclave's pages against its limit; the queue's page counter against
         its jobs, none of which may have a pod; each node's measured usage,
         advanced to now, against a fresh window over the pod intervals; and
-        under `spread`, each kept load and its sums against a fresh lift of
-        the reservation it was computed from."""
+        under `spread`, that every node whose reservation moved away from
+        the one its load was lifted from recorded the change, each kept load
+        and its sums against a fresh lift of that reservation, and each
+        capacity class's order against a fresh sort."""
         queue = self.queue
         backlog = sum(job.declared_epc_pages for job in queue
                       if job.kind.uses_epc)
@@ -313,10 +315,19 @@ class _Engine:
             raise AssertionError(f"t={now}: measured usage {kept} != a fresh "
                                  f"window over the pod intervals {fresh}")
         if self.config.policy == "spread":
-            for name, sums in spread_sums(self.cluster).items():
+            spread = spread_state(self.cluster)
+            for name, sums in spread.sums.items():
+                for node_id, node, was in zip(sums.ids, sums.nodes,
+                                              sums.reserved):
+                    if node_id not in spread.changed and sums.current(node) != was:
+                        raise AssertionError(f"t={now}: {node_id} changed its "
+                                             "reservation without recording it")
                 if sums.fresh() != (sums.lifted, sums.total, sums.squares):
                     raise AssertionError(f"t={now}: spread load sums of "
                                          f"{name} != a fresh lift of their reservations")
+                if sums.classes != sums.sorted_classes():
+                    raise AssertionError(f"t={now}: spread classes of {name} "
+                                         "!= a fresh sort of their reservations")
 
 
 def run(jobs: list[JobSpec], cluster: list[NodeSpec],

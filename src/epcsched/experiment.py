@@ -69,6 +69,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # The paths are echoed into experiment.json, which takes strings.
+        for name in ("trace_file", "cluster_file", "output_dir"):
+            value = getattr(self, name)
+            if isinstance(value, os.PathLike):
+                object.__setattr__(self, name, os.fspath(value))
         if self.trace_format not in ("canonical_csv", "borg_tables"):
             raise ConfigError(f"unknown trace_format {self.trace_format!r}")
         if self.epc_usable_sweep is not None and not self.epc_usable_sweep:

@@ -12,7 +12,7 @@ brings up to the tick's window before the tick (a replay advances its
 from __future__ import annotations
 
 import sys
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
@@ -138,13 +138,13 @@ class _LoadSums:
     list's largest capacity, so its last significand bit is worth at least
     2**-bits, bits = b + 52: every load is held exactly as the integer
     N = load * 2**bits, with S = sum(N), Q = sum(N*N) and the reservation
-    each N was lifted from.  `refresh` relifts only the nodes whose
-    reservation no longer matches, so the sums follow the reservations
-    however they change and no caller of `NodeState.reserve`/`release` has
-    to report to them."""
+    each N was lifted from.  The nodes are grouped by capacity, and each
+    class keeps its (reservation, list index) keys sorted.  `update` brings
+    one node's N, the sums and its place in its class up to its current
+    reservation."""
 
     __slots__ = ("nodes", "ids", "pages", "caps", "bits", "unit", "reserved",
-                 "lifted", "total", "squares")
+                 "lifted", "total", "squares", "classes")
 
     def __init__(self, nodes: list[NodeState], pages: bool):
         self.nodes = nodes
@@ -155,14 +155,13 @@ class _LoadSums:
         self.bits = (max((cap.bit_length() for cap in self.caps), default=0)
                      + sys.float_info.mant_dig - 1)
         self.unit = float(1 << self.bits)
-        self.reserved = self.current()
+        self.reserved = [self.current(node) for node in nodes]
         self.lifted, self.total, self.squares = self.fresh()
+        self.classes = self.sorted_classes()
 
-    def current(self) -> list[int]:
-        """Each node's reservation of the resource, now."""
-        if self.pages:
-            return [node.reserved_epc_pages for node in self.nodes]
-        return [node.reserved_std for node in self.nodes]
+    def current(self, node: NodeState) -> int:
+        """The node's reservation of the resource, now."""
+        return node.reserved_epc_pages if self.pages else node.reserved_std
 
     def fresh(self) -> tuple[list[int], int, int]:
         """N, S and Q computed anew from the stored reservations."""
@@ -171,80 +170,164 @@ class _LoadSums:
                   for r, cap in zip(self.reserved, self.caps)]
         return lifted, sum(lifted), sum(v * v for v in lifted)
 
-    def refresh(self) -> None:
-        """Bring every N, and S and Q, up to the current reservations."""
-        now = self.current()
-        if now == self.reserved:
+    def sorted_classes(self) -> dict[int, list[tuple[int, int]]]:
+        """Each capacity's sorted (reservation, index) keys, computed anew
+        from the stored reservations."""
+        classes: dict[int, list[tuple[int, int]]] = {}
+        for i, (cap, r) in enumerate(zip(self.caps, self.reserved)):
+            classes.setdefault(cap, []).append((r, i))
+        for keys in classes.values():
+            keys.sort()
+        return classes
+
+    def update(self, i: int) -> None:
+        """Relift node i to its current reservation, fix S and Q, and move
+        it within its class."""
+        r, was = self.current(self.nodes[i]), self.reserved[i]
+        if r == was:
             return
-        lifted, caps, unit = self.lifted, self.caps, self.unit
-        total, squares = self.total, self.squares
-        for i, (r, was) in enumerate(zip(now, self.reserved)):
-            if r != was:
-                old, new = lifted[i], _lift(r / caps[i], unit)
-                lifted[i] = new
-                total += new - old
-                squares += new * new - old * old
-        self.reserved, self.total, self.squares = now, total, squares
+        cap = self.caps[i]
+        old, new = self.lifted[i], _lift(r / cap, self.unit)
+        self.reserved[i], self.lifted[i] = r, new
+        self.total += new - old
+        self.squares += new * new - old * old
+        keys = self.classes[cap]
+        del keys[bisect_left(keys, (was, i))]
+        insort(keys, (r, i))
 
 
-def spread_sums(cluster: ClusterState) -> dict[str, _LoadSums]:
-    """The load sums `spread` keeps for a cluster state, by list name:
-    enclave-capable nodes by pages, plain nodes by standard memory, and
-    enclave-capable nodes by standard memory for the standard fallback.
-    Built on first use and kept on the state for its run, where its
-    candidate orders are kept too."""
-    sums = vars(cluster).get("_spread_sums")
-    if sums is None:
-        sums = vars(cluster)["_spread_sums"] = {
+class _Spread:
+    """The state `spread` keeps for one cluster state: the load sums of its
+    candidate lists, by name (enclave-capable nodes by pages, plain nodes
+    by standard memory, and enclave-capable nodes by standard memory for
+    the standard fallback), and `changed`, the set every node's `reserve`
+    and `release` record the node's id in.  `drain` brings the sums up to
+    the recorded nodes, so a decision pays for the nodes that changed since
+    the last one, not for the whole list."""
+
+    __slots__ = ("sums", "changed", "slots")
+
+    def __init__(self, cluster: ClusterState):
+        self.sums = {
             "enclave nodes by pages": _LoadSums(cluster.sgx_nodes, True),
             "plain nodes by std memory": _LoadSums(cluster.plain_nodes, False),
             "enclave nodes by std memory": _LoadSums(cluster.sgx_nodes, False)}
-    return sums
+        self.slots: dict[str, list[tuple[_LoadSums, int]]] = {}
+        for sums in self.sums.values():
+            for i, node_id in enumerate(sums.ids):
+                self.slots.setdefault(node_id, []).append((sums, i))
+        self.changed: set[str] = set()
+        for node in cluster.nodes.values():
+            node.changed = self.changed
+
+    def drain(self) -> None:
+        for node_id in self.changed:
+            for sums, i in self.slots[node_id]:
+                sums.update(i)
+        self.changed.clear()
+
+
+def spread_state(cluster: ClusterState) -> _Spread:
+    """The state `spread` keeps for a cluster state, built on first use and
+    kept on the state for its run, where its candidate orders are kept
+    too."""
+    spread = vars(cluster).get("_spread")
+    if spread is None:
+        spread = vars(cluster)["_spread"] = _Spread(cluster)
+    return spread
 
 
 def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
-    """Among the feasible nodes of the job's list (in node id order), the
-    one whose hypothetical placement leaves the list's loads with the
-    smallest population stddev; ties go to the lowest node id.
+    """Among the feasible nodes of the job's list, the one whose
+    hypothetical placement leaves the list's loads with the smallest
+    population stddev; ties go to the lowest node id.
 
     A score is the float `statistics.pstdev` gives for the list, so two
-    different variances that round to one stddev still tie.  With N_i
-    replaced by N', the variance is (n*Q' - S'*S') / (n * 2**bits)**2 for
-    S' = S - N_i + N' and Q' = Q - N_i**2 + N'**2, so on top of the sums,
-    which carry over from earlier decisions, each target costs O(1).
-    Feasibility is the rule of `feasible`, written out over the list's own
-    capacities and reservations so that a target costs no call."""
+    different variances that round to one stddev still tie.  With n nodes,
+    V0 = n*Q - S*S and N_i replaced by N' = N_i + d, n times the variance
+    is var = V0 + d*(2*(n*N_i - S) + (n-1)*d) over (2**bits)**2, so on top
+    of the sums, which carry over from earlier decisions, a target costs
+    O(1).  Feasibility is the rule of `feasible`, written out over the
+    list's own capacities and reservations so that a target costs no call.
+
+    Targets are visited class by class, each class from its least reserved
+    node.  In a class of capacity c, float division by c is monotone, so
+    N_i and N' follow the reservations, and for d >= 0 var grows with N_i.
+    Each lift is the correctly rounded load times 2**bits, within
+    2**(bits-53) of r * 2**bits / c for a load of at most 1, so every
+    target of the class has d in [lo, hi], the exact extra * 2**bits / c
+    widened by 2**(bits-52) on each side.  The least var over d in
+    [lo, hi] at the current N_i (the convex quadratic's minimum, floored)
+    is then a lower bound for this node and every later one.  A score is
+    within a relative 2**-53 of the exact root, and the midpoint between it
+    and the next float up within another 2**-53, so a variance above
+    cut = V + (V >> 50) + 1, for V the best target's var, has a root that
+    rounds above the best score: once the bound passes it, no later node of
+    the class can win.  A target above it is not scored either.  A node
+    whose reservation leaves no room for the job ends its class, since
+    every later one holds at least as much.  Nodes of one reservation share
+    N_i and N', so only the first feasible node of such a run, the one with
+    the lowest index, is scored, and the walk jumps past the rest.  The
+    bound is first taken at a class's second run, which spares a class of
+    one node its interval.  Since the walk is not in node id order, an
+    equal score wins when its node comes earlier in the list."""
     nodes = sums.nodes
     if not nodes:
         return None
-    sums.refresh()
     mem, pages = job.requested_mem, job.declared_epc_pages
     by_pages = sums.pages
     extra = pages if by_pages else mem
-    unit, total, squares = sums.unit, sums.total, sums.squares
-    count = len(nodes)
-    scale = (count << sums.bits) ** 2
-    best: str | None = None
-    best_score, best_var = 0.0, 0
-    for node_id, node, cap, r, old in zip(sums.ids, nodes, sums.caps,
-                                          sums.reserved, sums.lifted):
-        # headroom = capacity - max(measured, reserved), as in `feasible`
-        seen, held = node.measured_std, node.reserved_std
-        if (seen if seen > held else held) + mem > node.spec.std_capacity:
-            continue
-        if by_pages:
-            seen = node.measured_epc_pages
-            if (seen if seen > r else r) + pages > cap:
-                continue
-        new = _lift((r + extra) / cap, unit)
-        s = total - old + new
-        var = count * (squares - old * old + new * new) - s * s
-        if best is not None and var >= best_var:
-            continue  # a correctly rounded sqrt never decreases
-        score = _sqrt_of_ratio(var, scale)
-        if best is None or score < best_score:
-            best, best_score, best_var = node_id, score, var
-    return best
+    lifted, unit, bits, total = sums.lifted, sums.unit, sums.bits, sums.total
+    n = len(nodes)
+    k = n - 1
+    base = n * sums.squares - total * total
+    scale = (n << bits) ** 2
+    slack = 1 << (bits - sys.float_info.mant_dig + 1)
+    best, best_score, best_var, cut = -1, 0.0, 0, 0
+    for cap, keys in sums.classes.items():
+        lo = -1  # the class's interval for d, computed when first needed
+        pos, end = 0, len(keys)
+        while pos < end:
+            r, i = keys[pos]
+            if r + extra > cap:
+                break
+            c = n * lifted[i] - total
+            if pos and best >= 0:
+                if lo < 0:
+                    step, rest = divmod(extra << bits, cap)
+                    lo, hi = max(step - slack, 0), step + (rest > 0) + slack
+                    klo, khi = k * lo, k * hi
+                if c >= -klo:
+                    least = base + lo * (2 * c + klo)
+                elif c <= -khi:
+                    least = base + hi * (2 * c + khi)
+                else:
+                    least = base - (c * c + k - 1) // k
+                if least > cut:
+                    break
+            run_end = bisect_left(keys, (r + 1,), pos + 1)
+            for pos in range(pos, run_end):
+                i = keys[pos][1]
+                node = nodes[i]
+                # headroom = capacity - max(measured, reserved), as in `feasible`
+                seen, held = node.measured_std, node.reserved_std
+                if (seen if seen > held else held) + mem > node.spec.std_capacity:
+                    continue
+                if by_pages:
+                    seen = node.measured_epc_pages
+                    if (seen if seen > r else r) + pages > cap:
+                        continue
+                d = _lift((r + extra) / cap, unit) - lifted[i]
+                var = base + d * (2 * c + k * d)
+                if best < 0 or var <= cut and (var < best_var or i < best):
+                    score = _sqrt_of_ratio(var, scale)
+                    if (best < 0 or score < best_score
+                            or score == best_score and i < best):
+                        best, best_score, best_var = i, score, var
+                        cut = var + (var >> 50) + 1
+                break
+            pos = run_end
+    return sums.ids[best] if best >= 0 else None
 
 
 def spread_select(job: JobSpec, cluster: ClusterState) -> str | None:
@@ -253,7 +336,9 @@ def spread_select(job: JobSpec, cluster: ClusterState) -> str | None:
     Enclave jobs balance page reservations across enclave-capable nodes.
     Standard jobs balance standard memory across the plain nodes and fall
     back to enclave-capable ones only when no plain node is feasible."""
-    sums = spread_sums(cluster)
+    spread = spread_state(cluster)
+    spread.drain()
+    sums = spread.sums
     if job.kind.uses_epc:
         return _pick_balanced(job, sums["enclave nodes by pages"])
     chosen = _pick_balanced(job, sums["plain nodes by std memory"])

@@ -323,14 +323,48 @@ class TestInvariantChecker:
 
     def test_stale_spread_sums_are_caught(self, monkeypatch):
         # "a" is placed at t=5000; the tick at t=10000 places "b" and
-        # refreshes the page sums after "a"'s reservation, without relifting.
-        def stale_refresh(self):
-            self.reserved = self.current()
+        # drains "a"'s change: it records the new reservation without
+        # relifting.
+        def stale_update(self, i):
+            self.reserved[i] = self.current(self.nodes[i])
 
-        monkeypatch.setattr(scheduler._LoadSums, "refresh", stale_refresh)
+        monkeypatch.setattr(scheduler._LoadSums, "update", stale_update)
         jobs = self.JOBS + [sgx_job("b", submit_ms=6_000, declared=100)]
         with pytest.raises(AssertionError, match=re.escape(
                 "t=10000: spread load sums of enclave nodes by pages != a "
                 "fresh lift of their reservations")):
             run(jobs, [sgx_node("s1"), sgx_node("s2")],
+                SimConfig(policy="spread", check_invariants=True))
+
+    def test_unmoved_spread_class_is_caught(self, monkeypatch):
+        # The drain at t=10000 relifts "a"'s node but leaves its key where
+        # it was in its capacity class.
+        update = scheduler._LoadSums.update
+
+        def update_in_place(self, i):
+            keys = self.classes[self.caps[i]]
+            before = list(keys)
+            update(self, i)
+            keys[:] = before
+
+        monkeypatch.setattr(scheduler._LoadSums, "update", update_in_place)
+        jobs = self.JOBS + [sgx_job("b", submit_ms=6_000, declared=100)]
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=10000: spread classes of enclave nodes by pages != a "
+                "fresh sort of their reservations")):
+            run(jobs, [sgx_node("s1"), sgx_node("s2")],
+                SimConfig(policy="spread", check_invariants=True))
+
+    def test_unrecorded_reservation_is_caught(self, monkeypatch):
+        # "a"'s placement at t=5000 reserves on s1 without recording it.
+        reserve = NodeState.reserve
+
+        def reserve_unrecorded(self, std_bytes, epc_pages):
+            reserve(self, std_bytes, epc_pages)
+            self.changed.discard(self.node_id)
+
+        monkeypatch.setattr(NodeState, "reserve", reserve_unrecorded)
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=5000: s1 changed its reservation without recording it")):
+            run(self.JOBS, [sgx_node("s1"), sgx_node("s2")],
                 SimConfig(policy="spread", check_invariants=True))

@@ -286,6 +286,23 @@ class TestRunExperiment:
             recomputed = summary(read_outcomes_csv(run_dir / "outcomes.csv"))
             assert stored == recomputed
 
+    def test_path_objects_run_as_their_strings(self, tmp_path, trace_path):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(json.dumps([
+            {"node_id": "enc", "std_capacity": "8GiB", "epc_total": "128MiB",
+             "epc_usable": "93.5MiB"}]))
+        cfg = ExperimentConfig(trace_file=trace_path, cluster_file=cluster,
+                               output_dir=tmp_path / "by-path")
+        assert (cfg.trace_file, cfg.cluster_file, cfg.output_dir) == (
+            str(trace_path), str(cluster), str(tmp_path / "by-path"))
+        by_path = run_experiment(cfg)
+        by_str = run_experiment(ExperimentConfig(
+            trace_file=str(trace_path), cluster_file=str(cluster),
+            output_dir=str(tmp_path / "by-str")))
+        assert by_path == tmp_path / "by-path"
+        assert ((by_path / "experiment.json").read_bytes()
+                == (by_str / "experiment.json").read_bytes())
+
     def test_default_point_when_no_sweeps(self, tmp_path, trace_path):
         cfg = config_from_mapping({
             "trace": str(trace_path),

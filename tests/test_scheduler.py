@@ -341,22 +341,51 @@ def _node_states(rows):
 def _spread_cases(draw):
     """(rows, usage, (kind, requested_mem, declared_pages)) for spread.
 
-    Either 1-130 nodes with mixed capacities, all identical when `equal` is
-    drawn (exact ties), or a few nodes on one huge capacity whose loads sit
-    an ulp or so apart, where different variances round to one stddev."""
+    One of three shapes:
+    - a few nodes on one or two huge capacities a few units apart, whose
+      loads sit an ulp or so apart inside a class and across the two, where
+      different variances round to one stddev;
+    - 1-130 nodes with mixed capacities (mostly classes of one node), all
+      identical when `equal` is drawn (exact ties);
+    - up to 150 nodes in 1-6 capacity classes, multiples of one base (equal
+      loads across classes) or the base +-1, with reservations from a few
+      levels (long equal runs), some nodes measured full in between, and
+      jobs that often ask for nothing extra (every target ties)."""
     kind = draw(st.sampled_from([JobKind.SGX, JobKind.STANDARD]))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["near", "mixed", "classes"]))
+    if shape == "near":
         n = draw(st.integers(2, 8))
         cap = draw(st.integers(2 ** 54, 2 ** 58))
+        caps = [cap, cap + draw(st.integers(0, 3))]
         base = cap // draw(st.sampled_from([2, 4, 8])) + draw(st.integers(0, 999))
-        near = [base + draw(st.integers(0, 64)) for _ in range(n)]
+        near = [(base + draw(st.integers(0, 64)), draw(st.sampled_from(caps)))
+                for _ in range(n)]
         extra = cap // draw(st.sampled_from([2, 4, 8])) + draw(
             st.integers(-999, 999))
         if kind is JobKind.SGX:
-            rows = [(f"s{i}", cap, GIB, 0, r) for i, r in enumerate(near)]
+            rows = [(f"s{i}", c, GIB, 0, r) for i, (r, c) in enumerate(near)]
             return rows, {}, (kind, PAGE, extra)
-        rows = [(f"n{i}", None, cap, r, 0) for i, r in enumerate(near)]
+        rows = [(f"n{i}", None, c, r, 0) for i, (r, c) in enumerate(near)]
         return rows, {}, (kind, extra, 0)
+    if shape == "classes":
+        base = draw(st.one_of(st.sampled_from([3, 100, USABLE, 8 * GIB]),
+                              st.integers(2 ** 54, 2 ** 58)))
+        caps = draw(st.lists(st.sampled_from(
+            [base, 2 * base, 3 * base, 4 * base, base - 1, base + 1]),
+            min_size=1, max_size=6, unique=True))
+        levels = draw(st.lists(st.integers(0, base), min_size=1, max_size=4))
+        sgx = kind is JobKind.SGX
+        rows, usage = [], {}
+        for i in range(draw(st.integers(1, 150))):
+            node_id, cap = f"n{i:03d}", draw(st.sampled_from(caps))
+            r = min(draw(st.sampled_from(levels)) * cap // base, cap)
+            rows.append((node_id, cap, GIB, 0, r) if sgx
+                        else (node_id, None, cap, r, 0))
+            if draw(st.integers(0, 3)) == 0:
+                usage[node_id] = (cap, 0) if sgx else (0, cap)
+        extra = draw(st.one_of(st.just(0), st.integers(0, base)))
+        return rows, usage, ((kind, PAGE, max(extra, 1)) if sgx
+                             else (kind, extra, 0))
     n = draw(st.integers(1, 130))
     ids = draw(st.permutations(range(n)))
     equal = draw(st.booleans())
@@ -382,14 +411,34 @@ def _spread_cases(draw):
 
 
 class TestSpreadExactOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_spread_cases())
     @example(([("n0", None, 232974170608267759, 29121771326033932, 0),
                ("n1", None, 232974170608267759, 29121771326033929, 0)],
               {}, (JobKind.STANDARD, 58243542652067506, 0)))
+    @example(([("n0", None, 248301256974668341, 124150628487334857, 0),
+               ("n1", None, 248301256974668340, 124150628487334851, 0),
+               ("n2", None, 248301256974668340, 124150628487334845, 0),
+               ("n3", None, 248301256974668340, 124150628487334851, 0),
+               ("n4", None, 248301256974668340, 124150628487334852, 0),
+               ("n5", None, 248301256974668341, 124150628487334852, 0),
+               ("n6", None, 248301256974668340, 124150628487334864, 0),
+               ("n7", None, 248301256974668340, 124150628487334860, 0)],
+              {"n4": (0, 248301256974668340), "n5": (0, 248301256974668341),
+               "n6": (0, 248301256974668340)},
+              (JobKind.STANDARD, 31037657121833562, 0)))
+    @example(([("a0", None, 256, 42, 0), ("a1", None, 256, 38, 0),
+               ("b0", None, 64, 0, 0), ("b1", None, 64, 11, 0),
+               ("h0", None, 64, 52, 0)],
+              {"b0": (0, 64)}, (JobKind.STANDARD, 7, 0)))
     def test_same_pick_as_pstdev_loop(self, case):
-        # The pinned example: both placements give different variances that
-        # round to one stddev, so the lower id must win.
+        # The pinned examples, in order: two placements whose different
+        # variances round to one stddev, so the lower id must win; the same
+        # inside a class, where the lower id comes later in the walk and is
+        # reached only if the stop bound allows for the rounding of each
+        # lift; and a target that lands on the mean of the other loads,
+        # past a measured-full node at the bottom of its class, so the stop
+        # bound must take the quadratic's minimum inside the interval.
         rows, usage, (kind, requested_mem, declared) = case
         nodes = _node_states(rows)
         usage = {nid: NodeUsage(epc, std) for nid, (epc, std) in usage.items()}
@@ -432,6 +481,33 @@ class TestSpreadExactOracle:
         pick = spread_select(job, with_usage(cluster, usage))
         assert pick == _seed_spread_select(job, cluster.nodes, usage) == "n002"
         assert len(lifts) <= n // 2 + 1
+
+
+    @pytest.mark.parametrize("epc", [True, False])
+    def test_one_reserve_costs_its_lift_and_a_few_targets(self, monkeypatch,
+                                                          epc):
+        # Counts lifts and square roots instead of timing: a walk over the
+        # whole list would lift and score about all 1,024 nodes.
+        n = 1024
+        make = sgx_node if epc else std_node
+        cluster = cluster_of(*(make(f"n{i:04d}") for i in range(n)))
+        for i, node in enumerate(cluster.nodes.values()):
+            node.reserve(0 if epc else (n - i) * 2 ** 20, n - i if epc else 0)
+        job = sgx_job("j", declared=1, requested_mem=0) if epc else std_job(
+            "j", requested=2 ** 20)
+        pick = spread_select(job, cluster)
+        assert pick == "n1023"  # the least reserved node
+        cluster.nodes[pick].reserve(job.requested_mem, job.declared_epc_pages)
+        lifts, roots = [], []
+        lift, sqrt = scheduler._lift, scheduler._sqrt_of_ratio
+        monkeypatch.setattr(scheduler, "_lift",
+                            lambda *args: lifts.append(args) or lift(*args))
+        monkeypatch.setattr(scheduler, "_sqrt_of_ratio",
+                            lambda *args: roots.append(args) or sqrt(*args))
+        # n1023 now ties n1022, whose lower id wins
+        assert spread_select(job, cluster) == "n1022"
+        # one relift of the changed node, then one lift per scored target
+        assert 1 <= len(roots) <= len(lifts) - 1 <= 3
 
 
 def _pstdev_after(job, nodes, usage, target_id):
@@ -486,6 +562,66 @@ class TestSpreadSumsAcrossDecisions:
                                                   JobKind.STANDARD]))
                 mem = data.draw(st.sampled_from([0, 1, 2, 500, GIB]))
                 pages = data.draw(st.integers(1, USABLE)) if kind.uses_epc else 0
+                job = JobSpec("j", kind, 0, 0, mem, 0, pages, 0)
+                pick = spread_select(job, with_usage(cluster, usage))
+                assert pick == _seed_spread_select(job, cluster.nodes, usage)
+                if pick is not None and data.draw(st.booleans()):
+                    cluster.nodes[pick].reserve(mem, pages)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_same_picks_on_a_wide_cluster_over_a_sequence(self, data):
+        # 200-240 nodes in a few capacity classes, with reservations and
+        # requests in a few sizes so that classes hold long equal runs and
+        # decisions see nodes move within them.
+        n = data.draw(st.integers(200, 240), label="nodes")
+        pages = data.draw(st.lists(st.sampled_from([7, 100, USABLE]),
+                                   min_size=1, max_size=3, unique=True))
+        stds = data.draw(st.lists(st.sampled_from([1_000, 3_000, 8 * GIB]),
+                                  min_size=1, max_size=3, unique=True))
+        specs = []
+        for i in range(n):
+            usable = data.draw(st.sampled_from(pages))
+            specs.append(NodeSpec(
+                f"n{i:03d}", data.draw(st.sampled_from(stds)),
+                EpcModel(total_bytes=usable * PAGE, usable_bytes=usable * PAGE)
+                if i % 2 else None))
+        cluster = cluster_of(*specs)
+        nodes = list(cluster.nodes.values())
+        sizes = [0, 1, 7, 250, GIB]
+
+        def amounts(node):
+            usable = node.spec.epc.usable_pages if node.is_sgx else 0
+            return (min(data.draw(st.sampled_from(sizes)),
+                        node.spec.std_capacity - node.reserved_std),
+                    min(data.draw(st.sampled_from(sizes)),
+                        usable - node.reserved_epc_pages))
+
+        for node in nodes:
+            node.reserve(*amounts(node))
+        usage: dict[str, NodeUsage] = {}
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            step = data.draw(st.sampled_from(
+                ["reserve", "release", "measure", "decide", "decide"]))
+            node = data.draw(st.sampled_from(nodes))
+            if step == "reserve":
+                node.reserve(*amounts(node))
+            elif step == "release":
+                node.release(
+                    min(data.draw(st.sampled_from(sizes)), node.reserved_std),
+                    min(data.draw(st.sampled_from(sizes)),
+                        node.reserved_epc_pages))
+            elif step == "measure":
+                usable = node.spec.epc.usable_pages if node.is_sgx else 0
+                usage[node.node_id] = data.draw(st.sampled_from(
+                    [NodeUsage(), NodeUsage(usable, node.spec.std_capacity),
+                     NodeUsage(usable // 2, node.spec.std_capacity // 2)]))
+            else:
+                kind = data.draw(st.sampled_from([JobKind.SGX,
+                                                  JobKind.STANDARD]))
+                mem = data.draw(st.sampled_from(sizes))
+                pages = (data.draw(st.sampled_from([1, 7, 100]))
+                         if kind.uses_epc else 0)
                 job = JobSpec("j", kind, 0, 0, mem, 0, pages, 0)
                 pick = spread_select(job, with_usage(cluster, usage))
                 assert pick == _seed_spread_select(job, cluster.nodes, usage)
