@@ -1,9 +1,18 @@
 """Deterministic replay engine tying the pieces together.
 
-Time is an integer millisecond clock.  The heap holds two event kinds,
-which at the same instant run in a fixed order (finishes first, then the
-scheduler tick), with insertion order as the final tie-break, so two runs
-over the same inputs produce byte-identical outputs.
+Time is an integer millisecond clock stepped by the scheduler: ticks fall at
+0, P, 2P, ... for P the scheduler period.  Before the tick at `now`, every
+finish due by `now` runs at its own time, in (time, job id) order, so a pod
+that finishes at the tick's instant has freed its node for that tick.  Only
+finishes are kept on a heap.
+
+Finishes at one instant run in job id order, and no output depends on that
+order: their node releases, driver frees and ledger subtractions commute;
+their ledger expiries share one `last` sample, so they expire at the same
+advance; the outcomes are sorted at the end; and `spread`'s load sums key
+each node as (reservation, list index), which is unique, so the order in
+which nodes move within their class leaves the same sorted classes.  Two
+runs over the same inputs therefore produce byte-identical outputs.
 
 A job's life: a job submitted at t is queued, and first tried, by the first
 scheduler tick after t.  A tick may place it, which reserves node resources
@@ -19,18 +28,18 @@ the construction delay extends the finish time instead, so both readings of
 Usage probes fire at every multiple of the probe period while any job is
 live, after that instant's finishes and before its scheduler tick, so a pod
 is sampled at the probe ticks strictly between its placement and its
-finish.  Its sampled values never change, so no probe event runs: the
-`UsageLedger` keeps each node's measured usage from each pod's sampled
-interval and advances it to the tick's window just before each scheduler
-tick, and the result's `PodSamples` streams the samples from the same
-intervals.
+finish.  Its sampled values never change, so nothing runs at a probe
+tick: the `UsageLedger` keeps each node's measured usage from each pod's
+sampled interval and advances it to the tick's window just before each
+scheduler tick, and the result's `PodSamples` streams the samples from the
+same intervals.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import NamedTuple
 
 from ._units import PAGE_SIZE
@@ -43,22 +52,6 @@ from .trace import JobKind, JobSpec
 
 class ConfigError(ValueError):
     """Inconsistent run configuration, caught before any event runs."""
-
-
-class EventKind(IntEnum):
-    # Numeric order is the tie-break order at equal timestamps.
-    FINISH = 0
-    SCHEDULER_TICK = 1
-
-
-class SimEvent(NamedTuple):
-    """A heap entry, ordered as a plain tuple: time, kind, then the unique
-    `seq`, so `job_id` (set on finishes) is never compared."""
-
-    time_ms: int
-    kind: EventKind
-    seq: int
-    job_id: str | None = None
 
 
 class JobStatus(Enum):
@@ -145,31 +138,25 @@ class _Engine:
         self.ledger = UsageLedger(self.cluster, config.probe_period_ms,
                                   config.window_ms)
         self.queue = PendingQueue()
-        self.heap: list[SimEvent] = []
-        self.seq = 0
+        self.finishes: list[tuple[int, str]] = []  # heap of (finish_ms, job_id)
         self.outcomes: dict[str, JobOutcome] = {}
         self.pending_epc: list[tuple[int, int]] = []
         self.makespan_ms = 0
         self.last_progress_ms = 0
 
-    def _push(self, time_ms: int, kind: EventKind, job_id: str | None = None):
-        heapq.heappush(self.heap, SimEvent(time_ms, kind, self.seq, job_id))
-        self.seq += 1
-
-    def _all_terminal(self) -> bool:
-        return len(self.outcomes) == len(self.jobs)
-
     def run(self) -> SimResult:
-        if self.jobs:
-            self._push(0, EventKind.SCHEDULER_TICK)
-        while self.heap:
-            now, kind, _, job_id = heapq.heappop(self.heap)
-            if kind is EventKind.FINISH:
-                self._on_finish(job_id, now)
-            else:
-                self._on_scheduler_tick(now)
-            if self.config.check_invariants:
+        finishes, check = self.finishes, self.config.check_invariants
+        now, ticking = 0, bool(self.jobs)
+        while ticking:
+            while finishes and finishes[0][0] <= now:
+                finish_ms, job_id = heapq.heappop(finishes)
+                self._on_finish(job_id, finish_ms)
+                if check:
+                    self._check_invariants(finish_ms)
+            ticking = self._on_scheduler_tick(now)
+            if check:
                 self._check_invariants(now)
+            now += self.config.scheduler_period_ms
         outcomes = sorted(self.outcomes.values(),
                           key=lambda o: (o.submitted_ms, o.job_id))
         return SimResult(outcomes=outcomes,
@@ -178,7 +165,9 @@ class _Engine:
                          pending_epc=self.pending_epc,
                          makespan_ms=self.makespan_ms)
 
-    def _on_scheduler_tick(self, now: int) -> None:
+    def _on_scheduler_tick(self, now: int) -> bool:
+        """Queue the arrivals before now, advance the ledger and place what
+        fits; whether any job is left to finish."""
         arrivals, i = self.arrivals, self.arrived
         while i < len(arrivals) and arrivals[i].submit_ms < now:
             self.queue.push(arrivals[i])
@@ -189,23 +178,17 @@ class _Engine:
                                         arrivals[i - 1].submit_ms)
             self.arrived = i
         self.ledger.advance(now)
-        placements = schedule_tick(self.queue, self.cluster, now,
-                                   self.config.policy)
-        for placement in placements:
-            self._handle_placement(placement.job_id, placement.node_id, now)
+        placements = schedule_tick(self.queue, self.cluster, self.config.policy)
+        for job, node_id in placements:
+            self._handle_placement(job, node_id, now)
         self.pending_epc.append((now, self.queue.epc_pages * PAGE_SIZE))
         if placements:
             self.last_progress_ms = now
-        if self._all_terminal():
-            return
         if self._stuck(now, placements):
             self._mark_unfinished()
-            return
-        self._push(now + self.config.scheduler_period_ms,
-                   EventKind.SCHEDULER_TICK)
+        return len(self.outcomes) < len(self.jobs)
 
-    def _handle_placement(self, job_id: str, node_id: str, now: int) -> None:
-        job = self.jobs[job_id]
+    def _handle_placement(self, job: JobSpec, node_id: str, now: int) -> None:
         node = self.cluster.nodes[node_id]
         if job.kind.uses_epc:
             granted = self.driver.enclave_init(node_id, job.actual_epc_pages,
@@ -217,7 +200,7 @@ class _Engine:
                         and self.config.enforce_limits
                         and job.actual_epc_pages <= job.declared_epc_pages):
                     raise AssertionError(
-                        f"{job_id}: capacity denial on {node_id} despite "
+                        f"{job.job_id}: capacity denial on {node_id} despite "
                         "admission on declared pages")
                 node.release(job.requested_mem, job.declared_epc_pages)
                 self._record(job, JobStatus.KILLED, node_id)
@@ -225,10 +208,10 @@ class _Engine:
         startup_ms = 0
         if job.kind.uses_epc and self.config.include_startup_delays:
             startup_ms = int(round(startup_delay(job.actual_mem, node.spec.epc)))
-        pod = self.cluster.pods[job_id] = Pod(job, node_id, now)
+        pod = self.cluster.pods[job.job_id] = Pod(job, node_id, now)
         finish_ms = now + startup_ms + job.duration_ms
         self.ledger.place(pod, finish_ms)
-        self._push(finish_ms, EventKind.FINISH, job_id)
+        heapq.heappush(self.finishes, (finish_ms, job.job_id))
 
     def _on_finish(self, job_id: str, now: int) -> None:
         pod = self.cluster.pods.pop(job_id)

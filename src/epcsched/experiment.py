@@ -230,10 +230,19 @@ def config_from_mapping(data: dict[str, Any]) -> ExperimentConfig:
                             **sections["run"])
 
 
+def _read_text(path, what: str) -> str:
+    """A UTF-8 file's text; bytes that do not decode are a ConfigError
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from None
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config file: a flat JSON object or key = value
     lines with '#' comments.  Both use the same key names."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, "config file")
     try:
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -252,7 +261,7 @@ def load_cluster(path) -> list[NodeSpec]:
     or suffixed strings.  A missing path means the built-in default cluster."""
     if path is None:
         return default_cluster()
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, "cluster file")
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:

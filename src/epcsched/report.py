@@ -190,13 +190,15 @@ def _bucket_stats(pairs: list[tuple[int, int]],
 
 def power_of_two_edges(values: Iterable[int]) -> list[int]:
     """Default bucket boundaries: consecutive powers of two covering the
-    positive values."""
+    positive values, after a leading 0 when a value is zero, so that its
+    [0, lo) bucket holds the zero sizes."""
+    values = list(values)
     positive = [v for v in values if v > 0]
+    edges = [0] if 0 in values else []
     if not positive:
-        return [1, 2]
+        return edges + [1, 2]
     lo = 1 << max(0, min(positive).bit_length() - 1)
     hi = 1 << max(positive).bit_length()
-    edges = []
     edge = lo
     while edge <= hi:
         edges.append(edge)

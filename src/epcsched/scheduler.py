@@ -13,20 +13,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable
 
 from .cluster import ClusterState, NodeState
 from .trace import JobSpec
-
-
-@dataclass(frozen=True)
-class Placement:
-    job_id: str
-    node_id: str
-    decided_at_ms: int
 
 
 class PendingQueue:
@@ -49,13 +41,14 @@ class PendingQueue:
         insort(self._jobs, job, key=self._key)
         self.epc_pages += job.declared_epc_pages
 
-    def take(self, placed: list[JobSpec]) -> None:
-        """Remove the queued jobs one walk placed, in one pass."""
+    def take(self, placed: list[tuple[JobSpec, str]]) -> None:
+        """Remove the queued jobs of one walk's (job, node id) placements, in
+        one pass."""
         if not placed:
             return
-        gone = {job.job_id for job in placed}
+        gone = {job.job_id for job, _ in placed}
         self._jobs = [job for job in self._jobs if job.job_id not in gone]
-        self.epc_pages -= sum(job.declared_epc_pages for job in placed)
+        self.epc_pages -= sum(job.declared_epc_pages for job, _ in placed)
 
     def drain(self) -> list[JobSpec]:
         """Empty the queue; its jobs in queue order."""
@@ -246,9 +239,8 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
     different variances that round to one stddev still tie.  With n nodes,
     V0 = n*Q - S*S and N_i replaced by N' = N_i + d, n times the variance
     is var = V0 + d*(2*(n*N_i - S) + (n-1)*d) over (2**bits)**2, so on top
-    of the sums, which carry over from earlier decisions, a target costs
-    O(1).  Feasibility is the rule of `feasible`, written out over the
-    list's own capacities and reservations so that a target costs no call.
+    of the sums, which carry over from earlier decisions, and of `feasible`,
+    a target costs O(1).
 
     Targets are visited class by class, each class from its least reserved
     node.  In a class of capacity c, float division by c is monotone, so
@@ -274,9 +266,7 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
     nodes = sums.nodes
     if not nodes:
         return None
-    mem, pages = job.requested_mem, job.declared_epc_pages
-    by_pages = sums.pages
-    extra = pages if by_pages else mem
+    extra = job.declared_epc_pages if sums.pages else job.requested_mem
     lifted, unit, bits, total = sums.lifted, sums.unit, sums.bits, sums.total
     n = len(nodes)
     k = n - 1
@@ -308,15 +298,8 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
             run_end = bisect_left(keys, (r + 1,), pos + 1)
             for pos in range(pos, run_end):
                 i = keys[pos][1]
-                node = nodes[i]
-                # headroom = capacity - max(measured, reserved), as in `feasible`
-                seen, held = node.measured_std, node.reserved_std
-                if (seen if seen > held else held) + mem > node.spec.std_capacity:
+                if not feasible(job, nodes[i]):
                     continue
-                if by_pages:
-                    seen = node.measured_epc_pages
-                    if (seen if seen > r else r) + pages > cap:
-                        continue
                 d = _lift((r + extra) / cap, unit) - lifted[i]
                 var = base + d * (2 * c + k * d)
                 if best < 0 or var <= cut and (var < best_var or i < best):
@@ -360,9 +343,10 @@ POLICIES: dict[str, Callable[..., str | None]] = {
 }
 
 
-def schedule_tick(queue: PendingQueue, cluster: ClusterState, now_ms: int,
-                  policy: str = "binpack") -> list[Placement]:
-    """Walk the queue in order once, placing every job that fits somewhere.
+def schedule_tick(queue: PendingQueue, cluster: ClusterState,
+                  policy: str = "binpack") -> list[tuple[JobSpec, str]]:
+    """Walk the queue in order once, placing every job that fits somewhere;
+    the placed jobs with their node ids, in queue order.
 
     Admission reads the nodes' measured usage as the caller left it for this
     tick; reservations made for jobs placed earlier in the same walk are
@@ -382,8 +366,7 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState, now_ms: int,
         select = POLICIES[policy]
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
-    placements: list[Placement] = []
-    placed: list[JobSpec] = []
+    placed: list[tuple[JobSpec, str]] = []
     std_failed: int | None = None
     enclave_failed: list[tuple[int, int]] = []
     for job in queue:
@@ -409,7 +392,6 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState, now_ms: int,
                 std_failed = mem
             continue
         cluster.nodes[node_id].reserve(mem, pages)
-        placed.append(job)
-        placements.append(Placement(job.job_id, node_id, now_ms))
+        placed.append((job, node_id))
     queue.take(placed)
-    return placements
+    return placed

@@ -15,6 +15,7 @@ import io
 import logging
 import math
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -233,11 +234,18 @@ _EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH = 0, 1, 4
 
 
 def _shard_rows(directory: Path):
-    """(shard, 1-based row number, row) for every row of every shard."""
+    """(shard, 1-based row number, row) for every row of every shard.  A
+    shard that does not decompress or decode is a TraceParseError naming
+    it."""
     for shard in sorted(directory.glob("*.csv.gz")):
         with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
-            for rowno, row in enumerate(csv.reader(fh), start=1):
-                yield shard, rowno, row
+            try:
+                for rowno, row in enumerate(csv.reader(fh), start=1):
+                    yield shard, rowno, row
+            except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
+                    zlib.error) as exc:
+                raise TraceParseError(f"unreadable shard: {exc}",
+                                      path=str(shard)) from None
 
 
 def _finite(field: str) -> float:
@@ -450,28 +458,32 @@ def _csv_rows(source, fields: tuple[str, ...],
     """decode(line number, row) of every non-blank row of a CSV file whose
     header must equal `fields`.  A row of any other width, or one that
     `decode` rejects with a ValueError, is a TraceParseError naming the file
-    (a path, or an open file's name) and the line.  An empty source has no
-    rows."""
+    (a path, or an open file's name) and the line; bytes that are not UTF-8
+    are one naming the file.  An empty source has no rows."""
     path = (os.fspath(source) if isinstance(source, (str, os.PathLike))
             else getattr(source, "name", None))
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and tuple(h.strip() for h in header) != fields:
-            raise TraceParseError(f"expected header {','.join(fields)}",
-                                  line=1, path=path)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(fields):
-                raise TraceParseError(f"expected {len(fields)} fields, got "
-                                      f"{len(row)}", line=line, path=path)
-            try:
-                value = decode(line, row)
-            except ValueError as exc:
-                raise TraceParseError(str(exc), line=line, path=path) from None
-            yield value
+    try:
+        with _open_text(source) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None and tuple(h.strip() for h in header) != fields:
+                raise TraceParseError(f"expected header {','.join(fields)}",
+                                      line=1, path=path)
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(fields):
+                    raise TraceParseError(f"expected {len(fields)} fields, got "
+                                          f"{len(row)}", line=line, path=path)
+                try:
+                    value = decode(line, row)
+                except ValueError as exc:
+                    raise TraceParseError(str(exc), line=line,
+                                          path=path) from None
+                yield value
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(str(exc), path=path) from None
 
 
 def _first_sighting(seen: dict[str, int], job_id: str, line: int) -> None:

@@ -1,4 +1,4 @@
-"""Replay engine: event ordering, job lifecycle, and run-level invariants."""
+"""Replay engine: tick order, job lifecycle, and run-level invariants."""
 
 import re
 
@@ -10,14 +10,7 @@ from epcsched.cluster import NodeState
 from epcsched.driver import DriverState
 from epcsched.metrics import UsageLedger
 from epcsched.scheduler import PendingQueue
-from epcsched.engine import (
-    ConfigError,
-    EventKind,
-    JobStatus,
-    SimConfig,
-    SimEvent,
-    run,
-)
+from epcsched.engine import ConfigError, JobStatus, SimConfig, run
 from epcsched.trace import JobKind
 
 PAGE = 4096
@@ -26,23 +19,6 @@ USABLE = 23_936
 
 def outcomes_by_id(result):
     return {o.job_id: o for o in result.outcomes}
-
-
-class TestEventOrdering:
-    def test_kind_order_at_equal_time(self):
-        assert [kind.name for kind in EventKind] == [
-            "FINISH", "SCHEDULER_TICK"]
-        order = sorted([
-            SimEvent(5, EventKind.SCHEDULER_TICK, 0),
-            SimEvent(5, EventKind.FINISH, 1),
-        ])
-        assert [e.kind for e in order] == [
-            EventKind.FINISH, EventKind.SCHEDULER_TICK]
-
-    def test_seq_breaks_remaining_ties(self):
-        a = SimEvent(5, EventKind.FINISH, 1)
-        b = SimEvent(5, EventKind.FINISH, 2)
-        assert a < b
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +102,17 @@ class TestLifecycle:
                      [sgx_node("s1")],
                      SimConfig(include_startup_delays=False))
         assert outcomes_by_id(result)["a"].finished_ms == 25_000
+
+    def test_finish_at_a_tick_frees_its_node_for_that_tick(self):
+        # "a" runs 5000-10000 and is never sampled, so only its reservation
+        # holds the node; the finish at 10000 runs before the tick there.
+        jobs = [std_job("a", duration_ms=5_000),
+                std_job("b", submit_ms=1, duration_ms=5_000)]
+        result = run(jobs, [std_node("n1", std_capacity=GIB)],
+                     SimConfig(check_invariants=True))
+        got = outcomes_by_id(result)
+        assert (got["a"].started_ms, got["a"].finished_ms) == (5_000, 10_000)
+        assert got["b"].started_ms == 10_000
 
     def test_zero_duration_job(self):
         result = run([std_job("j", duration_ms=0)], [std_node("n1")])

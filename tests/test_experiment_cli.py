@@ -577,6 +577,37 @@ class TestCli:
         assert kinds["malicious-5"] is not JobKind.MALICIOUS_SGX
         assert len(kinds) == 7
 
+    @pytest.mark.parametrize("bad, code", [("config", 2), ("cluster", 2),
+                                           ("trace", 3), ("shard", 3)])
+    def test_unreadable_input_exits_with_its_file_named(
+            self, tmp_path, trace_path, capsys, bad, code):
+        # A byte that is not UTF-8, or a shard cut off mid-stream.
+        out = tmp_path / "jobs.csv"
+        if bad == "config":
+            named = flat_config(tmp_path, trace_path, "# \xff\n")
+            named.write_bytes(named.read_text().encode("latin-1"))
+            argv = ["run", "--config", str(named)]
+        elif bad == "cluster":
+            named = tmp_path / "cluster.json"
+            named.write_bytes(b'[{"node_id": "n\xff", "std_capacity": 1}]')
+            argv = ["run", "--config",
+                    str(flat_config(tmp_path, trace_path,
+                                    f"cluster = {named}\n"))]
+        elif bad == "trace":
+            named = trace_path
+            named.write_bytes(TRACE.encode() + b"j5,8,10,0.1,0.1\xff\n")
+            argv = ["scale", "--in", str(named), "--out", str(out)]
+        else:
+            named = tmp_path / "borg" / "task_events" / "part-00000.csv.gz"
+            named.parent.mkdir(parents=True)
+            rows = b"0,,42,0,,0,,,,,0.25\n" * 100
+            named.write_bytes(gzip.compress(rows)[:-20])
+            argv = ["scale", "--in", str(tmp_path / "borg"),
+                    "--format", "borg_tables", "--out", str(out)]
+        assert main(argv) == code
+        assert str(named) in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists() and not out.exists()
+
     def test_missing_trace_exits_3(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"trace = {tmp_path / 'missing.csv'}\n")

@@ -11,7 +11,7 @@ from epcsched._units import MIB
 from epcsched.cluster import EpcModel, NodeSpec
 from epcsched.engine import JobStatus, SimConfig, run
 from epcsched.metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
-                              SeriesStore, WindowQuery)
+                              SeriesStore, UsageLedger, WindowQuery)
 from epcsched.synthetic import synthetic_trace
 from epcsched.trace import JobKind, JobSpec, ScalingConfig, materialize
 
@@ -21,20 +21,26 @@ USABLE = 23_936
 def recorded_run(monkeypatch, jobs, nodes, config):
     """Run, keeping (now, measured usage) of every tick: each node's
     `measured_*` fields as `schedule_tick` is entered, as the nonzero
-    per-metric maps of a window query."""
-    views = []
-    tick = engine.schedule_tick
+    per-metric maps of a window query, with now the time of the ledger
+    advance that comes just before."""
+    views, advanced = [], []
+    tick, advance = engine.schedule_tick, UsageLedger.advance
 
-    def recording(queue, cluster, now_ms, *args):
+    def advancing(ledger, now_ms):
+        advanced.append(now_ms)
+        advance(ledger, now_ms)
+
+    def recording(queue, cluster, *args):
         measured = {METRIC_STD_BYTES: {}, METRIC_EPC_PAGES: {}}
         for node_id, node in cluster.nodes.items():
             for metric, value in ((METRIC_STD_BYTES, node.measured_std),
                                   (METRIC_EPC_PAGES, node.measured_epc_pages)):
                 if value:
                     measured[metric][node_id] = value
-        views.append((now_ms, {k: v for k, v in measured.items() if v}))
-        return tick(queue, cluster, now_ms, *args)
+        views.append((advanced[-1], {k: v for k, v in measured.items() if v}))
+        return tick(queue, cluster, *args)
 
+    monkeypatch.setattr(UsageLedger, "advance", advancing)
     monkeypatch.setattr(engine, "schedule_tick", recording)
     result = run(jobs, nodes, config)
     monkeypatch.undo()

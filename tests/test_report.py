@@ -99,7 +99,16 @@ class TestBuckets:
         assert power_of_two_edges([5, 9]) == [4, 8, 16]
         assert power_of_two_edges([1]) == [1, 2]
         assert power_of_two_edges([]) == [1, 2]
-        assert power_of_two_edges([0]) == [1, 2]
+        assert power_of_two_edges([0]) == [0, 1, 2]
+        assert power_of_two_edges([5, 0, 9]) == [0, 4, 8, 16]
+
+    def test_zero_requests_get_the_leading_bucket(self):
+        # Every started job of a class lands in one of its default buckets.
+        jobs = {"z": std_job("z", requested=0), "g": std_job("g", requested=GIB)}
+        outcomes = [completed("z", 0, 4, 5), completed("g", 0, 2, 3)]
+        table = waiting_by_memory(outcomes, jobs)
+        assert [(b.lo, b.hi, b.count, b.mean_ms) for b in table["std"]] == [
+            (0, GIB, 1, 4.0), (GIB, 2 * GIB, 1, 2.0)]
 
     def test_waiting_by_memory_single_value_bucket(self):
         jobs = {"a": std_job("a", requested=6), "b": std_job("b", requested=6)}

@@ -21,7 +21,6 @@ from epcsched.metrics import (
 )
 from epcsched.scheduler import (
     PendingQueue,
-    Placement,
     binpack_select,
     feasible,
     schedule_tick,
@@ -92,7 +91,7 @@ class TestPendingQueue:
                 sgx_job("c", submit_ms=2, declared=7), std_job("d", submit_ms=3)]
         q = PendingQueue(jobs)
         assert q.epc_pages == 12
-        q.take([jobs[2], jobs[1]])
+        q.take([(jobs[2], "n1"), (jobs[1], "n2")])
         assert [j.job_id for j in q] == ["a", "d"]
         assert q.epc_pages == 5
         q.take([])
@@ -711,9 +710,9 @@ class TestScheduleTick:
         cluster = cluster_of(sgx_node("s1"))
         q = PendingQueue([sgx_job("b", submit_ms=5, declared=100),
                           sgx_job("a", submit_ms=0, declared=100)])
-        placements = schedule_tick(q, cluster, now_ms=0)
-        assert [(p.job_id, p.node_id, p.decided_at_ms) for p in placements] == [
-            ("a", "s1", 0), ("b", "s1", 0)]
+        placements = schedule_tick(q, cluster)
+        assert [(job.job_id, node_id) for job, node_id in placements] == [
+            ("a", "s1"), ("b", "s1")]
         assert len(q) == 0
         assert cluster.nodes["s1"].reserved_epc_pages == 200
 
@@ -721,60 +720,60 @@ class TestScheduleTick:
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         big = USABLE - 100
         q = PendingQueue([sgx_job("a", declared=big), sgx_job("b", declared=big)])
-        placements = schedule_tick(q, cluster, now_ms=0)
-        assert {(p.job_id, p.node_id) for p in placements} == {
+        placements = schedule_tick(q, cluster)
+        assert {(job.job_id, node_id) for job, node_id in placements} == {
             ("a", "s1"), ("b", "s2")}
 
     def test_no_head_of_line_blocking(self):
         cluster = cluster_of(sgx_node("s1"))
         q = PendingQueue([sgx_job("huge", submit_ms=0, declared=USABLE + 1),
                           sgx_job("ok", submit_ms=1, declared=10)])
-        placements = schedule_tick(q, cluster, now_ms=0)
-        assert [p.job_id for p in placements] == ["ok"]
+        placements = schedule_tick(q, cluster)
+        assert [job.job_id for job, _ in placements] == ["ok"]
         assert [j.job_id for j in q] == ["huge"]
 
     def test_measured_usage_respected(self):
         cluster = cluster_of(sgx_node("s1"))
         store = SeriesStore()
         store.append(MetricSample(1_000, "s1", "old", METRIC_EPC_PAGES, USABLE))
-        q = PendingQueue([sgx_job("j", declared=10)])
-        assert schedule_tick(q, with_window(cluster, store, 10_000),
-                             now_ms=10_000) == []
+        job = sgx_job("j", declared=10)
+        q = PendingQueue([job])
+        assert schedule_tick(q, with_window(cluster, store, 10_000)) == []
         # by 27s the stale sample has left the 25s window
-        assert schedule_tick(q, with_window(cluster, store, 27_000),
-                             now_ms=27_000) == [Placement("j", "s1", 27_000)]
+        assert schedule_tick(q, with_window(cluster, store, 27_000)) == [
+            (job, "s1")]
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            schedule_tick(PendingQueue(), cluster_of(std_node("n1")), 0,
+            schedule_tick(PendingQueue(), cluster_of(std_node("n1")),
                           policy="notreal")
 
     def test_spread_policy_dispatch(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, 1_000)
         q = PendingQueue([sgx_job("j", declared=10)])
-        placements = schedule_tick(q, cluster, 0, policy="spread")
-        assert placements[0].node_id == "s2"
+        placements = schedule_tick(q, cluster, policy="spread")
+        assert placements[0][1] == "s2"
 
 
 _SEED_POLICIES = {"binpack": _seed_binpack_select, "spread": _seed_spread_select}
 
 
-def _seed_schedule_tick(jobs, nodes, usage, now_ms, policy):
+def _seed_schedule_tick(jobs, nodes, usage, policy):
     """The walk `schedule_tick` made before it skipped dominated jobs, kept
     verbatim as the reference for exact placements, over the seed policies
-    and admission.  `usage` is the measured usage; returns the placements
-    and the jobs left queued."""
+    and admission.  `usage` is the measured usage; returns the (job, node
+    id) placements and the jobs left queued."""
     select = _SEED_POLICIES[policy]
     queue = sorted(jobs, key=lambda j: (j.submit_ms, j.job_id))
-    placements: list[Placement] = []
+    placements: list[tuple[JobSpec, str]] = []
     for job in list(queue):
         node_id = select(job, nodes, usage)
         if node_id is None:
             continue
         nodes[node_id].reserve(job.requested_mem, job.declared_epc_pages)
         queue.remove(job)
-        placements.append(Placement(job.job_id, node_id, now_ms))
+        placements.append((job, node_id))
     return placements, queue
 
 
@@ -836,14 +835,14 @@ class TestTickSkipsDominatedJobs:
         queue = PendingQueue(jobs)
         placements = schedule_tick(
             queue, with_window(cluster, _usage_store(usage, 1_000), 1_000),
-            1_000, policy)
+            policy)
         got = (placements, list(queue), queue.epc_pages,
                [(n.reserved_std, n.reserved_epc_pages)
                 for n in cluster.nodes.values()])
         seed_nodes = _node_states(rows)
         seed_placements, left = _seed_schedule_tick(
             jobs, seed_nodes,
-            {nid: NodeUsage(*u) for nid, u in usage.items()}, 1_000, policy)
+            {nid: NodeUsage(*u) for nid, u in usage.items()}, policy)
         want = (seed_placements, left,
                 sum(j.declared_epc_pages for j in left if j.kind.uses_epc),
                 [(n.reserved_std, n.reserved_epc_pages)
@@ -886,8 +885,8 @@ class TestTickSkipsDominatedJobs:
                        for i in range(100)]
             other = sgx_job("ok", submit_ms=1, declared=10)
         q = PendingQueue(misfits + [other])
-        placements = schedule_tick(q, cluster, 0, policy)
+        placements = schedule_tick(q, cluster, policy)
         # a failure of one class rules out no job of the other
-        assert [p.job_id for p in placements] == ["ok"]
+        assert [job.job_id for job, _ in placements] == ["ok"]
         assert calls == ["f000", "ok"]
         assert len(q) == 100

@@ -190,6 +190,26 @@ class TestBorgTables:
             parse_trace(tmp_path, fmt="borg_tables")
         assert str(shard) in str(err.value)
 
+    @staticmethod
+    def _flip(data: bytes, at: int) -> bytes:
+        return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+    @pytest.mark.parametrize("spoil, reason", [
+        (lambda gz: gz[:-20], "end-of-stream marker"),        # EOFError
+        (lambda gz: b"not gzip", "Not a gzipped file"),       # BadGzipFile
+        (lambda gz: TestBorgTables._flip(gz, 10),             # zlib.error
+         "while decompressing data"),
+        (lambda gz: gzip.compress(b"0,,42,0,,0,,,,,0.25\xff\n"), "utf-8"),
+    ], ids=["truncated", "not-gzip", "corrupt-deflate", "not-utf8"])
+    def test_unreadable_shard_names_it(self, tmp_path, spoil, reason):
+        (tmp_path / "task_usage").mkdir()
+        shard = tmp_path / "task_events" / "part-00000.csv.gz"
+        shard.parent.mkdir()
+        shard.write_bytes(spoil(gzip.compress(b"0,,42,0,,0,,,,,0.25\n" * 100)))
+        with pytest.raises(TraceParseError, match=reason) as err:
+            parse_trace(tmp_path, fmt="borg_tables")
+        assert str(err.value).startswith(f"{shard}: unreadable shard: ")
+
 
 class TestSliceAndSample:
     RECORDS = [rec(f"j{i}", submit_s=float(i)) for i in range(10)]

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import sgx_job, sgx_node, std_job, std_node
 from epcsched import driver, engine, experiment, metrics, report, scheduler
-from epcsched.engine import SimConfig, run
+from epcsched.engine import JobStatus, SimConfig, run
 
 TRACED = [(metrics.UsageLedger, "advance"),
           (engine, "schedule_tick"),
@@ -79,3 +79,17 @@ def test_sweep_and_figures_call_each_artifact_function_by_name(monkeypatch,
     for figure in report.FIGURES:
         report.figure_dataset(root, figure)
     assert all(calls[name] > 0 for _, name in ARTIFACT_IO), calls
+
+
+def test_heap_pops_once_per_completed_job(monkeypatch):
+    # The engine's heap holds finishes only: ticks follow the scheduler
+    # clock, and a killed job never finishes.
+    calls = Counter()
+    monkeypatch.setattr(engine.heapq, "heappop",
+                        counted(calls, "heappop", engine.heapq.heappop))
+    jobs = [sgx_job("e", declared=10), sgx_job("liar", declared=1, actual=100),
+            std_job("s", submit_ms=1_000), std_job("t", submit_ms=30_000)]
+    result = run(jobs, [sgx_node("s1"), std_node("n1")])
+    statuses = Counter(o.status for o in result.outcomes)
+    assert statuses == {JobStatus.COMPLETED: 3, JobStatus.KILLED: 1}
+    assert calls["heappop"] == 3
