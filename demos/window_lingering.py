@@ -1,28 +1,43 @@
 """Show how the sliding-window query keeps a node looking occupied after its
 pod is gone.
 
-The store answers "how full is this node" with the sum over pods of each
-pod's maximum sample inside the window, for every metric in one query.  A pod that stopped reporting still
-contributes its last peaks until they age out, so capacity frees up one
-window-length after the pod finishes, not at the instant it does.
+The scheduler reads a node's usage as the sum over pods of each pod's
+maximum sample inside the window.  A pod that stopped reporting still
+contributes its last peak until that sample ages out, so its pages free up
+for admission one window-length after its last sample, not when it finishes.
+
+Two enclave jobs share one node: `first` holds just over half the usable
+pages for 20 s, and `second`, which asks for the other half, waits for it.
 """
 
-from epcsched import METRIC_EPC_PAGES, MetricSample, SeriesStore, WindowQuery
+from epcsched import EpcModel, JobKind, JobSpec, NodeSpec, SimConfig, run
 
-WINDOW_MS = 25_000
+PAGE = 4096
+USABLE = EpcModel().usable_pages
+config = SimConfig()
 
-store = SeriesStore()
-# pod "enc" runs from t=5s to t=20s, probed every 5s at 900 pages
-for t_ms in range(5_000, 20_001, 5_000):
-    store.append(MetricSample(t_ms, "sgx-1", "enc", METRIC_EPC_PAGES, 900))
 
-print(f"window = {WINDOW_MS} ms, pod last sampled at t=20000 ms\n")
-print(f"{'now ms':>8}  {'measured pages on sgx-1':>24}")
-for now in range(20_000, 50_001, 5_000):
-    usage = store.per_node_usage(WindowQuery(now, WINDOW_MS))
-    pages = usage.get(METRIC_EPC_PAGES, {}).get("sgx-1", 0)
-    note = "  <- finally clear" if pages == 0 else ""
-    print(f"{now:>8}  {pages:>24}{note}")
+def enclave_job(job_id, submit_ms, duration_ms, pages):
+    return JobSpec(job_id, JobKind.SGX, submit_ms, duration_ms, PAGE,
+                   pages * PAGE, pages, pages)
 
-print("\nThe node reads as full through t=45000 even though the pod stopped")
-print("at t=20000.  Schedulers built on this store inherit that caution.")
+
+jobs = [enclave_job("first", 0, 20_000, USABLE // 2 + 1),
+        enclave_job("second", 1, 10_000, USABLE // 2)]
+result = run(jobs, [NodeSpec("sgx-1", 8 * 1024 ** 3, EpcModel())], config)
+by_id = {o.job_id: o for o in result.outcomes}
+first, second = by_id["first"], by_id["second"]
+last_sample = max(s.time_ms for s in result.store.samples()
+                  if s.pod_id == "first")
+
+print(f"{USABLE} usable pages; window {config.window_ms} ms, "
+      f"probes every {config.probe_period_ms} ms, "
+      f"ticks every {config.scheduler_period_ms} ms\n")
+print(f"first:  {first.declared_pages} pages, placed at {first.started_ms} ms, "
+      f"finished at {first.finished_ms} ms, last sampled at {last_sample} ms")
+print(f"second: {second.declared_pages} pages, submitted at "
+      f"{second.submitted_ms} ms, placed at {second.started_ms} ms")
+print(f"\nThe node's reservations are free at {first.finished_ms} ms, but its "
+      f"measured usage\nholds first's pages through "
+      f"{last_sample + config.window_ms} ms, while its last sample is in the "
+      f"window;\nsecond starts at the first tick after that.")

@@ -18,8 +18,7 @@ from .engine import ConfigError, JobOutcome, JobStatus, SimConfig, SimResult, ru
 from .experiment import (ExperimentConfig, MaliciousConfig, load_cluster,
                          load_config, run_experiment)
 from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
-                      OutOfOrderSampleError, PodSamples, SeriesStore,
-                      UsageLedger, WindowQuery)
+                      SeriesStore, UsageLedger)
 from .report import (BucketStat, figure_dataset, mean_waiting, summary,
                      turnaround_sum, waiting_by_memory, waiting_cdf)
 from .scheduler import (PendingQueue, binpack_select, feasible, schedule_tick,
@@ -37,10 +36,9 @@ __all__ = [
     "DriverError", "DriverState", "EpcModel", "ExperimentConfig",
     "InitResult", "JobKind", "JobOutcome", "JobSpec", "JobStatus",
     "MaliciousConfig", "METRIC_EPC_PAGES", "METRIC_STD_BYTES",
-    "MetricSample", "NodeSpec", "NodeState", "OutOfOrderSampleError",
-    "PendingQueue", "Pod", "PodSamples", "RawJobRecord", "ScalingConfig",
-    "SeriesStore", "SimConfig", "SimResult", "TraceParseError", "UsageLedger",
-    "WindowQuery", "binpack_select", "bundled_trace_path",
+    "MetricSample", "NodeSpec", "NodeState", "PendingQueue", "Pod",
+    "RawJobRecord", "ScalingConfig", "SeriesStore", "SimConfig", "SimResult",
+    "TraceParseError", "UsageLedger", "binpack_select", "bundled_trace_path",
     "default_cluster", "feasible", "figure_dataset", "inject_malicious",
     "load_bundled_trace", "load_cluster", "load_config", "materialize",
     "mean_waiting", "parse_trace", "run", "run_experiment",

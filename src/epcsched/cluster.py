@@ -27,21 +27,11 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class EpcModel:
-    """Protected-memory geometry plus the enclave startup-cost constants of
-    one node.
-
-    Startup cost is piecewise linear in the allocation size: a fixed service
-    startup, a cheap per-MiB slope while the allocation fits the usable
-    region, and a steeper slope plus an extra fixed penalty once it spills
-    beyond it and pages start getting evicted during construction.
-    """
+    """Protected-memory geometry of one node: the hardware region and the
+    usable slice of it that enclaves can be handed."""
 
     total_bytes: int = DEFAULT_EPC_TOTAL
     usable_bytes: int = DEFAULT_EPC_USABLE
-    aesm_startup_ms: float = 100.0
-    rate_below_ms_per_mib: float = 1.6
-    rate_above_ms_per_mib: float = 4.5
-    fixed_above_ms: float = 200.0
 
     def __post_init__(self):
         if self.total_bytes <= 0:
@@ -50,9 +40,6 @@ class EpcModel:
             raise ValueError("usable_bytes must lie in (0, total_bytes]")
         if self.usable_bytes % PAGE_SIZE:
             raise ValueError("usable_bytes must be a whole number of pages")
-        if (self.aesm_startup_ms < 0 or self.rate_below_ms_per_mib < 0
-                or self.rate_above_ms_per_mib < 0 or self.fixed_above_ms < 0):
-            raise ValueError("startup-cost constants must be >= 0")
 
     @cached_property
     def usable_pages(self) -> int:

@@ -79,6 +79,14 @@ class DriverState:
         self.free_pages[node_id] = free + pages
 
 
+# Enclave startup cost: the service startup every build pays, in ms, and
+# the per-MiB slopes and the fixed penalty of `startup_delay`.
+AESM_STARTUP_MS = 100.0
+RATE_BELOW_MS_PER_MIB = 1.6
+RATE_ABOVE_MS_PER_MIB = 4.5
+FIXED_ABOVE_MS = 200.0
+
+
 def startup_delay(alloc_bytes: int | float, model: EpcModel) -> float:
     """Enclave construction time in milliseconds for an allocation of
     alloc_bytes on a node with the given protected-memory model.
@@ -92,6 +100,5 @@ def startup_delay(alloc_bytes: int | float, model: EpcModel) -> float:
         raise ValueError("alloc_bytes must be >= 0")
     mib = alloc_bytes / MIB
     if alloc_bytes <= model.usable_bytes:
-        return model.aesm_startup_ms + model.rate_below_ms_per_mib * mib
-    return (model.aesm_startup_ms + model.fixed_above_ms
-            + model.rate_above_ms_per_mib * mib)
+        return AESM_STARTUP_MS + RATE_BELOW_MS_PER_MIB * mib
+    return AESM_STARTUP_MS + FIXED_ABOVE_MS + RATE_ABOVE_MS_PER_MIB * mib

@@ -31,7 +31,7 @@ is sampled at the probe ticks strictly between its placement and its
 finish.  Its sampled values never change, so nothing runs at a probe
 tick: the `UsageLedger` keeps each node's measured usage from each pod's
 sampled interval and advances it to the tick's window just before each
-scheduler tick, and the result's `PodSamples` streams the samples from the
+scheduler tick, and the result's `SeriesStore` streams the samples from the
 same intervals.
 """
 
@@ -45,7 +45,7 @@ from typing import NamedTuple
 from ._units import PAGE_SIZE
 from .cluster import ClusterState, NodeSpec, Pod
 from .driver import DriverState, InitResult, startup_delay
-from .metrics import PodSamples, UsageLedger
+from .metrics import SeriesStore, UsageLedger
 from .scheduler import POLICIES, PendingQueue, schedule_tick, spread_state
 from .trace import JobKind, JobSpec
 
@@ -115,7 +115,7 @@ class SimResult:
     """Everything a run leaves behind, ordered deterministically."""
 
     outcomes: list[JobOutcome]
-    store: PodSamples
+    store: SeriesStore
     pending_epc: list[tuple[int, int]]  # (time_ms, queued declared EPC bytes)
     makespan_ms: int                    # latest completion (0 if none)
 
@@ -160,8 +160,8 @@ class _Engine:
         outcomes = sorted(self.outcomes.values(),
                           key=lambda o: (o.submitted_ms, o.job_id))
         return SimResult(outcomes=outcomes,
-                         store=PodSamples(self.ledger.pods,
-                                          self.config.probe_period_ms),
+                         store=SeriesStore(self.ledger.pods,
+                                           self.config.probe_period_ms),
                          pending_epc=self.pending_epc,
                          makespan_ms=self.makespan_ms)
 
@@ -252,10 +252,7 @@ class _Engine:
         enclave's pages against its limit; the queue's page counter against
         its jobs, none of which may have a pod; each node's measured usage,
         advanced to now, against a fresh window over the pod intervals; and
-        under `spread`, that every node whose reservation moved away from
-        the one its load was lifted from recorded the change, each kept load
-        and its sums against a fresh lift of that reservation, and each
-        capacity class's order against a fresh sort."""
+        under `spread`, its own state (`_Spread.check`)."""
         queue = self.queue
         backlog = sum(job.declared_epc_pages for job in queue
                       if job.kind.uses_epc)
@@ -298,19 +295,7 @@ class _Engine:
             raise AssertionError(f"t={now}: measured usage {kept} != a fresh "
                                  f"window over the pod intervals {fresh}")
         if self.config.policy == "spread":
-            spread = spread_state(self.cluster)
-            for name, sums in spread.sums.items():
-                for node_id, node, was in zip(sums.ids, sums.nodes,
-                                              sums.reserved):
-                    if node_id not in spread.changed and sums.current(node) != was:
-                        raise AssertionError(f"t={now}: {node_id} changed its "
-                                             "reservation without recording it")
-                if sums.fresh() != (sums.lifted, sums.total, sums.squares):
-                    raise AssertionError(f"t={now}: spread load sums of "
-                                         f"{name} != a fresh lift of their reservations")
-                if sums.classes != sums.sorted_classes():
-                    raise AssertionError(f"t={now}: spread classes of {name} "
-                                         "!= a fresh sort of their reservations")
+            spread_state(self.cluster).check(now)
 
 
 def run(jobs: list[JobSpec], cluster: list[NodeSpec],

@@ -9,18 +9,18 @@ One query answers every metric at once.  Metrics and nodes with no
 qualifying sample are absent from the result, which the caller must treat as
 zero usage.
 
-`SeriesStore` answers it by scanning appended samples.  A replay needs no
-samples to answer it: a pod's probed values never change, so the window
-counts a pod over one interval of time, and `UsageLedger` keeps each node's
-sum over those intervals in the node's `measured_std` and
-`measured_epc_pages`, which admission reads.  `PodSamples` streams the
-samples the probes would have written from the same intervals.
+A replay needs no samples to answer it: a pod's probed values never
+change, so the window counts a pod over one interval of time, and
+`UsageLedger` keeps each node's sum over those intervals in the node's
+`measured_std` and `measured_epc_pages`, which admission reads.
+`SeriesStore` streams the samples the probes would have written from the
+same intervals.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -33,10 +33,6 @@ METRIC_EPC_PAGES = "epc_pages"
 METRIC_STD_BYTES = "std_bytes"
 
 SAMPLES_FIELDS = ("time_ms", "node", "pod", "metric", "value")
-
-
-class OutOfOrderSampleError(ValueError):
-    """Appending a sample older than the stream it extends."""
 
 
 @dataclass(frozen=True)
@@ -52,109 +48,6 @@ class MetricSample:
             raise ValueError("sample time must be >= 0")
         if self.value < 0:
             raise ValueError("sample value must be >= 0")
-
-
-@dataclass(frozen=True)
-class WindowQuery:
-    """Aggregate every metric over the closed window [now - window, now]."""
-
-    now_ms: int
-    window_ms: int = 25_000
-
-    def __post_init__(self):
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        if self.now_ms < 0:
-            raise ValueError("now_ms must be >= 0")
-
-
-_Key = tuple[str, str, str]  # (node, pod, metric)
-
-
-class _Stream:
-    """Samples of one (node, pod, metric) series, times kept sorted."""
-
-    __slots__ = ("key", "times", "values")
-
-    def __init__(self, key: _Key):
-        self.key = key
-        self.times: list[int] = []
-        self.values: list[int] = []
-
-
-class SeriesStore:
-    """Append-only sample store, queryable per window.
-
-    Streams are keyed by (node, pod, metric).  Within a stream, time must not
-    go backwards; across streams there is no ordering requirement.  A query
-    visits every stream, so its cost grows with the history: this is the
-    plain reference that `UsageLedger` is checked against.  Each sample is
-    stored once, in its stream; the log keeps append order as one stream
-    reference per sample, replayed with a cursor per stream.
-    """
-
-    def __init__(self):
-        self._streams: dict[_Key, _Stream] = {}
-        self._log: list[_Stream] = []
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def append(self, sample: MetricSample) -> None:
-        key = (sample.node_id, sample.pod_id, sample.metric)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._streams[key] = _Stream(key)
-        elif sample.time_ms < stream.times[-1]:
-            raise OutOfOrderSampleError(f"sample at {sample.time_ms}ms precedes "
-                                        f"stream {key} tip {stream.times[-1]}ms")
-        stream.times.append(sample.time_ms)
-        stream.values.append(sample.value)
-        self._log.append(stream)
-
-    def per_node_usage(self, q: WindowQuery) -> dict[str, dict[str, int]]:
-        """Per metric, the sum per node of each pod's maximum nonzero sample
-        in the window.
-
-        Zero-valued samples never qualify, so an idle pod cannot drag a
-        node's aggregate down and a node whose pods only reported zeros is
-        simply absent from its metric's map.
-        """
-        out: dict[str, dict[str, int]] = {}
-        lo, now = q.now_ms - q.window_ms, q.now_ms
-        for (node_id, _pod, metric), stream in self._streams.items():
-            times = stream.times
-            # Values are never negative, so the window's maximum is its
-            # maximum nonzero sample whenever it is nonzero.
-            best = max(stream.values[bisect_left(times, lo):
-                                     bisect_right(times, now)], default=0)
-            if best:
-                per_node = out.setdefault(metric, {})
-                per_node[node_id] = per_node.get(node_id, 0) + best
-        return out
-
-    def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
-        """(time, node, pod, metric, value) of every sample in append order."""
-        cursors: dict[_Stream, int] = {}
-        for stream in self._log:
-            i = cursors.get(stream, 0)
-            cursors[stream] = i + 1
-            yield (stream.times[i], *stream.key, stream.values[i])
-
-    def samples(self) -> Iterator[MetricSample]:
-        """All samples in order."""
-        return (MetricSample(*row) for row in self._rows())
-
-    def write_csv(self, dest) -> None:
-        """The samples file: a header, then `_rows()` as CSV.  The rows come
-        from the `_write_rows` of whichever object is written, so a
-        `PodSamples` is written through this method too."""
-        with _open_write(dest) as fh:
-            fh.write(",".join(SAMPLES_FIELDS) + "\n")
-            self._write_rows(fh)
-
-    def _write_rows(self, fh) -> None:
-        csv.writer(fh, lineterminator="\n").writerows(self._rows())
 
 
 class PodInterval(NamedTuple):
@@ -230,9 +123,8 @@ class UsageLedger:
             self._expiries.append(interval)
 
     def advance(self, now_ms: int) -> None:
-        """Bring every node's measured usage to the window ending at now_ms:
-        the answer `SeriesStore.per_node_usage` gives for the ledger's own
-        window, zero where it has no entry."""
+        """Bring every node's measured usage to the window query's answer
+        at now_ms over the ledger's own window, zero where it has none."""
         if now_ms < self._now:
             raise ValueError(f"ledger at {self._now}ms advanced to {now_ms}ms")
         self._now = now_ms
@@ -273,10 +165,10 @@ def _count(node: NodeState, pod: PodInterval, sign: int) -> None:
         node.measured_epc_pages += sign * pod.epc
 
 
-class PodSamples:
-    """The samples a run's probes take, streamed from its pods' intervals
-    rather than held: at each probe tick, every sampled pod in (node, pod)
-    order, `epc_pages` before `std_bytes`."""
+class SeriesStore:
+    """A run's metric series, streamed from its pods' intervals rather than
+    held: at each probe tick, every sampled pod in (node, pod) order,
+    `epc_pages` before `std_bytes`."""
 
     def __init__(self, pods: list[PodInterval], probe_period_ms: int):
         self.pods = pods  # sorted by `first`, as placements are
@@ -354,9 +246,10 @@ class PodSamples:
                 changed = True
 
     def write_csv(self, dest) -> None:
-        # `SeriesStore.write_csv` stays the one writer of samples files, and
-        # the one name `bench/layers.py` times them under.
-        SeriesStore.write_csv(self, dest)
+        """The samples file: a header, then `_rows()` as CSV."""
+        with _open_write(dest) as fh:
+            fh.write(",".join(SAMPLES_FIELDS) + "\n")
+            self._write_rows(fh)
 
 
 class _Lines(list):

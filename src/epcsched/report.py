@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .engine import JobOutcome, JobStatus
-from .trace import (JobSpec, TraceParseError, _csv_rows, _job_kind,
-                    _member_of, _open_write, read_jobs_csv)
+from .trace import (JobSpec, TraceParseError, _csv_rows, _first_sighting,
+                    _job_kind, _member_of, _open_write, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -90,7 +90,16 @@ def _outcome_of_row(line: int, row: list[str]) -> JobOutcome:
 
 
 def read_outcomes_csv(source) -> list[JobOutcome]:
-    return list(_csv_rows(source, OUTCOMES_FIELDS, _outcome_of_row))
+    """The outcome rows, one per job: each row is checked by itself first,
+    then a job id seen before is an error naming both lines."""
+    seen: dict[str, int] = {}
+
+    def decode(line: int, row: list[str]) -> JobOutcome:
+        outcome = _outcome_of_row(line, row)
+        _first_sighting(seen, outcome.job_id, line)
+        return outcome
+
+    return list(_csv_rows(source, OUTCOMES_FIELDS, decode))
 
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:

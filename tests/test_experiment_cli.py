@@ -253,11 +253,6 @@ class TestSweepEpcModel:
         assert m.usable_bytes == 49_020_928
         assert m.usable_pages == 11_968
 
-    def test_startup_constants_survive(self):
-        m = _sweep_epc_model(EpcModel(), 32 * MIB, apply_fraction=False)
-        assert m.aesm_startup_ms == 100.0
-        assert m.rate_below_ms_per_mib == 1.6
-
 
 class TestRunExperiment:
     def test_sweep_layout_and_summaries(self, tmp_path, trace_path):

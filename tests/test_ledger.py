@@ -11,9 +11,10 @@ from epcsched._units import MIB
 from epcsched.cluster import EpcModel, NodeSpec
 from epcsched.engine import JobStatus, SimConfig, run
 from epcsched.metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
-                              SeriesStore, UsageLedger, WindowQuery)
+                              UsageLedger)
 from epcsched.synthetic import synthetic_trace
 from epcsched.trace import JobKind, JobSpec, ScalingConfig, materialize
+from window_oracle import WindowQuery, WindowScan
 
 USABLE = 23_936
 
@@ -76,7 +77,7 @@ def assert_ledger_matches_samples(result, views, jobs, config):
     assert rows == probe_rule_rows(jobs, result.outcomes,
                                    config.probe_period_ms)
     assert len(result.store) == len(rows)
-    store = SeriesStore()
+    store = WindowScan()
     for row in rows:
         store.append(MetricSample(*row))
     for now, measured in views:
@@ -226,15 +227,3 @@ def test_empty_run_has_no_samples():
     result = run([], [std_node("n1")])
     assert len(result.store) == 0 and list(result.store.samples()) == []
 
-
-def test_tick_reads_the_ledger(monkeypatch):
-    """The tick reads the measured usage the engine's ledger keeps on the
-    nodes: a replay never builds a sample store."""
-    def refuse(self, q):
-        raise AssertionError("a replay scanned a sample store")
-
-    monkeypatch.setattr(SeriesStore, "per_node_usage", refuse)
-    monkeypatch.setattr(SeriesStore, "append", refuse)
-    result = run([std_job("a"), sgx_job("b")], [std_node("n1"), sgx_node("s1")])
-    assert {o.status for o in result.outcomes} == {JobStatus.COMPLETED}
-    assert len(result.store) == 3

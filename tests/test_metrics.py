@@ -1,4 +1,5 @@
-"""Sample store and sliding-window aggregation."""
+"""The sliding-window query, the usage ledger that answers it, and the
+samples a run streams from its pods' intervals."""
 
 import csv
 import io
@@ -14,13 +15,11 @@ from epcsched.metrics import (
     METRIC_EPC_PAGES,
     METRIC_STD_BYTES,
     MetricSample,
-    OutOfOrderSampleError,
     SAMPLES_FIELDS,
-    PodSamples,
     SeriesStore,
     UsageLedger,
-    WindowQuery,
 )
+from window_oracle import OutOfOrderSampleError, WindowQuery, WindowScan
 
 
 def oracle_per_node_usage(samples, metric, now_ms, window_ms):
@@ -58,7 +57,7 @@ def assert_matches_oracle(store, samples, now_ms, window_ms):
 
 
 def store_with(rows):
-    store = SeriesStore()
+    store = WindowScan()
     for t, node, pod, metric, value in rows:
         store.append(MetricSample(t, node, pod, metric, value))
     return store
@@ -144,7 +143,7 @@ class TestWindowQuery:
     def test_matches_oracle_on_random_histories(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
-            store = SeriesStore()
+            store = WindowScan()
             kept = []
             n_streams = int(rng.integers(1, 7))
             for s in range(n_streams):
@@ -184,7 +183,7 @@ def test_index_matches_oracle_on_interleaved_histories(streams, ops):
     """Appends interleave across streams that each start at their own time,
     so time is not monotone across streams; a zero step repeats the stream's
     tip.  Queries run between appends, at any `now` and on window edges."""
-    store, kept = SeriesStore(), []
+    store, kept = WindowScan(), []
     tips = {}
     for op in ops:
         if op[0] == "append":
@@ -224,7 +223,7 @@ _NEAR_EDGE = st.tuples(st.just("edge"), st.integers(0, 200),
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(st.one_of(_PAIR_APPEND, _NEAR_EDGE), max_size=100))
 def test_one_pass_query_matches_oracle_for_each_metric(ops):
-    store, kept, tips = SeriesStore(), [], {}
+    store, kept, tips = WindowScan(), [], {}
     for op in ops:
         if op[0] == "append":
             _, node, pod, metric, step, value = op
@@ -248,7 +247,7 @@ def test_one_pass_query_matches_oracle_for_each_metric(ops):
 
 
 def test_query_cost_tracks_window_not_history():
-    store = SeriesStore()
+    store = WindowScan()
     for i in range(200_000):
         store.append(MetricSample(i, "n1", f"p{i % 8}", "m", 1 + i % 3))
     q = WindowQuery(200_000, 100)
@@ -310,10 +309,10 @@ def ledger_with(pods, period=10_000, window=25_000):
         ledger.place(pod, finish_ms)
     for pod, finish_ms in sorted(pods, key=lambda p: p[1]):
         ledger.finish(pod, finish_ms)
-    return ledger, PodSamples(ledger.pods, period)
+    return ledger, SeriesStore(ledger.pods, period)
 
 
-class TestPodSamples:
+class TestSeriesStore:
     def test_samples_running_pods_in_node_then_pod_order(self):
         job_std = std_job("web", requested=2 * GIB, actual=GIB)
         job_sgx = sgx_job("enc", declared=500, actual=450, requested_mem=4096)
@@ -377,7 +376,7 @@ def test_samples_file_is_what_a_writer_of_whole_rows_writes(pods, period):
         job = (sgx_job(f"{prefix}{i}", declared=3, actual=size) if enclave
                else std_job(f"{prefix}{i}", requested=size))
         ledger.place(Pod(job, node, placed), placed + duration)
-    samples = PodSamples(ledger.pods, period)
+    samples = SeriesStore(ledger.pods, period)
     got, want = io.StringIO(), io.StringIO()
     samples.write_csv(got)
     writer = csv.writer(want, lineterminator="\n")
@@ -422,8 +421,8 @@ class TestUsageLedger:
             pod = Pod(job, node, placed)
             ledger.place(pod, placed + duration)
             intervals.append((pod, placed + duration))
-        store = SeriesStore()
-        for sample in PodSamples(ledger.pods, period).samples():
+        store = WindowScan()
+        for sample in SeriesStore(ledger.pods, period).samples():
             store.append(sample)
         finishes = sorted(intervals, key=lambda p: p[1])
         done = 0
@@ -436,14 +435,3 @@ class TestUsageLedger:
             assert measured(ledger) == want
             assert ledger.fresh(now) == want
 
-
-def test_write_csv():
-    rows = [(0, "n1", "p1", "epc_pages", 7), (0, "n2", "p2", "epc_pages", 3),
-            (5, "n1", "p1", "epc_pages", 8), (5, "n1", "p1", "std_bytes", 1),
-            (5, "n2", "p2", "epc_pages", 4)]
-    store = store_with(rows)
-    buf = io.StringIO()
-    store.write_csv(buf)
-    assert buf.getvalue() == "time_ms,node,pod,metric,value\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in rows)
-    assert list(store.samples()) == [MetricSample(*row) for row in rows]

@@ -258,8 +258,9 @@ def _outcomes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_outcomes(), max_size=8))
+@given(st.lists(_outcomes(), max_size=8, unique_by=lambda o: o.job_id))
 def test_outcomes_csv_round_trip(outcomes):
+    # a run has one outcome per job; a repeated id is a parse error
     buf = io.StringIO()
     write_outcomes_csv(outcomes, buf)
     assert read_outcomes_csv(io.StringIO(buf.getvalue())) == outcomes
@@ -278,6 +279,10 @@ _BAD_CSVS = {
                       "a,standard,0,1,2,Completed,n1,0,0\n"
                       "b,weird,0,1,2,Completed,n1,0,0\n", 3,
                       "'weird' is not a valid JobKind"),
+    "outcomes duplicate": (read_outcomes_csv, ",".join(OUTCOMES_FIELDS) + "\n"
+                           "j,standard,0,5000,6000,Completed,n1,0,0\n"
+                           "j,standard,0,7000,8000,Completed,n1,0,0\n", 3,
+                           _DUPLICATE),
     "pending": (read_pending_csv, "time_ms,pending_epc_bytes\n0,lots\n", 2,
                 None),
     "jobs": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\nj,standard,0\n", 2,
@@ -401,6 +406,18 @@ class TestFigureDatasets:
             figure_dataset(artifact_dir, 8)
         assert main(["report", "--dir", str(artifact_dir), "--figure", "8"]) == 3
         assert str(jobs_file) in capsys.readouterr().err
+
+    def test_duplicate_outcome_names_both_lines_and_exits_3(
+            self, artifact_dir, capsys):
+        outcomes_file = artifact_dir / "run-a" / "outcomes.csv"
+        write_outcomes_csv([completed("j1", 0, 5_000, 6_000),
+                            completed("j1", 0, 7_000, 8_000)], outcomes_file)
+        with pytest.raises(TraceParseError, match=re.escape(
+                f"{outcomes_file}: line 3: duplicate job_id 'j1' (first seen "
+                "on line 2)")):
+            figure_dataset(artifact_dir, 7)
+        assert main(["report", "--dir", str(artifact_dir), "--figure", "7"]) == 3
+        assert str(outcomes_file) in capsys.readouterr().err
 
     def test_leftover_staging_directory_is_skipped(self, artifact_dir):
         # what a run killed after writing meta.json but before the rename

@@ -12,13 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import GIB, PAGE, sgx_job, sgx_node, std_job, std_node
 from epcsched import scheduler
 from epcsched.cluster import ClusterState, EpcModel, NodeSpec, NodeState
-from epcsched.metrics import (
-    METRIC_EPC_PAGES,
-    METRIC_STD_BYTES,
-    MetricSample,
-    SeriesStore,
-    WindowQuery,
-)
+from epcsched.metrics import METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample
 from epcsched.scheduler import (
     PendingQueue,
     binpack_select,
@@ -27,6 +21,7 @@ from epcsched.scheduler import (
     spread_select,
 )
 from epcsched.trace import JobKind, JobSpec
+from window_oracle import WindowQuery, WindowScan
 
 USABLE = 23_936
 
@@ -734,7 +729,7 @@ class TestScheduleTick:
 
     def test_measured_usage_respected(self):
         cluster = cluster_of(sgx_node("s1"))
-        store = SeriesStore()
+        store = WindowScan()
         store.append(MetricSample(1_000, "s1", "old", METRIC_EPC_PAGES, USABLE))
         job = sgx_job("j", declared=10)
         q = PendingQueue([job])
@@ -812,7 +807,7 @@ def _tick_jobs(draw):
 
 
 def _usage_store(usage, now_ms):
-    store = SeriesStore()
+    store = WindowScan()
     for node_id, (epc, std) in usage.items():
         store.append(MetricSample(now_ms, node_id, "u", METRIC_EPC_PAGES, epc))
         store.append(MetricSample(now_ms, node_id, "u", METRIC_STD_BYTES, std))

@@ -93,3 +93,34 @@ def test_heap_pops_once_per_completed_job(monkeypatch):
     statuses = Counter(o.status for o in result.outcomes)
     assert statuses == {JobStatus.COMPLETED: 3, JobStatus.KILLED: 1}
     assert calls["heappop"] == 3
+
+
+def test_the_bench_reads_the_run_store_it_writes(monkeypatch, tmp_path):
+    """The bench counts `len(result.store)` and each sample's node, pod and
+    metric from `result.store.samples()`, and times the samples file by
+    `SeriesStore.write_csv`: the sweep writes each run's store through it."""
+    result = run([sgx_job("e", declared=10), std_job("s", submit_ms=1_000)],
+                 [sgx_node("s1"), std_node("n1")])
+    stores = [result.store]
+    write = vars(metrics.SeriesStore)["write_csv"]
+
+    def writing(store, dest):
+        stores.append(store)
+        return write(store, dest)
+
+    monkeypatch.setattr(metrics.SeriesStore, "write_csv", writing)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("job_id,submit_s,duration_s,assigned_mem_frac,"
+                     "max_mem_frac\nj1,0,30,0.2,0.15\nj2,2,40,0.1,0.1\n")
+    experiment.run_experiment(experiment.ExperimentConfig(
+        trace_file=str(trace), sgx_fraction_sweep=(0.0, 1.0),
+        output_dir=str(tmp_path / "out")))
+    assert len(stores) == 3  # the replay's, then one per sweep point
+    for store in stores:
+        assert type(store) is metrics.SeriesStore
+        samples = list(store.samples())
+        assert len(store) == len(samples) > 0
+        assert all(isinstance(s.node_id, str) and isinstance(s.pod_id, str)
+                   and s.metric in (metrics.METRIC_EPC_PAGES,
+                                    metrics.METRIC_STD_BYTES)
+                   for s in samples)
