@@ -19,6 +19,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -78,7 +79,7 @@ def _member_of(enum: type[Enum]) -> Callable[[str], Enum]:
 _job_kind = _member_of(JobKind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawJobRecord:
     """One normalized trace row.  Memory is a fraction of the source machine."""
 
@@ -89,6 +90,14 @@ class RawJobRecord:
     max_mem_frac: float
 
     def __post_init__(self):
+        # Every valid record passes this one comparison (NaN fails each
+        # `0.0 <=`); only a failing one runs the ordered checks below, which
+        # name its first fault.
+        if (self.job_id and 0.0 <= self.submit_s < math.inf
+                and 0.0 <= self.duration_s < math.inf
+                and 0.0 <= self.assigned_mem_frac <= 1.0
+                and 0.0 <= self.max_mem_frac <= 1.0):
+            return
         if not self.job_id:
             raise ValueError("empty job_id")
         for name in ("submit_s", "duration_s"):
@@ -104,7 +113,7 @@ class RawJobRecord:
                 raise ValueError(f"{name}={frac} outside [0, 1] for {self.job_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """A runnable job with concrete sizes.  All times are integer milliseconds.
 
@@ -123,6 +132,15 @@ class JobSpec:
     actual_epc_pages: int     # protected pages allocated at enclave startup
 
     def __post_init__(self):
+        # One comparison every valid job passes; a failing one runs the
+        # ordered checks below, which name its first fault.
+        if (self.submit_ms >= 0 and self.duration_ms >= 0
+                and self.requested_mem >= 0 and self.actual_mem >= 0
+                and ((self.declared_epc_pages >= 1
+                      and self.actual_epc_pages >= 0) if self.kind.uses_epc
+                     else not (self.declared_epc_pages
+                               or self.actual_epc_pages))):
+            return
         if self.submit_ms < 0 or self.duration_ms < 0:
             raise ValueError(f"negative time field for {self.job_id}")
         if min(self.requested_mem, self.actual_mem,
@@ -209,7 +227,7 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     def decode(lineno: int, row: list[str]) -> RawJobRecord | None:
         job_id = row[0].strip()
         try:
-            submit_s, duration_s, assigned, peak = (float(v) for v in row[1:])
+            submit_s, duration_s, assigned, peak = map(float, row[1:])
         except ValueError:
             raise ValueError(f"non-numeric field in {row!r}") from None
         if duration_s < 0:
@@ -221,7 +239,7 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
 
     records = [rec for rec in _csv_rows(source, CANONICAL_FIELDS, decode)
                if rec is not None]
-    records.sort(key=lambda r: r.submit_s)
+    records.sort(key=attrgetter("submit_s"))
     return records
 
 
@@ -233,26 +251,24 @@ _USAGE_JOB_ID, _USAGE_TASK_INDEX, _USAGE_MAX_MEM = 2, 3, 10
 _EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH = 0, 1, 4
 
 
-def _shard_rows(directory: Path):
-    """(shard, 1-based row number, row) for every row of every shard.  A
-    shard that does not decompress or decode is a TraceParseError naming
-    it."""
-    for shard in sorted(directory.glob("*.csv.gz")):
+@contextmanager
+def _shard_reader(shard: Path):
+    """A csv reader over one gzipped shard.  A shard that does not
+    decompress or decode is a TraceParseError naming it."""
+    try:
         with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
-            try:
-                for rowno, row in enumerate(csv.reader(fh), start=1):
-                    yield shard, rowno, row
-            except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
-                    zlib.error) as exc:
-                raise TraceParseError(f"unreadable shard: {exc}",
-                                      path=str(shard)) from None
+            yield csv.reader(fh)
+    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
+            zlib.error) as exc:
+        raise TraceParseError(f"unreadable shard: {exc}",
+                              path=str(shard)) from None
 
 
 def _finite(field: str) -> float:
     value = float(field)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {field.strip()!r}")
-    return value
+    if -math.inf < value < math.inf:
+        return value
+    raise ValueError(f"non-finite number {field.strip()!r}")
 
 
 def _shard_error(shard: Path, rowno: int, row: list[str],
@@ -283,36 +299,47 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     sched: dict[tuple[str, str], float] = {}
     finish: dict[tuple[str, str], float] = {}
     request: dict[tuple[str, str], float] = {}
-    for shard, rowno, row in _shard_rows(events_dir):
-        try:
-            key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
-            etype = int(row[_EVENT_TYPE])
-            t = _finite(row[_EVENT_TIME]) / 1e6  # raw timestamps are microseconds
-            if etype == _EV_SUBMIT:
-                submit.setdefault(key, t)
-            elif etype == _EV_SCHEDULE:
-                sched.setdefault(key, t)
-            elif etype == _EV_FINISH:
-                finish.setdefault(key, t)
-            if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
-                field = row[_EVENT_MEM_REQUEST].strip()
-                if field:
-                    request[key] = _finite(field)
-        except (IndexError, ValueError) as exc:
-            raise _shard_error(shard, rowno, row, exc) from None
+    for shard in sorted(events_dir.glob("*.csv.gz")):
+        with _shard_reader(shard) as rows:
+            # A row is read outside the try: a shard that does not decode
+            # raises UnicodeDecodeError, a ValueError that is the shard's
+            # fault, not the row's.
+            for rowno, row in enumerate(rows, start=1):
+                try:
+                    key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
+                    etype = int(row[_EVENT_TYPE])
+                    # Raw timestamps are microseconds.
+                    t = _finite(row[_EVENT_TIME]) / 1e6
+                    if etype == _EV_FINISH:
+                        finish.setdefault(key, t)
+                        continue
+                    if etype == _EV_SUBMIT:
+                        submit.setdefault(key, t)
+                    elif etype == _EV_SCHEDULE:
+                        sched.setdefault(key, t)
+                    else:
+                        continue
+                    if key not in request:
+                        field = row[_EVENT_MEM_REQUEST].strip()
+                        if field:
+                            request[key] = _finite(field)
+                except (IndexError, ValueError) as exc:
+                    raise _shard_error(shard, rowno, row, exc) from None
 
     peak: dict[tuple[str, str], float] = {}
     if usage_dir.is_dir():
-        for shard, rowno, row in _shard_rows(usage_dir):
-            try:
-                key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
-                field = row[_USAGE_MAX_MEM].strip()
-                if field:
-                    value = _finite(field)
-                    if value > peak.get(key, -1.0):
-                        peak[key] = value
-            except (IndexError, ValueError) as exc:
-                raise _shard_error(shard, rowno, row, exc) from None
+        for shard in sorted(usage_dir.glob("*.csv.gz")):
+            with _shard_reader(shard) as rows:
+                for rowno, row in enumerate(rows, start=1):
+                    try:
+                        key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
+                        field = row[_USAGE_MAX_MEM].strip()
+                        if field:
+                            value = _finite(field)
+                            if value > peak.get(key, -1.0):
+                                peak[key] = value
+                    except (IndexError, ValueError) as exc:
+                        raise _shard_error(shard, rowno, row, exc) from None
 
     records = []
     for key, end in finish.items():
@@ -320,24 +347,25 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
         if start is None or end < start:
             continue
         records.append(RawJobRecord(
-            job_id=f"{key[0]}-{key[1]}",
-            submit_s=max(0.0, submit.get(key, start)),
-            duration_s=end - start,
-            assigned_mem_frac=min(max(request.get(key, 0.0), 0.0), 1.0),
-            max_mem_frac=min(max(peak.get(key, 0.0), 0.0), 1.0),
-        ))
-    records.sort(key=lambda r: (r.submit_s, r.job_id))
+            f"{key[0]}-{key[1]}", max(0.0, submit.get(key, start)),
+            end - start, min(max(request.get(key, 0.0), 0.0), 1.0),
+            min(max(peak.get(key, 0.0), 0.0), 1.0)))
+    records.sort(key=attrgetter("submit_s", "job_id"))
     return records
 
 
 def slice_and_sample(records: Sequence[RawJobRecord],
                      cfg: ScalingConfig) -> list[RawJobRecord]:
     """Keep records submitted inside [slice_start_s, slice_end_s), re-base
-    their submit times to the slice origin, then keep every stride-th one."""
-    window = [r for r in records
-              if cfg.slice_start_s <= r.submit_s < cfg.slice_end_s]
-    sampled = window[::cfg.sampling_stride]
-    return [replace(r, submit_s=r.submit_s - cfg.slice_start_s) for r in sampled]
+    their submit times to the slice origin, then keep every stride-th one.
+    A slice from 0 changes no record, so it returns the same (frozen)
+    records."""
+    start, end = cfg.slice_start_s, cfg.slice_end_s
+    sampled = [r for r in records
+               if start <= r.submit_s < end][::cfg.sampling_stride]
+    if start == 0:
+        return sampled
+    return [replace(r, submit_s=r.submit_s - start) for r in sampled]
 
 
 def _ceil_pages(nbytes: int) -> int:
@@ -364,30 +392,26 @@ def materialize(records: Sequence[RawJobRecord],
     multiplier.  Enclave jobs get page counts rounded up to whole pages, with
     at least one page declared (an enclave cannot be smaller than one page).
     """
+    sgx_fraction = cfg.sgx_fraction
+    sgx_multiplier, std_multiplier = cfg.sgx_multiplier, cfg.std_multiplier
+    sgx, standard = JobKind.SGX, JobKind.STANDARD
     jobs: list[JobSpec] = []
+    append = jobs.append
     uniforms = _tag_uniforms(cfg.rng_seed, len(records))
     for rec, uniform in zip(records, uniforms):
-        sgx = uniform < cfg.sgx_fraction
-        multiplier = cfg.sgx_multiplier if sgx else cfg.std_multiplier
-        requested = int(round(rec.assigned_mem_frac * multiplier))
-        actual = int(round(rec.max_mem_frac * multiplier))
-        if sgx:
-            kind = JobKind.SGX
-            declared_pages = max(1, _ceil_pages(requested))
-            actual_pages = _ceil_pages(actual)
+        if uniform < sgx_fraction:
+            requested = int(round(rec.assigned_mem_frac * sgx_multiplier))
+            actual = int(round(rec.max_mem_frac * sgx_multiplier))
+            append(JobSpec(rec.job_id, sgx, round(rec.submit_s * 1000),
+                           round(rec.duration_s * 1000), requested, actual,
+                           max(1, _ceil_pages(requested)),
+                           _ceil_pages(actual)))
         else:
-            kind = JobKind.STANDARD
-            declared_pages = actual_pages = 0
-        jobs.append(JobSpec(
-            job_id=rec.job_id,
-            kind=kind,
-            submit_ms=round(rec.submit_s * 1000),
-            duration_ms=round(rec.duration_s * 1000),
-            requested_mem=requested,
-            actual_mem=actual,
-            declared_epc_pages=declared_pages,
-            actual_epc_pages=actual_pages,
-        ))
+            append(JobSpec(rec.job_id, standard, round(rec.submit_s * 1000),
+                           round(rec.duration_s * 1000),
+                           int(round(rec.assigned_mem_frac * std_multiplier)),
+                           int(round(rec.max_mem_frac * std_multiplier)),
+                           0, 0))
     return jobs
 
 
@@ -499,11 +523,8 @@ def read_jobs_csv(source) -> list[JobSpec]:
     seen: dict[str, int] = {}
 
     def decode(line: int, row: list[str]) -> JobSpec:
-        _first_sighting(seen, row[0], line)
-        return JobSpec(job_id=row[0], kind=_job_kind(row[1]),
-                       submit_ms=int(row[2]), duration_ms=int(row[3]),
-                       requested_mem=int(row[4]), actual_mem=int(row[5]),
-                       declared_epc_pages=int(row[6]),
-                       actual_epc_pages=int(row[7]))
+        job_id, kind, *sizes = row
+        _first_sighting(seen, job_id, line)
+        return JobSpec(job_id, _job_kind(kind), *map(int, sizes))
 
     return list(_csv_rows(source, JOBS_FIELDS, decode))

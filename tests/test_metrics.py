@@ -246,18 +246,6 @@ def test_one_pass_query_matches_oracle_for_each_metric(ops):
                 assert_matches_oracle(store, kept, now, window)
 
 
-def test_query_cost_tracks_window_not_history():
-    store = WindowScan()
-    for i in range(200_000):
-        store.append(MetricSample(i, "n1", f"p{i % 8}", "m", 1 + i % 3))
-    q = WindowQuery(200_000, 100)
-    t0 = time.perf_counter()
-    for _ in range(200):
-        store.per_node_usage(q)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-
-
 def ledger_on(node_ids, period=10_000, window=25_000):
     """A ledger over a cluster of plain nodes with the given ids."""
     cluster = ClusterState.from_specs(std_node(nid) for nid in node_ids)

@@ -1,14 +1,16 @@
 """Trace parsing, slicing, scaling, and adversarial job injection."""
 
 import csv
+import dataclasses
 import gzip
 import io
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epcsched import trace
 from epcsched.trace import (
@@ -232,6 +234,23 @@ class TestSliceAndSample:
     def test_defaults_keep_everything(self):
         assert slice_and_sample(self.RECORDS, ScalingConfig()) == self.RECORDS
 
+    def test_full_range_slice_shares_the_records(self):
+        out = slice_and_sample(self.RECORDS, ScalingConfig())
+        assert out is not self.RECORDS
+        assert all(a is b for a, b in zip(out, self.RECORDS, strict=True))
+
+    @pytest.mark.parametrize("stride", [2, 3, 11])
+    def test_stride_keeps_every_kth_record(self, stride):
+        out = slice_and_sample(self.RECORDS, ScalingConfig(sampling_stride=stride))
+        expected = self.RECORDS[::stride]
+        assert all(a is b for a, b in zip(out, expected, strict=True))
+
+    def test_nonzero_start_rebases_new_records(self):
+        cfg = ScalingConfig(slice_start_s=3, sampling_stride=2)
+        out = slice_and_sample(self.RECORDS, cfg)
+        assert out == [dataclasses.replace(r, submit_s=r.submit_s - 3)
+                       for r in self.RECORDS[3::2]]
+
 
 class TestMaterialize:
     def test_standard_scaling(self):
@@ -411,6 +430,117 @@ class TestValidation:
         assert cfg.slice_end_s == math.inf
         assert cfg.std_multiplier == 32 * 1024 ** 3
         assert cfg.sgx_multiplier == 98_041_856
+
+
+# The validation rules of both records restated as plain ordered checks: the
+# message of the first rule a record breaks, or None for a valid record.
+def _record_fault(job_id, submit_s, duration_s, assigned, peak):
+    if not job_id:
+        return "empty job_id"
+    if not math.isfinite(submit_s):
+        return f"non-finite submit_s for {job_id}"
+    if not math.isfinite(duration_s):
+        return f"non-finite duration_s for {job_id}"
+    if submit_s < 0:
+        return f"negative submit time for {job_id}"
+    if duration_s < 0:
+        return f"negative duration for {job_id}"
+    if not 0.0 <= assigned <= 1.0:
+        return f"assigned_mem_frac={assigned} outside [0, 1] for {job_id}"
+    if not 0.0 <= peak <= 1.0:
+        return f"max_mem_frac={peak} outside [0, 1] for {job_id}"
+    return None
+
+
+def _job_fault(job_id, kind, submit_ms, duration_ms, requested_mem,
+               actual_mem, declared_pages, actual_pages):
+    if submit_ms < 0 or duration_ms < 0:
+        return f"negative time field for {job_id}"
+    if (requested_mem < 0 or actual_mem < 0 or declared_pages < 0
+            or actual_pages < 0):
+        return f"negative size field for {job_id}"
+    if kind.uses_epc:
+        if declared_pages < 1:
+            return f"enclave job {job_id} must declare at least one page"
+    elif declared_pages or actual_pages:
+        return f"standard job {job_id} cannot hold protected pages"
+    return None
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1, 0,
+                                0.5, 1, 1.5])
+_EDGE_INTS = st.integers(min_value=-1, max_value=2)
+
+
+class TestValidationOracle:
+    """Each record's constructor raises exactly when the plain restatement
+    of its rules finds a fault, with that fault's message."""
+
+    @settings(max_examples=500)
+    @given(st.tuples(st.sampled_from(["", "j"]), _EDGE_FLOATS, _EDGE_FLOATS,
+                     _EDGE_FLOATS, _EDGE_FLOATS))
+    def test_raw_record(self, fields):
+        fault = _record_fault(*fields)
+        if fault is None:
+            RawJobRecord(*fields)
+        else:
+            with pytest.raises(ValueError) as err:
+                RawJobRecord(*fields)
+            assert str(err.value) == fault
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(list(JobKind)), st.tuples(*[_EDGE_INTS] * 6))
+    def test_job_spec(self, kind, sizes):
+        fault = _job_fault("j", kind, *sizes)
+        if fault is None:
+            JobSpec("j", kind, *sizes)
+        else:
+            with pytest.raises(ValueError) as err:
+                JobSpec("j", kind, *sizes)
+            assert str(err.value) == fault
+
+
+@pytest.mark.parametrize("record", [
+    RawJobRecord("j", 1.5, 2.0, 0.25, 0.5),
+    JobSpec("j", JobKind.SGX, 5, 10, 4096, 8192, 1, 2),
+    JobSpec("k", JobKind.STANDARD, 0, 1, 7, 3, 0, 0),
+], ids=["raw", "sgx", "standard"])
+class TestRecordSemantics:
+    @staticmethod
+    def _values(record):
+        return tuple(getattr(record, f.name)
+                     for f in dataclasses.fields(record))
+
+    def test_pickle_round_trip(self, record):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+        assert self._values(back) == self._values(record)
+
+    def test_equality_hash_and_repr_follow_the_fields(self, record):
+        twin = type(record)(*self._values(record))
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record) == hash(self._values(record))
+        assert record != self._values(record)
+        other = dataclasses.replace(record, job_id="other")
+        assert other != record
+        assert repr(record) == f"{type(record).__name__}(" + ", ".join(
+            f"{f.name}={getattr(record, f.name)!r}"
+            for f in dataclasses.fields(record)) + ")"
+
+    def test_replace(self, record):
+        other = dataclasses.replace(record, job_id="other")
+        assert other.job_id == "other"
+        assert self._values(other)[1:] == self._values(record)[1:]
+        # The third field is a time in both records: a negative one is
+        # rejected again.
+        third = dataclasses.fields(record)[2].name
+        with pytest.raises(ValueError, match="negative"):
+            dataclasses.replace(record, **{third: -1})
+
+    def test_frozen_and_slotted(self, record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.job_id = "other"
+        assert not hasattr(record, "__dict__")
 
 
 class TestRoundTrips:
