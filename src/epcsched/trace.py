@@ -90,27 +90,22 @@ class RawJobRecord:
     max_mem_frac: float
 
     def __post_init__(self):
-        # Every valid record passes this one comparison (NaN fails each
-        # `0.0 <=`); only a failing one runs the ordered checks below, which
-        # name its first fault.
-        if (self.job_id and 0.0 <= self.submit_s < math.inf
-                and 0.0 <= self.duration_s < math.inf
-                and 0.0 <= self.assigned_mem_frac <= 1.0
-                and 0.0 <= self.max_mem_frac <= 1.0):
-            return
         if not self.job_id:
             raise ValueError("empty job_id")
-        for name in ("submit_s", "duration_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite {name} for {self.job_id}")
+        if not -math.inf < self.submit_s < math.inf:
+            raise ValueError(f"non-finite submit_s for {self.job_id}")
+        if not -math.inf < self.duration_s < math.inf:
+            raise ValueError(f"non-finite duration_s for {self.job_id}")
         if self.submit_s < 0:
             raise ValueError(f"negative submit time for {self.job_id}")
         if self.duration_s < 0:
             raise ValueError(f"negative duration for {self.job_id}")
-        for name in ("assigned_mem_frac", "max_mem_frac"):
-            frac = getattr(self, name)
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{name}={frac} outside [0, 1] for {self.job_id}")
+        if not 0.0 <= self.assigned_mem_frac <= 1.0:
+            raise ValueError(f"assigned_mem_frac={self.assigned_mem_frac} "
+                             f"outside [0, 1] for {self.job_id}")
+        if not 0.0 <= self.max_mem_frac <= 1.0:
+            raise ValueError(f"max_mem_frac={self.max_mem_frac} "
+                             f"outside [0, 1] for {self.job_id}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,19 +127,10 @@ class JobSpec:
     actual_epc_pages: int     # protected pages allocated at enclave startup
 
     def __post_init__(self):
-        # One comparison every valid job passes; a failing one runs the
-        # ordered checks below, which name its first fault.
-        if (self.submit_ms >= 0 and self.duration_ms >= 0
-                and self.requested_mem >= 0 and self.actual_mem >= 0
-                and ((self.declared_epc_pages >= 1
-                      and self.actual_epc_pages >= 0) if self.kind.uses_epc
-                     else not (self.declared_epc_pages
-                               or self.actual_epc_pages))):
-            return
         if self.submit_ms < 0 or self.duration_ms < 0:
             raise ValueError(f"negative time field for {self.job_id}")
-        if min(self.requested_mem, self.actual_mem,
-               self.declared_epc_pages, self.actual_epc_pages) < 0:
+        if (self.requested_mem < 0 or self.actual_mem < 0
+                or self.declared_epc_pages < 0 or self.actual_epc_pages < 0):
             raise ValueError(f"negative size field for {self.job_id}")
         if self.kind.uses_epc:
             if self.declared_epc_pages < 1:
@@ -251,17 +237,19 @@ _USAGE_JOB_ID, _USAGE_TASK_INDEX, _USAGE_MAX_MEM = 2, 3, 10
 _EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH = 0, 1, 4
 
 
-@contextmanager
-def _shard_reader(shard: Path):
-    """A csv reader over one gzipped shard.  A shard that does not
-    decompress or decode is a TraceParseError naming it."""
-    try:
+def _shard_rows(directory: Path):
+    """(shard, 1-based row number, row) for every row of every shard.  A
+    shard that does not decompress or decode is a TraceParseError naming
+    it."""
+    for shard in sorted(directory.glob("*.csv.gz")):
         with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
-    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
-            zlib.error) as exc:
-        raise TraceParseError(f"unreadable shard: {exc}",
-                              path=str(shard)) from None
+            try:
+                for rowno, row in enumerate(csv.reader(fh), start=1):
+                    yield shard, rowno, row
+            except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
+                    zlib.error) as exc:
+                raise TraceParseError(f"unreadable shard: {exc}",
+                                      path=str(shard)) from None
 
 
 def _finite(field: str) -> float:
@@ -299,47 +287,36 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     sched: dict[tuple[str, str], float] = {}
     finish: dict[tuple[str, str], float] = {}
     request: dict[tuple[str, str], float] = {}
-    for shard in sorted(events_dir.glob("*.csv.gz")):
-        with _shard_reader(shard) as rows:
-            # A row is read outside the try: a shard that does not decode
-            # raises UnicodeDecodeError, a ValueError that is the shard's
-            # fault, not the row's.
-            for rowno, row in enumerate(rows, start=1):
-                try:
-                    key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
-                    etype = int(row[_EVENT_TYPE])
-                    # Raw timestamps are microseconds.
-                    t = _finite(row[_EVENT_TIME]) / 1e6
-                    if etype == _EV_FINISH:
-                        finish.setdefault(key, t)
-                        continue
-                    if etype == _EV_SUBMIT:
-                        submit.setdefault(key, t)
-                    elif etype == _EV_SCHEDULE:
-                        sched.setdefault(key, t)
-                    else:
-                        continue
-                    if key not in request:
-                        field = row[_EVENT_MEM_REQUEST].strip()
-                        if field:
-                            request[key] = _finite(field)
-                except (IndexError, ValueError) as exc:
-                    raise _shard_error(shard, rowno, row, exc) from None
+    for shard, rowno, row in _shard_rows(events_dir):
+        try:
+            key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
+            etype = int(row[_EVENT_TYPE])
+            t = _finite(row[_EVENT_TIME]) / 1e6  # raw timestamps are microseconds
+            if etype == _EV_SUBMIT:
+                submit.setdefault(key, t)
+            elif etype == _EV_SCHEDULE:
+                sched.setdefault(key, t)
+            elif etype == _EV_FINISH:
+                finish.setdefault(key, t)
+            if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
+                field = row[_EVENT_MEM_REQUEST].strip()
+                if field:
+                    request[key] = _finite(field)
+        except (IndexError, ValueError) as exc:
+            raise _shard_error(shard, rowno, row, exc) from None
 
     peak: dict[tuple[str, str], float] = {}
     if usage_dir.is_dir():
-        for shard in sorted(usage_dir.glob("*.csv.gz")):
-            with _shard_reader(shard) as rows:
-                for rowno, row in enumerate(rows, start=1):
-                    try:
-                        key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
-                        field = row[_USAGE_MAX_MEM].strip()
-                        if field:
-                            value = _finite(field)
-                            if value > peak.get(key, -1.0):
-                                peak[key] = value
-                    except (IndexError, ValueError) as exc:
-                        raise _shard_error(shard, rowno, row, exc) from None
+        for shard, rowno, row in _shard_rows(usage_dir):
+            try:
+                key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
+                field = row[_USAGE_MAX_MEM].strip()
+                if field:
+                    value = _finite(field)
+                    if value > peak.get(key, -1.0):
+                        peak[key] = value
+            except (IndexError, ValueError) as exc:
+                raise _shard_error(shard, rowno, row, exc) from None
 
     records = []
     for key, end in finish.items():
@@ -394,24 +371,25 @@ def materialize(records: Sequence[RawJobRecord],
     """
     sgx_fraction = cfg.sgx_fraction
     sgx_multiplier, std_multiplier = cfg.sgx_multiplier, cfg.std_multiplier
-    sgx, standard = JobKind.SGX, JobKind.STANDARD
+    enclave, standard = JobKind.SGX, JobKind.STANDARD
     jobs: list[JobSpec] = []
     append = jobs.append
     uniforms = _tag_uniforms(cfg.rng_seed, len(records))
     for rec, uniform in zip(records, uniforms):
-        if uniform < sgx_fraction:
-            requested = int(round(rec.assigned_mem_frac * sgx_multiplier))
-            actual = int(round(rec.max_mem_frac * sgx_multiplier))
-            append(JobSpec(rec.job_id, sgx, round(rec.submit_s * 1000),
-                           round(rec.duration_s * 1000), requested, actual,
-                           max(1, _ceil_pages(requested)),
-                           _ceil_pages(actual)))
+        sgx = uniform < sgx_fraction
+        multiplier = sgx_multiplier if sgx else std_multiplier
+        requested = int(round(rec.assigned_mem_frac * multiplier))
+        actual = int(round(rec.max_mem_frac * multiplier))
+        if sgx:
+            kind = enclave
+            declared_pages = max(1, _ceil_pages(requested))
+            actual_pages = _ceil_pages(actual)
         else:
-            append(JobSpec(rec.job_id, standard, round(rec.submit_s * 1000),
-                           round(rec.duration_s * 1000),
-                           int(round(rec.assigned_mem_frac * std_multiplier)),
-                           int(round(rec.max_mem_frac * std_multiplier)),
-                           0, 0))
+            kind = standard
+            declared_pages = actual_pages = 0
+        append(JobSpec(rec.job_id, kind, round(rec.submit_s * 1000),
+                       round(rec.duration_s * 1000), requested, actual,
+                       declared_pages, actual_pages))
     return jobs
 
 
