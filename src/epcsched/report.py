@@ -18,8 +18,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .engine import JobOutcome, JobStatus
-from .trace import (JobSpec, TraceParseError, _csv_rows, _first_sighting,
-                    _job_kind, _member_of, _open_write, read_jobs_csv)
+from .trace import (JobSpec, TraceParseError, _csv_reader, _duplicate_error,
+                    _job_kind, _member_of, _open_write, _width_error,
+                    read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -64,42 +65,44 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
 _job_status = _member_of(JobStatus)
 
 
-def _outcome_of_row(line: int, row: list[str]) -> JobOutcome:
-    """One outcome row.  Its times must fit its status: a completed job has
-    submit <= start <= finish, a killed or unfinished one neither a start
-    nor a finish."""
-    (job_id, kind, submitted, started, finished, status, node_id, declared,
-     actual) = row
-    kind, submitted = _job_kind(kind), int(submitted)
-    started = int(started) if started else None
-    finished = int(finished) if finished else None
-    status = _job_status(status)
-    if status is JobStatus.COMPLETED:
-        if started is None or finished is None:
-            raise ValueError(f"{status.value} job {job_id!r} needs a "
-                             "start_ms and a finish_ms")
-        if not submitted <= started <= finished:
-            raise ValueError(f"job {job_id!r}: expected submit_ms <= start_ms "
-                             f"<= finish_ms, got {submitted}, {started}, "
-                             f"{finished}")
-    elif started is not None or finished is not None:
-        raise ValueError(f"{status.value} job {job_id!r} has a start_ms or "
-                         "a finish_ms")
-    return JobOutcome(job_id, kind, submitted, started, finished, status,
-                      node_id or None, int(declared), int(actual))
-
-
 def read_outcomes_csv(source) -> list[JobOutcome]:
-    """The outcome rows, one per job: each row is checked by itself first,
-    then a job id seen before is an error naming both lines."""
+    """The outcome rows, one per job.  A row's times must fit its status: a
+    completed job has submit <= start <= finish, a killed or unfinished one
+    neither a start nor a finish.  Each row is checked by itself first, then
+    a job id seen before is an error naming both lines."""
+    outcomes: list[JobOutcome] = []
     seen: dict[str, int] = {}
-
-    def decode(line: int, row: list[str]) -> JobOutcome:
-        outcome = _outcome_of_row(line, row)
-        _first_sighting(seen, outcome.job_id, line)
-        return outcome
-
-    return list(_csv_rows(source, OUTCOMES_FIELDS, decode))
+    with _csv_reader(source, OUTCOMES_FIELDS) as reader:
+        for row in reader:
+            if len(row) != 9:
+                if row:
+                    raise _width_error(OUTCOMES_FIELDS, row)
+                continue
+            (job_id, kind, submitted, started, finished, status, node_id,
+             declared, actual) = row
+            kind, submitted = _job_kind(kind), int(submitted)
+            started = int(started) if started else None
+            finished = int(finished) if finished else None
+            status = _job_status(status)
+            if status is JobStatus.COMPLETED:
+                if started is None or finished is None:
+                    raise ValueError(f"{status.value} job {job_id!r} needs a "
+                                     "start_ms and a finish_ms")
+                if not submitted <= started <= finished:
+                    raise ValueError(f"job {job_id!r}: expected submit_ms <= "
+                                     f"start_ms <= finish_ms, got {submitted}, "
+                                     f"{started}, {finished}")
+            elif started is not None or finished is not None:
+                raise ValueError(f"{status.value} job {job_id!r} has a "
+                                 "start_ms or a finish_ms")
+            outcome = JobOutcome(job_id, kind, submitted, started, finished,
+                                 status, node_id or None, int(declared),
+                                 int(actual))
+            if job_id in seen:
+                raise _duplicate_error(job_id, seen[job_id])
+            seen[job_id] = reader.line_num
+            outcomes.append(outcome)
+    return outcomes
 
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
@@ -110,17 +113,20 @@ def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
             writer.writerow([time_ms, backlog])
 
 
-def _pending_of_row(line: int, row: list[str]) -> tuple[int, int]:
-    try:
-        time_ms, backlog = map(int, row)
-    except ValueError:
-        raise ValueError(f"expected integers {','.join(PENDING_FIELDS)}, "
-                         f"got {','.join(row)!r}") from None
-    return time_ms, backlog
-
-
 def read_pending_csv(source) -> list[tuple[int, int]]:
-    return list(_csv_rows(source, PENDING_FIELDS, _pending_of_row))
+    series: list[tuple[int, int]] = []
+    with _csv_reader(source, PENDING_FIELDS) as reader:
+        for row in reader:
+            if len(row) != 2:
+                if row:
+                    raise _width_error(PENDING_FIELDS, row)
+                continue
+            try:
+                series.append((int(row[0]), int(row[1])))
+            except ValueError:
+                raise ValueError(f"expected integers {','.join(PENDING_FIELDS)}"
+                                 f", got {','.join(row)!r}") from None
+    return series
 
 
 def summary(outcomes: Sequence[JobOutcome]) -> dict:

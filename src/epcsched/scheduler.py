@@ -21,45 +21,281 @@ from .cluster import ClusterState, NodeState
 from .trace import JobSpec
 
 
+# A tree leaf with no job: more pages and memory than any job asks for.
+_EMPTY = sys.maxsize
+
+
+class _Parked:
+    """The parked jobs of one class, by queue position: a binary tree over
+    a window of positions whose every node holds the fewest declared pages
+    and the least requested memory of the jobs below it.  The first job
+    that fits some node is then one descent that skips every subtree asking
+    for more of both than each node has.  The window starts at the first
+    parked position, so the tree spans the parked jobs, not the run."""
+
+    __slots__ = ("entries", "base", "size", "pages", "mem")
+
+    def __init__(self):
+        self.entries: dict[int, tuple[int, JobSpec]] = {}  # position -> entry
+        self.base = 0  # the position of the first leaf
+        self.size = 1  # leaves, a power of two
+        self.pages = [_EMPTY, _EMPTY]
+        self.mem = [_EMPTY, _EMPTY]
+
+    def add(self, entry: tuple[int, JobSpec]) -> None:
+        pos, job = entry
+        if not self.entries:
+            self.base = pos  # an empty tree holds only _EMPTY
+        elif not 0 <= pos - self.base < self.size:
+            self._rebuild(pos)
+        self.entries[pos] = entry
+        pages, mem, tp, tm = job.declared_epc_pages, job.requested_mem, \
+            self.pages, self.mem
+        i = pos - self.base + self.size
+        while i and (tp[i] > pages or tm[i] > mem):
+            if tp[i] > pages:
+                tp[i] = pages
+            if tm[i] > mem:
+                tm[i] = mem
+            i >>= 1
+
+    def remove(self, pos: int) -> None:
+        del self.entries[pos]
+        tp, tm = self.pages, self.mem
+        i = pos - self.base + self.size
+        tp[i] = tm[i] = _EMPTY
+        i >>= 1
+        while i:
+            left, right = 2 * i, 2 * i + 1
+            pages = tp[left] if tp[left] < tp[right] else tp[right]
+            mem = tm[left] if tm[left] < tm[right] else tm[right]
+            if tp[i] == pages and tm[i] == mem:
+                break
+            tp[i], tm[i] = pages, mem
+            i >>= 1
+
+    def first(self, rooms: list[tuple[int, int]]) -> tuple[int, JobSpec] | None:
+        """The entry of the first job that asks for no more pages and
+        memory than one of the (page, standard) headrooms `rooms`."""
+        tp, tm, size = self.pages, self.mem, self.size
+        stack = [1]
+        while stack:
+            i = stack.pop()
+            pages, mem = tp[i], tm[i]
+            for page_room, std_room in rooms:
+                if pages <= page_room and mem <= std_room:
+                    break
+            else:
+                continue
+            if i >= size:
+                return self.entries[i - size + self.base]
+            stack += (2 * i + 1, 2 * i)
+        return None
+
+    def _rebuild(self, pos: int) -> None:
+        """Widen the window to the parked positions and `pos`."""
+        base = min(pos, min(self.entries))
+        span, size = max(pos, max(self.entries)) - base, self.size
+        while size <= span:
+            size *= 2
+        tp, tm = [_EMPTY] * (2 * size), [_EMPTY] * (2 * size)
+        for at, (_, job) in self.entries.items():
+            i = at - base + size
+            tp[i], tm[i] = job.declared_epc_pages, job.requested_mem
+        for i in range(size - 1, 0, -1):
+            tp[i] = min(tp[2 * i], tp[2 * i + 1])
+            tm[i] = min(tm[2 * i], tm[2 * i + 1])
+        self.base, self.size, self.pages, self.mem = base, size, tp, tm
+
+
 class PendingQueue:
     """Jobs waiting for placement, in first-come-first-served order
     (submit time, then job id), with the running sum of the protected pages
     they declare.  Placement or a kill takes a job out; there is no other
-    way out."""
+    way out.
+
+    A job is new until a walk (`schedule_tick`) visits it, then parked if
+    the walk leaves it queued.  Parked jobs are kept by queue position,
+    per class (standard and enclave), under a tree of their least demands
+    (`_Parked`), and the queue keeps each node's headroom as the last walk
+    left it.  A parked job fits no node at that headroom, and a node's
+    headroom rises only when its max(measured, reserved) falls: on a
+    release (a finish, or a killed job's denied init) or when the usage
+    ledger expires samples from the window.  So a walk (`due`) visits the
+    new jobs and, among the parked ones, only those that fit a node whose
+    headroom rose, as that node stands when the job's turn comes.  It finds
+    those nodes by comparing each node's headroom with the kept one.
+    Iteration, `len` and `epc_pages` cover new and parked jobs alike."""
 
     def __init__(self, jobs: Iterable[JobSpec] = ()):
-        self._jobs: list[JobSpec] = []
+        # job id -> entry, for every queued job, in queue order; an entry is
+        # (queue position, job), and positions grow with the queue order
+        self._jobs: dict[str, tuple[int, JobSpec]] = {}
+        self._tail: tuple = ()  # the queue-order key of the latest push
+        self._pushed = 0
+        self._new: list[tuple[int, JobSpec]] = []
+        self._std, self._enclave = _Parked(), _Parked()
+        # each node's (standard, page) headroom as the last walk left it,
+        # by node id, while any job is parked; None otherwise
+        self._cluster: ClusterState | None = None
+        self._seen: dict[str, tuple[int, int]] | None = None
         self.epc_pages = 0  # standard jobs declare none
         for job in jobs:
             self.push(job)
 
-    @staticmethod
-    def _key(job: JobSpec):
-        return (job.submit_ms, job.job_id)
-
     def push(self, job: JobSpec) -> None:
-        insort(self._jobs, job, key=self._key)
+        job_id = job.job_id
+        if job_id in self._jobs:
+            raise ValueError(f"job {job_id!r} is already queued")
+        key = (job.submit_ms, job_id)
+        if key < self._tail:
+            # Out of queue order: queue everything again, every job new.
+            jobs = sorted([*self, job], key=lambda j: (j.submit_ms, j.job_id))
+            self.__init__(jobs)
+            return
+        self._tail = key
+        entry = (self._pushed, job)
+        self._pushed += 1
+        self._jobs[job_id] = entry
+        self._new.append(entry)
         self.epc_pages += job.declared_epc_pages
 
+    def due(self, cluster: ClusterState) -> Iterable[tuple[int, JobSpec]]:
+        """The entries a walk over the cluster visits, in queue order: the
+        new jobs, and each parked job that fits a node whose headroom rose
+        since the last walk, judged against that node when the job's turn
+        comes, after the walk's earlier placements.  A visited job is no
+        longer new or parked."""
+        new, self._new = self._new, []
+        if not (self._std.entries or self._enclave.entries):
+            self._seen = None
+            return new
+        seen = self._seen
+        if seen is None or cluster is not self._cluster:
+            # no headroom kept for these nodes: all of them rose
+            self._cluster = cluster
+            seen = self._seen = dict.fromkeys(cluster.nodes,
+                                              (-_EMPTY, -_EMPTY))
+        risen = []
+        for node_id, node in cluster.nodes.items():
+            was, room = seen[node_id], _headroom(node)
+            if room[0] > was[0] or room[1] > was[1]:
+                risen.append(node)
+            seen[node_id] = room
+        return self._merge(new, risen) if risen else new
+
+    def _merge(self, new: list[tuple[int, JobSpec]], risen: list[NodeState]):
+        """Yield the new entries and the parked ones that fit a risen node,
+        in queue order.  The nodes' headroom is read again before a parked
+        job is yielded, since the walk's placements only lower it."""
+        i, stale = 0, False
+        found = self._first(risen)
+        while found is not None or i < len(new):
+            if found is None or i < len(new) and new[i][0] < found[0]:
+                yield new[i]
+                i += 1
+                stale = True
+                continue
+            if stale:
+                stale = False
+                again = self._first(risen)
+                if again is not found:
+                    found = again
+                    continue
+            pos, job = found
+            (self._enclave if job.kind.uses_epc else self._std).remove(pos)
+            yield found
+            found = self._first(risen)
+
+    def _first(self, nodes: list[NodeState]) -> tuple[int, JobSpec] | None:
+        """The first parked entry that fits one of the nodes, or None."""
+        rooms = [_headroom(node) for node in nodes]
+        found = None
+        if self._std.entries:
+            found = self._std.first([(_EMPTY, max(std for std, _ in rooms))])
+        if self._enclave.entries:
+            enclave = self._enclave.first(
+                [(pages, std) for std, pages in rooms if pages > 0])
+            if enclave is not None and (found is None or enclave[0] < found[0]):
+                found = enclave
+        return found
+
+    def park(self, entries: list[tuple[int, JobSpec]],
+             placed: list[tuple[JobSpec, str]], cluster: ClusterState) -> None:
+        """Park the entries a walk over the cluster left queued, and keep
+        each node's headroom as the walk left it: `due` kept it as the walk
+        found it, so only the nodes of the walk's placements changed."""
+        for entry in entries:
+            (self._enclave if entry[1].kind.uses_epc else self._std).add(entry)
+        if not (self._std.entries or self._enclave.entries):
+            return
+        if self._seen is None or cluster is not self._cluster:
+            self._cluster = cluster
+            self._seen = {node_id: _headroom(node)
+                          for node_id, node in cluster.nodes.items()}
+            return
+        for _, node_id in placed:
+            self._seen[node_id] = _headroom(cluster.nodes[node_id])
+
     def take(self, placed: list[tuple[JobSpec, str]]) -> None:
-        """Remove the queued jobs of one walk's (job, node id) placements, in
-        one pass."""
+        """Remove the queued jobs of one walk's (job, node id) placements."""
         if not placed:
             return
-        gone = {job.job_id for job, _ in placed}
-        self._jobs = [job for job in self._jobs if job.job_id not in gone]
+        jobs = self._jobs
+        for job, _ in placed:
+            pos = jobs.pop(job.job_id)[0]
+            parked = self._enclave if job.kind.uses_epc else self._std
+            if pos in parked.entries:  # taken from outside a walk
+                parked.remove(pos)
+        if self._new:
+            self._new = [entry for entry in self._new if entry[1].job_id in jobs]
         self.epc_pages -= sum(job.declared_epc_pages for job, _ in placed)
+
+    def check(self, now: int) -> None:
+        """Check that the new and parked jobs are the queued jobs, in queue
+        order, and that no parked job fits a node whose headroom has not
+        risen since the last walk (right after a walk, any node); an
+        AssertionError at `now` if not."""
+        parked = [*self._std.entries.values(), *self._enclave.entries.values()]
+        held = sorted(self._new + parked, key=lambda entry: entry[0])
+        if held != list(self._jobs.values()):
+            raise AssertionError(
+                f"t={now}: new and parked jobs "
+                f"{[job.job_id for _, job in held]} != queued jobs "
+                f"{list(self._jobs)} in queue order")
+        if self._seen is None:
+            return
+        for node_id, (std, pages) in self._seen.items():
+            node = self._cluster.nodes[node_id]
+            now_std, now_pages = _headroom(node)
+            if now_std > std or now_pages > pages:
+                continue
+            for _, job in parked:
+                if feasible(job, node):
+                    raise AssertionError(f"t={now}: parked {job.job_id} "
+                                         f"fits {node_id}")
 
     def drain(self) -> list[JobSpec]:
         """Empty the queue; its jobs in queue order."""
-        jobs, self._jobs, self.epc_pages = self._jobs, [], 0
+        jobs = list(self)
+        self.__init__()
         return jobs
 
     def __len__(self) -> int:
         return len(self._jobs)
 
     def __iter__(self):
-        return iter(self._jobs)
+        return (job for _, job in self._jobs.values())
+
+
+def _headroom(node: NodeState) -> tuple[int, int]:
+    """The node's (standard, page) headroom that `feasible` admits against;
+    page headroom -1 on a node without protected memory."""
+    epc = node.spec.epc
+    pages = -1 if epc is None else epc.usable_pages - max(
+        node.measured_epc_pages, node.reserved_epc_pages)
+    return node.spec.std_capacity - max(node.measured_std,
+                                        node.reserved_std), pages
 
 
 def feasible(job: JobSpec, node: NodeState) -> bool:
@@ -370,7 +606,9 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
     tick; reservations made for jobs placed earlier in the same walk are
     visible to later ones, so one tick cannot over-commit a node.  Jobs with
     no feasible node simply stay queued without blocking the jobs behind
-    them.  Placed jobs leave the queue together after the walk.
+    them.  Placed jobs leave the queue together after the walk; the others
+    are parked, and the queue keeps each node's headroom as the walk left
+    it.
 
     Within a walk measured usage is fixed and reservations only grow, and
     `feasible` is monotone in a job's requested memory and declared pages.
@@ -379,15 +617,33 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
     failed in the same walk; such a job is skipped without asking the
     policy.  Standard failures keep their smallest request, enclave
     failures their Pareto-minimal (memory, pages) pairs.
+
+    Across walks the same argument holds per node: a job left queued fits
+    no node at the headroom the walk left, and a node's headroom rises only
+    on a release (a finish or a denied init) or a ledger expiry.  So a walk
+    visits the jobs queued since the last one and, of the parked jobs, only
+    those that fit a node whose headroom rose since then, judged at the
+    job's turn, after the walk's earlier placements (`PendingQueue.due`).
+    Every parked job it passes over would fail as it did before, and every
+    one it visits is placed.  The visited jobs keep their queue order, so
+    every placement is the one a walk over the whole queue makes.  The
+    headroom is kept here, at the end of the walk and before the caller
+    releases what its denied inits reserved, so those releases count as
+    rises.
     """
     try:
         select = POLICIES[policy]
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
+    walk = queue.due(cluster)
+    if not walk:  # no job to visit, so nothing to take or park
+        return []
     placed: list[tuple[JobSpec, str]] = []
+    failed: list[tuple[int, JobSpec]] = []
     std_failed: int | None = None
     enclave_failed: list[tuple[int, int]] = []
-    for job in queue:
+    for entry in walk:
+        job = entry[1]
         mem, pages = job.requested_mem, job.declared_epc_pages
         enclave = job.kind.uses_epc
         if enclave:
@@ -397,8 +653,10 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
                     dominated = True
                     break
             if dominated:
+                failed.append(entry)
                 continue
         elif std_failed is not None and std_failed <= mem:
+            failed.append(entry)
             continue
         node_id = select(job, cluster)
         if node_id is None:
@@ -408,8 +666,10 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
                 enclave_failed.append((mem, pages))
             else:
                 std_failed = mem
+            failed.append(entry)
             continue
         cluster.nodes[node_id].reserve(mem, pages)
         placed.append((job, node_id))
     queue.take(placed)
+    queue.park(failed, placed, cluster)
     return placed

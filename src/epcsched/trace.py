@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -208,23 +208,28 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     logged diagnostic (truncated exports produce them).  Records come back
     sorted by submit time.
     """
+    records: list[RawJobRecord] = []
     seen: dict[str, int] = {}
-
-    def decode(lineno: int, row: list[str]) -> RawJobRecord | None:
-        job_id = row[0].strip()
-        try:
-            submit_s, duration_s, assigned, peak = map(float, row[1:])
-        except ValueError:
-            raise ValueError(f"non-numeric field in {row!r}") from None
-        if duration_s < 0:
-            log.warning("dropping job %s (line %d): negative duration %s",
-                        job_id, lineno, duration_s)
-            return None
-        _first_sighting(seen, job_id, lineno)
-        return RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
-
-    records = [rec for rec in _csv_rows(source, CANONICAL_FIELDS, decode)
-               if rec is not None]
+    with _csv_reader(source, CANONICAL_FIELDS) as reader:
+        for row in reader:
+            if len(row) != 5:
+                if row:
+                    raise _width_error(CANONICAL_FIELDS, row)
+                continue
+            job_id = row[0].strip()
+            try:
+                submit_s, duration_s, assigned, peak = map(float, row[1:])
+            except ValueError:
+                raise ValueError(f"non-numeric field in {row!r}") from None
+            if duration_s < 0:
+                log.warning("dropping job %s (line %d): negative duration %s",
+                            job_id, reader.line_num, duration_s)
+                continue
+            if job_id in seen:
+                raise _duplicate_error(job_id, seen[job_id])
+            seen[job_id] = reader.line_num
+            records.append(RawJobRecord(job_id, submit_s, duration_s,
+                                        assigned, peak))
     records.sort(key=attrgetter("submit_s"))
     return records
 
@@ -455,13 +460,13 @@ def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
                              j.declared_epc_pages, j.actual_epc_pages])
 
 
-def _csv_rows(source, fields: tuple[str, ...],
-              decode: Callable[[int, list[str]], object]) -> Iterator:
-    """decode(line number, row) of every non-blank row of a CSV file whose
-    header must equal `fields`.  A row of any other width, or one that
-    `decode` rejects with a ValueError, is a TraceParseError naming the file
-    (a path, or an open file's name) and the line; bytes that are not UTF-8
-    are one naming the file.  An empty source has no rows."""
+@contextmanager
+def _csv_reader(source, fields: tuple[str, ...]):
+    """A csv reader positioned after the header of a CSV file (path or open
+    file), which must equal `fields`.  A ValueError that the body raises is
+    a TraceParseError naming the file (a path, or an open file's name) and
+    the reader's line, and bytes that are not UTF-8 are one naming the
+    file.  An empty source has no rows."""
     path = (os.fspath(source) if isinstance(source, (str, os.PathLike))
             else getattr(source, "name", None))
     try:
@@ -471,38 +476,40 @@ def _csv_rows(source, fields: tuple[str, ...],
             if header is not None and tuple(h.strip() for h in header) != fields:
                 raise TraceParseError(f"expected header {','.join(fields)}",
                                       line=1, path=path)
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != len(fields):
-                    raise TraceParseError(f"expected {len(fields)} fields, got "
-                                          f"{len(row)}", line=line, path=path)
-                try:
-                    value = decode(line, row)
-                except ValueError as exc:
-                    raise TraceParseError(str(exc), line=line,
-                                          path=path) from None
-                yield value
+            try:
+                yield reader
+            except (TraceParseError, UnicodeDecodeError):
+                raise
+            except ValueError as exc:
+                raise TraceParseError(str(exc), line=reader.line_num,
+                                      path=path) from None
     except UnicodeDecodeError as exc:
         raise TraceParseError(str(exc), path=path) from None
 
 
-def _first_sighting(seen: dict[str, int], job_id: str, line: int) -> None:
-    """Note the line a job id is on; a ValueError naming both lines if the
-    id was seen before."""
-    if job_id in seen:
-        raise ValueError(f"duplicate job_id {job_id!r} (first seen on line "
-                         f"{seen[job_id]})")
-    seen[job_id] = line
+def _width_error(fields: tuple[str, ...], row: list[str]) -> ValueError:
+    return ValueError(f"expected {len(fields)} fields, got {len(row)}")
+
+
+def _duplicate_error(job_id: str, first_line: int) -> ValueError:
+    return ValueError(f"duplicate job_id {job_id!r} (first seen on line "
+                      f"{first_line})")
 
 
 def read_jobs_csv(source) -> list[JobSpec]:
+    jobs: list[JobSpec] = []
     seen: dict[str, int] = {}
-
-    def decode(line: int, row: list[str]) -> JobSpec:
-        job_id, kind, *sizes = row
-        _first_sighting(seen, job_id, line)
-        return JobSpec(job_id, _job_kind(kind), *map(int, sizes))
-
-    return list(_csv_rows(source, JOBS_FIELDS, decode))
+    with _csv_reader(source, JOBS_FIELDS) as reader:
+        for row in reader:
+            if len(row) != 8:
+                if row:
+                    raise _width_error(JOBS_FIELDS, row)
+                continue
+            job_id, kind, submit, duration, mem, used, declared, pages = row
+            if job_id in seen:
+                raise _duplicate_error(job_id, seen[job_id])
+            seen[job_id] = reader.line_num
+            jobs.append(JobSpec(job_id, _job_kind(kind), int(submit),
+                                int(duration), int(mem), int(used),
+                                int(declared), int(pages)))
+    return jobs

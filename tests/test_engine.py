@@ -355,3 +355,23 @@ class TestInvariantChecker:
                 "t=5000: s1 changed its reservation without recording it")):
             run(self.JOBS, [sgx_node("s1"), sgx_node("s2")],
                 SimConfig(policy="spread", check_invariants=True))
+
+    def test_job_parked_while_it_fits_is_caught(self, monkeypatch):
+        # The policy turns "a" away at t=5000, though s1 is empty.
+        select = scheduler.POLICIES["binpack"]
+        monkeypatch.setitem(scheduler.POLICIES, "binpack",
+                            lambda job, cluster: None if job.job_id == "a"
+                            else select(job, cluster))
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=5000: parked a fits s1")):
+            run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
+
+    def test_queued_job_neither_new_nor_parked_is_caught(self, monkeypatch):
+        # The walk at t=5000 leaves "huge" queued and parks nothing.
+        monkeypatch.setattr(PendingQueue, "park",
+                            lambda self, entries, placed, cluster: None)
+        with pytest.raises(AssertionError, match=re.escape(
+                "t=5000: new and parked jobs [] != queued jobs ['huge'] in "
+                "queue order")):
+            run([sgx_job("huge", declared=USABLE + 1)], [sgx_node("s1")],
+                SimConfig(check_invariants=True))

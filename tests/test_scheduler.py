@@ -885,3 +885,31 @@ class TestTickSkipsDominatedJobs:
         assert [job.job_id for job, _ in placements] == ["ok"]
         assert calls == ["f000", "ok"]
         assert len(q) == 100
+
+
+class TestParkedJobs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 6),
+                              st.integers(0, 6), st.booleans()), max_size=60),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    max_size=3))
+    def test_first_fit_is_a_scan_in_queue_order(self, steps, rooms):
+        # Positions come and go in any order, so the window moves and
+        # widens both ways; after every step the tree answers what a scan
+        # of the parked jobs in position order answers.
+        parked, held = scheduler._Parked(), {}
+        for pos, pages, mem, remove in steps:
+            if pos not in held:
+                job = JobSpec(f"j{pos}", JobKind.SGX, 0, 1, mem, 0, pages + 1,
+                              0)
+                held[pos] = (pos, job)
+                parked.add(held[pos])
+            elif remove:
+                parked.remove(pos)
+                del held[pos]
+            fits = [held[at] for at in sorted(held)
+                    if any(held[at][1].declared_epc_pages <= p
+                           and held[at][1].requested_mem <= m
+                           for p, m in rooms)]
+            assert parked.first(rooms) == (fits[0] if fits else None)
+        assert parked.entries == held
