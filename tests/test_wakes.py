@@ -4,6 +4,7 @@ bytes as a replay whose walks visit every queued job at every tick."""
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -72,6 +73,13 @@ ORDER = ([std_job("a", requested=8 * GIB),
 @example(*ORDER, SimConfig())
 def test_same_bytes_as_walking_every_queued_job(jobs, nodes, config):
     assert_wakes_lose_nothing(jobs, nodes, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs=_jobs(), nodes=_nodes(), config=_configs())
+def test_parked_jobs_hold_the_invariants(jobs, nodes, config):
+    # `PendingQueue.check` at every event, among the engine's other checks
+    run(jobs, nodes, replace(config, check_invariants=True))
 
 
 def ignore_expiries(monkeypatch):
