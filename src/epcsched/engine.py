@@ -33,17 +33,6 @@ tick: the `UsageLedger` keeps each node's measured usage from each pod's
 sampled interval and advances it to the tick's window just before each
 scheduler tick, and the result's `SeriesStore` streams the samples from the
 same intervals.
-
-A tick does not retry every queued job.  A job a walk leaves queued is
-parked (`PendingQueue`): it fits no node at the headroom, capacity -
-max(measured, reserved), that the walk left.  That headroom rises on two
-events only, both driven from here: a release, at a finish or when a
-denied init kills its job, and a ledger expiry, at the advance before a
-tick.  The scheduler keeps each node's headroom at the end of its walk,
-before this loop releases a denied init's reservation, and the next tick
-compares against it, so a rise from either event wakes the parked jobs
-that fit the risen node.  Every other parked job would fail again, so the
-placements are those of a walk over the whole queue.
 """
 
 from __future__ import annotations
@@ -190,6 +179,8 @@ class _Engine:
             self.arrived = i
         self.ledger.advance(now)
         placements = schedule_tick(self.queue, self.cluster, self.config.policy)
+        if self.config.check_invariants:
+            self.queue.check_walk(now, self.cluster)
         for job, node_id in placements:
             self._handle_placement(job, node_id, now)
         self.pending_epc.append((now, self.queue.epc_pages * PAGE_SIZE))
@@ -261,7 +252,7 @@ class _Engine:
         """Check the per-node counters against the pod records: node
         reservations, driver pages in use and, under enforcement, each
         enclave's pages against its limit; the queue's page counter against
-        its jobs, none of which may have a pod, and its parked jobs
+        its jobs, none of which may have a pod, and its new and parked jobs
         (`PendingQueue.check`); each node's measured usage,
         advanced to now, against a fresh window over the pod intervals; and
         under `spread`, its own state (`_Spread.check`)."""

@@ -115,17 +115,11 @@ class PendingQueue:
     way out.
 
     A job is new until a walk (`schedule_tick`) visits it, then parked if
-    the walk leaves it queued.  Parked jobs are kept by queue position,
-    per class (standard and enclave), under a tree of their least demands
-    (`_Parked`), and the queue keeps each node's headroom as the last walk
-    left it.  A parked job fits no node at that headroom, and a node's
-    headroom rises only when its max(measured, reserved) falls: on a
-    release (a finish, or a killed job's denied init) or when the usage
-    ledger expires samples from the window.  So a walk (`due`) visits the
-    new jobs and, among the parked ones, only those that fit a node whose
-    headroom rose, as that node stands when the job's turn comes.  It finds
-    those nodes by comparing each node's headroom with the kept one.
-    Iteration, `len` and `epc_pages` cover new and parked jobs alike."""
+    the walk leaves it queued.  Parked jobs are kept by queue position, per
+    class (standard and enclave), under a tree of their least demands
+    (`_Parked`), so the first of them that fits some node at its current
+    headroom is one descent per class.  Iteration, `len` and `epc_pages`
+    cover new and parked jobs alike."""
 
     def __init__(self, jobs: Iterable[JobSpec] = ()):
         # job id -> entry, for every queued job, in queue order; an entry is
@@ -135,10 +129,6 @@ class PendingQueue:
         self._pushed = 0
         self._new: list[tuple[int, JobSpec]] = []
         self._std, self._enclave = _Parked(), _Parked()
-        # each node's (standard, page) headroom as the last walk left it,
-        # by node id, while any job is parked; None otherwise
-        self._cluster: ClusterState | None = None
-        self._seen: dict[str, tuple[int, int]] | None = None
         self.epc_pages = 0  # standard jobs declare none
         for job in jobs:
             self.push(job)
@@ -161,53 +151,29 @@ class PendingQueue:
         self.epc_pages += job.declared_epc_pages
 
     def due(self, cluster: ClusterState) -> Iterable[tuple[int, JobSpec]]:
-        """The entries a walk over the cluster visits, in queue order: the
-        new jobs, and each parked job that fits a node whose headroom rose
-        since the last walk, judged against that node when the job's turn
-        comes, after the walk's earlier placements.  A visited job is no
-        longer new or parked."""
+        """The entries a walk over the cluster visits, in queue order.  With
+        nothing parked, the new jobs.  Otherwise the new jobs are parked
+        too, and the walk takes, one at a time, the first queued entry that
+        fits some node at its headroom when it is taken, after the walk's
+        earlier placements; each leaves its tree before it is yielded.  The
+        placements only lower headroom, so an entry passed over fits no
+        node for the rest of the walk, and every yielded job is placed.  A
+        visited job is no longer new or parked."""
         new, self._new = self._new, []
         if not (self._std.entries or self._enclave.entries):
-            self._seen = None
             return new
-        seen = self._seen
-        if seen is None or cluster is not self._cluster:
-            # no headroom kept for these nodes: all of them rose
-            self._cluster = cluster
-            seen = self._seen = dict.fromkeys(cluster.nodes,
-                                              (-_EMPTY, -_EMPTY))
-        risen = []
-        for node_id, node in cluster.nodes.items():
-            was, room = seen[node_id], _headroom(node)
-            if room[0] > was[0] or room[1] > was[1]:
-                risen.append(node)
-            seen[node_id] = room
-        return self._merge(new, risen) if risen else new
+        self.park(new)
+        return self._fits(cluster.nodes.values())
 
-    def _merge(self, new: list[tuple[int, JobSpec]], risen: list[NodeState]):
-        """Yield the new entries and the parked ones that fit a risen node,
-        in queue order.  The nodes' headroom is read again before a parked
-        job is yielded, since the walk's placements only lower it."""
-        i, stale = 0, False
-        found = self._first(risen)
-        while found is not None or i < len(new):
-            if found is None or i < len(new) and new[i][0] < found[0]:
-                yield new[i]
-                i += 1
-                stale = True
-                continue
-            if stale:
-                stale = False
-                again = self._first(risen)
-                if again is not found:
-                    found = again
-                    continue
+    def _fits(self, nodes: Iterable[NodeState]):
+        """Yield the first parked entry that fits one of the nodes, out of
+        its tree, until none fits."""
+        while (found := self._first(nodes)) is not None:
             pos, job = found
             (self._enclave if job.kind.uses_epc else self._std).remove(pos)
             yield found
-            found = self._first(risen)
 
-    def _first(self, nodes: list[NodeState]) -> tuple[int, JobSpec] | None:
+    def _first(self, nodes: Iterable[NodeState]) -> tuple[int, JobSpec] | None:
         """The first parked entry that fits one of the nodes, or None."""
         rooms = [_headroom(node) for node in nodes]
         found = None
@@ -220,22 +186,10 @@ class PendingQueue:
                 found = enclave
         return found
 
-    def park(self, entries: list[tuple[int, JobSpec]],
-             placed: list[tuple[JobSpec, str]], cluster: ClusterState) -> None:
-        """Park the entries a walk over the cluster left queued, and keep
-        each node's headroom as the walk left it: `due` kept it as the walk
-        found it, so only the nodes of the walk's placements changed."""
+    def park(self, entries: list[tuple[int, JobSpec]]) -> None:
+        """Park queued entries, each under its class's tree."""
         for entry in entries:
             (self._enclave if entry[1].kind.uses_epc else self._std).add(entry)
-        if not (self._std.entries or self._enclave.entries):
-            return
-        if self._seen is None or cluster is not self._cluster:
-            self._cluster = cluster
-            self._seen = {node_id: _headroom(node)
-                          for node_id, node in cluster.nodes.items()}
-            return
-        for _, node_id in placed:
-            self._seen[node_id] = _headroom(cluster.nodes[node_id])
 
     def take(self, placed: list[tuple[JobSpec, str]]) -> None:
         """Remove the queued jobs of one walk's (job, node id) placements."""
@@ -253,23 +207,21 @@ class PendingQueue:
 
     def check(self, now: int) -> None:
         """Check that the new and parked jobs are the queued jobs, in queue
-        order, and that no parked job fits a node whose headroom has not
-        risen since the last walk (right after a walk, any node); an
-        AssertionError at `now` if not."""
-        parked = [*self._std.entries.values(), *self._enclave.entries.values()]
-        held = sorted(self._new + parked, key=lambda entry: entry[0])
+        order; an AssertionError at `now` if not."""
+        held = sorted([*self._new, *self._std.entries.values(),
+                       *self._enclave.entries.values()],
+                      key=lambda entry: entry[0])
         if held != list(self._jobs.values()):
             raise AssertionError(
                 f"t={now}: new and parked jobs "
                 f"{[job.job_id for _, job in held]} != queued jobs "
                 f"{list(self._jobs)} in queue order")
-        if self._seen is None:
-            return
-        for node_id, (std, pages) in self._seen.items():
-            node = self._cluster.nodes[node_id]
-            now_std, now_pages = _headroom(node)
-            if now_std > std or now_pages > pages:
-                continue
+
+    def check_walk(self, now: int, cluster: ClusterState) -> None:
+        """Check, right after a walk over the cluster, that no parked job
+        fits one of its nodes; an AssertionError at `now` if one does."""
+        parked = [*self._std.entries.values(), *self._enclave.entries.values()]
+        for node_id, node in cluster.nodes.items():
             for _, job in parked:
                 if feasible(job, node):
                     raise AssertionError(f"t={now}: parked {job.job_id} "
@@ -586,11 +538,12 @@ def spread_select(job: JobSpec, cluster: ClusterState) -> str | None:
 
 # The policy contract, which every entry must keep: select(job, cluster)
 # reads each node's measured usage and reservations off its `NodeState`,
-# changes neither, and returns None only if no node of the job's candidate
-# set is `feasible`; that set depends only on the job's kind (the
-# enclave-capable nodes for enclave jobs, all nodes for standard jobs).
-# `schedule_tick` relies on it to skip jobs that a failure earlier in the
-# same tick already rules out.
+# changes neither, and picks from the job's candidate set, which depends
+# only on the job's kind (the enclave-capable nodes for enclave jobs, all
+# nodes for standard jobs).  `schedule_tick`'s walk over parked jobs relies
+# on it returning only `feasible` candidate nodes, and the check after a
+# walk (`PendingQueue.check_walk`) on it returning None only when no
+# candidate is `feasible`.
 POLICIES: dict[str, Callable[..., str | None]] = {
     "binpack": binpack_select,
     "spread": spread_select,
@@ -607,29 +560,15 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
     visible to later ones, so one tick cannot over-commit a node.  Jobs with
     no feasible node simply stay queued without blocking the jobs behind
     them.  Placed jobs leave the queue together after the walk; the others
-    are parked, and the queue keeps each node's headroom as the walk left
-    it.
+    are parked.
 
-    Within a walk measured usage is fixed and reservations only grow, and
-    `feasible` is monotone in a job's requested memory and declared pages.
-    By the policy contract a job therefore cannot be placed if an earlier
-    job of its class (standard or enclave) that asked for no more of either
-    failed in the same walk; such a job is skipped without asking the
-    policy.  Standard failures keep their smallest request, enclave
-    failures their Pareto-minimal (memory, pages) pairs.
-
-    Across walks the same argument holds per node: a job left queued fits
-    no node at the headroom the walk left, and a node's headroom rises only
-    on a release (a finish or a denied init) or a ledger expiry.  So a walk
-    visits the jobs queued since the last one and, of the parked jobs, only
-    those that fit a node whose headroom rose since then, judged at the
-    job's turn, after the walk's earlier placements (`PendingQueue.due`).
-    Every parked job it passes over would fail as it did before, and every
-    one it visits is placed.  The visited jobs keep their queue order, so
-    every placement is the one a walk over the whole queue makes.  The
-    headroom is kept here, at the end of the walk and before the caller
-    releases what its denied inits reserved, so those releases count as
-    rises.
+    With nothing parked the walk asks the policy for each new job.  With
+    parked jobs it visits only the jobs `PendingQueue.due` finds: in queue
+    order, each queued job that fits some node at that node's headroom when
+    its turn comes.  A policy returns None exactly when no candidate node
+    is feasible, so the jobs passed over are those a walk over the whole
+    queue fails, every visited job is placed, and the placements are those
+    of that walk.
     """
     try:
         select = POLICIES[policy]
@@ -640,36 +579,15 @@ def schedule_tick(queue: PendingQueue, cluster: ClusterState,
         return []
     placed: list[tuple[JobSpec, str]] = []
     failed: list[tuple[int, JobSpec]] = []
-    std_failed: int | None = None
-    enclave_failed: list[tuple[int, int]] = []
     for entry in walk:
         job = entry[1]
-        mem, pages = job.requested_mem, job.declared_epc_pages
-        enclave = job.kind.uses_epc
-        if enclave:
-            dominated = False
-            for m, p in enclave_failed:
-                if m <= mem and p <= pages:
-                    dominated = True
-                    break
-            if dominated:
-                failed.append(entry)
-                continue
-        elif std_failed is not None and std_failed <= mem:
-            failed.append(entry)
-            continue
         node_id = select(job, cluster)
         if node_id is None:
-            if enclave:
-                enclave_failed = [(m, p) for m, p in enclave_failed
-                                  if m < mem or p < pages]
-                enclave_failed.append((mem, pages))
-            else:
-                std_failed = mem
             failed.append(entry)
             continue
-        cluster.nodes[node_id].reserve(mem, pages)
+        cluster.nodes[node_id].reserve(job.requested_mem,
+                                       job.declared_epc_pages)
         placed.append((job, node_id))
     queue.take(placed)
-    queue.park(failed, placed, cluster)
+    queue.park(failed)
     return placed

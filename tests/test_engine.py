@@ -369,7 +369,7 @@ class TestInvariantChecker:
     def test_queued_job_neither_new_nor_parked_is_caught(self, monkeypatch):
         # The walk at t=5000 leaves "huge" queued and parks nothing.
         monkeypatch.setattr(PendingQueue, "park",
-                            lambda self, entries, placed, cluster: None)
+                            lambda self, entries: None)
         with pytest.raises(AssertionError, match=re.escape(
                 "t=5000: new and parked jobs [] != queued jobs ['huge'] in "
                 "queue order")):

@@ -755,7 +755,7 @@ _SEED_POLICIES = {"binpack": _seed_binpack_select, "spread": _seed_spread_select
 
 
 def _seed_schedule_tick(jobs, nodes, usage, policy):
-    """The walk `schedule_tick` made before it skipped dominated jobs, kept
+    """The walk `schedule_tick` made before it skipped any job, kept
     verbatim as the reference for exact placements, over the seed policies
     and admission.  `usage` is the measured usage; returns the (job, node
     id) placements and the jobs left queued."""
@@ -818,31 +818,45 @@ def _candidates(job, nodes):
     return [n for n in nodes.values() if n.is_sgx or not job.kind.uses_epc]
 
 
-class TestTickSkipsDominatedJobs:
+class TestTickSkipsJobsThatFitNowhere:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(scheduler.POLICIES)), _tick_nodes(),
-           _tick_jobs())
-    def test_same_walk_as_the_unskipped_loop(self, policy, nodes, jobs):
+           _tick_jobs(), st.data())
+    def test_same_walk_as_the_unskipped_loop(self, policy, nodes, jobs, data):
         # Same placements, same queue left in the same order, the same
-        # backlog counter, and the same reservations on every node.
+        # backlog counter, and the same reservations on every node: on a
+        # first tick, which walks new jobs, and on a second one, which takes
+        # the jobs the first parked from their trees after some nodes'
+        # measured usage fell.
         rows, usage = nodes
         cluster = ClusterState(_node_states(rows))
+        seed_nodes, left = _node_states(rows), jobs
         queue = PendingQueue(jobs)
-        placements = schedule_tick(
-            queue, with_window(cluster, _usage_store(usage, 1_000), 1_000),
-            policy)
-        got = (placements, list(queue), queue.epc_pages,
-               [(n.reserved_std, n.reserved_epc_pages)
-                for n in cluster.nodes.values()])
-        seed_nodes = _node_states(rows)
-        seed_placements, left = _seed_schedule_tick(
-            jobs, seed_nodes,
-            {nid: NodeUsage(*u) for nid, u in usage.items()}, policy)
-        want = (seed_placements, left,
-                sum(j.declared_epc_pages for j in left if j.kind.uses_epc),
-                [(n.reserved_std, n.reserved_epc_pages)
-                 for n in seed_nodes.values()])
-        assert got == want
+
+        def assert_same_tick(cluster_now, usage):
+            nonlocal left
+            placements = schedule_tick(queue, cluster_now, policy)
+            seed_placements, left = _seed_schedule_tick(
+                left, seed_nodes,
+                {nid: NodeUsage(*u) for nid, u in usage.items()}, policy)
+            got = (placements, list(queue), queue.epc_pages,
+                   [(n.reserved_std, n.reserved_epc_pages)
+                    for n in cluster.nodes.values()])
+            want = (seed_placements, left,
+                    sum(j.declared_epc_pages for j in left
+                        if j.kind.uses_epc),
+                    [(n.reserved_std, n.reserved_epc_pages)
+                     for n in seed_nodes.values()])
+            assert got == want
+
+        assert_same_tick(
+            with_window(cluster, _usage_store(usage, 1_000), 1_000), usage)
+        lower = {nid: (data.draw(st.integers(0, epc)),
+                       data.draw(st.integers(0, std)))
+                 for nid, (epc, std) in usage.items()}
+        assert_same_tick(
+            with_usage(cluster, {nid: NodeUsage(*u)
+                                 for nid, u in lower.items()}), lower)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(scheduler.POLICIES)), _tick_nodes(),
@@ -861,8 +875,8 @@ class TestTickSkipsDominatedJobs:
 
     @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
     @pytest.mark.parametrize("enclave", [True, False])
-    def test_one_select_for_identical_failures(self, monkeypatch, policy,
-                                               enclave):
+    def test_one_select_per_placement_with_parked_jobs(self, monkeypatch,
+                                                       policy, enclave):
         calls = []
 
         def counted(job, cluster, select=scheduler.POLICIES[policy]):
@@ -872,19 +886,25 @@ class TestTickSkipsDominatedJobs:
         monkeypatch.setitem(scheduler.POLICIES, policy, counted)
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"), std_node("n1"))
         if enclave:
-            misfits = [sgx_job(f"f{i:03d}", declared=USABLE + 1)
-                       for i in range(100)]
-            other = std_job("ok", submit_ms=1)
+            def job(job_id, fits, submit_ms=1):
+                return sgx_job(job_id, submit_ms,
+                               declared=10 if fits else USABLE + 1)
         else:
-            misfits = [std_job(f"f{i:03d}", requested=65 * GIB)
-                       for i in range(100)]
-            other = sgx_job("ok", submit_ms=1, declared=10)
-        q = PendingQueue(misfits + [other])
+            def job(job_id, fits, submit_ms=1):
+                return std_job(job_id, submit_ms,
+                               requested=GIB if fits else 65 * GIB)
+        q = PendingQueue([job(f"f{i:03d}", False, 0) for i in range(100)])
+        assert schedule_tick(q, cluster, policy) == []
+        assert len(calls) == 100  # nothing parked yet: every new job asked
+        calls.clear()
+        assert schedule_tick(q, cluster, policy) == []
+        assert calls == []  # parked jobs that fit nowhere cost no call
+        for job_id, fits in [("a0", True), ("a1", False), ("a2", True)]:
+            q.push(job(job_id, fits))
         placements = schedule_tick(q, cluster, policy)
-        # a failure of one class rules out no job of the other
-        assert [job.job_id for job, _ in placements] == ["ok"]
-        assert calls == ["f000", "ok"]
-        assert len(q) == 100
+        assert [job.job_id for job, _ in placements] == ["a0", "a2"]
+        assert calls == ["a0", "a2"]
+        assert len(q) == 101
 
 
 class TestParkedJobs:
