@@ -12,7 +12,6 @@ import json
 import math
 import os
 import shutil
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -478,6 +477,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         fh.write("\n")
 
     if cfg.workers > 1 and len(points) > 1:
+        # Imported only here: loading the process pool would slow every
+        # import of the package, and a serial run never uses it.
+        from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
+                                        wait)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(run_point, cfg, records, point,
                                    clusters[point.epc_bytes], str(out_root))

@@ -79,7 +79,15 @@ def _member_of(enum: type[Enum]) -> Callable[[str], Enum]:
 _job_kind = _member_of(JobKind)
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each slot of a slotted dataclass, in field order: a
+    frozen record's own `__init__` stores through these, where the generated
+    one calls `object.__setattr__` once per field.  `cls` must be the class
+    that `dataclass(slots=True)` returned, not the one its body defined."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RawJobRecord:
     """One normalized trace row.  Memory is a fraction of the source machine."""
 
@@ -89,26 +97,37 @@ class RawJobRecord:
     assigned_mem_frac: float
     max_mem_frac: float
 
-    def __post_init__(self):
-        if not self.job_id:
+    def __init__(self, job_id: str, submit_s: float, duration_s: float,
+                 assigned_mem_frac: float, max_mem_frac: float):
+        if not job_id:
             raise ValueError("empty job_id")
-        if not -math.inf < self.submit_s < math.inf:
-            raise ValueError(f"non-finite submit_s for {self.job_id}")
-        if not -math.inf < self.duration_s < math.inf:
-            raise ValueError(f"non-finite duration_s for {self.job_id}")
-        if self.submit_s < 0:
-            raise ValueError(f"negative submit time for {self.job_id}")
-        if self.duration_s < 0:
-            raise ValueError(f"negative duration for {self.job_id}")
-        if not 0.0 <= self.assigned_mem_frac <= 1.0:
-            raise ValueError(f"assigned_mem_frac={self.assigned_mem_frac} "
-                             f"outside [0, 1] for {self.job_id}")
-        if not 0.0 <= self.max_mem_frac <= 1.0:
-            raise ValueError(f"max_mem_frac={self.max_mem_frac} "
-                             f"outside [0, 1] for {self.job_id}")
+        if not -math.inf < submit_s < math.inf:
+            raise ValueError(f"non-finite submit_s for {job_id}")
+        if not -math.inf < duration_s < math.inf:
+            raise ValueError(f"non-finite duration_s for {job_id}")
+        if submit_s < 0:
+            raise ValueError(f"negative submit time for {job_id}")
+        if duration_s < 0:
+            raise ValueError(f"negative duration for {job_id}")
+        if not 0.0 <= assigned_mem_frac <= 1.0:
+            raise ValueError(f"assigned_mem_frac={assigned_mem_frac} "
+                             f"outside [0, 1] for {job_id}")
+        if not 0.0 <= max_mem_frac <= 1.0:
+            raise ValueError(f"max_mem_frac={max_mem_frac} "
+                             f"outside [0, 1] for {job_id}")
+        _set_raw_job_id(self, job_id)
+        _set_raw_submit_s(self, submit_s)
+        _set_raw_duration_s(self, duration_s)
+        _set_raw_assigned_mem_frac(self, assigned_mem_frac)
+        _set_raw_max_mem_frac(self, max_mem_frac)
 
 
-@dataclass(frozen=True, slots=True)
+(_set_raw_job_id, _set_raw_submit_s, _set_raw_duration_s,
+ _set_raw_assigned_mem_frac,
+ _set_raw_max_mem_frac) = _slot_setters(RawJobRecord)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class JobSpec:
     """A runnable job with concrete sizes.  All times are integer milliseconds.
 
@@ -126,19 +145,35 @@ class JobSpec:
     declared_epc_pages: int   # protected-memory limit announced to the cluster
     actual_epc_pages: int     # protected pages allocated at enclave startup
 
-    def __post_init__(self):
-        if self.submit_ms < 0 or self.duration_ms < 0:
-            raise ValueError(f"negative time field for {self.job_id}")
-        if (self.requested_mem < 0 or self.actual_mem < 0
-                or self.declared_epc_pages < 0 or self.actual_epc_pages < 0):
-            raise ValueError(f"negative size field for {self.job_id}")
-        if self.kind.uses_epc:
-            if self.declared_epc_pages < 1:
+    def __init__(self, job_id: str, kind: JobKind, submit_ms: int,
+                 duration_ms: int, requested_mem: int, actual_mem: int,
+                 declared_epc_pages: int, actual_epc_pages: int):
+        if submit_ms < 0 or duration_ms < 0:
+            raise ValueError(f"negative time field for {job_id}")
+        if (requested_mem < 0 or actual_mem < 0
+                or declared_epc_pages < 0 or actual_epc_pages < 0):
+            raise ValueError(f"negative size field for {job_id}")
+        if kind.uses_epc:
+            if declared_epc_pages < 1:
                 raise ValueError(
-                    f"enclave job {self.job_id} must declare at least one page")
-        elif self.declared_epc_pages or self.actual_epc_pages:
+                    f"enclave job {job_id} must declare at least one page")
+        elif declared_epc_pages or actual_epc_pages:
             raise ValueError(
-                f"standard job {self.job_id} cannot hold protected pages")
+                f"standard job {job_id} cannot hold protected pages")
+        _set_spec_job_id(self, job_id)
+        _set_spec_kind(self, kind)
+        _set_spec_submit_ms(self, submit_ms)
+        _set_spec_duration_ms(self, duration_ms)
+        _set_spec_requested_mem(self, requested_mem)
+        _set_spec_actual_mem(self, actual_mem)
+        _set_spec_declared_epc_pages(self, declared_epc_pages)
+        _set_spec_actual_epc_pages(self, actual_epc_pages)
+
+
+(_set_spec_job_id, _set_spec_kind, _set_spec_submit_ms,
+ _set_spec_duration_ms, _set_spec_requested_mem, _set_spec_actual_mem,
+ _set_spec_declared_epc_pages,
+ _set_spec_actual_epc_pages) = _slot_setters(JobSpec)
 
 
 @dataclass(frozen=True)
@@ -205,8 +240,9 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
 
     Header and column order are fixed.  Malformed rows raise TraceParseError
     with their line number; rows with a negative duration are dropped with a
-    logged diagnostic (truncated exports produce them).  Records come back
-    sorted by submit time.
+    logged diagnostic (truncated exports produce them).  Each row is checked
+    by itself first, then a job id seen before is an error naming both
+    lines.  Records come back sorted by submit time.
     """
     records: list[RawJobRecord] = []
     seen: dict[str, int] = {}
@@ -225,11 +261,11 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
                 log.warning("dropping job %s (line %d): negative duration %s",
                             job_id, reader.line_num, duration_s)
                 continue
+            record = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
             if job_id in seen:
                 raise _duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
-            records.append(RawJobRecord(job_id, submit_s, duration_s,
-                                        assigned, peak))
+            records.append(record)
     records.sort(key=attrgetter("submit_s"))
     return records
 
@@ -497,6 +533,8 @@ def _duplicate_error(job_id: str, first_line: int) -> ValueError:
 
 
 def read_jobs_csv(source) -> list[JobSpec]:
+    """The jobs rows, one per job.  Each row is checked by itself first, then
+    a job id seen before is an error naming both lines."""
     jobs: list[JobSpec] = []
     seen: dict[str, int] = {}
     with _csv_reader(source, JOBS_FIELDS) as reader:
@@ -506,10 +544,10 @@ def read_jobs_csv(source) -> list[JobSpec]:
                     raise _width_error(JOBS_FIELDS, row)
                 continue
             job_id, kind, submit, duration, mem, used, declared, pages = row
+            job = JobSpec(job_id, _job_kind(kind), int(submit), int(duration),
+                          int(mem), int(used), int(declared), int(pages))
             if job_id in seen:
                 raise _duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
-            jobs.append(JobSpec(job_id, _job_kind(kind), int(submit),
-                                int(duration), int(mem), int(used),
-                                int(declared), int(pages)))
+            jobs.append(job)
     return jobs

@@ -294,11 +294,19 @@ _BAD_CSVS = {
                   "'weird' is not a valid JobKind"),
     "jobs duplicate": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
                        + _JOB_ROW + _JOB_ROW, 3, _DUPLICATE),
+    # A repeated id's row is checked by itself before its id is.
+    "jobs duplicate malformed": (read_jobs_csv, ",".join(JOBS_FIELDS) + "\n"
+                                 + _JOB_ROW + "j,standard,0,1,-5,5,0,0\n", 3,
+                                 "negative size field for j"),
     "canonical": (parse_canonical_csv, ",".join(CANONICAL_FIELDS) + "\n"
                   "j,0,1,nope,0.1\n", 2, None),
     "canonical duplicate": (parse_canonical_csv,
                             ",".join(CANONICAL_FIELDS) + "\n"
                             "j,0,1,0.1,0.1\nj,1,1,0.1,0.1\n", 3, _DUPLICATE),
+    "canonical duplicate malformed": (parse_canonical_csv,
+                                      ",".join(CANONICAL_FIELDS) + "\n"
+                                      "j,0,1,0.1,0.1\nj,1,1,0.1,1.5\n", 3,
+                                      "max_mem_frac=1.5 outside [0, 1] for j"),
 }
 
 

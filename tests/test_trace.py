@@ -1,8 +1,10 @@
 """Trace parsing, slicing, scaling, and adversarial job injection."""
 
+import copy
 import csv
 import dataclasses
 import gzip
+import inspect
 import io
 import logging
 import math
@@ -489,6 +491,12 @@ class TestValidationOracle:
             assert str(err.value) == fault
 
     @settings(max_examples=500)
+    @given(st.tuples(st.sampled_from(["", "j"]), _EDGE_FLOATS, _EDGE_FLOATS,
+                     _EDGE_FLOATS, _EDGE_FLOATS))
+    def test_raw_record_by_keyword(self, fields):
+        self._check_by_keyword(RawJobRecord, fields, _record_fault(*fields))
+
+    @settings(max_examples=500)
     @given(st.sampled_from(list(JobKind)), st.tuples(*[_EDGE_INTS] * 6))
     def test_job_spec(self, kind, sizes):
         fault = _job_fault("j", kind, *sizes)
@@ -497,6 +505,26 @@ class TestValidationOracle:
         else:
             with pytest.raises(ValueError) as err:
                 JobSpec("j", kind, *sizes)
+            assert str(err.value) == fault
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(list(JobKind)), st.tuples(*[_EDGE_INTS] * 6))
+    def test_job_spec_by_keyword(self, kind, sizes):
+        fields = ("j", kind, *sizes)
+        self._check_by_keyword(JobSpec, fields, _job_fault(*fields))
+
+    @staticmethod
+    def _check_by_keyword(cls, values, fault):
+        """Build the record with each field named: the constructor takes
+        every field by its name and stores each value in its own field."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        kwargs = dict(zip(names, values))
+        if fault is None:
+            record = cls(**kwargs)
+            assert {n: getattr(record, n) for n in names} == kwargs
+        else:
+            with pytest.raises(ValueError) as err:
+                cls(**kwargs)
             assert str(err.value) == fault
 
 
@@ -541,6 +569,21 @@ class TestRecordSemantics:
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.job_id = "other"
         assert not hasattr(record, "__dict__")
+
+    def test_delete_is_refused(self, record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.job_id
+        assert record.job_id in ("j", "k")
+
+    def test_constructor_takes_the_fields_in_order(self, record):
+        params = list(inspect.signature(type(record)).parameters)
+        assert params == [f.name for f in dataclasses.fields(record)]
+
+    @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy])
+    def test_copy_round_trip(self, record, dup):
+        back = dup(record)
+        assert back == record and type(back) is type(record)
+        assert self._values(back) == self._values(record)
 
 
 class TestRoundTrips:
