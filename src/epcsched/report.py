@@ -15,8 +15,6 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .engine import JobOutcome, JobStatus
 from .trace import (JobSpec, TraceParseError, _csv_reader, _duplicate_error,
                     _job_kind, _member_of, _open_write, _width_error,
@@ -167,11 +165,73 @@ def turnaround_sum(outcomes: Sequence[JobOutcome]) -> int:
                if o.status is JobStatus.COMPLETED)
 
 
+def _pairwise_sum(xs: Sequence[float], lo: int, hi: int) -> float:
+    """numpy's pairwise sum of xs[lo:hi], in its order: a plain loop below 8
+    elements, 8 strided accumulators up to 128, and above that the two
+    halves, split at half the length rounded down to a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for i in range(lo, hi):
+            total += xs[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, hi):
+            total += xs[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, lo + half) + _pairwise_sum(xs, lo + half, hi)
+
+
+def _mean(values: Sequence[int]) -> float:
+    """`np.mean(values)` of a non-empty list of ints, bit for bit.
+
+    The exactness argument, for this and `_std`: every step is one IEEE-754
+    double operation that numpy makes too, in numpy's order, and Python
+    floats are the same doubles with the same rounding.  `np.mean` of int64
+    sums in float64: it casts the ints (rounded to nearest, as `float()`
+    does) in buffers of 8,192 elements and adds each buffer's
+    `_pairwise_sum` to a total that starts at 0.0.  It divides that total
+    by n.  `tests/test_report.py` checks both against numpy at every block
+    edge.
+    """
+    xs = [float(v) for v in values]
+    n = len(xs)
+    total = 0.0
+    for lo in range(0, n, 8192):
+        total += _pairwise_sum(xs, lo, min(lo + 8192, n))
+    return total / n
+
+
+def _std(values: Sequence[int], mean: float) -> float:
+    """`np.std(values, ddof=1)` of a list of at least two ints, bit for bit,
+    given their `_mean`.  numpy squares each `float(v) - mean`, sums the
+    squares, which are float64 already and so form one unbuffered pairwise
+    sum, divides by n - 1 and takes the square root."""
+    deviations = [float(v) - mean for v in values]
+    squares = [d * d for d in deviations]
+    return math.sqrt(_pairwise_sum(squares, 0, len(squares))
+                     / (len(squares) - 1))
+
+
 def mean_waiting(outcomes: Sequence[JobOutcome]) -> float | None:
     waits = [o.waiting_ms for o in outcomes if o.started_ms is not None]
     if not waits:
         return None
-    return float(np.mean(waits))
+    return _mean(waits)
 
 
 @dataclass(frozen=True)
@@ -191,10 +251,10 @@ def _bucket_stats(pairs: list[tuple[int, int]],
         if not waits:
             out.append(BucketStat(lo, hi, 0, None, None))
             continue
-        mean = float(np.mean(waits))
+        mean = _mean(waits)
         ci = None
         if len(waits) >= 2:
-            spread = float(np.std(waits, ddof=1))
+            spread = _std(waits, mean)
             n = len(waits)
             # t critical value below 30 samples, normal approximation above
             crit = _T975[n - 2] if n < 30 else 1.959963984540054

@@ -13,8 +13,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .trace import RawJobRecord, parse_canonical_csv
 
 BUNDLED_TRACE = "synthetic_trace.csv"
@@ -43,7 +41,11 @@ def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
     the opening seconds empty, so injected time-zero jobs always reach the
     cluster before any trace job.  The final crunch_jobs jobs land in the
     last few minutes of the window with mid-range memory fractions.
+    Generating needs numpy (the `test` extra); loading the bundled trace
+    does not.
     """
+    import numpy as np
+
     if n_jobs <= crunch_jobs:
         raise ValueError("n_jobs must exceed crunch_jobs")
     if max_duration_s > span_s:

@@ -15,15 +15,16 @@ import io
 import logging
 import math
 import os
+import sys
 import zlib
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from ._units import GIB, PAGE_SIZE
 
@@ -316,7 +317,9 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     are dropped.  assigned_mem_frac comes from the request column of the
     submit/schedule rows, max_mem_frac from the maximum across usage rows.
     Out-of-range fractions are clamped to [0, 1]: the public trace carries a
-    handful of requests above the rescaling ceiling.
+    handful of requests above the rescaling ceiling.  Two kept tasks whose
+    keys join to one id, such as ("a-b", "c") and ("a", "b-c"), are a
+    TraceParseError naming task_events/ and both (job, task) pairs.
     """
     root = Path(root)
     events_dir = root / "task_events"
@@ -360,12 +363,19 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
                 raise _shard_error(shard, rowno, row, exc) from None
 
     records = []
+    task_of: dict[str, tuple[str, str]] = {}
     for key, end in finish.items():
         start = sched.get(key)
         if start is None or end < start:
             continue
+        job_id = f"{key[0]}-{key[1]}"
+        first = task_of.setdefault(job_id, key)
+        if first is not key:
+            raise TraceParseError(
+                f"tasks (job, task) {first} and {key} both become job id "
+                f"{job_id!r}", path=str(events_dir))
         records.append(RawJobRecord(
-            f"{key[0]}-{key[1]}", max(0.0, submit.get(key, start)),
+            job_id, max(0.0, submit.get(key, start)),
             end - start, min(max(request.get(key, 0.0), 0.0), 1.0),
             min(max(peak.get(key, 0.0), 0.0), 1.0)))
     records.sort(key=attrgetter("submit_s", "job_id"))
@@ -386,19 +396,81 @@ def slice_and_sample(records: Sequence[RawJobRecord],
     return [replace(r, submit_s=r.submit_s - start) for r in sampled]
 
 
-def _ceil_pages(nbytes: int) -> int:
-    """Pages needed to hold nbytes, rounded up to whole pages."""
-    return -(-nbytes // PAGE_SIZE)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): the two round multipliers and the two key increments.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_TAG_BLOCK = 1024  # counters per block, one 128-bit lane each
+
+
+def _lanes(words: array) -> int:
+    """The 64-bit words as one int, word k at bits [64k, 64k + 64)."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _words(lanes: int, count: int) -> array:
+    """The inverse of `_lanes`: the int's first `count` 64-bit words."""
+    words = array("Q", lanes.to_bytes(8 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def _tag_uniforms(seed: int, n: int) -> list[float]:
-    # Counter-based: the draw for record i is the first of a Philox stream
-    # keyed by seed at counter i, so it depends only on (seed, i) and raising
-    # sgx_fraction can only add enclave jobs, never reshuffle old ones.  One
-    # Philox block holds four draws and the stream advances the counter once
-    # per block, so every fourth draw of one stream is that first draw.
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random(4 * n)[::4].tolist()
+    """Record i's uniform draw in [0, 1), for i < n.
+
+    Draw i is word 0 of the Philox4x64-10 block at counter i + 1 under the
+    128-bit key `seed`, turned into a double as numpy's `random()` does,
+    (x >> 11) * 2**-53.  That is the first draw of
+    `Generator(Philox(key=seed, counter=[i, 0, 0, 0]))`, since that stream
+    advances its counter before each block.  A draw depends only on (seed,
+    i), so raising sgx_fraction can only add enclave jobs, never reshuffle
+    old ones.
+
+    Counters are independent, so a block of them runs together.  Words 0
+    and 2 of the block's counters are one int each, counter j's word in the
+    low half of the int's 128-bit lane j; words 1 and 3 are the low halves
+    of the previous round's two products.  The exactness argument, per
+    round: a lane holds a value below 2**64, so its product with a 64-bit
+    multiplier is below 2**128 and never carries into the next lane.
+    Shifting a product right by 64 puts each lane's high word in its low
+    half and the next lane's low word in its high half.  XORing the other
+    product of the previous round and the key, replicated in every lane,
+    leaves each low half as Philox computes it, and the mask then clears
+    every high half.
+    """
+    if n == 0:
+        return []
+    k0, k1 = seed & _MASK64, seed >> 64
+    count = min(n, _TAG_BLOCK)
+    ones = _lanes(array("Q", (1, 0)) * count)  # 1 in every lane
+    ramp_words = array("Q", bytes(16 * count))
+    ramp_words[::2] = array("Q", range(count))
+    ramp = _lanes(ramp_words)  # j in lane j
+    low, low53 = ones * _MASK64, ones * ((1 << 53) - 1)
+    round_keys = []
+    for _ in range(_PHILOX_ROUNDS):
+        round_keys.append((ones * k0, ones * k1))
+        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    draws: list[float] = []
+    for start in range(0, n, count):
+        # word 0 of lane j is counter start + 1 + j, and words 1 to 3 are 0;
+        # p0 and p2 are the previous round's products, whose low words are
+        # words 3 and 1
+        x0, x2, p0, p2 = (start + 1) * ones + ramp, 0, 0, 0
+        for key0, key1 in round_keys:
+            q0, q2 = x0 * _PHILOX_M0, x2 * _PHILOX_M1
+            x0 = ((q2 >> 64) ^ p2 ^ key0) & low
+            x2 = ((q0 >> 64) ^ p0 ^ key1) & low
+            p0, p2 = q0, q2
+        draws += [m * 2 ** -53 for m in _words((x0 >> 11) & low53,
+                                                2 * count)[::2]]
+    del draws[n:]  # the last block's lanes past n
+    return draws
 
 
 def materialize(records: Sequence[RawJobRecord],
@@ -409,22 +481,28 @@ def materialize(records: Sequence[RawJobRecord],
     cfg.sgx_fraction; memory fractions are multiplied by the matching capacity
     multiplier.  Enclave jobs get page counts rounded up to whole pages, with
     at least one page declared (an enclave cannot be smaller than one page).
+    Every draw lies in [0, 1), so at fraction 0 none falls below it and at
+    fraction 1 every one does: those two fractions draw nothing.
     """
     sgx_fraction = cfg.sgx_fraction
     sgx_multiplier, std_multiplier = cfg.sgx_multiplier, cfg.std_multiplier
     enclave, standard = JobKind.SGX, JobKind.STANDARD
     jobs: list[JobSpec] = []
     append = jobs.append
-    uniforms = _tag_uniforms(cfg.rng_seed, len(records))
+    if sgx_fraction in (0.0, 1.0):
+        uniforms = repeat(0.0)  # a stand-in draw tags records alike here
+    else:
+        uniforms = _tag_uniforms(cfg.rng_seed, len(records))
     for rec, uniform in zip(records, uniforms):
         sgx = uniform < sgx_fraction
         multiplier = sgx_multiplier if sgx else std_multiplier
-        requested = int(round(rec.assigned_mem_frac * multiplier))
-        actual = int(round(rec.max_mem_frac * multiplier))
+        requested = round(rec.assigned_mem_frac * multiplier)
+        actual = round(rec.max_mem_frac * multiplier)
         if sgx:
             kind = enclave
-            declared_pages = max(1, _ceil_pages(requested))
-            actual_pages = _ceil_pages(actual)
+            # bytes to whole pages, rounded up
+            declared_pages = max(1, -(-requested // PAGE_SIZE))
+            actual_pages = -(-actual // PAGE_SIZE)
         else:
             kind = standard
             declared_pages = actual_pages = 0

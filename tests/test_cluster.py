@@ -16,7 +16,7 @@ from epcsched.cluster import (
     NodeState,
     default_cluster,
 )
-from epcsched.trace import _ceil_pages
+from epcsched.trace import RawJobRecord, ScalingConfig, materialize
 
 
 class TestEpcModel:
@@ -52,23 +52,36 @@ class TestEpcModel:
             EpcModel(usable_bytes=0)
 
 
+def _pages_for(nbytes) -> tuple[int, int]:
+    """The declared and actual pages `materialize` gives an enclave job of
+    nbytes: fraction nbytes / 2**40 of a 2**40-byte budget, exact below
+    2**53 bytes."""
+    frac = nbytes / 2 ** 40
+    (job,) = materialize([RawJobRecord("j", 0.0, 1.0, frac, frac)],
+                         ScalingConfig(sgx_fraction=1.0,
+                                       sgx_multiplier=2 ** 40))
+    return job.declared_epc_pages, job.actual_epc_pages
+
+
 class TestPagesFor:
-    """Byte counts round up to whole pages through `trace._ceil_pages`, the
-    one helper that turns bytes into pages."""
+    """Byte counts round up to whole pages where `materialize` turns an
+    enclave job's bytes into pages; at least one page is declared."""
 
     @pytest.mark.parametrize(
         "nbytes,pages",
         [(0, 0), (1, 1), (4096, 1), (4097, 2), (8192, 2), (98_041_856, 23_936)],
     )
     def test_exact_ceiling(self, nbytes, pages):
-        assert _ceil_pages(nbytes) == pages
+        assert _pages_for(nbytes) == (max(1, pages), pages)
 
     def test_float_input(self):
-        assert _ceil_pages(4096.5) == 2
+        # 4096.5 bytes round to the nearest even byte count before paging
+        assert _pages_for(4096.5) == (1, 1)
+        assert _pages_for(4097.5) == (2, 2)
 
     @given(st.integers(min_value=0, max_value=2 ** 40))
     def test_ceiling_property(self, nbytes):
-        p = _ceil_pages(nbytes)
+        _, p = _pages_for(nbytes)
         assert p * 4096 >= nbytes
         assert (p - 1) * 4096 < nbytes or p == 0
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -22,6 +23,8 @@ from epcsched.report import (
     _T975,
     OUTCOMES_FIELDS,
     BucketStat,
+    _mean,
+    _std,
     figure_dataset,
     mean_waiting,
     power_of_two_edges,
@@ -175,6 +178,52 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_import_run_and_report_do_not_load_numpy(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("job_id,submit_s,duration_s,assigned_mem_frac,max_mem_frac\n"
+                     + "".join(f"j{i},{i},{5 + i % 7},0.{i % 9 + 1},0.05\n"
+                               for i in range(40)))
+    config = tmp_path / "experiment.cfg"
+    config.write_text(f"trace = {trace}\nsgx_fraction = 0.5\nrng_seed = 3\n"
+                      f"output_dir = {tmp_path / 'artifacts'}\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(epcsched.__file__).resolve().parents[1]))
+    code = ("import sys, epcsched\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "from epcsched.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+            f"assert main(['report', '--dir', {str(tmp_path / 'artifacts')!r},"
+            " '--figure', '8']) == 0\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "[False, False]"
+    assert (tmp_path / "artifacts" / "fig8.dat").exists()
+
+
+# Lengths on both sides of every edge of numpy's pairwise sum (8 and 128
+# elements, and the first halvings above 128) and of its 8,192-element
+# cast buffer.
+_EDGE_LENGTHS = [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257,
+                 8191, 8192, 8193]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_EDGE_LENGTHS),
+       st.sampled_from([2, 1000, 2 ** 31, 2 ** 53]),
+       st.sampled_from([0, 2 ** 53 - 2 ** 20, 2 ** 53 - 1]),
+       st.integers(0, 2 ** 32))
+def test_mean_and_std_equal_numpys(n, spread, offset, seed):
+    # offsets near 2**53 give ints that round when cast to float64
+    rng = random.Random(seed)
+    values = [offset + rng.randrange(spread) for _ in range(n)]
+    mean = _mean(values)
+    assert mean == float(np.mean(values))
+    if n >= 2:
+        assert _std(values, mean) == float(np.std(values, ddof=1))
 
 
 class TestCsvRoundTrips:

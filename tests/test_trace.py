@@ -214,6 +214,32 @@ class TestBorgTables:
             parse_trace(tmp_path, fmt="borg_tables")
         assert str(err.value).startswith(f"{shard}: unreadable shard: ")
 
+    def test_colliding_task_ids_name_both_tasks(self, tmp_path):
+        # ("a-b", "c") and ("a", "b-c") both join to the id "a-b-c"
+        events = tmp_path / "task_events"
+        rows = []
+        for job, task in (("a-b", "c"), ("a", "b-c")):
+            rows += [self._event(0, job, task, 0, "0.25"),
+                     self._event(0, job, task, 1),
+                     self._event(1_000_000, job, task, 4)]
+        self._write_shard(events / "part-00000.csv.gz", rows)
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(tmp_path, fmt="borg_tables")
+        message = str(err.value)
+        assert message.startswith(f"{events}: ")
+        assert "('a-b', 'c')" in message and "('a', 'b-c')" in message
+        assert "'a-b-c'" in message
+
+    def test_a_dropped_task_does_not_collide(self, tmp_path):
+        # ("a", "b-c") never finishes, so only ("a-b", "c") becomes a record
+        self._write_shard(tmp_path / "task_events" / "part-00000.csv.gz", [
+            self._event(0, "a-b", "c", 1),
+            self._event(1_000_000, "a-b", "c", 4),
+            self._event(0, "a", "b-c", 1),
+        ])
+        (record,) = parse_trace(tmp_path, fmt="borg_tables")
+        assert record.job_id == "a-b-c"
+
 
 class TestSliceAndSample:
     RECORDS = [rec(f"j{i}", submit_s=float(i)) for i in range(10)]
@@ -355,6 +381,42 @@ class TestTagUniforms:
 
     def test_no_records(self):
         assert trace._tag_uniforms(3, 0) == []
+
+    @pytest.mark.parametrize("n", [0, 1, trace._TAG_BLOCK - 1,
+                                   trace._TAG_BLOCK, trace._TAG_BLOCK + 1])
+    @pytest.mark.parametrize("seed", [0, 140051, 2 ** 70 + 5, 2 ** 128 - 1])
+    def test_block_edges(self, seed, n):
+        assert trace._tag_uniforms(seed, n) == [
+            _seed_tag_uniform(seed, i) for i in range(n)]
+
+
+def _reference_materialize(records, cfg):
+    """`materialize` spelled out: each record's tag from its own numpy
+    Philox stream, then the byte rounding and the page ceilings."""
+    jobs = []
+    for i, r in enumerate(records):
+        sgx = _seed_tag_uniform(cfg.rng_seed, i) < cfg.sgx_fraction
+        multiplier = cfg.sgx_multiplier if sgx else cfg.std_multiplier
+        requested = int(round(r.assigned_mem_frac * multiplier))
+        actual = int(round(r.max_mem_frac * multiplier))
+        pages = [max(1, -(-requested // 4096)), -(-actual // 4096)]
+        jobs.append(JobSpec(r.job_id, JobKind.SGX if sgx else JobKind.STANDARD,
+                            int(round(r.submit_s * 1000)),
+                            int(round(r.duration_s * 1000)), requested, actual,
+                            *(pages if sgx else [0, 0])))
+    return jobs
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 128 - 1])
+def test_materialize_equals_the_per_record_draws(fraction, seed):
+    # fractions 0 and 1 draw nothing; the result must not show it
+    records = [rec(f"j{i}", submit_s=i * 0.37, duration_s=i * 1.3,
+                   assigned=(i * 0.137) % 1, peak=(i * 0.071) % 1)
+               for i in range(300)]
+    cfg = ScalingConfig(sgx_fraction=fraction, rng_seed=seed,
+                        sgx_multiplier=4096 * 10 + 1)
+    assert materialize(records, cfg) == _reference_materialize(records, cfg)
 
 
 class TestInjectMalicious:
