@@ -112,7 +112,8 @@ class PendingQueue:
     """Jobs waiting for placement, in first-come-first-served order
     (submit time, then job id), with the running sum of the protected pages
     they declare.  Placement or a kill takes a job out; there is no other
-    way out.
+    way out.  The constructor sorts its jobs; `push` takes jobs in queue
+    order only, as the engine queues arrivals.
 
     A job is new until a walk (`schedule_tick`) visits it, then parked if
     the walk leaves it queued.  Parked jobs are kept by queue position, per
@@ -130,7 +131,7 @@ class PendingQueue:
         self._new: list[tuple[int, JobSpec]] = []
         self._std, self._enclave = _Parked(), _Parked()
         self.epc_pages = 0  # standard jobs declare none
-        for job in jobs:
+        for job in sorted(jobs, key=lambda j: (j.submit_ms, j.job_id)):
             self.push(job)
 
     def push(self, job: JobSpec) -> None:
@@ -139,10 +140,8 @@ class PendingQueue:
             raise ValueError(f"job {job_id!r} is already queued")
         key = (job.submit_ms, job_id)
         if key < self._tail:
-            # Out of queue order: queue everything again, every job new.
-            jobs = sorted([*self, job], key=lambda j: (j.submit_ms, j.job_id))
-            self.__init__(jobs)
-            return
+            raise ValueError(f"job {job_id!r} comes before the last job "
+                             f"pushed, {self._tail[1]!r}, in queue order")
         self._tail = key
         entry = (self._pushed, job)
         self._pushed += 1

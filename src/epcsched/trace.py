@@ -276,22 +276,30 @@ _EVENT_TIME, _EVENT_JOB_ID, _EVENT_TASK_INDEX = 0, 2, 3
 _EVENT_TYPE, _EVENT_MEM_REQUEST = 5, 10
 _USAGE_JOB_ID, _USAGE_TASK_INDEX, _USAGE_MAX_MEM = 2, 3, 10
 
-_EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH = 0, 1, 4
+# A task's entry in the borg reader's table is [submit, schedule, request,
+# peak, finish, (job, task)]: the SUBMIT (0), SCHEDULE (1) and FINISH (4)
+# event types index their own times.
+_EV_SUBMIT, _EV_SCHEDULE, _REQUEST, _PEAK, _EV_FINISH = range(5)
+_EV_KEPT = frozenset((_EV_SUBMIT, _EV_SCHEDULE, _EV_FINISH))
+# The schema's event types (0-8) as shards spell them; any other spelling
+# is left to int().
+_EVENT_TYPES = {str(etype): etype for etype in range(9)}
+# The schema's time of an event after the trace window, 2^63 - 1 us, which
+# parses to the float 2^63.
+_AFTER_WINDOW_S = float(2 ** 63 - 1) / 1e6
 
 
-def _shard_rows(directory: Path):
-    """(shard, 1-based row number, row) for every row of every shard.  A
-    shard that does not decompress or decode is a TraceParseError naming
-    it."""
-    for shard in sorted(directory.glob("*.csv.gz")):
-        with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
-            try:
-                for rowno, row in enumerate(csv.reader(fh), start=1):
-                    yield shard, rowno, row
-            except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
-                    zlib.error) as exc:
-                raise TraceParseError(f"unreadable shard: {exc}",
-                                      path=str(shard)) from None
+@contextmanager
+def _shard_reader(shard: Path):
+    """A csv.reader over one shard.  A shard that does not decompress or
+    decode is a TraceParseError naming it."""
+    with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
+        try:
+            yield csv.reader(fh)
+        except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
+                zlib.error) as exc:
+            raise TraceParseError(f"unreadable shard: {exc}",
+                                  path=str(shard)) from None
 
 
 def _finite(field: str) -> float:
@@ -314,12 +322,15 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     Expects task_events/ and task_usage/ subdirectories of *.csv.gz files.
     Each task becomes one record keyed "<job>-<task index>"; its duration runs
     from its first SCHEDULE to its FINISH event and tasks that never finish
-    are dropped.  assigned_mem_frac comes from the request column of the
-    submit/schedule rows, max_mem_frac from the maximum across usage rows.
-    Out-of-range fractions are clamped to [0, 1]: the public trace carries a
-    handful of requests above the rescaling ceiling.  Two kept tasks whose
-    keys join to one id, such as ("a-b", "c") and ("a", "b-c"), are a
-    TraceParseError naming task_events/ and both (job, task) pairs.
+    are dropped, as are tasks whose FINISH carries the schema's time for an
+    event after the trace window (2^63 - 1 us).  assigned_mem_frac comes from
+    the request column of the submit/schedule rows, max_mem_frac from the
+    maximum across usage rows.  Usage rows of a task with no submit, schedule
+    or finish event are checked, then ignored.  Out-of-range fractions are
+    clamped to [0, 1]: the public trace carries a handful of requests above
+    the rescaling ceiling.  Two kept tasks whose keys join to one id, such as
+    ("a-b", "c") and ("a", "b-c"), are a TraceParseError naming task_events/
+    and both (job, task) pairs.
     """
     root = Path(root)
     events_dir = root / "task_events"
@@ -327,46 +338,56 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     if not events_dir.is_dir():
         raise TraceParseError(f"missing task_events/ directory under {root}")
 
-    submit: dict[tuple[str, str], float] = {}
-    sched: dict[tuple[str, str], float] = {}
-    finish: dict[tuple[str, str], float] = {}
-    request: dict[tuple[str, str], float] = {}
-    for shard, rowno, row in _shard_rows(events_dir):
-        try:
-            key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
-            etype = int(row[_EVENT_TYPE])
-            t = _finite(row[_EVENT_TIME]) / 1e6  # raw timestamps are microseconds
-            if etype == _EV_SUBMIT:
-                submit.setdefault(key, t)
-            elif etype == _EV_SCHEDULE:
-                sched.setdefault(key, t)
-            elif etype == _EV_FINISH:
-                finish.setdefault(key, t)
-            if etype in (_EV_SUBMIT, _EV_SCHEDULE) and key not in request:
-                field = row[_EVENT_MEM_REQUEST].strip()
-                if field:
-                    request[key] = _finite(field)
-        except (IndexError, ValueError) as exc:
-            raise _shard_error(shard, rowno, row, exc) from None
+    # (job, task) -> its entry, for every task with a submit, schedule or
+    # finish event; `finished` holds the entries in the order of their first
+    # FINISH, the order in which a collision names two tasks.
+    tasks: dict[tuple[str, str], list] = {}
+    finished: list[list] = []
+    get = tasks.get
+    for shard in sorted(events_dir.glob("*.csv.gz")):
+        with _shard_reader(shard) as reader:
+            for rowno, row in enumerate(reader, start=1):
+                try:
+                    key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
+                    etype = _EVENT_TYPES.get(row[_EVENT_TYPE])
+                    if etype is None:
+                        etype = int(row[_EVENT_TYPE])
+                    t = _finite(row[_EVENT_TIME]) / 1e6  # raw times are in us
+                    if etype not in _EV_KEPT:
+                        continue
+                    task = get(key)
+                    if task is None:
+                        task = tasks[key] = [None, None, None, -1.0, None, key]
+                    if task[etype] is None:
+                        task[etype] = t
+                        if etype == _EV_FINISH:
+                            finished.append(task)
+                    if etype != _EV_FINISH and task[_REQUEST] is None:
+                        field = row[_EVENT_MEM_REQUEST].strip()
+                        if field:
+                            task[_REQUEST] = _finite(field)
+                except (IndexError, ValueError) as exc:
+                    raise _shard_error(shard, rowno, row, exc) from None
 
-    peak: dict[tuple[str, str], float] = {}
     if usage_dir.is_dir():
-        for shard, rowno, row in _shard_rows(usage_dir):
-            try:
-                key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
-                field = row[_USAGE_MAX_MEM].strip()
-                if field:
-                    value = _finite(field)
-                    if value > peak.get(key, -1.0):
-                        peak[key] = value
-            except (IndexError, ValueError) as exc:
-                raise _shard_error(shard, rowno, row, exc) from None
+        for shard in sorted(usage_dir.glob("*.csv.gz")):
+            with _shard_reader(shard) as reader:
+                for rowno, row in enumerate(reader, start=1):
+                    try:
+                        key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
+                        field = row[_USAGE_MAX_MEM].strip()
+                        if field:
+                            value = _finite(field)
+                            task = get(key)
+                            if task is not None and value > task[_PEAK]:
+                                task[_PEAK] = value
+                    except (IndexError, ValueError) as exc:
+                        raise _shard_error(shard, rowno, row, exc) from None
 
     records = []
     task_of: dict[str, tuple[str, str]] = {}
-    for key, end in finish.items():
-        start = sched.get(key)
-        if start is None or end < start:
+    for submit, start, request, peak, end, key in finished:
+        if start is None or end < start or end >= _AFTER_WINDOW_S:
             continue
         job_id = f"{key[0]}-{key[1]}"
         first = task_of.setdefault(job_id, key)
@@ -375,9 +396,10 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
                 f"tasks (job, task) {first} and {key} both become job id "
                 f"{job_id!r}", path=str(events_dir))
         records.append(RawJobRecord(
-            job_id, max(0.0, submit.get(key, start)),
-            end - start, min(max(request.get(key, 0.0), 0.0), 1.0),
-            min(max(peak.get(key, 0.0), 0.0), 1.0)))
+            job_id, max(0.0, start if submit is None else submit),
+            end - start,
+            0.0 if request is None else min(max(request, 0.0), 1.0),
+            min(max(peak, 0.0), 1.0)))
     records.sort(key=attrgetter("submit_s", "job_id"))
     return records
 

@@ -75,11 +75,19 @@ def assert_headroom(node, std, pages):
 
 class TestPendingQueue:
     def test_fcfs_order(self):
+        q = PendingQueue([std_job("late", submit_ms=10),
+                          std_job("b", submit_ms=5), std_job("a", submit_ms=5)])
+        assert [j.job_id for j in q] == ["a", "b", "late"]
+
+    def test_push_out_of_queue_order_is_refused(self):
         q = PendingQueue()
         q.push(std_job("late", submit_ms=10))
-        q.push(std_job("b", submit_ms=5))
-        q.push(std_job("a", submit_ms=5))
-        assert [j.job_id for j in q] == ["a", "b", "late"]
+        for early in (std_job("b", submit_ms=5), std_job("a", submit_ms=10)):
+            with pytest.raises(ValueError, match="comes before the last job"):
+                q.push(early)
+        q.push(std_job("m", submit_ms=10))
+        q.push(std_job("a", submit_ms=11))
+        assert [j.job_id for j in q] == ["late", "m", "a"]
 
     def test_take_removes_placed_jobs_and_their_pages(self):
         jobs = [sgx_job("a", declared=5), std_job("b", submit_ms=1),

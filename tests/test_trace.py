@@ -240,6 +240,18 @@ class TestBorgTables:
         (record,) = parse_trace(tmp_path, fmt="borg_tables")
         assert record.job_id == "a-b-c"
 
+    def test_a_finish_after_the_trace_window_is_dropped(self, tmp_path):
+        # 2^63 - 1 us is the schema's time of an event after the window; it
+        # parses to 2^63, a task of about 292,000 years.
+        self._write_shard(tmp_path / "task_events" / "part-00000.csv.gz", [
+            self._event(0, "42", "0", 1),
+            self._event(2 ** 63 - 1, "42", "0", 4),
+            self._event(0, "42", "1", 1),
+            self._event(5_000_000, "42", "1", 4),
+        ])
+        (record,) = parse_trace(tmp_path, fmt="borg_tables")
+        assert (record.job_id, record.duration_s) == ("42-1", 5.0)
+
 
 class TestSliceAndSample:
     RECORDS = [rec(f"j{i}", submit_s=float(i)) for i in range(10)]
