@@ -73,7 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=_cmd_report)
 
     p_scale = sub.add_parser("scale", help="slice and scale a raw trace into a jobs CSV")
-    p_scale.add_argument("--in", dest="trace_in", required=True, help="input trace")
+    p_scale.add_argument("--in", dest="trace_in", required=True,
+                         help="input trace: a canonical CSV file for "
+                              "canonical_csv; for borg_tables, the trace root "
+                              "directory holding task_events/ and, "
+                              "optionally, task_usage/ of gzip *.csv.gz "
+                              "shards")
     p_scale.add_argument("--out", dest="jobs_out", required=True, help="output jobs CSV")
     p_scale.add_argument("--format", choices=("canonical_csv", "borg_tables"),
                          default="canonical_csv")

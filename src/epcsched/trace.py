@@ -9,6 +9,7 @@ for enclave-backed jobs) and tags a seeded subset of records as enclave jobs.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
 import io
@@ -21,10 +22,10 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._units import GIB, PAGE_SIZE
 
@@ -289,24 +290,70 @@ _EVENT_TYPES = {str(etype): etype for etype in range(9)}
 _AFTER_WINDOW_S = float(2 ** 63 - 1) / 1e6
 
 
+# Decompressed bytes a shard is read and decoded in at a time.
+_SHARD_BLOCK = 128 * 1024
+
+
+def _shard_lines(fh) -> Iterator[io.StringIO]:
+    """The text of a binary shard as one StringIO of whole lines per block.
+
+    Each block is decoded incrementally, so a UTF-8 character split across
+    two blocks is decoded whole.  The text is cut after its last line end,
+    and what follows carries into the next block: a final "\\r" may be the
+    first half of "\\r\\n", so only a "\\r" with a character after it ends
+    a line.  Every cut thus falls where the universal-newline reading of
+    the whole shard ends a line, and iterating the views, which read with
+    `newline=""`, gives the lines of `gzip.open(shard, "rt", newline="")`
+    with no Python code run per line.  Memory stays near one block plus
+    one line.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail = ""
+    while block := fh.read(_SHARD_BLOCK):
+        text = tail + decode(block)
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        yield io.StringIO(text[:cut], newline="")
+        tail = text[cut:]
+    tail += decode(b"", True)
+    if tail:
+        yield io.StringIO(tail, newline="")
+
+
 @contextmanager
 def _shard_reader(shard: Path):
-    """A csv.reader over one shard.  A shard that does not decompress or
-    decode is a TraceParseError naming it."""
-    with gzip.open(shard, "rt", encoding="utf-8", newline="") as fh:
+    """(1-based row number, row) pairs of one shard, parsed by csv.reader.
+    A shard that does not decompress or decode is a TraceParseError naming
+    it, and a row csv.reader rejects (a field over its size limit, say) is
+    one naming the shard and the row."""
+    with gzip.open(shard, "rb") as fh:
+        rownos = count(1)
         try:
-            yield csv.reader(fh)
+            yield zip(rownos, csv.reader(chain.from_iterable(
+                _shard_lines(fh))))
         except (UnicodeDecodeError, EOFError, gzip.BadGzipFile,
                 zlib.error) as exc:
             raise TraceParseError(f"unreadable shard: {exc}",
                                   path=str(shard)) from None
+        except csv.Error as exc:
+            # zip draws the row number before the row, so the failed row's
+            # number is the last one drawn
+            raise TraceParseError(str(exc), line=next(rownos) - 1,
+                                  path=str(shard)) from None
 
 
-def _finite(field: str) -> float:
-    value = float(field)
-    if -math.inf < value < math.inf:
-        return value
-    raise ValueError(f"non-finite number {field.strip()!r}")
+def _shards(directory: Path) -> list[Path]:
+    """The gzip shards of one table, in name order.  An uncompressed
+    `*.csv` file there is a TraceParseError naming it, not a shard to
+    skip."""
+    plain = sorted(directory.glob("*.csv"))
+    if plain:
+        raise TraceParseError("uncompressed shard: shards must be gzip "
+                              "*.csv.gz files", path=str(plain[0]))
+    return sorted(directory.glob("*.csv.gz"))
+
+
+def _non_finite(field: str) -> ValueError:
+    return ValueError(f"non-finite number {field.strip()!r}")
 
 
 def _shard_error(shard: Path, rowno: int, row: list[str],
@@ -330,7 +377,15 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     clamped to [0, 1]: the public trace carries a handful of requests above
     the rescaling ceiling.  Two kept tasks whose keys join to one id, such as
     ("a-b", "c") and ("a", "b-c"), are a TraceParseError naming task_events/
-    and both (job, task) pairs.
+    and both (job, task) pairs.  A plain *.csv file in either directory is a
+    TraceParseError naming it.
+
+    The record clamps compare instead of calling min and max, and give what
+    `max(0.0, submit)` and `min(max(x, 0.0), 1.0)` give.  Every value is
+    finite by then, and max and min return their first argument unless the
+    other is strictly greater or smaller.  So the submit time is kept only
+    above 0.0, and -0.0 becomes 0.0; a fraction becomes 0.0 only below 0.0
+    and 1.0 only above 1.0, so -0.0 stays -0.0.
     """
     root = Path(root)
     events_dir = root / "task_events"
@@ -338,51 +393,64 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
     if not events_dir.is_dir():
         raise TraceParseError(f"missing task_events/ directory under {root}")
 
+    events_shards = _shards(events_dir)
+    usage_shards = _shards(usage_dir) if usage_dir.is_dir() else []
+
     # (job, task) -> its entry, for every task with a submit, schedule or
     # finish event; `finished` holds the entries in the order of their first
-    # FINISH, the order in which a collision names two tasks.
+    # FINISH, the order in which a collision names two tasks.  Times and
+    # usage are checked inline, with float() and the finiteness test, where
+    # a helper would cost a call per field.
     tasks: dict[tuple[str, str], list] = {}
     finished: list[list] = []
     get = tasks.get
-    for shard in sorted(events_dir.glob("*.csv.gz")):
-        with _shard_reader(shard) as reader:
-            for rowno, row in enumerate(reader, start=1):
+    inf = math.inf
+    for shard in events_shards:
+        with _shard_reader(shard) as rows:
+            for rowno, row in rows:
                 try:
                     key = (row[_EVENT_JOB_ID], row[_EVENT_TASK_INDEX])
                     etype = _EVENT_TYPES.get(row[_EVENT_TYPE])
                     if etype is None:
                         etype = int(row[_EVENT_TYPE])
-                    t = _finite(row[_EVENT_TIME]) / 1e6  # raw times are in us
+                    field = row[_EVENT_TIME]
+                    t = float(field)
+                    if not -inf < t < inf:
+                        raise _non_finite(field)
                     if etype not in _EV_KEPT:
                         continue
                     task = get(key)
                     if task is None:
                         task = tasks[key] = [None, None, None, -1.0, None, key]
                     if task[etype] is None:
-                        task[etype] = t
+                        task[etype] = t / 1e6  # raw times are in us
                         if etype == _EV_FINISH:
                             finished.append(task)
                     if etype != _EV_FINISH and task[_REQUEST] is None:
                         field = row[_EVENT_MEM_REQUEST].strip()
                         if field:
-                            task[_REQUEST] = _finite(field)
+                            value = float(field)
+                            if not -inf < value < inf:
+                                raise _non_finite(field)
+                            task[_REQUEST] = value
                 except (IndexError, ValueError) as exc:
                     raise _shard_error(shard, rowno, row, exc) from None
 
-    if usage_dir.is_dir():
-        for shard in sorted(usage_dir.glob("*.csv.gz")):
-            with _shard_reader(shard) as reader:
-                for rowno, row in enumerate(reader, start=1):
-                    try:
-                        key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
-                        field = row[_USAGE_MAX_MEM].strip()
-                        if field:
-                            value = _finite(field)
-                            task = get(key)
-                            if task is not None and value > task[_PEAK]:
-                                task[_PEAK] = value
-                    except (IndexError, ValueError) as exc:
-                        raise _shard_error(shard, rowno, row, exc) from None
+    for shard in usage_shards:
+        with _shard_reader(shard) as rows:
+            for rowno, row in rows:
+                try:
+                    key = (row[_USAGE_JOB_ID], row[_USAGE_TASK_INDEX])
+                    field = row[_USAGE_MAX_MEM].strip()
+                    if field:
+                        value = float(field)
+                        if not -inf < value < inf:
+                            raise _non_finite(field)
+                        task = get(key)
+                        if task is not None and value > task[_PEAK]:
+                            task[_PEAK] = value
+                except (IndexError, ValueError) as exc:
+                    raise _shard_error(shard, rowno, row, exc) from None
 
     records = []
     task_of: dict[str, tuple[str, str]] = {}
@@ -395,11 +463,14 @@ def parse_borg_tables(root) -> list[RawJobRecord]:
             raise TraceParseError(
                 f"tasks (job, task) {first} and {key} both become job id "
                 f"{job_id!r}", path=str(events_dir))
+        if submit is None:
+            submit = start
+        if request is None:
+            request = 0.0
         records.append(RawJobRecord(
-            job_id, max(0.0, start if submit is None else submit),
-            end - start,
-            0.0 if request is None else min(max(request, 0.0), 1.0),
-            min(max(peak, 0.0), 1.0)))
+            job_id, submit if submit > 0.0 else 0.0, end - start,
+            0.0 if request < 0.0 else 1.0 if request > 1.0 else request,
+            0.0 if peak < 0.0 else 1.0 if peak > 1.0 else peak))
     records.sort(key=attrgetter("submit_s", "job_id"))
     return records
 
@@ -599,8 +670,9 @@ def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
 @contextmanager
 def _csv_reader(source, fields: tuple[str, ...]):
     """A csv reader positioned after the header of a CSV file (path or open
-    file), which must equal `fields`.  A ValueError that the body raises is
-    a TraceParseError naming the file (a path, or an open file's name) and
+    file), which must equal `fields`.  A ValueError that the body raises, or
+    a line csv.reader rejects (a field over its size limit, say), is a
+    TraceParseError naming the file (a path, or an open file's name) and
     the reader's line, and bytes that are not UTF-8 are one naming the
     file.  An empty source has no rows."""
     path = (os.fspath(source) if isinstance(source, (str, os.PathLike))
@@ -608,15 +680,17 @@ def _csv_reader(source, fields: tuple[str, ...]):
     try:
         with _open_text(source) as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is not None and tuple(h.strip() for h in header) != fields:
-                raise TraceParseError(f"expected header {','.join(fields)}",
-                                      line=1, path=path)
             try:
+                header = next(reader, None)
+                if (header is not None
+                        and tuple(h.strip() for h in header) != fields):
+                    raise TraceParseError(
+                        f"expected header {','.join(fields)}", line=1,
+                        path=path)
                 yield reader
             except (TraceParseError, UnicodeDecodeError):
                 raise
-            except ValueError as exc:
+            except (ValueError, csv.Error) as exc:
                 raise TraceParseError(str(exc), line=reader.line_num,
                                       path=path) from None
     except UnicodeDecodeError as exc:

@@ -1,18 +1,23 @@
 """The 2011-schema shard reader against its five-dict oracle, and fuzzed
 shards: every malformed shard is a TraceParseError naming it, and
-`epcsched scale` exits 3 on it without writing its output."""
+`epcsched scale` exits 3 on it without writing its output.  The block
+reader under it gives the rows of the text-mode reader the oracle uses,
+for every block size, at a few reads per block."""
 
 import contextlib
 import csv
 import gzip
 import io
 import tempfile
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import borg_oracle
+from epcsched import trace
 from epcsched.cli import main
 from epcsched.trace import TraceParseError, parse_borg_tables
 
@@ -171,6 +176,11 @@ _EVENT_FAULTS = [lambda row: row[:5], lambda row: row[:3],
 _USAGE_FAULTS = [lambda row: row[:10], lambda row: row[:2],
                  lambda row: [*row[:10], "inf"],
                  lambda row: [*row[:10], "big"]]
+# A field a character longer than csv.reader's size limit, in a column
+# neither table reads: csv.reader rejects the row before the reader sees it.
+_OVERSIZED = "x" * (csv.field_size_limit() + 1)
+_EVENT_FAULTS.append(lambda row: [row[0], _OVERSIZED, *row[2:]])
+_USAGE_FAULTS.append(lambda row: [row[0], _OVERSIZED, *row[2:]])
 
 
 @st.composite
@@ -233,3 +243,145 @@ class TestShardFuzz:
             assert code == 3
             assert stderr.getvalue() == f"error: {error}\n"
             assert not out.exists()
+
+
+@pytest.mark.parametrize("table", ["task_events", "task_usage"])
+def test_an_uncompressed_shard_is_named(tmp_path, table):
+    root = tmp_path / "trace"
+    _write_tables(root, *_good_tables(4))
+    plain = root / table / "part-00002.csv"
+    plain.write_text("0,,7,9,,0,,,,,0.25\n")
+    with pytest.raises(TraceParseError) as err:
+        parse_borg_tables(root)
+    assert str(err.value) == (f"{plain}: uncompressed shard: shards must be "
+                              "gzip *.csv.gz files")
+
+    out = tmp_path / "jobs.csv"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["scale", "--in", str(root), "--format", "borg_tables",
+                     "--out", str(out)])
+    assert code == 3
+    assert stderr.getvalue() == f"error: {err.value}\n"
+    assert not out.exists()
+
+
+# Separators, quotes, both line-end characters, and characters of two,
+# three and four UTF-8 bytes.
+_CHARS = st.sampled_from(list('a7,"\r\n é€\U0001d11e'))
+
+
+@st.composite
+def _shard_texts(draw):
+    """A shard's text: rows csv.writer quotes and ends with "\\n",
+    "\\r\\n" or "\\r", perhaps with the last line end cut off, or any
+    text."""
+    if draw(st.booleans()):
+        return draw(st.text(_CHARS, max_size=60))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = io.StringIO()
+    csv.writer(text, lineterminator=ending,
+               quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                             csv.QUOTE_ALL]))).writerows(
+        draw(st.lists(st.lists(st.text(_CHARS, max_size=6), max_size=4),
+                      max_size=6)))
+    text = text.getvalue()
+    return text.removesuffix(ending) if draw(st.booleans()) else text
+
+
+def _block_rows(shard: Path):
+    """The shard's (row number, row) pairs from the block reader, or its
+    error."""
+    try:
+        with trace._shard_reader(shard) as rows:
+            return list(rows)
+    except TraceParseError as exc:
+        return "error", str(exc), exc.line
+
+
+def _text_rows(shard: Path):
+    """The same from the text-mode reader of the oracle, which reads every
+    shard of the shard's directory."""
+    try:
+        return [(rowno, row)
+                for _, rowno, row in borg_oracle._shard_rows(shard.parent)]
+    except TraceParseError as exc:
+        return "error", str(exc), exc.line
+
+
+class TestShardBlocks:
+    """Blocks of a few bytes cut quoted fields, characters and "\\r\\n"
+    at every place, and the rows stay those of gzip.open(..., "rt",
+    newline="")."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_shard_texts(), st.integers(1, 9))
+    @example("", 1)
+    @example('a,"b\r\nc"\r\n\u20ac,\U0001d11e\r', 2)
+    def test_blocks_give_the_text_layers_rows(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            shard = Path(tmp) / "part-00000.csv.gz"
+            shard.write_bytes(gzip.compress(text.encode()))
+            with mock.patch.object(trace, "_SHARD_BLOCK", block):
+                assert _block_rows(shard) == _text_rows(shard)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shard_texts(), st.integers(1, 9), st.data())
+    def test_a_fault_after_the_first_block_names_the_shard(self, text, block,
+                                                           data):
+        # Bytes that are not UTF-8 past the first block, or a second gzip
+        # member cut short, after a first one longer than a block.
+        payload = b"a,b\n" * 3 + text.encode()
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(block, len(payload)))
+            bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"]))
+            gz = gzip.compress(payload[:at] + bad + payload[at:])
+        else:
+            rest = gzip.compress(b"c,d\n")
+            gz = (gzip.compress(payload)
+                  + rest[:data.draw(st.integers(1, len(rest) - 1))])
+        with tempfile.TemporaryDirectory() as tmp:
+            shard = Path(tmp) / "part-00000.csv.gz"
+            shard.write_bytes(gz)
+            with mock.patch.object(trace, "_SHARD_BLOCK", block):
+                got = _block_rows(shard)
+            expected = _text_rows(shard)
+        # The decoder's message gives a position within the block it
+        # decoded, which the two readers cut differently.
+        for error, message, line in (got, expected):
+            assert error == "error" and line is None
+            assert message.startswith(f"{shard}: unreadable shard: ")
+
+
+def test_a_shard_costs_a_few_reads_per_block(tmp_path, monkeypatch):
+    # The text layer reads `closed` once per line and `read1` once per
+    # 8 KiB chunk; the block reader calls `read` once per block, and each
+    # call reads `closed` once.
+    counts = Counter()
+
+    class CountingGzipFile(gzip.GzipFile):
+        def read(self, size=-1):
+            counts["read"] += 1
+            return super().read(size)
+
+        def read1(self, size=-1):
+            counts["read1"] += 1
+            return super().read1(size)
+
+        @property
+        def closed(self):
+            counts["closed"] += 1
+            return super().closed
+
+    data = "".join(f"{i},,7,{i},,0,,,,,0.25\n"
+                   for i in range(20_000)).encode()
+    shard = tmp_path / "task_events" / "part-00000.csv.gz"
+    shard.parent.mkdir()
+    shard.write_bytes(gzip.compress(data))
+    monkeypatch.setattr(gzip, "GzipFile", CountingGzipFile)
+    assert parse_borg_tables(tmp_path) == []  # tasks that never finish
+    blocks = -(-len(data) // trace._SHARD_BLOCK)
+    assert blocks >= 4
+    assert counts["read"] + counts["read1"] >= blocks  # the patch counts
+    for name in ("read", "read1", "closed"):
+        assert counts[name] <= blocks + 4, (name, counts)

@@ -1,5 +1,6 @@
 """Experiment configs, sweep expansion, artifact layout, and the CLI."""
 
+import csv
 import gzip
 import hashlib
 import json
@@ -642,6 +643,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{trace_path}: line 6" in err and field in err
         assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("command", ["scale", "scale borg", "report"])
+    def test_an_oversized_field_exits_3_before_any_output(
+            self, tmp_path, trace_path, capsys, command):
+        # A field one character over csv.reader's size limit, on line 6 of
+        # the trace, in row 2 of a shard, or on line 3 of an outcomes file.
+        big = "x" * (csv.field_size_limit() + 1)
+        out = tmp_path / "out.dat"
+        if command == "scale":
+            named, line = trace_path, 6
+            trace_path.write_text(TRACE + big + "\n")
+            argv = ["scale", "--in", str(trace_path), "--out", str(out)]
+        elif command == "scale borg":
+            named, line = (tmp_path / "trace" / "task_events"
+                           / "part-00000.csv.gz"), 2
+            named.parent.mkdir(parents=True)
+            with gzip.open(named, "wt", newline="") as fh:
+                fh.write(f"0,,42,0,,0,,,,,0.25\n0,,{big},0,,1,,,,,\n")
+            argv = ["scale", "--in", str(tmp_path / "trace"),
+                    "--format", "borg_tables", "--out", str(out)]
+        else:
+            cfg_path = flat_config(tmp_path, trace_path)
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            (named,) = (tmp_path / "artifacts").glob("*/outcomes.csv")
+            with open(named, "a", encoding="utf-8") as fh:
+                fh.write(big + "\n")
+            line = len(named.read_text().splitlines())
+            argv = ["report", "--dir", str(tmp_path / "artifacts"),
+                    "--figure", "7", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {named}: line {line}: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
+        assert not out.exists()
 
     def test_scale_short_borg_row_exits_3(self, tmp_path, capsys):
         shard = tmp_path / "trace" / "task_events" / "part-00000.csv.gz"

@@ -1,5 +1,6 @@
 """Outcome statistics, bucketed waiting times, and figure datasets."""
 
+import csv
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import (
     _T975,
     OUTCOMES_FIELDS,
+    PENDING_FIELDS,
     BucketStat,
     _mean,
     _std,
@@ -383,6 +385,30 @@ def test_csv_errors_name_the_file_and_line(tmp_path, name):
     with pytest.raises(TraceParseError, match=re.escape(f"{path}: line 1: "
                                                         "expected header")):
         reader(path)
+
+
+# (reader, header fields, a good row); the row after it holds one field a
+# character longer than csv.reader's size limit.
+_OVERSIZED_CSVS = {
+    "canonical": (parse_canonical_csv, CANONICAL_FIELDS, "j,0,1,0.1,0.1"),
+    "jobs": (read_jobs_csv, JOBS_FIELDS, _JOB_ROW.strip()),
+    "outcomes": (read_outcomes_csv, OUTCOMES_FIELDS,
+                 "a,standard,0,1,2,Completed,n1,0,0"),
+    "pending": (read_pending_csv, PENDING_FIELDS, "0,0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED_CSVS))
+def test_an_oversized_field_names_the_file_and_line(tmp_path, name):
+    reader, fields, row = _OVERSIZED_CSVS[name]
+    limit = csv.field_size_limit()
+    path = tmp_path / "big.csv"
+    path.write_text(f"{','.join(fields)}\n{row}\n{'x' * (limit + 1)}\n")
+    with pytest.raises(TraceParseError) as err:
+        reader(path)
+    assert str(err.value) == (f"{path}: line 3: field larger than field "
+                              f"limit ({limit})")
+    assert err.value.line == 3
 
 
 class TestFigureDatasets:
