@@ -15,13 +15,13 @@ import logging
 import math
 import sys
 
+from . import trace
 from ._units import parse_size
 from .engine import ConfigError
 from .experiment import load_config, run_experiment
 from .report import FIGURES, figure_dataset
 from .trace import (DEFAULT_SGX_MULTIPLIER, DEFAULT_STD_MULTIPLIER,
-                    ScalingConfig, TraceParseError, materialize, parse_trace,
-                    slice_and_sample, write_jobs_csv)
+                    ScalingConfig, TraceParseError)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -47,9 +47,11 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         sgx_multiplier=parse_size(args.sgx_multiplier),
         rng_seed=args.seed,
     )
-    records = slice_and_sample(parse_trace(args.trace_in, args.format), scaling)
-    jobs = materialize(records, scaling)
-    write_jobs_csv(jobs, args.jobs_out)
+    # looked up in `trace`, where a per-layer split wraps them by name
+    records = trace.slice_and_sample(
+        trace.parse_trace(args.trace_in, args.format), scaling)
+    jobs = trace.materialize(records, scaling)
+    trace.write_jobs_csv(jobs, args.jobs_out)
     print(f"wrote {len(jobs)} jobs to {args.jobs_out}")
     return 0
 

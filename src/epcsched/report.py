@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .engine import JobOutcome, JobStatus
 from .trace import (JobSpec, TraceParseError, _csv_reader, _duplicate_error,
-                    _job_kind, _member_of, _open_write, _width_error,
-                    read_jobs_csv)
+                    _gc_paused, _job_kind, _kind_values, _member_of,
+                    _open_write, _width_error, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -55,14 +55,17 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OUTCOMES_FIELDS)
         # the writer writes None, a job with no start, finish or node, as ""
-        writer.writerows((o.job_id, o.kind.value, o.submitted_ms, o.started_ms,
-                          o.finished_ms, o.status.value, o.node_id,
+        writer.writerows((o.job_id, _kind_values[o.kind], o.submitted_ms,
+                          o.started_ms, o.finished_ms,
+                          _status_values[o.status], o.node_id,
                           o.declared_pages, o.actual_pages) for o in outcomes)
 
 
 _job_status = _member_of(JobStatus)
+_status_values = {status: status.value for status in JobStatus}
 
 
+@_gc_paused
 def read_outcomes_csv(source) -> list[JobOutcome]:
     """The outcome rows, one per job.  A row's times must fit its status: a
     completed job has submit <= start <= finish, a killed or unfinished one
@@ -111,6 +114,7 @@ def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
             writer.writerow([time_ms, backlog])
 
 
+@_gc_paused
 def read_pending_csv(source) -> list[tuple[int, int]]:
     series: list[tuple[int, int]] = []
     with _csv_reader(source, PENDING_FIELDS) as reader:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .trace import RawJobRecord, parse_canonical_csv
+from .trace import RawJobRecord, _gc_paused, parse_canonical_csv
 
 BUNDLED_TRACE = "synthetic_trace.csv"
 
@@ -23,6 +23,7 @@ DEFAULT_MAX_DURATION_S = 300
 DEFAULT_SEED = 140051
 
 
+@_gc_paused
 def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
                     span_s: int = DEFAULT_SPAN_S,
                     max_duration_s: int = DEFAULT_MAX_DURATION_S,

@@ -1,0 +1,174 @@
+"""Complexity budgets as deterministic tests: each layer's cost model,
+stated as a bound on counted operations per unit of work, not on seconds.
+
+- The functions that build records run with the cyclic collector paused:
+  no collection starts inside them, and they leave no cyclic garbage behind.
+- A replay asks its placement policy at most once per job plus once per
+  park, and touches the usage ledger at most twice per pod interval (once
+  to add it, once to expire it).
+"""
+
+import csv
+import gc
+import gzip
+from collections import Counter
+
+import pytest
+
+from epcsched import metrics, report, scheduler, synthetic, trace
+from epcsched.cluster import EpcModel, NodeSpec, default_cluster
+from epcsched.engine import JobOutcome, JobStatus, SimConfig, run
+from epcsched.trace import JobKind, RawJobRecord, ScalingConfig
+
+GIB = 1024 ** 3
+
+# Records per input: several times the collector's default young
+# generation threshold (700), so each function, unpaused, collects.
+_N = 5_000
+
+
+@pytest.fixture(scope="module")
+def paused_calls(tmp_path_factory):
+    """(function, its arguments) for every paused function, on inputs of
+    _N records."""
+    tmp = tmp_path_factory.mktemp("paused")
+    records = [RawJobRecord(f"j{i}", float(i), 10.0 + i % 300,
+                            (1 + i % 300) / 1000, (1 + i % 200) / 1000)
+               for i in range(_N)]
+    trace.write_canonical_csv(records, tmp / "trace.csv")
+
+    for table in ("task_events", "task_usage"):
+        (tmp / "borg" / table).mkdir(parents=True)
+    with gzip.open(tmp / "borg" / "task_events" / "part-00000.csv.gz", "wt",
+                   newline="") as fh:
+        csv.writer(fh).writerows(
+            [str(i * 1_000_000), "", "7", str(i), "", etype, "", "", "", "",
+             "0.25"] for i in range(_N) for etype in ("0", "1", "4"))
+    with gzip.open(tmp / "borg" / "task_usage" / "part-00000.csv.gz", "wt",
+                   newline="") as fh:
+        csv.writer(fh).writerows(["", "", "7", str(i)] + [""] * 6 + ["0.5"]
+                                 for i in range(_N))
+
+    scaling = ScalingConfig(sgx_fraction=0.5, rng_seed=7)
+    trace.write_jobs_csv(trace.materialize(records, scaling), tmp / "jobs.csv")
+    report.write_outcomes_csv(
+        [JobOutcome(f"j{i}", JobKind.STANDARD, i, i + 1, i + 2,
+                    JobStatus.COMPLETED, "n1", 0, 0) for i in range(_N)],
+        tmp / "outcomes.csv")
+    report.write_pending_csv([(i * 1_000, i) for i in range(_N)],
+                             tmp / "pending.csv")
+    return {
+        "parse_canonical_csv": (trace.parse_canonical_csv,
+                                (tmp / "trace.csv",)),
+        "parse_borg_tables": (trace.parse_borg_tables, (tmp / "borg",)),
+        "materialize": (trace.materialize, (records, scaling)),
+        "read_jobs_csv": (trace.read_jobs_csv, (tmp / "jobs.csv",)),
+        "read_outcomes_csv": (report.read_outcomes_csv,
+                              (tmp / "outcomes.csv",)),
+        "read_pending_csv": (report.read_pending_csv, (tmp / "pending.csv",)),
+        "synthetic_trace": (synthetic.synthetic_trace, (_N,)),
+    }
+
+
+_PAUSED = ["parse_canonical_csv", "parse_borg_tables", "materialize",
+           "read_jobs_csv", "read_outcomes_csv", "read_pending_csv",
+           "synthetic_trace"]
+
+
+def _collections(fn, args) -> int:
+    """Collections the cyclic collector starts during fn(*args), with the
+    collector on at entry."""
+    starts = []
+
+    def started(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(started)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(started)
+    return len(starts)
+
+
+@pytest.mark.parametrize("name", _PAUSED)
+def test_a_paused_function_starts_no_collection(paused_calls, name):
+    fn, args = paused_calls[name]
+    assert fn.__name__ == name
+    # The input is large enough that the function, unpaused, collects.
+    assert _collections(fn.__wrapped__, args) > 0
+    assert _collections(fn, args) == 0
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", _PAUSED)
+def test_a_paused_function_leaves_no_cyclic_garbage(paused_calls, name):
+    # Everything such a function drops is freed by reference counting, so
+    # with the collector off a collection afterwards finds nothing.
+    fn, args = paused_calls[name]
+    gc.collect()
+    gc.disable()
+    try:
+        built = fn(*args)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(built) == _N
+    assert unreachable == 0
+    assert gc.garbage == []
+
+
+def _wide_cluster(n_nodes: int) -> list[NodeSpec]:
+    """Half large standard nodes, half small enclave nodes, as in
+    `default_cluster`."""
+    half = n_nodes // 2
+    return ([NodeSpec(f"node-{i}", std_capacity=64 * GIB)
+             for i in range(half)]
+            + [NodeSpec(f"sgx-{i}", std_capacity=8 * GIB, epc=EpcModel())
+               for i in range(half)])
+
+
+@pytest.fixture(scope="module")
+def bundled_jobs():
+    """The bundled 700-job trace, half of it enclave jobs."""
+    return trace.materialize(synthetic.load_bundled_trace(),
+                             ScalingConfig(sgx_fraction=0.5))
+
+
+@pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
+@pytest.mark.parametrize("n_nodes", [4, 64])
+def test_replay_budgets(monkeypatch, bundled_jobs, n_nodes, policy):
+    calls = Counter()
+    select = scheduler.POLICIES[policy]
+
+    def counted_select(job, cluster):
+        calls["select"] += 1
+        return select(job, cluster)
+
+    park = scheduler.PendingQueue.park
+
+    def counted_park(queue, entries):
+        calls["parks"] += len(entries)
+        return park(queue, entries)
+
+    count = metrics._count
+
+    def counted_count(node, pod, sign):
+        calls["ledger"] += 1
+        return count(node, pod, sign)
+
+    monkeypatch.setitem(scheduler.POLICIES, policy, counted_select)
+    monkeypatch.setattr(scheduler.PendingQueue, "park", counted_park)
+    monkeypatch.setattr(metrics, "_count", counted_count)
+    nodes = default_cluster() if n_nodes == 4 else _wide_cluster(n_nodes)
+    assert len(nodes) == n_nodes
+    result = run(bundled_jobs, nodes, SimConfig(policy=policy))
+
+    jobs, intervals = len(bundled_jobs), len(result.store.pods)
+    assert len(result.outcomes) == jobs == 700
+    if n_nodes == 4:
+        assert calls["parks"] > 0  # the budget is taken under contention
+    assert calls["select"] <= jobs + calls["parks"], calls
+    assert 0 < calls["ledger"] <= 2 * intervals, (calls, intervals)

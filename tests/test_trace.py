@@ -1,8 +1,10 @@
 """Trace parsing, slicing, scaling, and adversarial job injection."""
 
+import contextlib
 import copy
 import csv
 import dataclasses
+import gc
 import gzip
 import inspect
 import io
@@ -687,3 +689,77 @@ class TestRoundTrips:
         text = ",".join(JOBS_FIELDS) + "\nj0,standard,0,1,2,2,0,0\n" + row + "\n"
         with pytest.raises(TraceParseError, match="line 3"):
             read_jobs_csv(io.StringIO(text))
+
+
+@contextlib.contextmanager
+def collector(on: bool):
+    """The cyclic collector on or off inside the block, as it was after."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestGcPaused:
+    """The collector is off inside a paused call and back as the caller
+    left it afterwards, through nested calls and calls that raise."""
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_nested_calls(self, on):
+        seen = []
+
+        @trace._gc_paused
+        def inner():
+            seen.append(gc.isenabled())
+
+        @trace._gc_paused
+        def outer():
+            inner()
+            seen.append(gc.isenabled())  # the inner call did not turn it on
+
+        with collector(on):
+            outer()
+            assert gc.isenabled() is on
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_raising_calls(self, on):
+        @trace._gc_paused
+        def inner():
+            raise TraceParseError("bad row", line=2)
+
+        @trace._gc_paused
+        def outer():
+            with pytest.raises(TraceParseError):
+                inner()
+            assert not gc.isenabled()
+            inner()
+
+        with collector(on):
+            with pytest.raises(TraceParseError, match="line 2: bad row"):
+                outer()
+            assert gc.isenabled() is on
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_a_reader_that_raises(self, on, tmp_path):
+        with collector(on):
+            with pytest.raises(TraceParseError, match="missing task_events"):
+                trace.parse_borg_tables(tmp_path)
+            bad = ",".join(trace.CANONICAL_FIELDS) + "\nj,0,1,nope,0.1\n"
+            with pytest.raises(TraceParseError, match="line 2"):
+                parse_canonical_csv(io.StringIO(bad))
+            assert gc.isenabled() is on
+            assert parse_canonical_csv(io.StringIO(GOOD_CSV))
+            assert gc.isenabled() is on
+
+    def test_keeps_the_name_and_the_wrapped_function(self):
+        def build(rows):
+            """Doc."""
+            return list(rows)
+
+        paused = trace._gc_paused(build)
+        assert paused.__wrapped__ is build
+        assert (paused.__name__, paused.__doc__) == ("build", "Doc.")
+        assert paused(range(3)) == [0, 1, 2]

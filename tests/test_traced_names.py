@@ -4,15 +4,23 @@
 that go through them.  A renamed entry point, or a caller that stops looking
 it up by name, would read 0 in the split instead of failing, so this checks
 that each exists and that a replay (or, for the artifact writers and
-readers, a sweep and its figure datasets) reaches each through its name.
+readers, a sweep and its figure datasets; for the ingest functions,
+`epcsched scale` and a sweep) reaches each through its name.  A decorator on
+an entry point must keep its name and `__wrapped__`, and sit where the
+function is defined, so that every module importing it gets the same object.
 """
 
+import gzip
+import inspect
+import sys
 from collections import Counter
 
 import pytest
 
 from conftest import sgx_job, sgx_node, std_job, std_node
-from epcsched import driver, engine, experiment, metrics, report, scheduler
+from epcsched import (driver, engine, experiment, metrics, report, scheduler,
+                      trace)
+from epcsched.cli import main
 from epcsched.engine import JobStatus, SimConfig, run
 
 TRACED = [(metrics.UsageLedger, "advance"),
@@ -30,6 +38,17 @@ ARTIFACT_IO = [(metrics.SeriesStore, "write_csv"),
                (report, "read_pending_csv"),
                (report, "read_jobs_csv")]
 
+# The ingest functions, as `trace` exposes them and as `experiment` looks
+# them up.
+INGEST = [(trace, "parse_canonical_csv"), (trace, "parse_borg_tables"),
+          (trace, "slice_and_sample"), (experiment, "slice_and_sample"),
+          (trace, "materialize"), (experiment, "materialize"),
+          (trace, "inject_malicious"), (experiment, "inject_malicious"),
+          (trace, "read_jobs_csv"), (trace, "write_jobs_csv")]
+
+TRACE_CSV = ("job_id,submit_s,duration_s,assigned_mem_frac,max_mem_frac\n"
+             "j1,0,30,0.2,0.15\nj2,2,40,0.1,0.1\n")
+
 
 def counted(calls: Counter, label: str, fn):
     def wrapper(*args, **kwargs):
@@ -38,15 +57,74 @@ def counted(calls: Counter, label: str, fn):
     return wrapper
 
 
-def count_calls(monkeypatch, targets, calls: Counter) -> None:
-    """Replace each (owner, name) with a wrapper counting calls[name]."""
+def count_calls(monkeypatch, targets, calls: Counter,
+                label=lambda owner, name: name) -> None:
+    """Replace each (owner, name) with a wrapper counting
+    calls[label(owner, name)]."""
     for owner, name in targets:
-        monkeypatch.setattr(owner, name, counted(calls, name, vars(owner)[name]))
+        monkeypatch.setattr(owner, name, counted(calls, label(owner, name),
+                                                 vars(owner)[name]))
 
 
-@pytest.mark.parametrize("owner, name", TRACED + ARTIFACT_IO)
+def module_label(owner, name: str) -> str:
+    """`module.name` of an entry point, as the split names its span."""
+    return f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+
+
+@pytest.mark.parametrize("owner, name", TRACED + ARTIFACT_IO + INGEST)
 def test_entry_point_exists(owner, name):
     assert callable(vars(owner)[name])
+
+
+@pytest.mark.parametrize("owner, name", [
+    (owner, name) for owner, name in ARTIFACT_IO + INGEST
+    if inspect.ismodule(owner)])
+def test_an_imported_entry_point_is_the_defined_one(owner, name):
+    # A wrapper applied where a function is imported, or one that drops its
+    # name, would split one function into two objects.
+    fn = vars(owner)[name]
+    assert fn is vars(sys.modules[fn.__module__])[name]
+    assert fn.__name__ == inspect.unwrap(fn).__name__ == name
+
+
+@pytest.mark.parametrize("fmt", ["canonical_csv", "borg_tables"])
+def test_scale_calls_each_ingest_function_by_name(monkeypatch, tmp_path, fmt):
+    calls = Counter()
+    count_calls(monkeypatch, INGEST, calls, module_label)
+    if fmt == "canonical_csv":
+        source = tmp_path / "trace.csv"
+        source.write_text(TRACE_CSV)
+    else:
+        source = tmp_path / "borg"
+        (source / "task_events").mkdir(parents=True)
+        with gzip.open(source / "task_events" / "part-00000.csv.gz",
+                       "wt") as fh:
+            fh.write("1000000,,42,0,,0,,,,,0.25\n2000000,,42,0,,1,,,,,\n"
+                     "5000000,,42,0,,4,,,,,\n")
+    out = tmp_path / "jobs.csv"
+    assert main(["scale", "--in", str(source), "--format", fmt,
+                 "--out", str(out), "--sgx-fraction", "0.5"]) == 0
+    parser = ("trace.parse_canonical_csv" if fmt == "canonical_csv"
+              else "trace.parse_borg_tables")
+    assert calls == {parser: 1, "trace.slice_and_sample": 1,
+                     "trace.materialize": 1, "trace.write_jobs_csv": 1}
+
+
+def test_sweep_calls_each_ingest_function_by_name(monkeypatch, tmp_path):
+    calls = Counter()
+    count_calls(monkeypatch, INGEST, calls, module_label)
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(TRACE_CSV)
+    experiment.run_experiment(experiment.ExperimentConfig(
+        trace_file=str(trace_path), sgx_fraction_sweep=(0.0, 1.0),
+        malicious=experiment.MaliciousConfig(n=1),
+        output_dir=str(tmp_path / "out")))
+    # The sweep reads the trace once and materializes it at each of its two
+    # points.
+    assert calls == {"trace.parse_canonical_csv": 1,
+                     "experiment.slice_and_sample": 1,
+                     "experiment.materialize": 2,
+                     "experiment.inject_malicious": 2}, calls
 
 
 def test_policy_registry():
@@ -70,11 +148,10 @@ def test_sweep_and_figures_call_each_artifact_function_by_name(monkeypatch,
                                                                tmp_path):
     calls = Counter()
     count_calls(monkeypatch, ARTIFACT_IO, calls)
-    trace = tmp_path / "trace.csv"
-    trace.write_text("job_id,submit_s,duration_s,assigned_mem_frac,"
-                     "max_mem_frac\nj1,0,30,0.2,0.15\nj2,2,40,0.1,0.1\n")
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(TRACE_CSV)
     root = experiment.run_experiment(experiment.ExperimentConfig(
-        trace_file=str(trace), sgx_fraction_sweep=(0.0, 1.0),
+        trace_file=str(trace_path), sgx_fraction_sweep=(0.0, 1.0),
         output_dir=str(tmp_path / "out")))
     for figure in report.FIGURES:
         report.figure_dataset(root, figure)
