@@ -19,8 +19,9 @@ from .experiment import (ExperimentConfig, MaliciousConfig, load_cluster,
                          load_config, run_experiment)
 from .metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
                       SeriesStore, UsageLedger)
-from .report import (BucketStat, figure_dataset, mean_waiting, summary,
-                     turnaround_sum, waiting_by_memory, waiting_cdf)
+from .report import (BucketStat, figure_dataset, figure_datasets,
+                     mean_waiting, summary, turnaround_sum, waiting_by_memory,
+                     waiting_cdf)
 from .scheduler import (PendingQueue, binpack_select, feasible, schedule_tick,
                         spread_select)
 from .synthetic import (bundled_trace_path, load_bundled_trace,
@@ -39,7 +40,8 @@ __all__ = [
     "MetricSample", "NodeSpec", "NodeState", "PendingQueue", "Pod",
     "RawJobRecord", "ScalingConfig", "SeriesStore", "SimConfig", "SimResult",
     "TraceParseError", "UsageLedger", "binpack_select", "bundled_trace_path",
-    "default_cluster", "feasible", "figure_dataset", "inject_malicious",
+    "default_cluster", "feasible", "figure_dataset", "figure_datasets",
+    "inject_malicious",
     "load_bundled_trace", "load_cluster", "load_config", "materialize",
     "mean_waiting", "parse_trace", "run", "run_experiment",
     "schedule_tick", "slice_and_sample", "spread_select",

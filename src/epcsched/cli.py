@@ -1,7 +1,8 @@
 """Command-line front end.
 
     epcsched run    --config experiment.cfg
-    epcsched report --dir artifacts --figure 7
+    epcsched report --dir artifacts --figure 7 [--figure 8 ...]
+    epcsched report --dir artifacts --figure all
     epcsched scale  --in trace.csv --out jobs.csv [scaling flags]
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for I/O problems
@@ -19,7 +20,7 @@ from . import trace
 from ._units import parse_size
 from .engine import ConfigError
 from .experiment import load_config, run_experiment
-from .report import FIGURES, figure_dataset
+from .report import FIGURES, figure_dataset, figure_datasets
 from .trace import (DEFAULT_SGX_MULTIPLIER, DEFAULT_STD_MULTIPLIER,
                     ScalingConfig, TraceParseError)
 
@@ -32,8 +33,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    path = figure_dataset(args.dir, args.figure, args.out)
-    print(f"wrote {path}")
+    figures = (FIGURES if "all" in args.figure
+               else tuple(dict.fromkeys(map(int, args.figure))))
+    if args.out is None:
+        paths = figure_datasets(args.dir, figures)
+    elif len(figures) == 1:
+        paths = [figure_dataset(args.dir, figures[0], args.out)]
+    else:
+        raise ConfigError("--out names the file of one figure; "
+                          f"{len(figures)} figures were asked for")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
@@ -69,9 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="emit a plot-ready dataset from run artifacts")
     p_report.add_argument("--dir", required=True, help="experiment artifact directory")
-    p_report.add_argument("--figure", required=True, type=int, choices=FIGURES,
-                          help="which dataset to emit")
-    p_report.add_argument("--out", default=None, help="output path (default: <dir>/fig<N>.dat)")
+    p_report.add_argument("--figure", required=True, action="append",
+                          choices=[*map(str, FIGURES), "all"],
+                          help="which dataset to emit; repeat it for "
+                               "several, or give 'all'")
+    p_report.add_argument("--out", default=None,
+                          help="output path of a single figure "
+                               "(default: <dir>/fig<N>.dat)")
     p_report.set_defaults(func=_cmd_report)
 
     p_scale = sub.add_parser("scale", help="slice and scale a raw trace into a jobs CSV")

@@ -23,7 +23,7 @@ from .engine import ConfigError, SimConfig, SimResult, run
 from .report import (JOBS_FILE, META_FILE, OUTCOMES_FILE, PENDING_FILE,
                      SAMPLES_FILE, STAGING_SUFFIX, SUMMARY_FILE, summary,
                      write_outcomes_csv, write_pending_csv)
-from .trace import (RawJobRecord, ScalingConfig, inject_malicious,
+from .trace import (JobSpec, RawJobRecord, ScalingConfig, inject_malicious,
                     malicious_id, materialize, parse_trace, slice_and_sample,
                     write_jobs_csv)
 
@@ -347,13 +347,13 @@ class SweepPoint(NamedTuple):
     fraction: float
 
 
-def run_point(cfg: ExperimentConfig, records: list[RawJobRecord],
-              point: SweepPoint, specs: list[NodeSpec], out_root: str) -> str:
+def run_point(cfg: ExperimentConfig, jobs: list[JobSpec], point: SweepPoint,
+              specs: list[NodeSpec], out_root: str) -> str:
     """Replay one sweep point on its cluster and write its artifact
-    directory.  Returns the run label."""
+    directory.  `jobs` are the trace's jobs materialized at the point's
+    fraction; the malicious jobs, whose pages depend on the cluster's usable
+    protected memory, are injected here.  Returns the run label."""
     label, epc_bytes, fraction = point
-    scaling = replace(cfg.scaling, sgx_fraction=fraction)
-    jobs = materialize(records, scaling)
     if cfg.malicious is not None:
         sgx_specs = sorted((s for s in specs if s.is_sgx),
                            key=lambda s: s.node_id)
@@ -475,6 +475,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     with open(out_root / "experiment.json", "w", encoding="utf-8") as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # Points that share a fraction share its jobs: the trace is materialized
+    # once per distinct fraction, not once per point.
+    jobs_at = {frac: materialize(records,
+                                 replace(cfg.scaling, sgx_fraction=frac))
+               for frac in dict.fromkeys(point.fraction for point in points)}
 
     if cfg.workers > 1 and len(points) > 1:
         # Imported only here: loading the process pool would slow every
@@ -482,8 +487,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
                                         wait)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_point, cfg, records, point,
-                                   clusters[point.epc_bytes], str(out_root))
+            futures = [pool.submit(run_point, cfg, jobs_at[point.fraction],
+                                   point, clusters[point.epc_bytes],
+                                   str(out_root))
                        for point in points]
             # The first failure cancels the points that have not started.
             wait(futures, return_when=FIRST_EXCEPTION)
@@ -493,6 +499,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     future.result()
     else:
         for point in points:
-            run_point(cfg, records, point, clusters[point.epc_bytes],
-                      str(out_root))
+            run_point(cfg, jobs_at[point.fraction], point,
+                      clusters[point.epc_bytes], str(out_root))
     return out_root

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import JobOutcome, JobStatus
-from .trace import (JobSpec, TraceParseError, _csv_reader, _duplicate_error,
-                    _gc_paused, _job_kind, _kind_values, _member_of,
+from .trace import (JobKind, JobSpec, TraceParseError, _csv_reader,
+                    _duplicate_error, _gc_paused, _job_kind, _member_of,
                     _open_write, _width_error, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
@@ -54,15 +54,49 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
     with _open_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OUTCOMES_FIELDS)
-        # the writer writes None, a job with no start, finish or node, as ""
-        writer.writerows((o.job_id, _kind_values[o.kind], o.submitted_ms,
-                          o.started_ms, o.finished_ms,
-                          _status_values[o.status], o.node_id,
-                          o.declared_pages, o.actual_pages) for o in outcomes)
+        # the writer writes None, a job with no start, finish or node, as "";
+        # `_value_` is a plain attribute read, where `.value` runs a Python
+        # property and a dict keyed by members the Python-level `__hash__`
+        writer.writerows(
+            (job_id, kind._value_, submitted, started, finished,
+             status._value_, node_id, declared, actual)
+            for (job_id, kind, submitted, started, finished, status, node_id,
+                 declared, actual) in outcomes)
 
 
 _job_status = _member_of(JobStatus)
-_status_values = {status: status.value for status in JobStatus}
+# The fast path's decoders: a value to its member by one dict lookup.
+_KINDS = {kind.value: kind for kind in JobKind}
+_STATUSES = {status.value: status for status in JobStatus}
+
+
+def _decode_outcome(row: list[str]) -> JobOutcome | None:
+    """One outcome row, decoded field by field; None for a blank row.  Each
+    fault raises its own ValueError, and a row with several names the first
+    in field order."""
+    if len(row) != 9:
+        if row:
+            raise _width_error(OUTCOMES_FIELDS, row)
+        return None
+    (job_id, kind, submitted, started, finished, status, node_id,
+     declared, actual) = row
+    kind, submitted = _job_kind(kind), int(submitted)
+    started = int(started) if started else None
+    finished = int(finished) if finished else None
+    status = _job_status(status)
+    if status is JobStatus.COMPLETED:
+        if started is None or finished is None:
+            raise ValueError(f"{status.value} job {job_id!r} needs a "
+                             "start_ms and a finish_ms")
+        if not submitted <= started <= finished:
+            raise ValueError(f"job {job_id!r}: expected submit_ms <= "
+                             f"start_ms <= finish_ms, got {submitted}, "
+                             f"{started}, {finished}")
+    elif started is not None or finished is not None:
+        raise ValueError(f"{status.value} job {job_id!r} has a "
+                         "start_ms or a finish_ms")
+    return JobOutcome(job_id, kind, submitted, started, finished, status,
+                      node_id or None, int(declared), int(actual))
 
 
 @_gc_paused
@@ -70,35 +104,39 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
     """The outcome rows, one per job.  A row's times must fit its status: a
     completed job has submit <= start <= finish, a killed or unfinished one
     neither a start nor a finish.  Each row is checked by itself first, then
-    a job id seen before is an error naming both lines."""
+    a job id seen before is an error naming both lines.
+
+    A well-formed row takes the fast path: two dict lookups, the ints and
+    the time checks inline, and the tuple built without the named tuple's
+    Python-level `__new__`.  A row it does not take, blank or faulty, goes
+    to `_decode_outcome`, which skips it or raises that fault's message."""
     outcomes: list[JobOutcome] = []
     seen: dict[str, int] = {}
+    kinds, statuses, completed = _KINDS, _STATUSES, JobStatus.COMPLETED
+    new = tuple.__new__
     with _csv_reader(source, OUTCOMES_FIELDS) as reader:
         for row in reader:
-            if len(row) != 9:
-                if row:
-                    raise _width_error(OUTCOMES_FIELDS, row)
-                continue
-            (job_id, kind, submitted, started, finished, status, node_id,
-             declared, actual) = row
-            kind, submitted = _job_kind(kind), int(submitted)
-            started = int(started) if started else None
-            finished = int(finished) if finished else None
-            status = _job_status(status)
-            if status is JobStatus.COMPLETED:
-                if started is None or finished is None:
-                    raise ValueError(f"{status.value} job {job_id!r} needs a "
-                                     "start_ms and a finish_ms")
-                if not submitted <= started <= finished:
-                    raise ValueError(f"job {job_id!r}: expected submit_ms <= "
-                                     f"start_ms <= finish_ms, got {submitted}, "
-                                     f"{started}, {finished}")
-            elif started is not None or finished is not None:
-                raise ValueError(f"{status.value} job {job_id!r} has a "
-                                 "start_ms or a finish_ms")
-            outcome = JobOutcome(job_id, kind, submitted, started, finished,
-                                 status, node_id or None, int(declared),
-                                 int(actual))
+            try:
+                (job_id, kind, submitted, started, finished, status, node_id,
+                 declared, actual) = row
+                status = statuses[status]
+                submitted = int(submitted)
+                if status is completed:
+                    started, finished = int(started), int(finished)
+                    if not submitted <= started <= finished:
+                        raise ValueError
+                elif started or finished:
+                    raise ValueError
+                else:
+                    started = finished = None
+                outcome = new(JobOutcome, (
+                    job_id, kinds[kind], submitted, started, finished, status,
+                    node_id or None, int(declared), int(actual)))
+            except (KeyError, ValueError):
+                outcome = _decode_outcome(row)
+                if outcome is None:
+                    continue
+                job_id = outcome.job_id
             if job_id in seen:
                 raise _duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
@@ -110,8 +148,8 @@ def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
     with _open_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PENDING_FIELDS)
-        for time_ms, backlog in series:
-            writer.writerow([time_ms, backlog])
+        # unpacked, so an item that is not a pair is still an error
+        writer.writerows((time_ms, backlog) for time_ms, backlog in series)
 
 
 @_gc_paused
@@ -131,19 +169,26 @@ def read_pending_csv(source) -> list[tuple[int, int]]:
     return series
 
 
+# The statistics below read the members into locals and compute waits from
+# the fields: a lookup on the enum class and the `waiting_ms` and
+# `turnaround_ms` properties each cost a Python-level call per row.
 def summary(outcomes: Sequence[JobOutcome]) -> dict:
     """Headline numbers of a run; every value is recomputable from the
     outcome rows alone."""
-    completed = [o for o in outcomes if o.status is JobStatus.COMPLETED]
-    started = [o for o in outcomes if o.started_ms is not None]
+    completed, killed, unfinished = (
+        [o for o in outcomes if o.status is status]
+        for status in (JobStatus.COMPLETED, JobStatus.KILLED,
+                       JobStatus.UNFINISHED))
     return {
         "jobs": len(outcomes),
         "completed": len(completed),
-        "killed": sum(o.status is JobStatus.KILLED for o in outcomes),
-        "unfinished": sum(o.status is JobStatus.UNFINISHED for o in outcomes),
+        "killed": len(killed),
+        "unfinished": len(unfinished),
         "makespan_ms": max((o.finished_ms for o in completed), default=0),
-        "total_waiting_ms": sum(o.waiting_ms for o in started),
-        "total_turnaround_ms": sum(o.turnaround_ms for o in completed),
+        "total_waiting_ms": sum(o.started_ms - o.submitted_ms
+                                for o in outcomes if o.started_ms is not None),
+        "total_turnaround_ms": sum(o.finished_ms - o.submitted_ms
+                                   for o in completed),
     }
 
 
@@ -151,7 +196,8 @@ def waiting_cdf(outcomes: Sequence[JobOutcome]) -> list[tuple[int, float]]:
     """Right-continuous empirical CDF of waiting times over jobs that
     actually started.  Killed and unfinished jobs never started, so they are
     not part of the curve (the summary carries their counts)."""
-    waits = sorted(o.waiting_ms for o in outcomes if o.started_ms is not None)
+    waits = sorted(o.started_ms - o.submitted_ms for o in outcomes
+                   if o.started_ms is not None)
     if not waits:
         return []
     n = len(waits)
@@ -165,8 +211,9 @@ def waiting_cdf(outcomes: Sequence[JobOutcome]) -> list[tuple[int, float]]:
 
 def turnaround_sum(outcomes: Sequence[JobOutcome]) -> int:
     """Total submission-to-completion time across completed jobs."""
-    return sum(o.turnaround_ms for o in outcomes
-               if o.status is JobStatus.COMPLETED)
+    completed = JobStatus.COMPLETED
+    return sum(o.finished_ms - o.submitted_ms for o in outcomes
+               if o.status is completed)
 
 
 def _pairwise_sum(xs: Sequence[float], lo: int, hi: int) -> float:
@@ -232,7 +279,8 @@ def _std(values: Sequence[int], mean: float) -> float:
 
 
 def mean_waiting(outcomes: Sequence[JobOutcome]) -> float | None:
-    waits = [o.waiting_ms for o in outcomes if o.started_ms is not None]
+    waits = [o.started_ms - o.submitted_ms for o in outcomes
+             if o.started_ms is not None]
     if not waits:
         return None
     return _mean(waits)
@@ -302,7 +350,7 @@ def waiting_by_memory(outcomes: Sequence[JobOutcome],
         if o.started_ms is None:
             continue
         job = jobs_by_id[o.job_id]
-        pair = (job.requested_mem, o.waiting_ms)
+        pair = (job.requested_mem, o.started_ms - o.submitted_ms)
         (sgx_pairs if job.kind.uses_epc else std_pairs).append(pair)
     if sgx_edges is None:
         sgx_edges = power_of_two_edges(size for size, _ in sgx_pairs)
@@ -339,6 +387,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_HEADERS = {
+    6: "# label time_ms pending_epc_bytes",
+    7: "# label waiting_ms cumulative_fraction",
+    8: "# label class bucket_lo bucket_hi count mean_waiting_ms ci95_ms",
+    9: "# label waiting_ms cumulative_fraction",
+    10: "# label total_turnaround_ms",
+}
+
+
 def figure_dataset(artifact_dir, figure: int, dest=None) -> Path:
     """Emit one plot-ready dataset from an experiment directory.
 
@@ -348,52 +405,74 @@ def figure_dataset(artifact_dir, figure: int, dest=None) -> Path:
     8: mean waiting with 95% CI per requested-memory bucket, per job class.
     10: total turnaround per run plus the workload's inherent run-time sum.
     """
-    if figure not in FIGURES:
-        raise ValueError(f"unknown figure {figure}; pick one of {FIGURES}")
+    (path,) = _write_figures(artifact_dir, {figure: dest})
+    return path
+
+
+def figure_datasets(artifact_dir, figures: Iterable[int] = FIGURES
+                    ) -> list[Path]:
+    """`figure_dataset` for each figure, written to fig<N>.dat in the
+    directory, from one listing of the runs and at most one read of each
+    run's files.  Returns the paths in the order of `figures`; a figure
+    asked for twice is written once.  A fault in any run's files is raised
+    before any dataset is written."""
+    return _write_figures(artifact_dir, dict.fromkeys(figures))
+
+
+def _write_figures(artifact_dir, dests: Mapping[int, object]) -> list[Path]:
+    """Write each figure of `dests` to its destination (None: fig<N>.dat in
+    the directory).  The runs are walked once, in label order, and each run
+    reads only the files its figures need, each once, in the order one
+    figure alone would read them: pending_epc.csv, outcomes.csv, jobs.csv."""
+    for figure in dests:
+        if figure not in FIGURES:
+            raise ValueError(f"unknown figure {figure}; pick one of {FIGURES}")
     root = Path(artifact_dir)
     runs = _run_dirs(root)
     if not runs:
         raise FileNotFoundError(f"no run directories under {root}")
-    out_path = Path(dest) if dest else root / f"fig{figure}.dat"
-    lines: list[str] = []
-    if figure == 6:
-        lines.append("# label time_ms pending_epc_bytes")
-        for run_dir, label in runs:
-            for time_ms, backlog in read_pending_csv(run_dir / PENDING_FILE):
-                lines.append(f"{label} {time_ms} {backlog}")
-    elif figure in (7, 9):
-        lines.append("# label waiting_ms cumulative_fraction")
-        for run_dir, label in runs:
+    lines = {figure: [_HEADERS[figure]] for figure in dests}
+    cdfs = [lines[figure] for figure in (7, 9) if figure in lines]
+    workload_ms = None
+    for run_dir, label in runs:
+        if 6 in lines:
+            lines[6] += [f"{label} {time_ms} {backlog}" for time_ms, backlog
+                         in read_pending_csv(run_dir / PENDING_FILE)]
+        if lines.keys() - {6}:
             outcomes = read_outcomes_csv(run_dir / OUTCOMES_FILE)
-            for wait_ms, fraction in waiting_cdf(outcomes):
-                lines.append(f"{label} {wait_ms} {_fmt(fraction)}")
-    elif figure == 8:
-        lines.append("# label class bucket_lo bucket_hi count mean_waiting_ms ci95_ms")
-        for run_dir, label in runs:
-            outcomes = read_outcomes_csv(run_dir / OUTCOMES_FILE)
-            jobs = {j.job_id: j for j in _read_jobs(run_dir)}
+        if cdfs:
+            cdf = [f"{label} {wait_ms} {_fmt(fraction)}"
+                   for wait_ms, fraction in waiting_cdf(outcomes)]
+            for figure_lines in cdfs:
+                figure_lines += cdf
+        jobs = None
+        if 8 in lines:
+            jobs = _read_jobs(run_dir)
+            jobs_by_id = {j.job_id: j for j in jobs}
             for o in outcomes:
-                if o.job_id not in jobs:
+                if o.job_id not in jobs_by_id:
                     raise TraceParseError(f"{run_dir / JOBS_FILE}: no job "
                                           f"{o.job_id!r} of {OUTCOMES_FILE}")
-            table = waiting_by_memory(outcomes, jobs)
+            table = waiting_by_memory(outcomes, jobs_by_id)
             for klass, buckets in sorted(table.items()):
                 for b in buckets:
-                    lines.append(
+                    lines[8].append(
                         f"{label} {klass} {b.lo} {b.hi} {b.count} "
                         f"{_fmt(b.mean_ms)} {_fmt(b.ci95_ms)}")
-    elif figure == 10:
-        lines.append("# label total_turnaround_ms")
-        workload_ms = None
-        for run_dir, label in runs:
-            outcomes = read_outcomes_csv(run_dir / OUTCOMES_FILE)
-            lines.append(f"{label} {turnaround_sum(outcomes)}")
+        if 10 in lines:
+            lines[10].append(f"{label} {turnaround_sum(outcomes)}")
             if workload_ms is None:
-                jobs = _read_jobs(run_dir)
+                if jobs is None:
+                    jobs = _read_jobs(run_dir)
                 workload_ms = sum(j.duration_ms for j in jobs)
-        lines.append(f"workload {workload_ms or 0}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out_path
+    if 10 in lines:
+        lines[10].append(f"workload {workload_ms or 0}")
+    paths = []
+    for figure, dest in dests.items():
+        path = Path(dest) if dest else root / f"fig{figure}.dat"
+        path.write_text("\n".join(lines[figure]) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 def _read_jobs(run_dir: Path) -> list[JobSpec]:

@@ -115,9 +115,6 @@ def _member_of(enum: type[Enum]) -> Callable[[str], Enum]:
 
 
 _job_kind = _member_of(JobKind)
-# The writers' encoder of kinds, the mirror of `_job_kind`: one dict lookup
-# per row, where `kind.value` runs a Python-level enum property.
-_kind_values = {kind: kind.value for kind in JobKind}
 
 
 def _slot_setters(cls) -> tuple:
@@ -703,10 +700,12 @@ def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
     with _open_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(JOBS_FIELDS)
-        for j in jobs:
-            writer.writerow([j.job_id, _kind_values[j.kind], j.submit_ms,
-                             j.duration_ms, j.requested_mem, j.actual_mem,
-                             j.declared_epc_pages, j.actual_epc_pages])
+        # `_value_` is a plain attribute read, where `.value` runs a Python
+        # property and a dict keyed by kinds the Python-level `__hash__`.
+        writer.writerows((j.job_id, j.kind._value_, j.submit_ms,
+                          j.duration_ms, j.requested_mem, j.actual_mem,
+                          j.declared_epc_pages, j.actual_epc_pages)
+                         for j in jobs)
 
 
 @contextmanager

@@ -6,20 +6,25 @@ stated as a bound on counted operations per unit of work, not on seconds.
 - A replay asks its placement policy at most once per job plus once per
   park, and touches the usage ledger at most twice per pod interval (once
   to add it, once to expire it).
+- A sweep materializes the trace once per distinct fraction and injects the
+  malicious jobs once per point; `figure_datasets` reads each run file at
+  most once.
 """
 
 import csv
 import gc
 import gzip
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from epcsched import metrics, report, scheduler, synthetic, trace
+from epcsched import experiment, metrics, report, scheduler, synthetic, trace
 from epcsched.cluster import EpcModel, NodeSpec, default_cluster
 from epcsched.engine import JobOutcome, JobStatus, SimConfig, run
 from epcsched.trace import JobKind, RawJobRecord, ScalingConfig
 
+MIB = 1024 ** 2
 GIB = 1024 ** 3
 
 # Records per input: several times the collector's default young
@@ -172,3 +177,58 @@ def test_replay_budgets(monkeypatch, bundled_jobs, n_nodes, policy):
         assert calls["parks"] > 0  # the budget is taken under contention
     assert calls["select"] <= jobs + calls["parks"], calls
     assert 0 < calls["ledger"] <= 2 * intervals, (calls, intervals)
+
+
+def _counting(monkeypatch, owner, name: str, calls: Counter, key) -> None:
+    """Replace owner.name with a wrapper counting calls[key(args)]."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key(args)] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """A 2 x 2 sweep (two usable sizes, two fractions) of 40 bundled jobs,
+    with malicious jobs, and its artifact root."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    trace.write_canonical_csv(synthetic.load_bundled_trace()[:40],
+                              tmp / "trace.csv")
+    return experiment.ExperimentConfig(
+        trace_file=str(tmp / "trace.csv"), epc_usable_sweep=(32 * MIB, 64 * MIB),
+        sgx_fraction_sweep=(0.5, 1.0),
+        malicious=experiment.MaliciousConfig(n=1),
+        output_dir=str(tmp / "out"))
+
+
+def test_a_sweep_materializes_once_per_fraction(monkeypatch, swept):
+    calls = Counter()
+    _counting(monkeypatch, experiment, "materialize", calls,
+              lambda args: ("materialize", args[1].sgx_fraction))
+    _counting(monkeypatch, experiment, "inject_malicious", calls,
+              lambda args: "inject_malicious")
+    _counting(monkeypatch, experiment, "run_point", calls,
+              lambda args: "run_point")
+    experiment.run_experiment(swept)
+    assert calls == {("materialize", 0.5): 1, ("materialize", 1.0): 1,
+                     "inject_malicious": 4, "run_point": 4}, calls
+
+
+def test_figure_datasets_read_each_run_file_at_most_once(monkeypatch, swept):
+    root = experiment.run_experiment(swept)
+    reads = Counter()
+    for name in ("read_outcomes_csv", "read_pending_csv", "read_jobs_csv"):
+        _counting(monkeypatch, report, name, reads,
+                  lambda args: Path(args[0]).relative_to(root).as_posix())
+    paths = report.figure_datasets(root, report.FIGURES)
+    assert [p.name for p in paths] == [f"fig{f}.dat" for f in report.FIGURES]
+    runs = sorted(p.name for p in root.iterdir() if p.is_dir())
+    assert len(runs) == 4
+    for run in runs:
+        assert reads[f"{run}/{report.OUTCOMES_FILE}"] == 1
+        assert reads[f"{run}/{report.PENDING_FILE}"] == 1
+        assert reads[f"{run}/{report.JOBS_FILE}"] == 1  # figure 8 reads each
+    assert sum(reads.values()) == 3 * len(runs), reads

@@ -359,12 +359,14 @@ class TestRunExperiment:
 
     def test_worker_count_does_not_change_artifacts(self, tmp_path,
                                                     trace_path):
+        # Each fraction is materialized once and its jobs are shipped to
+        # the points of both sizes; a worker writes what a serial run does.
         def digests(workers):
             root = run_experiment(config_from_mapping({
                 "trace": str(trace_path),
                 "output_dir": str(tmp_path / f"workers-{workers}"),
                 "epc_usable_sweep": "32MiB,64MiB",
-                "sgx_fraction": 1.0,
+                "sgx_fraction_sweep": "0.5,1.0",
                 "malicious_n": 1,
                 "workers": workers,
             }))
@@ -373,7 +375,7 @@ class TestRunExperiment:
                     for p in root.rglob("*") if p.is_file()}
 
         serial = digests(1)
-        assert len(serial) == 1 + 2 * 6
+        assert len(serial) == 1 + 4 * 6
         assert digests(2) == serial
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -22,12 +22,14 @@ from epcsched.cli import main
 from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import (
     _T975,
+    FIGURES,
     OUTCOMES_FIELDS,
     PENDING_FIELDS,
     BucketStat,
     _mean,
     _std,
     figure_dataset,
+    figure_datasets,
     mean_waiting,
     power_of_two_edges,
     read_outcomes_csv,
@@ -501,6 +503,53 @@ class TestFigureDatasets:
             figure_dataset(artifact_dir, 7)
         assert main(["report", "--dir", str(artifact_dir), "--figure", "7"]) == 3
         assert str(outcomes_file) in capsys.readouterr().err
+
+    def test_many_figures_match_one_at_a_time(self, artifact_dir, tmp_path):
+        one_by_one = {}
+        for figure in FIGURES:
+            dest = tmp_path / f"one-{figure}.dat"
+            figure_dataset(artifact_dir, figure, dest=dest)
+            one_by_one[figure] = dest.read_bytes()
+        paths = figure_datasets(artifact_dir)
+        assert paths == [artifact_dir / f"fig{f}.dat" for f in FIGURES]
+        assert {f: p.read_bytes() for f, p in zip(FIGURES, paths)} == one_by_one
+        # each figure once, in the order asked for
+        assert figure_datasets(artifact_dir, [10, 7, 10]) == [
+            artifact_dir / "fig10.dat", artifact_dir / "fig7.dat"]
+
+    def test_many_figures_unknown_figure(self, artifact_dir):
+        with pytest.raises(ValueError, match="unknown figure 11"):
+            figure_datasets(artifact_dir, [6, 11])
+        assert not list(artifact_dir.glob("*.dat"))
+
+    def test_many_figures_write_nothing_on_a_fault(self, artifact_dir):
+        jobs_file = artifact_dir / "run-b" / "jobs.csv"
+        write_jobs_csv([std_job("y")], jobs_file)
+        with pytest.raises(TraceParseError, match=re.escape(
+                f"{jobs_file}: no job 'x' of outcomes.csv")):
+            figure_datasets(artifact_dir)
+        assert not list(artifact_dir.glob("*.dat"))
+
+    def test_report_takes_several_figures_or_all(self, artifact_dir, capsys):
+        assert main(["report", "--dir", str(artifact_dir), "--figure", "10",
+                     "--figure", "6"]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {artifact_dir / 'fig10.dat'}\n"
+            f"wrote {artifact_dir / 'fig6.dat'}\n")
+        assert main(["report", "--dir", str(artifact_dir), "--figure",
+                     "all"]) == 0
+        assert all((artifact_dir / f"fig{f}.dat").stat().st_size > 0
+                   for f in FIGURES)
+
+    def test_report_out_takes_one_figure(self, artifact_dir, tmp_path, capsys):
+        out = tmp_path / "two.dat"
+        assert main(["report", "--dir", str(artifact_dir), "--figure", "6",
+                     "--figure", "7", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["report", "--dir", str(artifact_dir), "--figure", "7",
+                     "--figure", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == figure_dataset(artifact_dir, 7).read_bytes()
 
     def test_leftover_staging_directory_is_skipped(self, artifact_dir):
         # what a run killed after writing meta.json but before the rename

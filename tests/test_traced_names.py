@@ -117,14 +117,15 @@ def test_sweep_calls_each_ingest_function_by_name(monkeypatch, tmp_path):
     trace_path.write_text(TRACE_CSV)
     experiment.run_experiment(experiment.ExperimentConfig(
         trace_file=str(trace_path), sgx_fraction_sweep=(0.0, 1.0),
+        epc_usable_sweep=(32 * 1024 ** 2, 64 * 1024 ** 2),
         malicious=experiment.MaliciousConfig(n=1),
         output_dir=str(tmp_path / "out")))
-    # The sweep reads the trace once and materializes it at each of its two
-    # points.
+    # The sweep reads the trace once, materializes it at each of its two
+    # fractions, and injects the malicious jobs at each of its four points.
     assert calls == {"trace.parse_canonical_csv": 1,
                      "experiment.slice_and_sample": 1,
                      "experiment.materialize": 2,
-                     "experiment.inject_malicious": 2}, calls
+                     "experiment.inject_malicious": 4}, calls
 
 
 def test_policy_registry():
