@@ -34,7 +34,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     figures = (FIGURES if "all" in args.figure
-               else tuple(dict.fromkeys(map(int, args.figure))))
+               else tuple(dict.fromkeys(args.figure)))
     if args.out is None:
         paths = figure_datasets(args.dir, figures)
     elif len(figures) == 1:
@@ -66,6 +66,11 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
+def figure_or_all(text: str) -> int | str:
+    """A --figure value: 'all' as is, a figure number as an int."""
+    return text if text == "all" else int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epcsched",
@@ -80,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="emit a plot-ready dataset from run artifacts")
     p_report.add_argument("--dir", required=True, help="experiment artifact directory")
     p_report.add_argument("--figure", required=True, action="append",
-                          choices=[*map(str, FIGURES), "all"],
+                          type=figure_or_all, choices=[*FIGURES, "all"],
                           help="which dataset to emit; repeat it for "
                                "several, or give 'all'")
     p_report.add_argument("--out", default=None,

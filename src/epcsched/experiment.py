@@ -404,9 +404,9 @@ def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
 
 
 def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
-    """Every sweep point with its run label, in run order.  Two points whose
-    labels match would write one directory, so they are a ConfigError
-    naming both."""
+    """Every sweep point with its run label, usable sizes outer and
+    fractions inner.  Two points whose labels match would write one
+    directory, so they are a ConfigError naming both."""
     points = [SweepPoint(_label(epc, frac, cfg), epc, frac)
               for epc in cfg.epc_usable_sweep or (None,)
               for frac in cfg.sgx_fraction_sweep or (cfg.scaling.sgx_fraction,)]
@@ -454,6 +454,12 @@ def _sweep_clusters(cfg: ExperimentConfig) -> dict[int | None, list[NodeSpec]]:
             for epc in cfg.epc_usable_sweep or (None,)}
 
 
+def _materialize_at(cfg: ExperimentConfig, records: list[RawJobRecord],
+                    fraction: float) -> list[JobSpec]:
+    """The trace's jobs at one swept fraction."""
+    return materialize(records, replace(cfg.scaling, sgx_fraction=fraction))
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Expand the config's sweeps and replay every point.  Returns the
     artifact root, which holds one subdirectory per sweep point."""
@@ -475,11 +481,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     with open(out_root / "experiment.json", "w", encoding="utf-8") as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    # Points that share a fraction share its jobs: the trace is materialized
-    # once per distinct fraction, not once per point.
-    jobs_at = {frac: materialize(records,
-                                 replace(cfg.scaling, sgx_fraction=frac))
-               for frac in dict.fromkeys(point.fraction for point in points)}
+    # The points run grouped by fraction, and the trace is materialized once
+    # per distinct fraction: the points of a fraction share its jobs.
+    by_fraction: dict[float, list[SweepPoint]] = {}
+    for point in points:
+        by_fraction.setdefault(point.fraction, []).append(point)
 
     if cfg.workers > 1 and len(points) > 1:
         # Imported only here: loading the process pool would slow every
@@ -487,10 +493,13 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
                                         wait)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_point, cfg, jobs_at[point.fraction],
-                                   point, clusters[point.epc_bytes],
-                                   str(out_root))
-                       for point in points]
+            futures = []
+            for fraction, group in by_fraction.items():
+                jobs = _materialize_at(cfg, records, fraction)
+                futures += [pool.submit(run_point, cfg, jobs, point,
+                                        clusters[point.epc_bytes],
+                                        str(out_root))
+                            for point in group]
             # The first failure cancels the points that have not started.
             wait(futures, return_when=FIRST_EXCEPTION)
             pool.shutdown(cancel_futures=True)
@@ -498,7 +507,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 if not future.cancelled():
                     future.result()
     else:
-        for point in points:
-            run_point(cfg, jobs_at[point.fraction], point,
-                      clusters[point.epc_bytes], str(out_root))
+        for fraction, group in by_fraction.items():
+            jobs = _materialize_at(cfg, records, fraction)
+            for point in group:
+                run_point(cfg, jobs, point, clusters[point.epc_bytes],
+                          str(out_root))
+            del jobs  # one fraction's jobs in memory at a time
     return out_root

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .engine import JobOutcome, JobStatus
 from .trace import (JobKind, JobSpec, TraceParseError, _csv_reader,
                     _duplicate_error, _gc_paused, _job_kind, _member_of,
-                    _open_write, _width_error, read_jobs_csv)
+                    _not_a_member, _open_write, _width_error, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -65,78 +65,55 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
 
 
 _job_status = _member_of(JobStatus)
-# The fast path's decoders: a value to its member by one dict lookup.
-_KINDS = {kind.value: kind for kind in JobKind}
-_STATUSES = {status.value: status for status in JobStatus}
-
-
-def _decode_outcome(row: list[str]) -> JobOutcome | None:
-    """One outcome row, decoded field by field; None for a blank row.  Each
-    fault raises its own ValueError, and a row with several names the first
-    in field order."""
-    if len(row) != 9:
-        if row:
-            raise _width_error(OUTCOMES_FIELDS, row)
-        return None
-    (job_id, kind, submitted, started, finished, status, node_id,
-     declared, actual) = row
-    kind, submitted = _job_kind(kind), int(submitted)
-    started = int(started) if started else None
-    finished = int(finished) if finished else None
-    status = _job_status(status)
-    if status is JobStatus.COMPLETED:
-        if started is None or finished is None:
-            raise ValueError(f"{status.value} job {job_id!r} needs a "
-                             "start_ms and a finish_ms")
-        if not submitted <= started <= finished:
-            raise ValueError(f"job {job_id!r}: expected submit_ms <= "
-                             f"start_ms <= finish_ms, got {submitted}, "
-                             f"{started}, {finished}")
-    elif started is not None or finished is not None:
-        raise ValueError(f"{status.value} job {job_id!r} has a "
-                         "start_ms or a finish_ms")
-    return JobOutcome(job_id, kind, submitted, started, finished, status,
-                      node_id or None, int(declared), int(actual))
 
 
 @_gc_paused
 def read_outcomes_csv(source) -> list[JobOutcome]:
     """The outcome rows, one per job.  A row's times must fit its status: a
     completed job has submit <= start <= finish, a killed or unfinished one
-    neither a start nor a finish.  Each row is checked by itself first, then
-    a job id seen before is an error naming both lines.
-
-    A well-formed row takes the fast path: two dict lookups, the ints and
-    the time checks inline, and the tuple built without the named tuple's
-    Python-level `__new__`.  A row it does not take, blank or faulty, goes
-    to `_decode_outcome`, which skips it or raises that fault's message."""
+    neither a start nor a finish.  Each row is checked by itself first, and
+    a row with several faults names the first in field order; then a job id
+    seen before is an error naming both lines."""
     outcomes: list[JobOutcome] = []
     seen: dict[str, int] = {}
-    kinds, statuses, completed = _KINDS, _STATUSES, JobStatus.COMPLETED
-    new = tuple.__new__
+    # The kind and the status by inline dict lookups, and the tuple built
+    # without the named tuple's Python-level `__new__`: no Python call per
+    # field of a row.
+    kinds, statuses = _job_kind.members, _job_status.members
+    completed, new = JobStatus.COMPLETED, tuple.__new__
     with _csv_reader(source, OUTCOMES_FIELDS) as reader:
         for row in reader:
+            if len(row) != 9:
+                if row:
+                    raise _width_error(OUTCOMES_FIELDS, row)
+                continue
+            (job_id, kind, submitted, started, finished, status, node_id,
+             declared, actual) = row
             try:
-                (job_id, kind, submitted, started, finished, status, node_id,
-                 declared, actual) = row
+                kind = kinds[kind]
+            except KeyError:
+                raise _not_a_member(JobKind, kind) from None
+            submitted = int(submitted)
+            started = int(started) if started else None
+            finished = int(finished) if finished else None
+            try:
                 status = statuses[status]
-                submitted = int(submitted)
-                if status is completed:
-                    started, finished = int(started), int(finished)
-                    if not submitted <= started <= finished:
-                        raise ValueError
-                elif started or finished:
-                    raise ValueError
-                else:
-                    started = finished = None
-                outcome = new(JobOutcome, (
-                    job_id, kinds[kind], submitted, started, finished, status,
-                    node_id or None, int(declared), int(actual)))
-            except (KeyError, ValueError):
-                outcome = _decode_outcome(row)
-                if outcome is None:
-                    continue
-                job_id = outcome.job_id
+            except KeyError:
+                raise _not_a_member(JobStatus, status) from None
+            if status is completed:
+                if started is None or finished is None:
+                    raise ValueError(f"{status.value} job {job_id!r} needs a "
+                                     "start_ms and a finish_ms")
+                if not submitted <= started <= finished:
+                    raise ValueError(f"job {job_id!r}: expected submit_ms <= "
+                                     f"start_ms <= finish_ms, got {submitted}, "
+                                     f"{started}, {finished}")
+            elif started is not None or finished is not None:
+                raise ValueError(f"{status.value} job {job_id!r} has a "
+                                 "start_ms or a finish_ms")
+            outcome = new(JobOutcome, (job_id, kind, submitted, started,
+                                       finished, status, node_id or None,
+                                       int(declared), int(actual)))
             if job_id in seen:
                 raise _duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
@@ -169,26 +146,19 @@ def read_pending_csv(source) -> list[tuple[int, int]]:
     return series
 
 
-# The statistics below read the members into locals and compute waits from
-# the fields: a lookup on the enum class and the `waiting_ms` and
-# `turnaround_ms` properties each cost a Python-level call per row.
 def summary(outcomes: Sequence[JobOutcome]) -> dict:
     """Headline numbers of a run; every value is recomputable from the
     outcome rows alone."""
-    completed, killed, unfinished = (
-        [o for o in outcomes if o.status is status]
-        for status in (JobStatus.COMPLETED, JobStatus.KILLED,
-                       JobStatus.UNFINISHED))
+    completed = [o for o in outcomes if o.status is JobStatus.COMPLETED]
+    started = [o for o in outcomes if o.started_ms is not None]
     return {
         "jobs": len(outcomes),
         "completed": len(completed),
-        "killed": len(killed),
-        "unfinished": len(unfinished),
+        "killed": sum(o.status is JobStatus.KILLED for o in outcomes),
+        "unfinished": sum(o.status is JobStatus.UNFINISHED for o in outcomes),
         "makespan_ms": max((o.finished_ms for o in completed), default=0),
-        "total_waiting_ms": sum(o.started_ms - o.submitted_ms
-                                for o in outcomes if o.started_ms is not None),
-        "total_turnaround_ms": sum(o.finished_ms - o.submitted_ms
-                                   for o in completed),
+        "total_waiting_ms": sum(o.waiting_ms for o in started),
+        "total_turnaround_ms": sum(o.turnaround_ms for o in completed),
     }
 
 
@@ -196,8 +166,7 @@ def waiting_cdf(outcomes: Sequence[JobOutcome]) -> list[tuple[int, float]]:
     """Right-continuous empirical CDF of waiting times over jobs that
     actually started.  Killed and unfinished jobs never started, so they are
     not part of the curve (the summary carries their counts)."""
-    waits = sorted(o.started_ms - o.submitted_ms for o in outcomes
-                   if o.started_ms is not None)
+    waits = sorted(o.waiting_ms for o in outcomes if o.started_ms is not None)
     if not waits:
         return []
     n = len(waits)
@@ -211,9 +180,8 @@ def waiting_cdf(outcomes: Sequence[JobOutcome]) -> list[tuple[int, float]]:
 
 def turnaround_sum(outcomes: Sequence[JobOutcome]) -> int:
     """Total submission-to-completion time across completed jobs."""
-    completed = JobStatus.COMPLETED
-    return sum(o.finished_ms - o.submitted_ms for o in outcomes
-               if o.status is completed)
+    return sum(o.turnaround_ms for o in outcomes
+               if o.status is JobStatus.COMPLETED)
 
 
 def _pairwise_sum(xs: Sequence[float], lo: int, hi: int) -> float:
@@ -279,8 +247,7 @@ def _std(values: Sequence[int], mean: float) -> float:
 
 
 def mean_waiting(outcomes: Sequence[JobOutcome]) -> float | None:
-    waits = [o.started_ms - o.submitted_ms for o in outcomes
-             if o.started_ms is not None]
+    waits = [o.waiting_ms for o in outcomes if o.started_ms is not None]
     if not waits:
         return None
     return _mean(waits)
@@ -350,7 +317,7 @@ def waiting_by_memory(outcomes: Sequence[JobOutcome],
         if o.started_ms is None:
             continue
         job = jobs_by_id[o.job_id]
-        pair = (job.requested_mem, o.started_ms - o.submitted_ms)
+        pair = (job.requested_mem, o.waiting_ms)
         (sgx_pairs if job.kind.uses_epc else std_pairs).append(pair)
     if sgx_edges is None:
         sgx_edges = power_of_two_edges(size for size, _ in sgx_pairs)

@@ -99,18 +99,25 @@ class JobKind(Enum):
         self.uses_epc = value != "standard"
 
 
+def _not_a_member(enum: type[Enum], value: str) -> ValueError:
+    """The ValueError calling `enum` with a value no member has raises."""
+    return ValueError(f"{value!r} is not a valid {enum.__qualname__}")
+
+
 def _member_of(enum: type[Enum]) -> Callable[[str], Enum]:
     """A reader's decoder of one enum's values: the member by one dict
     lookup, where calling the enum costs several Python calls per row.  A
-    value no member has raises the ValueError calling the enum raises."""
+    value no member has raises the ValueError calling the enum raises.  The
+    decoder's `members` is its dict, for a reader that looks values up
+    inline and raises `_not_a_member` on a miss."""
     members = {member.value: member for member in enum}
 
     def member_of(value: str) -> Enum:
         try:
             return members[value]
         except KeyError:
-            raise ValueError(f"{value!r} is not a valid "
-                             f"{enum.__qualname__}") from None
+            raise _not_a_member(enum, value) from None
+    member_of.members = members
     return member_of
 
 

@@ -1,11 +1,11 @@
-"""The outcome reader that decodes every field of every row in turn: the
-reference `report.read_outcomes_csv`, whose rows take a fast path, is
-compared against.
+"""The outcome reader as it decoded rows before its lookups went inline:
+the reference `report.read_outcomes_csv` is compared against.
 
 Each row goes through the per-field decoders in field order (the kind and
-status by name, the times as optional ints) and then the status checks, so
-a row with several faults names the first.  It keeps every check, message
-and line of the package's reader.
+status by calling their decoders, the times as optional ints, the record
+by the named tuple's constructor) and then the status checks, so a row with
+several faults names the first.  It keeps every check, message and line of
+the package's reader.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""The outcome reader's fast path against the per-field oracle: over valid
-rows and rows with one or more faults, `read_outcomes_csv` returns the
-oracle's records, or raises its TraceParseError with the same message and
-line."""
+"""The outcome reader against the per-field oracle: over valid rows and
+rows with one or more faults, `read_outcomes_csv` returns the oracle's
+records, or raises its TraceParseError with the same message and line."""
 
 import csv
 import io

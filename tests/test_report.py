@@ -538,6 +538,8 @@ class TestFigureDatasets:
             f"wrote {artifact_dir / 'fig6.dat'}\n")
         assert main(["report", "--dir", str(artifact_dir), "--figure",
                      "all"]) == 0
+        assert main(["report", "--dir", str(artifact_dir), "--figure",
+                     "07"]) == 0  # a figure number is read as an int
         assert all((artifact_dir / f"fig{f}.dat").stat().st_size > 0
                    for f in FIGURES)
 
