@@ -78,16 +78,15 @@ class NodeState:
     of the run's `UsageLedger` that count in the window at the ledger's last
     advance, which a replay makes at every scheduler tick.
 
-    `changed`, when set, is a set that `reserve` and `release` add the
-    node's id to: `spread` keeps load sums over the reservations and
-    brings only the recorded nodes up to date at its next decision."""
+    `reserve` and `release` add the node's id to `changed`, its cluster's
+    change feed once the node belongs to a `ClusterState`."""
 
     spec: NodeSpec
     reserved_std: int = 0
     reserved_epc_pages: int = 0
     measured_std: int = 0
     measured_epc_pages: int = 0
-    changed: set[str] | None = field(default=None, repr=False, compare=False)
+    changed: set[str] = field(default_factory=set, repr=False, compare=False)
 
     @property
     def node_id(self) -> str:
@@ -113,8 +112,7 @@ class NodeState:
                 f"exceeds usable {self.spec.epc.usable_pages}")
         self.reserved_std += std_bytes
         self.reserved_epc_pages += epc_pages
-        if self.changed is not None:
-            self.changed.add(self.spec.node_id)
+        self.changed.add(self.spec.node_id)
 
     def release(self, std_bytes: int, epc_pages: int) -> None:
         if std_bytes < 0 or epc_pages < 0:
@@ -124,8 +122,7 @@ class NodeState:
                 f"{self.node_id}: releasing more than is reserved")
         self.reserved_std -= std_bytes
         self.reserved_epc_pages -= epc_pages
-        if self.changed is not None:
-            self.changed.add(self.spec.node_id)
+        self.changed.add(self.spec.node_id)
 
 
 @dataclass(frozen=True)
@@ -142,10 +139,17 @@ class ClusterState:
     """All node states plus the running pods, keyed by job id.  A pod exists
     from a granted placement until its job finishes; the per-node counters
     (node reservations, driver free pages) are caches of sums over it.
-    Nodes are never added or removed after construction."""
+    Nodes are never added or removed after construction.  `changed`, the
+    change feed, holds the nodes whose reservations moved since it was
+    last drained."""
 
     nodes: dict[str, NodeState]
     pods: dict[str, Pod] = field(default_factory=dict)
+    changed: set[str] = field(default_factory=set, repr=False, compare=False)
+
+    def __post_init__(self):
+        for node in self.nodes.values():
+            node.changed = self.changed
 
     @classmethod
     def from_specs(cls, specs: Iterable[NodeSpec]) -> "ClusterState":

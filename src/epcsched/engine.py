@@ -7,12 +7,12 @@ that finishes at the tick's instant has freed its node for that tick.  Only
 finishes are kept on a heap.
 
 Finishes at one instant run in job id order, and no output depends on that
-order: their node releases, driver frees and ledger subtractions commute;
-their ledger expiries share one `last` sample, so they expire at the same
-advance; the outcomes are sorted at the end; and `spread`'s load sums key
-each node as (reservation, list index), which is unique, so the order in
-which nodes move within their class leaves the same sorted classes.  Two
-runs over the same inputs therefore produce byte-identical outputs.
+order: their node releases and driver frees commute; the ledger booked
+each pod at its placement and hears nothing of its finish; the outcomes
+are sorted at the end; and `spread`'s load sums key each node as
+(reservation, list index), which is unique, so the order in which nodes
+move within their class leaves the same sorted classes.  Two runs over
+the same inputs therefore produce byte-identical outputs.
 
 A job's life: a job submitted at t is queued, and first tried, by the first
 scheduler tick after t.  A tick may place it, which reserves node resources
@@ -218,7 +218,6 @@ class _Engine:
     def _on_finish(self, job_id: str, now: int) -> None:
         pod = self.cluster.pods.pop(job_id)
         job, node_id = pod.job, pod.node_id
-        self.ledger.finish(pod, now)
         if job.kind.uses_epc:
             self.driver.enclave_release(node_id, job.actual_epc_pages)
         self.cluster.nodes[node_id].release(job.requested_mem,

@@ -124,12 +124,15 @@ def _as_int(value: Any, key: str) -> int:
 
 
 def _as_float(value: Any, key: str) -> float:
+    # float() would read true as 1.0
     if isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return math.inf
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
 def _as_size(value: Any, key: str) -> int:
@@ -165,7 +168,9 @@ def _parse_flat(text: str) -> dict[str, str]:
 
 
 def _as_str(value: Any, key: str) -> str:
-    return str(value)
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key}: expected a string, got {value!r}")
 
 
 def _as_count_or_auto(value: Any, key: str) -> int | None:

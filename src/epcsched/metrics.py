@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
@@ -77,13 +76,18 @@ class UsageLedger:
     exactly when first <= now <= last + window: a finished pod lingers on
     its node for a window after its last sample.
 
+    `place` books a pod's interval once, at placement.  That is exact: the
+    engine fixes a pod's finish when it places the pod and never moves it,
+    a killed job is denied before it has a pod, and last + window falls
+    after the finish, so no pod expires before it has finished.
+
     `advance(now)` adds a pod's values to its node at `first` and takes them
     off once `now` passes last + window, so that every node's `measured_std`
     and `measured_epc_pages` then hold the window query's answer at `now`.
-    Placements and finishes happen in time order, so activations (in `pods`,
-    behind a cursor) and expiries (queued at each finish) are both already
-    sorted by the time they fall due, and advancing costs O(1) amortized per
-    pod.  The ledger must not go back in time.
+    Placements happen in time order, so activations (in `pods`, behind a
+    cursor) fall due in order and cost O(1) amortized per pod; expiries
+    wait on a heap keyed by `last`, O(log L) per expiry for L the pods
+    booked and not yet expired.  The ledger must not go back in time.
     """
 
     def __init__(self, cluster: ClusterState, probe_period_ms: int,
@@ -94,33 +98,24 @@ class UsageLedger:
         self.pods: list[PodInterval] = []  # sampled pods in placement order
         self._active = 0                   # pods[:_active] have been added
         self._settled = 0                  # pods[:_settled] no longer count
-        self._expiries: deque[PodInterval] = deque()
+        self._expiries: list[tuple[int, PodInterval]] = []  # heap by `last`
         self._now = 0
 
-    def _interval(self, pod: Pod, finished_ms: int) -> PodInterval | None:
+    def place(self, pod: Pod, finish_ms: int) -> None:
+        """Book a pod just placed, which is to finish at finish_ms."""
         period, job = self.period, pod.job
         first = (pod.placed_ms // period + 1) * period
-        last = (finished_ms - 1) // period * period
+        last = (finish_ms - 1) // period * period
         if first > last:
-            return None
+            return
         if job.kind.uses_epc:
             # all its pages came from the granted init that created the pod
             epc, std = job.actual_epc_pages, job.requested_mem
         else:
             epc, std = None, job.actual_mem
-        return PodInterval(pod.node_id, job.job_id, first, last, epc, std)
-
-    def place(self, pod: Pod, finish_ms: int) -> None:
-        """A pod just placed, which is to finish at finish_ms."""
-        interval = self._interval(pod, finish_ms)
-        if interval is not None:
-            self.pods.append(interval)
-
-    def finish(self, pod: Pod, now_ms: int) -> None:
-        """A pod finished now: it expires a window after its last sample."""
-        interval = self._interval(pod, now_ms)
-        if interval is not None:
-            self._expiries.append(interval)
+        interval = PodInterval(pod.node_id, job.job_id, first, last, epc, std)
+        self.pods.append(interval)
+        heappush(self._expiries, (last, interval))
 
     def advance(self, now_ms: int) -> None:
         """Bring every node's measured usage to the window query's answer
@@ -133,9 +128,9 @@ class UsageLedger:
             _count(nodes[pods[i].node_id], pods[i], 1)
             i += 1
         self._active = i
-        expiries, window = self._expiries, self.window
-        while expiries and expiries[0].last + window < now_ms:
-            pod = expiries.popleft()
+        expiries, due = self._expiries, now_ms - self.window
+        while expiries and expiries[0][0] < due:
+            pod = heappop(expiries)[1]
             _count(nodes[pod.node_id], pod, -1)
 
     def fresh(self, now_ms: int) -> dict[str, tuple[int, int]]:

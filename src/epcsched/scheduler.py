@@ -240,8 +240,8 @@ class PendingQueue:
 
 
 def _headroom(node: NodeState) -> tuple[int, int]:
-    """The node's (standard, page) headroom that `feasible` admits against;
-    page headroom -1 on a node without protected memory."""
+    """The node's (standard, page) headroom, capacity - max(measured,
+    reserved) of each resource; -1 pages on a node without protected memory."""
     epc = node.spec.epc
     pages = -1 if epc is None else epc.usable_pages - max(
         node.measured_epc_pages, node.reserved_epc_pages)
@@ -251,21 +251,16 @@ def _headroom(node: NodeState) -> tuple[int, int]:
 
 def feasible(job: JobSpec, node: NodeState) -> bool:
     """Whether the node can take the job right now: its request fits under
-    the headroom capacity - max(measured, reserved) of each resource.
+    the node's `_headroom` of each resource.
 
     Enclave jobs need page headroom for their declared pages, which a node
     without protected memory never has (its page headroom counts as -1);
     every job additionally needs standard-memory headroom for its advertised
     request (an enclave job's untrusted part lives there too).
     """
-    if job.kind.uses_epc:
-        epc = node.spec.epc
-        free = -1 if epc is None else epc.usable_pages - max(
-            node.measured_epc_pages, node.reserved_epc_pages)
-        if free < job.declared_epc_pages:
-            return False
-    return node.spec.std_capacity - max(node.measured_std,
-                                        node.reserved_std) >= job.requested_mem
+    std, pages = _headroom(node)
+    return std >= job.requested_mem and (
+        not job.kind.uses_epc or pages >= job.declared_epc_pages)
 
 
 def binpack_select(job: JobSpec, cluster: ClusterState) -> str | None:
@@ -380,10 +375,10 @@ class _Spread:
     """The state `spread` keeps for one cluster state: the load sums of its
     candidate lists, by name (enclave-capable nodes by pages, plain nodes
     by standard memory, and enclave-capable nodes by standard memory for
-    the standard fallback), and `changed`, the set every node's `reserve`
-    and `release` record the node's id in.  `drain` brings the sums up to
-    the recorded nodes, so a decision pays for the nodes that changed since
-    the last one, not for the whole list."""
+    the standard fallback), and `changed`, the cluster's change feed.
+    `drain` brings the sums up to the nodes the feed recorded, so a
+    decision pays for the nodes that changed since the last one, not for
+    the whole list."""
 
     __slots__ = ("sums", "changed", "slots")
 
@@ -396,9 +391,7 @@ class _Spread:
         for sums in self.sums.values():
             for i, node_id in enumerate(sums.ids):
                 self.slots.setdefault(node_id, []).append((sums, i))
-        self.changed: set[str] = set()
-        for node in cluster.nodes.values():
-            node.changed = self.changed
+        self.changed = cluster.changed
 
     def drain(self) -> None:
         for node_id in self.changed:

@@ -4,8 +4,8 @@ stated as a bound on counted operations per unit of work, not on seconds.
 - The functions that build records run with the cyclic collector paused:
   no collection starts inside them, and they leave no cyclic garbage behind.
 - A replay asks its placement policy at most once per job plus once per
-  park, and touches the usage ledger at most twice per pod interval (once
-  to add it, once to expire it).
+  park, and adds each pod interval to the usage ledger exactly once and
+  takes it off at most once.
 - A sweep materializes the trace once per distinct fraction and injects the
   malicious jobs once per point; `figure_datasets` reads each run file at
   most once.
@@ -162,6 +162,7 @@ def test_replay_budgets(monkeypatch, bundled_jobs, n_nodes, policy):
 
     def counted_count(node, pod, sign):
         calls["ledger"] += 1
+        calls[f"ledger {sign:+d}"] += 1
         return count(node, pod, sign)
 
     monkeypatch.setitem(scheduler.POLICIES, policy, counted_select)
@@ -177,6 +178,9 @@ def test_replay_budgets(monkeypatch, bundled_jobs, n_nodes, policy):
         assert calls["parks"] > 0  # the budget is taken under contention
     assert calls["select"] <= jobs + calls["parks"], calls
     assert 0 < calls["ledger"] <= 2 * intervals, (calls, intervals)
+    # each sampled pod is added once and taken off at most once
+    assert calls["ledger +1"] == intervals, (calls, intervals)
+    assert calls["ledger -1"] <= intervals, (calls, intervals)
 
 
 def _counting(monkeypatch, owner, name: str, calls: Counter, key) -> None:

@@ -301,7 +301,13 @@ class TestInvariantChecker:
     def test_ledger_that_never_expires_is_caught(self, monkeypatch):
         # "a" was last sampled at t=20000, so the tick at t=50000 is the
         # first one whose window no longer counts it; "b" keeps ticking.
-        monkeypatch.setattr(UsageLedger, "finish", lambda self, pod, now: None)
+        place = UsageLedger.place
+
+        def place_never_expiring(self, pod, finish_ms):
+            place(self, pod, finish_ms)
+            self._expiries.clear()
+
+        monkeypatch.setattr(UsageLedger, "place", place_never_expiring)
         jobs = self.JOBS + [sgx_job("b", submit_ms=40_000, declared=100)]
         with pytest.raises(AssertionError, match=re.escape(
                 "t=50000: measured usage {'s1': (8192, 14462)} != a fresh "

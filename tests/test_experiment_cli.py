@@ -42,6 +42,10 @@ j4,6,20,0.05,0.05
 INTEGER_KEYS = ["sampling_stride", "rng_seed", "malicious_n",
                 "malicious_declared_pages", "scheduler_period_ms",
                 "probe_period_ms", "window_ms", "workers"]
+# Config keys whose value must be a number, and those that must be a string.
+FLOAT_KEYS = ["slice_start_s", "slice_end_s", "sgx_fraction",
+              "malicious_use_fraction", "sgx_fraction_sweep"]
+STRING_KEYS = ["trace", "trace_format", "cluster", "policy", "output_dir"]
 
 
 @pytest.fixture()
@@ -151,9 +155,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_mapping({"trace": "t.csv", key: "bogus"})
 
-    @pytest.mark.parametrize("value", [2.5, True])
-    @pytest.mark.parametrize("key", INTEGER_KEYS)
-    def test_integer_key_rejects_fraction_and_bool(self, key, value):
+    @pytest.mark.parametrize("key, value", [
+        *[(key, value) for value in (2.5, True) for key in INTEGER_KEYS],
+        *[(key, True) for key in FLOAT_KEYS],
+        *[(key, value) for key in STRING_KEYS
+          for value in (None, 7, True, ["t.csv"])]])
+    def test_value_of_the_wrong_type_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_mapping({"trace": "t.csv", key: value})
 
@@ -548,6 +555,18 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "artifacts").exists()
+
+    def test_null_output_dir_exits_2_before_any_output(
+            self, tmp_path, trace_path, capsys, monkeypatch):
+        # str(None) would have written the sweep under ./None
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "experiment.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace_path),
+                                        "output_dir": None}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "experiment.json", "trace.csv"]
 
     # The default cluster has two enclave-capable nodes, so `auto` injects
     # malicious-0 and malicious-1.

@@ -276,7 +276,6 @@ def test_ledger_advance_cost_tracks_live_pods_not_history():
     for i in range(40_000):
         pod = Pod(std_job(f"old{i}", requested=1), f"n{i % 4}", i * 10)
         ledger.place(pod, i * 10 + 25)
-        ledger.finish(pod, i * 10 + 25)
     for i in range(4):
         pod = Pod(std_job(f"live{i}", requested=2), "n0", 999_000)
         ledger.place(pod, 2_000_000)
@@ -295,8 +294,6 @@ def ledger_with(pods, period=10_000, window=25_000):
     ledger = ledger_on(["n1", "s1"], period, window)
     for pod, finish_ms in pods:
         ledger.place(pod, finish_ms)
-    for pod, finish_ms in sorted(pods, key=lambda p: p[1]):
-        ledger.finish(pod, finish_ms)
     return ledger, SeriesStore(ledger.pods, period)
 
 
@@ -400,24 +397,16 @@ class TestUsageLedger:
         own samples answers."""
         window = period + 1 + extra
         placed, ledger = 0, ledger_on(["n1", "n2"], period, window)
-        intervals = []
         for i, (node, step, duration, enclave) in enumerate(pods):
             placed += step
             job = (sgx_job(f"p{i}", declared=3, actual=i % 3,
                            requested_mem=i % 2) if enclave
                    else std_job(f"p{i}", requested=i % 4))
-            pod = Pod(job, node, placed)
-            ledger.place(pod, placed + duration)
-            intervals.append((pod, placed + duration))
+            ledger.place(Pod(job, node, placed), placed + duration)
         store = WindowScan()
         for sample in SeriesStore(ledger.pods, period).samples():
             store.append(sample)
-        finishes = sorted(intervals, key=lambda p: p[1])
-        done = 0
         for now in sorted(queries):
-            while done < len(finishes) and finishes[done][1] <= now:
-                ledger.finish(*finishes[done])
-                done += 1
             want = window_of(store, now, window, ["n1", "n2"])
             ledger.advance(now)
             assert measured(ledger) == want
