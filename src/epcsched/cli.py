@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 from . import trace
@@ -21,8 +20,7 @@ from ._units import parse_size
 from .engine import ConfigError
 from .experiment import load_config, run_experiment
 from .report import FIGURES, figure_dataset, figure_datasets
-from .trace import (DEFAULT_SGX_MULTIPLIER, DEFAULT_STD_MULTIPLIER,
-                    ScalingConfig, TraceParseError)
+from .trace import TRACE_FORMATS, ScalingConfig, TraceParseError
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -101,21 +99,22 @@ def _build_parser() -> argparse.ArgumentParser:
                               "optionally, task_usage/ of gzip *.csv.gz "
                               "shards")
     p_scale.add_argument("--out", dest="jobs_out", required=True, help="output jobs CSV")
-    p_scale.add_argument("--format", choices=("canonical_csv", "borg_tables"),
-                         default="canonical_csv")
-    p_scale.add_argument("--slice-start", type=float, default=0.0,
+    p_scale.add_argument("--format", choices=TRACE_FORMATS,
+                         default=TRACE_FORMATS[0])
+    scaling = ScalingConfig()  # the defaults of the scaling flags
+    p_scale.add_argument("--slice-start", type=float, default=scaling.slice_start_s,
                          help="slice window start, seconds")
-    p_scale.add_argument("--slice-end", type=float, default=math.inf,
+    p_scale.add_argument("--slice-end", type=float, default=scaling.slice_end_s,
                          help="slice window end, seconds (exclusive)")
-    p_scale.add_argument("--stride", type=int, default=1,
+    p_scale.add_argument("--stride", type=int, default=scaling.sampling_stride,
                          help="keep every stride-th record of the slice")
-    p_scale.add_argument("--sgx-fraction", type=float, default=0.0,
+    p_scale.add_argument("--sgx-fraction", type=float, default=scaling.sgx_fraction,
                          help="share of jobs tagged as enclave-backed")
-    p_scale.add_argument("--std-multiplier", default=str(DEFAULT_STD_MULTIPLIER),
+    p_scale.add_argument("--std-multiplier", default=str(scaling.std_multiplier),
                          help="standard-node capacity behind the fractions (e.g. 32GiB)")
-    p_scale.add_argument("--sgx-multiplier", default=str(DEFAULT_SGX_MULTIPLIER),
+    p_scale.add_argument("--sgx-multiplier", default=str(scaling.sgx_multiplier),
                          help="protected-memory capacity behind the fractions (e.g. 93.5MiB)")
-    p_scale.add_argument("--seed", type=int, default=0, help="tagging seed")
+    p_scale.add_argument("--seed", type=int, default=scaling.rng_seed, help="tagging seed")
     p_scale.set_defaults(func=_cmd_scale)
     return parser
 

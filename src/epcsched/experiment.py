@@ -12,7 +12,7 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -23,9 +23,9 @@ from .engine import ConfigError, SimConfig, SimResult, run
 from .report import (JOBS_FILE, META_FILE, OUTCOMES_FILE, PENDING_FILE,
                      SAMPLES_FILE, STAGING_SUFFIX, SUMMARY_FILE, summary,
                      write_outcomes_csv, write_pending_csv)
-from .trace import (JobSpec, RawJobRecord, ScalingConfig, inject_malicious,
-                    malicious_id, materialize, parse_trace, slice_and_sample,
-                    write_jobs_csv)
+from .trace import (TRACE_FORMATS, JobSpec, RawJobRecord, ScalingConfig,
+                    inject_malicious, malicious_id, materialize, parse_trace,
+                    slice_and_sample, write_jobs_csv)
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,20 @@ class MaliciousConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     trace_file: str
-    trace_format: str = "canonical_csv"
+    trace_format: str = TRACE_FORMATS[0]
     cluster_file: str | None = None
     scaling: ScalingConfig = field(default_factory=ScalingConfig)
-    policy: str = "binpack"
-    enforce_limits: bool = True
-    include_startup_delays: bool = True
+    policy: str = SimConfig.policy
+    enforce_limits: bool = SimConfig.enforce_limits
+    include_startup_delays: bool = SimConfig.include_startup_delays
     epc_usable_sweep: tuple[int, ...] | None = None
     apply_usable_fraction: bool = False
     sgx_fraction_sweep: tuple[float, ...] | None = None
     malicious: MaliciousConfig | None = None
-    scheduler_period_ms: int = 5_000
-    probe_period_ms: int = 10_000
-    window_ms: int = 25_000
-    check_invariants: bool = False
+    scheduler_period_ms: int = SimConfig.scheduler_period_ms
+    probe_period_ms: int = SimConfig.probe_period_ms
+    window_ms: int = SimConfig.window_ms
+    check_invariants: bool = SimConfig.check_invariants
     output_dir: str = "artifacts"
     workers: int = 1
 
@@ -73,7 +73,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, os.PathLike):
                 object.__setattr__(self, name, os.fspath(value))
-        if self.trace_format not in ("canonical_csv", "borg_tables"):
+        if self.trace_format not in TRACE_FORMATS:
             raise ConfigError(f"unknown trace_format {self.trace_format!r}")
         if self.epc_usable_sweep is not None and not self.epc_usable_sweep:
             raise ConfigError("epc_usable_sweep must not be empty")
@@ -89,15 +89,8 @@ class ExperimentConfig:
         self.sim_config()
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            scheduler_period_ms=self.scheduler_period_ms,
-            probe_period_ms=self.probe_period_ms,
-            window_ms=self.window_ms,
-            policy=self.policy,
-            enforce_limits=self.enforce_limits,
-            include_startup_delays=self.include_startup_delays,
-            check_invariants=self.check_invariants,
-        )
+        return SimConfig(**{f.name: getattr(self, f.name)
+                            for f in fields(SimConfig)})
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
@@ -156,14 +149,29 @@ def _as_tuple_of(coerce: Callable[[Any, str], Any]
 
 def _parse_flat(text: str) -> dict[str, str]:
     data: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in line_of:
+            raise ConfigError(f"config line {lineno}: key {key!r} is already "
+                              f"set on line {line_of[key]}")
+        data[key], line_of[key] = value, lineno
+    return data
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict (an `object_pairs_hook`); a key given twice is a
+    ConfigError naming it, where `json.loads` would keep the last value."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"key {key!r} is given twice")
+        data[key] = value
     return data
 
 
@@ -248,7 +256,7 @@ def load_config(path) -> ExperimentConfig:
     lines with '#' comments.  Both use the same key names."""
     text = _read_text(path, "config file")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be an object")
     except json.JSONDecodeError:
@@ -256,55 +264,52 @@ def load_config(path) -> ExperimentConfig:
     return config_from_mapping(data)
 
 
-_NODE_KEYS = frozenset({"node_id", "std_capacity", "epc_total", "epc_usable"})
+# A node's protected-memory keys -> the EpcModel fields they set.
+_EPC_KEYS = {"epc_total": "total_bytes", "epc_usable": "usable_bytes"}
+_NODE_KEYS = frozenset({"node_id", "std_capacity", *_EPC_KEYS})
 
 
 def load_cluster(path) -> list[NodeSpec]:
     """Read a cluster file: a JSON list of {node_id, std_capacity, and for
     enclave-capable nodes epc_total / epc_usable}.  Sizes may be plain bytes
-    or suffixed strings.  A missing path means the built-in default cluster."""
+    or suffixed strings.  A missing path means the built-in default cluster.
+    A fault is a ConfigError naming the file and, once its id is checked,
+    the node."""
     if path is None:
         return default_cluster()
     text = _read_text(path, "cluster file")
+    where = prefix = f"cluster file {path}: "
+    specs: dict[str, NodeSpec] = {}
     try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cluster file {path}: {exc}") from None
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(f"cluster file {path}: expected a non-empty list")
-    specs = []
-    seen: set[str] = set()
-    for row in rows:
-        if not isinstance(row, dict) or "node_id" not in row or "std_capacity" not in row:
-            raise ConfigError(
-                f"cluster file {path}: each node needs node_id and std_capacity")
-        node_id = row["node_id"]
-        if not isinstance(node_id, str) or not node_id:
-            raise ConfigError(f"cluster file {path}: node_id must be a "
-                              f"non-empty string, got {node_id!r}")
-        unknown = sorted(set(row) - _NODE_KEYS)
-        if unknown:
-            raise ConfigError(f"cluster file {path}: node {node_id!r}: "
-                              f"unknown key {unknown[0]!r}")
-        if node_id in seen:
-            raise ConfigError(f"cluster file {path}: duplicate node_id {node_id!r}")
-        seen.add(node_id)
-        epc = None
-        if "epc_total" in row or "epc_usable" in row:
-            total = _as_size(row.get("epc_total", DEFAULT_EPC_TOTAL), "epc_total")
-            usable = _as_size(row.get("epc_usable", DEFAULT_EPC_USABLE), "epc_usable")
-            try:
-                epc = EpcModel(total_bytes=total, usable_bytes=usable)
-            except ValueError as exc:
-                raise ConfigError(f"cluster file {path}: {exc}") from None
-        try:
-            specs.append(NodeSpec(node_id=node_id,
-                                  std_capacity=_as_size(row["std_capacity"],
-                                                        "std_capacity"),
-                                  epc=epc))
-        except ValueError as exc:
-            raise ConfigError(f"cluster file {path}: {exc}") from None
-    return specs
+        rows = json.loads(text, object_pairs_hook=_unique_keys)
+        if not isinstance(rows, list) or not rows:
+            raise ConfigError("expected a non-empty list")
+        for row in rows:
+            where = prefix
+            if not isinstance(row, dict) or "node_id" not in row:
+                raise ConfigError("each node needs node_id and std_capacity")
+            node_id = row["node_id"]
+            if not isinstance(node_id, str) or not node_id:
+                raise ConfigError("node_id must be a non-empty string, "
+                                  f"got {node_id!r}")
+            if node_id in specs:
+                raise ConfigError(f"duplicate node_id {node_id!r}")
+            where = f"{prefix}node {node_id!r}: "
+            unknown = sorted(row.keys() - _NODE_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r}")
+            if "std_capacity" not in row:
+                raise ConfigError("each node needs node_id and std_capacity")
+            epc = None
+            if row.keys() & _EPC_KEYS:  # an absent one keeps its default
+                epc = EpcModel(**{name: _as_size(row[key], key)
+                                  for key, name in _EPC_KEYS.items()
+                                  if key in row})
+            specs[node_id] = NodeSpec(
+                node_id, _as_size(row["std_capacity"], "std_capacity"), epc)
+    except ValueError as exc:
+        raise ConfigError(where + str(exc)) from None
+    return list(specs.values())
 
 
 def _sweep_epc_model(base: EpcModel, swept_bytes: int,
@@ -373,13 +378,15 @@ def run_point(cfg: ExperimentConfig, jobs: list[JobSpec], point: SweepPoint,
         "sgx_fraction": fraction,
         "policy": cfg.policy,
         "enforce_limits": cfg.enforce_limits,
-        "malicious": None if cfg.malicious is None else {
-            "n": cfg.malicious.n,
-            "declared_pages": cfg.malicious.declared_pages,
-            "use_fraction": cfg.malicious.use_fraction,
-        },
+        "malicious": None if cfg.malicious is None else asdict(cfg.malicious),
     })
     return label
+
+
+def _write_json(path: Path, data: Any) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
@@ -394,12 +401,8 @@ def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
         write_outcomes_csv(result.outcomes, staging / OUTCOMES_FILE)
         write_pending_csv(result.pending_epc, staging / PENDING_FILE)
         result.store.write_csv(staging / SAMPLES_FILE)
-        with open(staging / SUMMARY_FILE, "w", encoding="utf-8") as fh:
-            json.dump(summary(result.outcomes), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(staging / META_FILE, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(staging / SUMMARY_FILE, summary(result.outcomes))
+        _write_json(staging / META_FILE, meta)
         if final.exists():
             shutil.rmtree(final)
         os.replace(staging, final)
@@ -459,12 +462,6 @@ def _sweep_clusters(cfg: ExperimentConfig) -> dict[int | None, list[NodeSpec]]:
             for epc in cfg.epc_usable_sweep or (None,)}
 
 
-def _materialize_at(cfg: ExperimentConfig, records: list[RawJobRecord],
-                    fraction: float) -> list[JobSpec]:
-    """The trace's jobs at one swept fraction."""
-    return materialize(records, replace(cfg.scaling, sgx_fraction=fraction))
-
-
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Expand the config's sweeps and replay every point.  Returns the
     artifact root, which holds one subdirectory per sweep point."""
@@ -483,9 +480,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "enforce_limits": cfg.enforce_limits,
         "jobs_in_slice": len(records),
     }
-    with open(out_root / "experiment.json", "w", encoding="utf-8") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_root / "experiment.json", echo)
     # The points run grouped by fraction, and the trace is materialized once
     # per distinct fraction: the points of a fraction share its jobs.
     by_fraction: dict[float, list[SweepPoint]] = {}
@@ -500,7 +495,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = []
             for fraction, group in by_fraction.items():
-                jobs = _materialize_at(cfg, records, fraction)
+                jobs = materialize(records, replace(cfg.scaling,
+                                                   sgx_fraction=fraction))
                 futures += [pool.submit(run_point, cfg, jobs, point,
                                         clusters[point.epc_bytes],
                                         str(out_root))
@@ -513,7 +509,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     future.result()
     else:
         for fraction, group in by_fraction.items():
-            jobs = _materialize_at(cfg, records, fraction)
+            jobs = materialize(records, replace(cfg.scaling,
+                                                sgx_fraction=fraction))
             for point in group:
                 run_point(cfg, jobs, point, clusters[point.epc_bytes],
                           str(out_root))

@@ -36,6 +36,8 @@ log = logging.getLogger(__name__)
 DEFAULT_STD_MULTIPLIER = 32 * GIB
 DEFAULT_SGX_MULTIPLIER = 98_041_856  # 93.5 MiB of protected memory
 
+TRACE_FORMATS = ("canonical_csv", "borg_tables")  # the default first
+
 CANONICAL_FIELDS = ("job_id", "submit_s", "duration_s",
                     "assigned_mem_frac", "max_mem_frac")
 JOBS_FIELDS = ("job_id", "kind", "submit_ms", "duration_ms", "requested_mem",
@@ -271,13 +273,14 @@ def _open_write(dest):
             yield fh
 
 
-def parse_trace(source, fmt: str = "canonical_csv") -> list[RawJobRecord]:
-    """Dispatch to a trace reader.  fmt is 'canonical_csv' or 'borg_tables'."""
+def parse_trace(source, fmt: str = TRACE_FORMATS[0]) -> list[RawJobRecord]:
+    """Dispatch to a trace reader by module global, which a per-layer split
+    wraps by name.  fmt is one of TRACE_FORMATS."""
     if fmt == "canonical_csv":
         return parse_canonical_csv(source)
     if fmt == "borg_tables":
         return parse_borg_tables(source)
-    raise ValueError(f"unknown trace format {fmt!r}")
+    raise ValueError(f"unknown trace format {fmt!r}, not one of {TRACE_FORMATS}")
 
 
 @_gc_paused
