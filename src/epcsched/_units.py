@@ -11,6 +11,8 @@ GIB = 1024 * MIB
 
 PAGE_SIZE = 4096
 
+DEFAULT_EPC_USABLE = 98_041_856  # 93.5 MiB usable out of 128 MiB: 23936 pages
+
 _SUFFIXES = {"": 1, "B": 1, "KIB": KIB, "MIB": MIB, "GIB": GIB}
 _SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([A-Za-z]*)\s*$")
 

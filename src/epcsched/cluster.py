@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from ._units import MIB, PAGE_SIZE
+from ._units import DEFAULT_EPC_USABLE, MIB, PAGE_SIZE
 from .trace import JobSpec
 
 DEFAULT_EPC_TOTAL = 128 * MIB
-DEFAULT_EPC_USABLE = 98_041_856  # 93.5 MiB usable out of 128 MiB: 23936 pages
 
 
 class CapacityError(RuntimeError):

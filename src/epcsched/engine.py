@@ -9,7 +9,7 @@ finishes are kept on a heap.
 Finishes at one instant run in job id order, and no output depends on that
 order: their node releases and driver frees commute; the ledger booked
 each pod at its placement and hears nothing of its finish; the outcomes
-are sorted at the end; and `spread`'s load sums key each node as
+come out in arrival order; and `spread`'s load sums key each node as
 (reservation, list index), which is unique, so the order in which nodes
 move within their class leaves the same sorted classes.  Two runs over
 the same inputs therefore produce byte-identical outputs.
@@ -98,8 +98,10 @@ class SimConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.scheduler_period_ms <= 0 or self.probe_period_ms <= 0:
-            raise ConfigError("tick periods must be positive")
+        if self.scheduler_period_ms <= 0:
+            raise ConfigError("scheduler_period_ms must be positive")
+        if self.probe_period_ms <= 0:
+            raise ConfigError("probe_period_ms must be positive")
         if self.window_ms <= 0:
             raise ConfigError("window_ms must be positive")
         if self.probe_period_ms >= self.window_ms:
@@ -141,7 +143,6 @@ class _Engine:
         self.finishes: list[tuple[int, str]] = []  # heap of (finish_ms, job_id)
         self.outcomes: dict[str, JobOutcome] = {}
         self.pending_epc: list[tuple[int, int]] = []
-        self.makespan_ms = 0
         self.last_progress_ms = 0
 
     def run(self) -> SimResult:
@@ -157,13 +158,13 @@ class _Engine:
             if check:
                 self._check_invariants(now)
             now += self.config.scheduler_period_ms
-        outcomes = sorted(self.outcomes.values(),
-                          key=lambda o: (o.submitted_ms, o.job_id))
+        outcomes = [self.outcomes[job.job_id] for job in self.arrivals]
         return SimResult(outcomes=outcomes,
                          store=SeriesStore(self.ledger.pods,
                                            self.config.probe_period_ms),
                          pending_epc=self.pending_epc,
-                         makespan_ms=self.makespan_ms)
+                         makespan_ms=max((o.finished_ms or 0
+                                          for o in outcomes), default=0))
 
     def _on_scheduler_tick(self, now: int) -> bool:
         """Queue the arrivals before now, advance the ledger and place what
@@ -224,7 +225,6 @@ class _Engine:
                                             job.declared_epc_pages)
         self._record(job, JobStatus.COMPLETED, node_id,
                      started_ms=pod.placed_ms, finished_ms=now)
-        self.makespan_ms = max(self.makespan_ms, now)
         self.last_progress_ms = now
 
     def _record(self, job: JobSpec, status: JobStatus,

@@ -14,7 +14,7 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 from ._units import PAGE_SIZE, format_size, parse_size
 from .cluster import (DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcModel,
@@ -75,14 +75,20 @@ class ExperimentConfig:
                 object.__setattr__(self, name, os.fspath(value))
         if self.trace_format not in TRACE_FORMATS:
             raise ConfigError(f"unknown trace_format {self.trace_format!r}")
-        if self.epc_usable_sweep is not None and not self.epc_usable_sweep:
-            raise ConfigError("epc_usable_sweep must not be empty")
-        if self.sgx_fraction_sweep is not None:
-            if not self.sgx_fraction_sweep:
-                raise ConfigError("sgx_fraction_sweep must not be empty")
-            for f in self.sgx_fraction_sweep:
-                if not 0.0 <= f <= 1.0:
-                    raise ConfigError(f"sgx fraction {f} outside [0, 1]")
+        # Each swept value is checked by the model it builds.
+        for key, build in (
+                ("epc_usable_sweep",
+                 lambda size: _swept_epc(size, self.apply_usable_fraction)),
+                ("sgx_fraction_sweep",
+                 lambda f: replace(self.scaling, sgx_fraction=f))):
+            values = getattr(self, key)
+            if values is not None and not values:
+                raise ConfigError(f"{key} must not be empty")
+            for value in values or ():
+                try:
+                    build(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{key} {value}: {exc}") from None
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         # surfaces period/window inconsistencies before any run starts
@@ -312,29 +318,14 @@ def load_cluster(path) -> list[NodeSpec]:
     return list(specs.values())
 
 
-def _sweep_epc_model(base: EpcModel, swept_bytes: int,
-                     apply_fraction: bool) -> EpcModel:
-    if apply_fraction:
-        usable = swept_bytes * DEFAULT_EPC_USABLE // DEFAULT_EPC_TOTAL
-        usable -= usable % PAGE_SIZE
-        total = swept_bytes
-    else:
-        if swept_bytes % PAGE_SIZE:
-            raise ConfigError(
-                f"swept usable size {swept_bytes} is not page-aligned")
-        usable = total = swept_bytes
-    try:
-        return replace(base, total_bytes=total, usable_bytes=usable)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _apply_epc(specs: Sequence[NodeSpec], swept_bytes: int | None,
-               apply_fraction: bool) -> list[NodeSpec]:
-    if swept_bytes is None:
-        return list(specs)
-    return [replace(s, epc=_sweep_epc_model(s.epc, swept_bytes, apply_fraction))
-            if s.is_sgx else s for s in specs]
+def _swept_epc(size: int, apply_fraction: bool) -> EpcModel:
+    """The protected memory of a swept size: all of it usable, or with
+    apply_fraction a region of that size whose usable share is the default
+    node's, rounded down to a whole page."""
+    if not apply_fraction:
+        return EpcModel(size, size)
+    usable = size * DEFAULT_EPC_USABLE // DEFAULT_EPC_TOTAL
+    return EpcModel(size, usable - usable % PAGE_SIZE)
 
 
 def _label(epc_bytes: int | None, fraction: float,
@@ -458,8 +449,11 @@ def _sweep_clusters(cfg: ExperimentConfig) -> dict[int | None, list[NodeSpec]]:
     base = load_cluster(cfg.cluster_file)
     if cfg.malicious is not None and not any(s.is_sgx for s in base):
         raise ConfigError("malicious jobs need an enclave-capable node")
-    return {epc: _apply_epc(base, epc, cfg.apply_usable_fraction)
-            for epc in cfg.epc_usable_sweep or (None,)}
+    if not cfg.epc_usable_sweep:
+        return {None: base}
+    return {size: [replace(s, epc=_swept_epc(size, cfg.apply_usable_fraction))
+                   if s.is_sgx else s for s in base]
+            for size in cfg.epc_usable_sweep}
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:

@@ -7,7 +7,6 @@ into plain whitespace-separated datasets ready for plotting.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .engine import JobOutcome, JobStatus
 from .trace import (JobKind, JobSpec, TraceParseError, _csv_reader,
                     _duplicate_error, _gc_paused, _job_kind, _member_of,
-                    _not_a_member, _open_write, _width_error, read_jobs_csv)
+                    _not_a_member, _width_error, _write_csv, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -51,17 +50,14 @@ _T975 = (
 
 
 def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
-    with _open_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OUTCOMES_FIELDS)
-        # the writer writes None, a job with no start, finish or node, as "";
-        # `_value_` is a plain attribute read, where `.value` runs a Python
-        # property and a dict keyed by members the Python-level `__hash__`
-        writer.writerows(
-            (job_id, kind._value_, submitted, started, finished,
-             status._value_, node_id, declared, actual)
-            for (job_id, kind, submitted, started, finished, status, node_id,
-                 declared, actual) in outcomes)
+    # A job with no start, finish or node has None there.  `_value_` is a
+    # plain attribute read, where `.value` runs a Python property and a dict
+    # keyed by members the Python-level `__hash__`.
+    _write_csv(dest, OUTCOMES_FIELDS, (
+        (job_id, kind._value_, submitted, started, finished, status._value_,
+         node_id, declared, actual)
+        for (job_id, kind, submitted, started, finished, status, node_id,
+             declared, actual) in outcomes))
 
 
 _job_status = _member_of(JobStatus)
@@ -82,11 +78,9 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
     kinds, statuses = _job_kind.members, _job_status.members
     completed, new = JobStatus.COMPLETED, tuple.__new__
     with _csv_reader(source, OUTCOMES_FIELDS) as reader:
-        for row in reader:
+        for row in filter(None, reader):
             if len(row) != 9:
-                if row:
-                    raise _width_error(OUTCOMES_FIELDS, row)
-                continue
+                raise _width_error(OUTCOMES_FIELDS, row)
             (job_id, kind, submitted, started, finished, status, node_id,
              declared, actual) = row
             try:
@@ -122,22 +116,18 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
 
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
-    with _open_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PENDING_FIELDS)
-        # unpacked, so an item that is not a pair is still an error
-        writer.writerows((time_ms, backlog) for time_ms, backlog in series)
+    # unpacked, so an item that is not a pair is still an error
+    _write_csv(dest, PENDING_FIELDS,
+               ((time_ms, backlog) for time_ms, backlog in series))
 
 
 @_gc_paused
 def read_pending_csv(source) -> list[tuple[int, int]]:
     series: list[tuple[int, int]] = []
     with _csv_reader(source, PENDING_FIELDS) as reader:
-        for row in reader:
+        for row in filter(None, reader):
             if len(row) != 2:
-                if row:
-                    raise _width_error(PENDING_FIELDS, row)
-                continue
+                raise _width_error(PENDING_FIELDS, row)
             try:
                 series.append((int(row[0]), int(row[1])))
             except ValueError:
@@ -158,7 +148,7 @@ def summary(outcomes: Sequence[JobOutcome]) -> dict:
         "unfinished": sum(o.status is JobStatus.UNFINISHED for o in outcomes),
         "makespan_ms": max((o.finished_ms for o in completed), default=0),
         "total_waiting_ms": sum(o.waiting_ms for o in started),
-        "total_turnaround_ms": sum(o.turnaround_ms for o in completed),
+        "total_turnaround_ms": turnaround_sum(outcomes),
     }
 
 

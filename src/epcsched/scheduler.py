@@ -191,17 +191,11 @@ class PendingQueue:
             (self._enclave if entry[1].kind.uses_epc else self._std).add(entry)
 
     def take(self, placed: list[tuple[JobSpec, str]]) -> None:
-        """Remove the queued jobs of one walk's (job, node id) placements."""
-        if not placed:
-            return
-        jobs = self._jobs
+        """Remove the queued jobs of one walk's (job, node id) placements.
+        The walk's `due` has already taken each of them out of the new jobs
+        or out of its tree, so only the queue and its page sum change."""
         for job, _ in placed:
-            pos = jobs.pop(job.job_id)[0]
-            parked = self._enclave if job.kind.uses_epc else self._std
-            if pos in parked.entries:  # taken from outside a walk
-                parked.remove(pos)
-        if self._new:
-            self._new = [entry for entry in self._new if entry[1].job_id in jobs]
+            del self._jobs[job.job_id]
         self.epc_pages -= sum(job.declared_epc_pages for job, _ in placed)
 
     def check(self, now: int) -> None:

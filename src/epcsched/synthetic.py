@@ -22,17 +22,17 @@ DEFAULT_SPAN_S = 3600
 DEFAULT_MAX_DURATION_S = 300
 DEFAULT_SEED = 140051
 
+# The memory fractions: the body's span, and the crunch jobs' uniform range.
+_FRAC_FLOOR, _FRAC_CAP = 0.004, 0.30
+_CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI = 0.06, 0.20
+
 
 @_gc_paused
 def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
                     span_s: int = DEFAULT_SPAN_S,
                     max_duration_s: int = DEFAULT_MAX_DURATION_S,
                     seed: int = DEFAULT_SEED,
-                    crunch_jobs: int = 30,
-                    frac_floor: float = 0.004,
-                    frac_cap: float = 0.30,
-                    crunch_frac_lo: float = 0.06,
-                    crunch_frac_hi: float = 0.20) -> list[RawJobRecord]:
+                    crunch_jobs: int = 30) -> list[RawJobRecord]:
     """Generate the synthetic workload; identical arguments give identical
     records.
 
@@ -56,7 +56,7 @@ def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
 
     durations = np.maximum(
         1, np.rint(max_duration_s * gen.random(n_body) ** 2)).astype(int)
-    assigned = frac_floor + (frac_cap - frac_floor) * gen.random(n_body) ** 3
+    assigned = _FRAC_FLOOR + (_FRAC_CAP - _FRAC_FLOOR) * gen.random(n_body) ** 3
     submits = gen.integers(5, span_s - durations + 1)
     peak_ratio = gen.uniform(0.6, 1.0, n_body)
 
@@ -64,7 +64,7 @@ def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
                                     max_duration_s + 1, crunch_jobs)
     crunch_submits = gen.integers(span_s - 450, span_s - crunch_durations + 1)
     crunch_submits[0] = span_s - crunch_durations[0]
-    crunch_assigned = gen.uniform(crunch_frac_lo, crunch_frac_hi, crunch_jobs)
+    crunch_assigned = gen.uniform(_CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI, crunch_jobs)
     crunch_peak_ratio = gen.uniform(0.7, 1.0, crunch_jobs)
 
     rows = list(zip(

@@ -29,12 +29,12 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ._units import GIB, PAGE_SIZE
+from ._units import DEFAULT_EPC_USABLE, GIB, PAGE_SIZE
 
 log = logging.getLogger(__name__)
 
 DEFAULT_STD_MULTIPLIER = 32 * GIB
-DEFAULT_SGX_MULTIPLIER = 98_041_856  # 93.5 MiB of protected memory
+DEFAULT_SGX_MULTIPLIER = DEFAULT_EPC_USABLE
 
 TRACE_FORMATS = ("canonical_csv", "borg_tables")  # the default first
 
@@ -245,8 +245,10 @@ class ScalingConfig:
             raise ValueError("sampling_stride must be >= 1")
         if not 0.0 <= self.sgx_fraction <= 1.0:
             raise ValueError("sgx_fraction must lie in [0, 1]")
-        if self.std_multiplier <= 0 or self.sgx_multiplier <= 0:
-            raise ValueError("capacity multipliers must be positive")
+        if self.std_multiplier <= 0:
+            raise ValueError("std_multiplier must be positive")
+        if self.sgx_multiplier <= 0:
+            raise ValueError("sgx_multiplier must be positive")
         if not 0 <= self.rng_seed < 2 ** 128:
             raise ValueError("rng_seed must lie in [0, 2**128), "
                              f"got {self.rng_seed}")
@@ -273,6 +275,15 @@ def _open_write(dest):
             yield fh
 
 
+def _write_csv(dest, fields: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """Write the header `fields`, then the rows, to a CSV file (a path or an
+    open file), one newline-ended line each; a None field is written empty."""
+    with _open_write(dest) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
 def parse_trace(source, fmt: str = TRACE_FORMATS[0]) -> list[RawJobRecord]:
     """Dispatch to a trace reader by module global, which a per-layer split
     wraps by name.  fmt is one of TRACE_FORMATS."""
@@ -296,11 +307,9 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     records: list[RawJobRecord] = []
     seen: dict[str, int] = {}
     with _csv_reader(source, CANONICAL_FIELDS) as reader:
-        for row in reader:
+        for row in filter(None, reader):
             if len(row) != 5:
-                if row:
-                    raise _width_error(CANONICAL_FIELDS, row)
-                continue
+                raise _width_error(CANONICAL_FIELDS, row)
             job_id = row[0].strip()
             try:
                 submit_s, duration_s, assigned, peak = map(float, row[1:])
@@ -696,26 +705,19 @@ def _fmt_number(x: float):
 
 
 def write_canonical_csv(records: Iterable[RawJobRecord], dest) -> None:
-    with _open_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CANONICAL_FIELDS)
-        for r in records:
-            writer.writerow([r.job_id, _fmt_number(r.submit_s),
-                             _fmt_number(r.duration_s),
-                             _fmt_number(r.assigned_mem_frac),
-                             _fmt_number(r.max_mem_frac)])
+    _write_csv(dest, CANONICAL_FIELDS, (
+        (r.job_id, _fmt_number(r.submit_s), _fmt_number(r.duration_s),
+         _fmt_number(r.assigned_mem_frac), _fmt_number(r.max_mem_frac))
+        for r in records))
 
 
 def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
-    with _open_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JOBS_FIELDS)
-        # `_value_` is a plain attribute read, where `.value` runs a Python
-        # property and a dict keyed by kinds the Python-level `__hash__`.
-        writer.writerows((j.job_id, j.kind._value_, j.submit_ms,
-                          j.duration_ms, j.requested_mem, j.actual_mem,
-                          j.declared_epc_pages, j.actual_epc_pages)
-                         for j in jobs)
+    # `_value_` is a plain attribute read, where `.value` runs a Python
+    # property and a dict keyed by kinds the Python-level `__hash__`.
+    _write_csv(dest, JOBS_FIELDS, (
+        (j.job_id, j.kind._value_, j.submit_ms, j.duration_ms,
+         j.requested_mem, j.actual_mem, j.declared_epc_pages,
+         j.actual_epc_pages) for j in jobs))
 
 
 @contextmanager
@@ -726,7 +728,8 @@ def _csv_reader(source, fields: tuple[str, ...]):
     TraceParseError naming the file (a path, or an open file's name) and
     the reader's line, and bytes that are not UTF-8 are one naming the
     file and the line of the first such byte.  An empty source has no
-    rows."""
+    rows, and a blank line is no row: its reader skips it with
+    `filter(None, reader)`."""
     path = (os.fspath(source) if isinstance(source, (str, os.PathLike))
             else getattr(source, "name", None))
     try:
@@ -786,11 +789,9 @@ def read_jobs_csv(source) -> list[JobSpec]:
     jobs: list[JobSpec] = []
     seen: dict[str, int] = {}
     with _csv_reader(source, JOBS_FIELDS) as reader:
-        for row in reader:
+        for row in filter(None, reader):
             if len(row) != 8:
-                if row:
-                    raise _width_error(JOBS_FIELDS, row)
-                continue
+                raise _width_error(JOBS_FIELDS, row)
             job_id, kind, submit, duration, mem, used, declared, pages = row
             job = JobSpec(job_id, _job_kind(kind), int(submit), int(duration),
                           int(mem), int(used), int(declared), int(pages))

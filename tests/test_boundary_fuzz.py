@@ -1,7 +1,8 @@
 """Fuzzed run inputs: a cluster file with one spoiled node, or a config file
-(flat or JSON) with one spoiled key, is a ConfigError.  A cluster error
-starts with `cluster file <path>: ` and, once the node's id is checked,
-names the node; a config error names the key.  `epcsched run` on either
+(flat or JSON) with one spoiled key or one value out of its key's range, is
+a ConfigError.  A cluster error starts with `cluster file <path>: ` and,
+once the node's id is checked, names the node; a config error names the
+key, and a swept value's error its value too.  `epcsched run` on either
 exits 2 and leaves no output directory and no staging directory behind."""
 
 import json
@@ -288,3 +289,43 @@ def test_bad_size_names_file_node_and_key(tmp_path, key, value):
                        match=f"^cluster file {re.escape(str(cluster))}: "
                              f"node 'enc': {key}: "):
         load_cluster(cluster)
+
+
+# One value out of range for each numeric config key, with the keys it needs
+# beside it; a swept size is tried as an off-page, a zero and a scaled-to-zero
+# size.
+_OUT_OF_RANGE = [
+    ("sampling_stride", 0, {}), ("rng_seed", -1, {}),
+    ("malicious_n", -1, {}), ("malicious_declared_pages", 0, {}),
+    ("malicious_use_fraction", 1.5, {}), ("scheduler_period_ms", 0, {}),
+    ("probe_period_ms", 0, {}), ("window_ms", 0, {}), ("workers", 0, {}),
+    ("slice_start_s", -1.0, {}), ("slice_end_s", 0.0, {}),
+    ("sgx_fraction", 1.5, {}), ("sgx_fraction_sweep", [0.5, 1.5], {}),
+    ("std_multiplier", 0, {}), ("sgx_multiplier", 0, {}),
+    ("epc_usable_sweep", [4097], {}), ("epc_usable_sweep", [0], {}),
+    ("epc_usable_sweep", [4096], {"apply_usable_fraction": True}),
+]
+
+
+def test_every_numeric_config_key_has_an_out_of_range_value():
+    assert {key for key, _, _ in _OUT_OF_RANGE} == {
+        key for key, kind in _KINDS.items() if kind in ("int", "float", "size")}
+
+
+@pytest.mark.parametrize("flat", [True, False])
+@pytest.mark.parametrize("key, value, beside", _OUT_OF_RANGE)
+def test_out_of_range_value_is_a_config_error_naming_the_key(
+        tmp_path, flat, key, value, beside):
+    (tmp_path / "trace.csv").write_text(TRACE)
+    paths = {"TRACE": str(tmp_path / "trace.csv"), "OUT": str(tmp_path / "out")}
+    pairs = [(k, paths.get(v, v) if isinstance(v, str) else v)
+             for k, v in {**_good_config(), **beside, key: value}.items()]
+    config = tmp_path / ("experiment.cfg" if flat else "experiment.json")
+    config.write_text(_render_config(pairs, flat), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(config)
+    message = str(info.value)
+    assert re.search(rf"\b{key}\b", message), message
+    if key.endswith("_sweep"):
+        assert message.startswith(f"{key} {value[-1]}: "), message
+    _run_writes_nothing(tmp_path, config)

@@ -15,12 +15,11 @@ import pytest
 from epcsched import experiment
 from epcsched._units import MIB
 from epcsched.cli import main
-from epcsched.cluster import EpcModel
 from epcsched.engine import ConfigError, JobStatus
 from epcsched.experiment import (
     ExperimentConfig,
     MaliciousConfig,
-    _sweep_epc_model,
+    _swept_epc,
     config_from_mapping,
     load_cluster,
     load_config,
@@ -247,16 +246,16 @@ class TestLoadCluster:
 
 class TestSweepEpcModel:
     def test_direct_mode_sets_usable(self):
-        m = _sweep_epc_model(EpcModel(), 32 * MIB, apply_fraction=False)
+        m = _swept_epc(32 * MIB, apply_fraction=False)
         assert m.total_bytes == m.usable_bytes == 32 * MIB
         assert m.usable_pages == 8_192
 
     def test_direct_mode_requires_page_alignment(self):
-        with pytest.raises(ConfigError):
-            _sweep_epc_model(EpcModel(), 32 * MIB + 1, apply_fraction=False)
+        with pytest.raises(ValueError, match="whole number of pages"):
+            _swept_epc(32 * MIB + 1, apply_fraction=False)
 
     def test_fraction_mode_scales_usable_share(self):
-        m = _sweep_epc_model(EpcModel(), 64 * MIB, apply_fraction=True)
+        m = _swept_epc(64 * MIB, apply_fraction=True)
         assert m.total_bytes == 64 * MIB
         assert m.usable_bytes == 49_020_928
         assert m.usable_pages == 11_968
@@ -389,14 +388,14 @@ class TestRunExperiment:
     def test_bad_sweep_point_fails_before_any_point_runs(self, tmp_path,
                                                          trace_path, workers):
         out = tmp_path / "artifacts"
-        cfg = config_from_mapping({
-            "trace": str(trace_path),
-            "output_dir": str(out),
-            "epc_usable_sweep": "64MiB,1000,128MiB",
-            "workers": workers,
-        })
-        with pytest.raises(ConfigError, match="1000 is not page-aligned"):
-            run_experiment(cfg)
+        with pytest.raises(ConfigError, match="^epc_usable_sweep 1000: "
+                                              "usable_bytes must be a whole"):
+            config_from_mapping({
+                "trace": str(trace_path),
+                "output_dir": str(out),
+                "epc_usable_sweep": "64MiB,1000,128MiB",
+                "workers": workers,
+            })
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -12,6 +12,7 @@ from epcsched.cluster import EpcModel, NodeSpec
 from epcsched.engine import JobStatus, SimConfig, run
 from epcsched.metrics import (METRIC_EPC_PAGES, METRIC_STD_BYTES, MetricSample,
                               UsageLedger)
+from epcsched.report import summary
 from epcsched.synthetic import synthetic_trace
 from epcsched.trace import JobKind, JobSpec, ScalingConfig, materialize
 from window_oracle import WindowQuery, WindowScan
@@ -140,6 +141,17 @@ def test_admission_reads_the_window_of_the_run_samples(jobs, nodes, config):
     with pytest.MonkeyPatch.context() as monkeypatch:
         result, views = recorded_run(monkeypatch, jobs, nodes, config)
     assert_ledger_matches_samples(result, views, jobs, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(jobs=_jobs(), nodes=_nodes(), config=_configs())
+def test_run_totals_match_their_reference_computations(jobs, nodes, config):
+    result = run(jobs, nodes, config)
+    assert result.makespan_ms == summary(result.outcomes)["makespan_ms"]
+    assert result.outcomes == sorted(result.outcomes,
+                                     key=lambda o: (o.submitted_ms, o.job_id))
+    assert sorted(o.job_id for o in result.outcomes) == sorted(
+        job.job_id for job in jobs)
 
 
 def test_synthetic_replay_with_periods_that_do_not_divide(monkeypatch):

@@ -94,9 +94,13 @@ class TestPendingQueue:
                 sgx_job("c", submit_ms=2, declared=7), std_job("d", submit_ms=3)]
         q = PendingQueue(jobs)
         assert q.epc_pages == 12
+        # as in a walk: `due` hands out the jobs, the failed ones are parked
+        walk = q.due(ClusterState.from_specs([std_node("n1")]))
         q.take([(jobs[2], "n1"), (jobs[1], "n2")])
+        q.park([walk[0], walk[3]])
         assert [j.job_id for j in q] == ["a", "d"]
         assert q.epc_pages == 5
+        q.check(0)
         q.take([])
         assert len(q) == 2 and q.epc_pages == 5
 

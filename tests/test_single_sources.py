@@ -2,16 +2,19 @@
 defaults are `SimConfig`'s, `epcsched scale`'s flags default to
 `ScalingConfig`'s, the trace formats are `TRACE_FORMATS`, and README's
 config table lists the config keys; and a config key given twice is an
-error, where the last value used to win."""
+error, where the last value used to win; and the default usable protected
+memory is written once."""
 
+import ast
 import dataclasses
 import json
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
-from epcsched import cli, experiment
+from epcsched import cli, cluster, experiment, trace
 from epcsched.cli import main
 from epcsched.engine import ConfigError, SimConfig
 from epcsched.experiment import ExperimentConfig, load_config
@@ -21,6 +24,7 @@ from epcsched.trace import (TRACE_FORMATS, ScalingConfig, materialize,
                             parse_trace, slice_and_sample, write_jobs_csv)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(experiment.__file__).resolve().parent
 
 # `epcsched scale` flag destination -> the ScalingConfig field it sets.
 SCALE_FLAGS = {"slice_start": "slice_start_s", "slice_end": "slice_end_s",
@@ -152,3 +156,15 @@ class TestRepeatedKey:
         p = tmp_path / "experiment.json"
         p.write_text(json.dumps({"trace": "t.csv", "policy": "spread"}))
         assert load_config(p).policy == "spread"
+
+
+def test_the_default_usable_size_is_written_once():
+    assert trace.DEFAULT_SGX_MULTIPLIER == cluster.DEFAULT_EPC_USABLE
+    written = []
+    for path in sorted(SRC.glob("*.py")):
+        with tokenize.open(path) as fh:
+            written += [(path.name, token.start[0])
+                        for token in tokenize.generate_tokens(fh.readline)
+                        if token.type == tokenize.NUMBER
+                        and ast.literal_eval(token.string) == 98_041_856]
+    assert len(written) == 1, written
