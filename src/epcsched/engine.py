@@ -125,21 +125,12 @@ class SimResult:
 class _Engine:
     def __init__(self, jobs: list[JobSpec], cluster_specs: list[NodeSpec],
                  config: SimConfig):
-        self.jobs: dict[str, JobSpec] = {}
-        for job in jobs:
-            if job.job_id in self.jobs:
-                raise ValueError(f"duplicate job_id {job.job_id!r}")
-            self.jobs[job.job_id] = job
-        # Jobs in queue order; the ones before the cursor have been queued.
-        self.arrivals = sorted(self.jobs.values(),
-                               key=lambda j: (j.submit_ms, j.job_id))
-        self.arrived = 0
+        self.queue = PendingQueue(jobs)
         self.config = config
         self.cluster = ClusterState.from_specs(cluster_specs)
         self.driver = DriverState.for_cluster(self.cluster)
         self.ledger = UsageLedger(self.cluster, config.probe_period_ms,
                                   config.window_ms)
-        self.queue = PendingQueue()
         self.finishes: list[tuple[int, str]] = []  # heap of (finish_ms, job_id)
         self.outcomes: dict[str, JobOutcome] = {}
         self.pending_epc: list[tuple[int, int]] = []
@@ -147,7 +138,7 @@ class _Engine:
 
     def run(self) -> SimResult:
         finishes, check = self.finishes, self.config.check_invariants
-        now, ticking = 0, bool(self.jobs)
+        now, ticking = 0, bool(self.queue.jobs)
         while ticking:
             while finishes and finishes[0][0] <= now:
                 finish_ms, job_id = heapq.heappop(finishes)
@@ -158,7 +149,7 @@ class _Engine:
             if check:
                 self._check_invariants(now)
             now += self.config.scheduler_period_ms
-        outcomes = [self.outcomes[job.job_id] for job in self.arrivals]
+        outcomes = [self.outcomes[job.job_id] for job in self.queue.jobs]
         return SimResult(outcomes=outcomes,
                          store=SeriesStore(self.ledger.pods,
                                            self.config.probe_period_ms),
@@ -169,15 +160,10 @@ class _Engine:
     def _on_scheduler_tick(self, now: int) -> bool:
         """Queue the arrivals before now, advance the ledger and place what
         fits; whether any job is left to finish."""
-        arrivals, i = self.arrivals, self.arrived
-        while i < len(arrivals) and arrivals[i].submit_ms < now:
-            self.queue.push(arrivals[i])
-            i += 1
-        if i > self.arrived:
+        last_submit = self.queue.arrive(now)
+        if last_submit is not None:
             # A finish since the last tick may have set a later time already.
-            self.last_progress_ms = max(self.last_progress_ms,
-                                        arrivals[i - 1].submit_ms)
-            self.arrived = i
+            self.last_progress_ms = max(self.last_progress_ms, last_submit)
         self.ledger.advance(now)
         placements = schedule_tick(self.queue, self.cluster, self.config.policy)
         if self.config.check_invariants:
@@ -189,7 +175,7 @@ class _Engine:
             self.last_progress_ms = now
         if self._stuck(now, placements):
             self._mark_unfinished()
-        return len(self.outcomes) < len(self.jobs)
+        return len(self.outcomes) < len(self.queue.jobs)
 
     def _handle_placement(self, job: JobSpec, node_id: str, now: int) -> None:
         node = self.cluster.nodes[node_id]
@@ -238,10 +224,11 @@ class _Engine:
         """Nothing running, nothing left to submit, nothing placeable, and a
         full metrics window has already drained: the queue can never move
         again."""
-        return (len(self.queue) > 0 and not placements and not self.cluster.pods
-                and self.arrived == len(self.arrivals)
+        return (not placements and not self.cluster.pods
+                and self.queue.arrived == len(self.queue.jobs)
                 and now - self.last_progress_ms
-                > self.config.window_ms + self.config.scheduler_period_ms)
+                > self.config.window_ms + self.config.scheduler_period_ms
+                and len(self.queue) > 0)
 
     def _mark_unfinished(self) -> None:
         for job in self.queue.drain():
@@ -251,10 +238,10 @@ class _Engine:
         """Check the per-node counters against the pod records: node
         reservations, driver pages in use and, under enforcement, each
         enclave's pages against its limit; the queue's page counter against
-        its jobs, none of which may have a pod, and its new and parked jobs
-        (`PendingQueue.check`); each node's measured usage,
-        advanced to now, against a fresh window over the pod intervals; and
-        under `spread`, its own state (`_Spread.check`)."""
+        its jobs, none of which may have a pod; that the arrived jobs add up
+        to the queued, running and recorded ones; each node's
+        measured usage, advanced to now, against a fresh window over the pod
+        intervals; and under `spread`, its own state (`_Spread.check`)."""
         queue = self.queue
         backlog = sum(job.declared_epc_pages for job in queue
                       if job.kind.uses_epc)
@@ -264,7 +251,12 @@ class _Engine:
         for job in queue:
             if job.job_id in self.cluster.pods:
                 raise AssertionError(f"t={now}: queued {job.job_id} has a pod")
-        queue.check(now)
+        queued, running, recorded = (len(queue), len(self.cluster.pods),
+                                     len(self.outcomes))
+        if queue.arrived != queued + running + recorded:
+            raise AssertionError(
+                f"t={now}: arrived jobs {queue.arrived} != queued {queued} "
+                f"+ running {running} + recorded {recorded}")
         want = {node_id: [0, 0, 0] for node_id in self.cluster.nodes}
         for pod_id, pod in self.cluster.pods.items():
             job, node_want = pod.job, want[pod.node_id]

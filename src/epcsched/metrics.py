@@ -1,20 +1,18 @@
-"""Measured usage: the sliding-window query that defines it, the ledger
+"""Measured usage: the sliding-window rule that defines it, the ledger
 that keeps it on the nodes during a replay, and the samples a run's probes
 take.
 
-The query semantics mirror the monitoring stack the scheduler was built
-against: per (pod, node) group and metric, take the maximum nonzero sample
-inside the closed window [now - window, now]; then sum those maxima per node.
-One query answers every metric at once.  Metrics and nodes with no
-qualifying sample are absent from the result, which the caller must treat as
-zero usage.
-
-A replay needs no samples to answer it: a pod's probed values never
+The rule mirrors the monitoring stack the scheduler was built against: a
+node's measured usage of a metric at `now` is the sum, over the pods on
+it, of each pod's maximum nonzero sample of the metric inside the closed
+window [now - window, now]; a node with no such sample measures zero.  A
+replay applies the rule without samples: a pod's probed values never
 change, so the window counts a pod over one interval of time, and
 `UsageLedger` keeps each node's sum over those intervals in the node's
 `measured_std` and `measured_epc_pages`, which admission reads.
 `SeriesStore` streams the samples the probes would have written from the
-same intervals.
+same intervals.  `tests/window_oracle.py` holds the reference scan of
+appended samples that the ledger is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import csv
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, merge
 from typing import Iterator, NamedTuple
 
 from .cluster import ClusterState, NodeState, Pod
@@ -175,21 +173,17 @@ class SeriesStore:
         return self._len
 
     def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
-        pods, period = self.pods, self.period
-        live: list[PodInterval] = []  # sampled at `now`, in (node, pod) order
-        i, now = 0, 0
-        while i < len(pods) or live:
-            if not live:
-                now = pods[i].first
-            while i < len(pods) and pods[i].first <= now:
-                insort(live, pods[i])
-                i += 1
-            for node_id, pod_id, _, _, epc, std in live:
-                if epc is not None:
-                    yield (now, node_id, pod_id, METRIC_EPC_PAGES, epc)
-                yield (now, node_id, pod_id, METRIC_STD_BYTES, std)
-            now += period
-            live = [pod for pod in live if pod.last >= now]
+        """Each pod's own series of (time, node, pod, metric, value) rows,
+        merged: the rows compare as the probe orders them, by time, then
+        (node, pod), then metric, since "epc_pages" < "std_bytes"."""
+        return merge(*map(self._series, self.pods))
+
+    def _series(self, pod: PodInterval) -> Iterator[tuple]:
+        node_id, pod_id, first, last, epc, std = pod
+        for now in range(first, last + 1, self.period):
+            if epc is not None:
+                yield (now, node_id, pod_id, METRIC_EPC_PAGES, epc)
+            yield (now, node_id, pod_id, METRIC_STD_BYTES, std)
 
     def samples(self) -> Iterator[MetricSample]:
         """All samples in order."""

@@ -319,7 +319,8 @@ def waiting_by_memory(outcomes: Sequence[JobOutcome],
 
 def _run_dirs(root: Path) -> list[tuple[Path, str]]:
     """Finished run directories with their labels, by name; a staging
-    directory left by a killed run is not one."""
+    directory left by a killed run is not one.  A label is one word, since
+    it is the first field of the datasets' whitespace-separated rows."""
     runs = []
     for meta_path in sorted(root.glob("*/" + META_FILE)):
         if meta_path.parent.name.endswith(STAGING_SUFFIX):
@@ -332,7 +333,11 @@ def _run_dirs(root: Path) -> list[tuple[Path, str]]:
         if not isinstance(meta, dict) or not isinstance(meta.get("label"), str):
             raise TraceParseError(
                 f"{meta_path}: expected an object with a string label")
-        runs.append((meta_path.parent, meta["label"]))
+        label = meta["label"]
+        if label.split() != [label]:
+            raise TraceParseError(f"{meta_path}: label {label!r} is empty or "
+                                  "holds whitespace")
+        runs.append((meta_path.parent, label))
     return runs
 
 
@@ -360,7 +365,10 @@ def figure_dataset(artifact_dir, figure: int, dest=None) -> Path:
     7/9: waiting-time CDF per run (9 is the enforcement comparison; same
     columns, kept separate so both sweeps can live in one directory).
     8: mean waiting with 95% CI per requested-memory bucket, per job class.
-    10: total turnaround per run plus the workload's inherent run-time sum.
+    10: total turnaround per run plus the workload's inherent run-time sum:
+    the durations in `jobs.csv` of the first run in label order, which
+    count a malicious point's injected jobs, though they are killed at
+    initialization and never run.
     """
     (path,) = _write_figures(artifact_dir, {figure: dest})
     return path

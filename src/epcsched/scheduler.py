@@ -109,45 +109,45 @@ class _Parked:
 
 
 class PendingQueue:
-    """Jobs waiting for placement, in first-come-first-served order
-    (submit time, then job id), with the running sum of the protected pages
-    they declare.  Placement or a kill takes a job out; there is no other
-    way out.  The constructor sorts its jobs; `push` takes jobs in queue
-    order only, as the engine queues arrivals.
+    """The run's jobs, `jobs`, in first-come-first-served order (submit
+    time, then job id), a job's queue position being its index there, with
+    the running sum of the protected pages the queued ones declare.  The
+    constructor queues no job; `arrive` queues them in order.  Placement or
+    a kill takes a job out; there is no other way out.
 
-    A job is new until a walk (`schedule_tick`) visits it, then parked if
-    the walk leaves it queued.  Parked jobs are kept by queue position, per
-    class (standard and enclave), under a tree of their least demands
+    A queued job is new until a walk (`schedule_tick`) visits it, then
+    parked if the walk leaves it queued: the new jobs are the positions
+    from `walked` up to `arrived`.  Parked jobs are kept by queue position,
+    per class (standard and enclave), under a tree of their least demands
     (`_Parked`), so the first of them that fits some node at its current
     headroom is one descent per class.  Iteration, `len` and `epc_pages`
     cover new and parked jobs alike."""
 
     def __init__(self, jobs: Iterable[JobSpec] = ()):
-        # job id -> entry, for every queued job, in queue order; an entry is
-        # (queue position, job), and positions grow with the queue order
-        self._jobs: dict[str, tuple[int, JobSpec]] = {}
-        self._tail: tuple = ()  # the queue-order key of the latest push
-        self._pushed = 0
-        self._new: list[tuple[int, JobSpec]] = []
+        self.jobs = list(jobs)
+        seen: set[str] = set()
+        for job in self.jobs:
+            if job.job_id in seen:
+                raise ValueError(f"duplicate job_id {job.job_id!r}")
+            seen.add(job.job_id)
+        self.jobs.sort(key=lambda j: (j.submit_ms, j.job_id))
+        self.arrived = 0  # the positions before it have been queued
+        self.walked = 0  # ... and visited by a walk
         self._std, self._enclave = _Parked(), _Parked()
         self.epc_pages = 0  # standard jobs declare none
-        for job in sorted(jobs, key=lambda j: (j.submit_ms, j.job_id)):
-            self.push(job)
 
-    def push(self, job: JobSpec) -> None:
-        job_id = job.job_id
-        if job_id in self._jobs:
-            raise ValueError(f"job {job_id!r} is already queued")
-        key = (job.submit_ms, job_id)
-        if key < self._tail:
-            raise ValueError(f"job {job_id!r} comes before the last job "
-                             f"pushed, {self._tail[1]!r}, in queue order")
-        self._tail = key
-        entry = (self._pushed, job)
-        self._pushed += 1
-        self._jobs[job_id] = entry
-        self._new.append(entry)
-        self.epc_pages += job.declared_epc_pages
+    def arrive(self, now: int) -> int | None:
+        """Queue the jobs submitted before `now`; the submit time of the
+        last of them, or None if there is none."""
+        jobs, i = self.jobs, self.arrived
+        end, pages = len(jobs), 0
+        while i < end and jobs[i].submit_ms < now:
+            pages += jobs[i].declared_epc_pages
+            i += 1
+        if i == self.arrived:
+            return None
+        self.arrived, self.epc_pages = i, self.epc_pages + pages
+        return jobs[i - 1].submit_ms
 
     def due(self, cluster: ClusterState) -> Iterable[tuple[int, JobSpec]]:
         """The entries a walk over the cluster visits, in queue order.  With
@@ -158,8 +158,12 @@ class PendingQueue:
         placements only lower headroom, so an entry passed over fits no
         node for the rest of the walk, and every yielded job is placed.  A
         visited job is no longer new or parked."""
-        new, self._new = self._new, []
-        if not (self._std.entries or self._enclave.entries):
+        start, self.walked = self.walked, self.arrived
+        parked = self._std.entries or self._enclave.entries
+        if start == self.walked and not parked:
+            return ()
+        new = list(enumerate(self.jobs[start:self.walked], start))
+        if not parked:
             return new
         self.park(new)
         return self._fits(cluster.nodes.values())
@@ -191,24 +195,9 @@ class PendingQueue:
             (self._enclave if entry[1].kind.uses_epc else self._std).add(entry)
 
     def take(self, placed: list[tuple[JobSpec, str]]) -> None:
-        """Remove the queued jobs of one walk's (job, node id) placements.
-        The walk's `due` has already taken each of them out of the new jobs
-        or out of its tree, so only the queue and its page sum change."""
-        for job, _ in placed:
-            del self._jobs[job.job_id]
+        """Count out the pages of one walk's (job, node id) placements, which
+        its `due` has already taken out of the new or parked jobs."""
         self.epc_pages -= sum(job.declared_epc_pages for job, _ in placed)
-
-    def check(self, now: int) -> None:
-        """Check that the new and parked jobs are the queued jobs, in queue
-        order; an AssertionError at `now` if not."""
-        held = sorted([*self._new, *self._std.entries.values(),
-                       *self._enclave.entries.values()],
-                      key=lambda entry: entry[0])
-        if held != list(self._jobs.values()):
-            raise AssertionError(
-                f"t={now}: new and parked jobs "
-                f"{[job.job_id for _, job in held]} != queued jobs "
-                f"{list(self._jobs)} in queue order")
 
     def check_walk(self, now: int, cluster: ClusterState) -> None:
         """Check, right after a walk over the cluster, that no parked job
@@ -223,14 +212,18 @@ class PendingQueue:
     def drain(self) -> list[JobSpec]:
         """Empty the queue; its jobs in queue order."""
         jobs = list(self)
-        self.__init__()
+        self.walked, self.epc_pages = self.arrived, 0
+        self._std, self._enclave = _Parked(), _Parked()
         return jobs
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return (self.arrived - self.walked + len(self._std.entries)
+                + len(self._enclave.entries))
 
     def __iter__(self):
-        return (job for _, job in self._jobs.values())
+        parked = sorted(chain(self._std.entries, self._enclave.entries))
+        return chain((self.jobs[pos] for pos in parked),
+                     self.jobs[self.walked:self.arrived])
 
 
 def _headroom(node: NodeState) -> tuple[int, int]:

@@ -293,10 +293,20 @@ class TestInvariantChecker:
             run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
 
     def test_placed_job_left_queued_is_caught(self, monkeypatch):
-        monkeypatch.setattr(PendingQueue, "take", lambda self, placed: None)
+        # The walk at t=5000 places "a" but leaves it among the new jobs.
+        due = PendingQueue.due
+
+        def due_keeping_new(self, cluster):
+            walked = self.walked
+            walk = due(self, cluster)
+            self.walked = walked
+            return walk
+
+        monkeypatch.setattr(PendingQueue, "due", due_keeping_new)
         with pytest.raises(AssertionError,
                            match=re.escape("t=5000: queued a has a pod")):
-            run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
+            run([std_job("a", duration_ms=20_000)], [sgx_node("s1")],
+                SimConfig(check_invariants=True))
 
     def test_ledger_that_never_expires_is_caught(self, monkeypatch):
         # "a" was last sampled at t=20000, so the tick at t=50000 is the
@@ -373,11 +383,12 @@ class TestInvariantChecker:
             run(self.JOBS, [sgx_node("s1")], SimConfig(check_invariants=True))
 
     def test_queued_job_neither_new_nor_parked_is_caught(self, monkeypatch):
-        # The walk at t=5000 leaves "huge" queued and parks nothing.
+        # The walk at t=5000 fails "huge", a standard job, and parks
+        # nothing, so the queue loses it.
         monkeypatch.setattr(PendingQueue, "park",
                             lambda self, entries: None)
         with pytest.raises(AssertionError, match=re.escape(
-                "t=5000: new and parked jobs [] != queued jobs ['huge'] in "
-                "queue order")):
-            run([sgx_job("huge", declared=USABLE + 1)], [sgx_node("s1")],
+                "t=5000: arrived jobs 1 != queued 0 + running 0 + recorded "
+                "0")):
+            run([std_job("huge", requested=65 * GIB)], [sgx_node("s1")],
                 SimConfig(check_invariants=True))

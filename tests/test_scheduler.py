@@ -1,6 +1,7 @@
 """Placement policies and the per-tick scheduling walk."""
 
 import math
+import sys
 from fractions import Fraction
 from statistics import pstdev
 from typing import NamedTuple
@@ -49,6 +50,13 @@ def with_usage(nodes, usage=None) -> ClusterState:
     return cluster
 
 
+def queued(jobs) -> PendingQueue:
+    """A queue over the jobs with all of them arrived."""
+    queue = PendingQueue(jobs)
+    queue.arrive(sys.maxsize)
+    return queue
+
+
 def with_window(cluster, store, now_ms, window_ms=25_000) -> ClusterState:
     """The cluster with every node measuring what a window query to a sample
     store answers for it."""
@@ -75,24 +83,34 @@ def assert_headroom(node, std, pages):
 
 class TestPendingQueue:
     def test_fcfs_order(self):
-        q = PendingQueue([std_job("late", submit_ms=10),
-                          std_job("b", submit_ms=5), std_job("a", submit_ms=5)])
+        q = queued([std_job("late", submit_ms=10),
+                    std_job("b", submit_ms=5), std_job("a", submit_ms=5)])
         assert [j.job_id for j in q] == ["a", "b", "late"]
 
-    def test_push_out_of_queue_order_is_refused(self):
-        q = PendingQueue()
-        q.push(std_job("late", submit_ms=10))
-        for early in (std_job("b", submit_ms=5), std_job("a", submit_ms=10)):
-            with pytest.raises(ValueError, match="comes before the last job"):
-                q.push(early)
-        q.push(std_job("m", submit_ms=10))
-        q.push(std_job("a", submit_ms=11))
-        assert [j.job_id for j in q] == ["late", "m", "a"]
+    def test_jobs_are_sorted_once_and_an_id_is_refused_twice(self):
+        q = PendingQueue([std_job("late", submit_ms=10),
+                          std_job("m", submit_ms=10), std_job("b", submit_ms=5)])
+        assert [j.job_id for j in q.jobs] == ["b", "late", "m"]
+        assert len(q) == 0 and list(q) == []  # nothing has arrived yet
+        for repeated in (std_job("m"), std_job("m", submit_ms=10)):
+            with pytest.raises(ValueError, match="duplicate job_id 'm'"):
+                PendingQueue([std_job("m", submit_ms=10), std_job("a"),
+                              repeated])
+
+    def test_arrive_queues_the_jobs_submitted_before_now(self):
+        q = PendingQueue([sgx_job("a", submit_ms=5, declared=3),
+                          std_job("b", submit_ms=5), sgx_job("c", submit_ms=9)])
+        assert q.arrive(5) is None and len(q) == 0
+        assert q.arrive(6) == 5
+        assert [j.job_id for j in q] == ["a", "b"] and q.epc_pages == 3
+        assert q.arrive(9) is None
+        assert q.arrive(10) == 9 and len(q) == 3
+        assert q.arrive(10**9) is None and q.arrived == 3
 
     def test_take_removes_placed_jobs_and_their_pages(self):
         jobs = [sgx_job("a", declared=5), std_job("b", submit_ms=1),
                 sgx_job("c", submit_ms=2, declared=7), std_job("d", submit_ms=3)]
-        q = PendingQueue(jobs)
+        q = queued(jobs)
         assert q.epc_pages == 12
         # as in a walk: `due` hands out the jobs, the failed ones are parked
         walk = q.due(ClusterState.from_specs([std_node("n1")]))
@@ -100,17 +118,16 @@ class TestPendingQueue:
         q.park([walk[0], walk[3]])
         assert [j.job_id for j in q] == ["a", "d"]
         assert q.epc_pages == 5
-        q.check(0)
         q.take([])
         assert len(q) == 2 and q.epc_pages == 5
 
     def test_drain_empties_in_order(self):
-        q = PendingQueue([sgx_job("b", submit_ms=1, declared=3), std_job("a")])
+        q = queued([sgx_job("b", submit_ms=1, declared=3), std_job("a")])
         assert [j.job_id for j in q.drain()] == ["a", "b"]
         assert len(q) == 0 and q.epc_pages == 0
 
     def test_iteration(self):
-        q = PendingQueue([std_job("a"), std_job("b", submit_ms=1)])
+        q = queued([std_job("a"), std_job("b", submit_ms=1)])
         assert [j.job_id for j in q] == ["a", "b"]
 
 
@@ -715,8 +732,8 @@ class TestSpreadSumsAcrossDecisions:
 class TestScheduleTick:
     def test_places_in_fcfs_order_and_removes_from_queue(self):
         cluster = cluster_of(sgx_node("s1"))
-        q = PendingQueue([sgx_job("b", submit_ms=5, declared=100),
-                          sgx_job("a", submit_ms=0, declared=100)])
+        q = queued([sgx_job("b", submit_ms=5, declared=100),
+                    sgx_job("a", submit_ms=0, declared=100)])
         placements = schedule_tick(q, cluster)
         assert [(job.job_id, node_id) for job, node_id in placements] == [
             ("a", "s1"), ("b", "s1")]
@@ -726,15 +743,15 @@ class TestScheduleTick:
     def test_same_tick_reservations_are_visible(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         big = USABLE - 100
-        q = PendingQueue([sgx_job("a", declared=big), sgx_job("b", declared=big)])
+        q = queued([sgx_job("a", declared=big), sgx_job("b", declared=big)])
         placements = schedule_tick(q, cluster)
         assert {(job.job_id, node_id) for job, node_id in placements} == {
             ("a", "s1"), ("b", "s2")}
 
     def test_no_head_of_line_blocking(self):
         cluster = cluster_of(sgx_node("s1"))
-        q = PendingQueue([sgx_job("huge", submit_ms=0, declared=USABLE + 1),
-                          sgx_job("ok", submit_ms=1, declared=10)])
+        q = queued([sgx_job("huge", submit_ms=0, declared=USABLE + 1),
+                    sgx_job("ok", submit_ms=1, declared=10)])
         placements = schedule_tick(q, cluster)
         assert [job.job_id for job, _ in placements] == ["ok"]
         assert [j.job_id for j in q] == ["huge"]
@@ -744,7 +761,7 @@ class TestScheduleTick:
         store = WindowScan()
         store.append(MetricSample(1_000, "s1", "old", METRIC_EPC_PAGES, USABLE))
         job = sgx_job("j", declared=10)
-        q = PendingQueue([job])
+        q = queued([job])
         assert schedule_tick(q, with_window(cluster, store, 10_000)) == []
         # by 27s the stale sample has left the 25s window
         assert schedule_tick(q, with_window(cluster, store, 27_000)) == [
@@ -758,7 +775,7 @@ class TestScheduleTick:
     def test_spread_policy_dispatch(self):
         cluster = cluster_of(sgx_node("s1"), sgx_node("s2"))
         cluster.nodes["s1"].reserve(0, 1_000)
-        q = PendingQueue([sgx_job("j", declared=10)])
+        q = queued([sgx_job("j", declared=10)])
         placements = schedule_tick(q, cluster, policy="spread")
         assert placements[0][1] == "s2"
 
@@ -843,7 +860,7 @@ class TestTickSkipsJobsThatFitNowhere:
         rows, usage = nodes
         cluster = ClusterState(_node_states(rows))
         seed_nodes, left = _node_states(rows), jobs
-        queue = PendingQueue(jobs)
+        queue = queued(jobs)
 
         def assert_same_tick(cluster_now, usage):
             nonlocal left
@@ -905,14 +922,15 @@ class TestTickSkipsJobsThatFitNowhere:
             def job(job_id, fits, submit_ms=1):
                 return std_job(job_id, submit_ms,
                                requested=GIB if fits else 65 * GIB)
-        q = PendingQueue([job(f"f{i:03d}", False, 0) for i in range(100)])
+        q = PendingQueue([job(f"f{i:03d}", False, 0) for i in range(100)]
+                         + [job("a0", True), job("a1", False), job("a2", True)])
+        q.arrive(1)  # the first 100
         assert schedule_tick(q, cluster, policy) == []
         assert len(calls) == 100  # nothing parked yet: every new job asked
         calls.clear()
         assert schedule_tick(q, cluster, policy) == []
         assert calls == []  # parked jobs that fit nowhere cost no call
-        for job_id, fits in [("a0", True), ("a1", False), ("a2", True)]:
-            q.push(job(job_id, fits))
+        q.arrive(2)  # the three late jobs
         placements = schedule_tick(q, cluster, policy)
         assert [job.job_id for job, _ in placements] == ["a0", "a2"]
         assert calls == ["a0", "a2"]

@@ -36,9 +36,11 @@ def artifacts(result) -> tuple[str, str, str, str]:
 def due_everything(queue, cluster):
     """The walk before jobs were parked: every queued job, in queue order,
     with nothing parked or new left behind."""
+    parked = sorted([*queue._std.entries.values(),
+                     *queue._enclave.entries.values()], key=lambda e: e[0])
     queue._std, queue._enclave = scheduler._Parked(), scheduler._Parked()
-    queue._new = []
-    return list(queue._jobs.values())
+    start, queue.walked = queue.walked, queue.arrived
+    return parked + list(enumerate(queue.jobs[start:queue.walked], start))
 
 
 def walking_everything(jobs, nodes, config):
@@ -82,15 +84,15 @@ def test_same_bytes_as_walking_every_queued_job(jobs, nodes, config):
 @settings(max_examples=150, deadline=None)
 @given(jobs=_jobs(), nodes=_nodes(), config=_configs())
 def test_parked_jobs_hold_the_invariants(jobs, nodes, config):
-    # `PendingQueue.check` at every event, among the engine's other checks
+    # job conservation at every event, among the engine's other checks
     run(jobs, nodes, replace(config, check_invariants=True))
 
 
 def walk_only_new_jobs(monkeypatch):
     # a tick with parked jobs walks the new jobs and leaves the parked ones
     def only_new(self, cluster):
-        new, self._new = self._new, []
-        return new
+        start, self.walked = self.walked, self.arrived
+        return list(enumerate(self.jobs[start:self.walked], start))
 
     monkeypatch.setattr(PendingQueue, "due", only_new)
 
@@ -100,8 +102,9 @@ def walk_new_jobs_first(monkeypatch):
     due = PendingQueue.due
 
     def new_first(self, cluster):
-        new, self._new = self._new, []
-        return chain(new, due(self, cluster))
+        start, self.walked = self.walked, self.arrived
+        return chain(list(enumerate(self.jobs[start:self.walked], start)),
+                     due(self, cluster))
 
     monkeypatch.setattr(PendingQueue, "due", new_first)
 
