@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import JobOutcome, JobStatus
-from .trace import (JobKind, JobSpec, TraceParseError, _csv_reader,
-                    _duplicate_error, _gc_paused, _job_kind, _member_of,
-                    _not_a_member, _width_error, _write_csv, read_jobs_csv)
+from .trace import (_JOB_KINDS, JobKind, JobSpec, TraceParseError,
+                    _csv_reader, _duplicate_error, _gc_paused, _not_a_member,
+                    _width_error, _write_csv, read_jobs_csv)
 
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
@@ -60,7 +60,7 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
              declared, actual) in outcomes))
 
 
-_job_status = _member_of(JobStatus)
+_JOB_STATUSES = {member.value: member for member in JobStatus}
 
 
 @_gc_paused
@@ -75,7 +75,7 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
     # The kind and the status by inline dict lookups, and the tuple built
     # without the named tuple's Python-level `__new__`: no Python call per
     # field of a row.
-    kinds, statuses = _job_kind.members, _job_status.members
+    kinds, statuses = _JOB_KINDS, _JOB_STATUSES
     completed, new = JobStatus.COMPLETED, tuple.__new__
     with _csv_reader(source, OUTCOMES_FIELDS) as reader:
         for row in filter(None, reader):
@@ -320,8 +320,10 @@ def waiting_by_memory(outcomes: Sequence[JobOutcome],
 def _run_dirs(root: Path) -> list[tuple[Path, str]]:
     """Finished run directories with their labels, by name; a staging
     directory left by a killed run is not one.  A label is one word, since
-    it is the first field of the datasets' whitespace-separated rows."""
+    it is the first field of the datasets' whitespace-separated rows, and
+    no two runs share one, or the datasets would mix them."""
     runs = []
+    seen: dict[str, Path] = {}
     for meta_path in sorted(root.glob("*/" + META_FILE)):
         if meta_path.parent.name.endswith(STAGING_SUFFIX):
             continue
@@ -337,6 +339,10 @@ def _run_dirs(root: Path) -> list[tuple[Path, str]]:
         if label.split() != [label]:
             raise TraceParseError(f"{meta_path}: label {label!r} is empty or "
                                   "holds whitespace")
+        if label in seen:
+            raise TraceParseError(f"{meta_path}: label {label!r} is also the "
+                                  f"label of {seen[label]}")
+        seen[label] = meta_path
         runs.append((meta_path.parent, label))
     return runs
 
@@ -412,7 +418,7 @@ def _write_figures(artifact_dir, dests: Mapping[int, object]) -> list[Path]:
                 figure_lines += cdf
         jobs = None
         if 8 in lines:
-            jobs = _read_jobs(run_dir)
+            jobs = read_jobs_csv(run_dir / JOBS_FILE)
             jobs_by_id = {j.job_id: j for j in jobs}
             for o in outcomes:
                 if o.job_id not in jobs_by_id:
@@ -428,7 +434,7 @@ def _write_figures(artifact_dir, dests: Mapping[int, object]) -> list[Path]:
             lines[10].append(f"{label} {turnaround_sum(outcomes)}")
             if workload_ms is None:
                 if jobs is None:
-                    jobs = _read_jobs(run_dir)
+                    jobs = read_jobs_csv(run_dir / JOBS_FILE)
                 workload_ms = sum(j.duration_ms for j in jobs)
     if 10 in lines:
         lines[10].append(f"workload {workload_ms or 0}")
@@ -438,7 +444,3 @@ def _write_figures(artifact_dir, dests: Mapping[int, object]) -> list[Path]:
         path.write_text("\n".join(lines[figure]) + "\n", encoding="utf-8")
         paths.append(path)
     return paths
-
-
-def _read_jobs(run_dir: Path) -> list[JobSpec]:
-    return read_jobs_csv(run_dir / JOBS_FILE)

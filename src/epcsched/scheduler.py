@@ -270,8 +270,9 @@ _SQRT_BITS = 2 * sys.float_info.mant_dig + 3
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) correctly rounded to a float, the value
-    `statistics.pstdev` returns for an exact variance of num / den.
+    """sqrt(num / den) correctly rounded to a float: the population stddev
+    of a variance of exactly num / den (what `statistics.pstdev` returns
+    from Python 3.11 on).
 
     The ratio is scaled by 4**-q to _SQRT_BITS bits or more and its integer
     root rounded to odd (low bit set when inexact); the float conversion is
@@ -420,12 +421,12 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
     hypothetical placement leaves the list's loads with the smallest
     population stddev; ties go to the lowest node id.
 
-    A score is the float `statistics.pstdev` gives for the list, so two
-    different variances that round to one stddev still tie.  With n nodes,
-    V0 = n*Q - S*S and N_i replaced by N' = N_i + d, n times the variance
-    is var = V0 + d*(2*(n*N_i - S) + (n-1)*d) over (2**bits)**2, so on top
-    of the sums, which carry over from earlier decisions, and of `feasible`,
-    a target costs O(1).
+    A score is the correctly rounded square root of the list's exact
+    population variance, so two different variances that round to one
+    stddev still tie.  With n nodes, V0 = n*Q - S*S and N_i replaced by
+    N' = N_i + d, n times the variance is var = V0 + d*(2*(n*N_i - S) +
+    (n-1)*d) over (2**bits)**2, so on top of the sums, which carry over
+    from earlier decisions, and of `feasible`, a target costs O(1).
 
     Targets are visited class by class, each class from its least reserved
     node.  In a class of capacity c, float division by c is monotone, so
@@ -444,13 +445,10 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
     whose reservation leaves no room for the job ends its class, since
     every later one holds at least as much.  Nodes of one reservation share
     N_i and N', so only the first feasible node of such a run, the one with
-    the lowest index, is scored, and the walk jumps past the rest.  The
-    bound is first taken at a class's second run, which spares a class of
-    one node its interval.  Since the walk is not in node id order, an
-    equal score wins when its node comes earlier in the list."""
+    the lowest index, is scored, and the walk jumps past the rest.  Since
+    the walk is not in node id order, an equal score wins when its node
+    comes earlier in the list."""
     nodes = sums.nodes
-    if not nodes:
-        return None
     extra = job.declared_epc_pages if sums.pages else job.requested_mem
     lifted, unit, bits, total = sums.lifted, sums.unit, sums.bits, sums.total
     n = len(nodes)
@@ -460,18 +458,16 @@ def _pick_balanced(job: JobSpec, sums: _LoadSums) -> str | None:
     slack = 1 << (bits - sys.float_info.mant_dig + 1)
     best, best_score, best_var, cut = -1, 0.0, 0, 0
     for cap, keys in sums.classes.items():
-        lo = -1  # the class's interval for d, computed when first needed
+        step, rest = divmod(extra << bits, cap)
+        lo, hi = max(step - slack, 0), step + (rest > 0) + slack
+        klo, khi = k * lo, k * hi
         pos, end = 0, len(keys)
         while pos < end:
             r, i = keys[pos]
             if r + extra > cap:
                 break
             c = n * lifted[i] - total
-            if pos and best >= 0:
-                if lo < 0:
-                    step, rest = divmod(extra << bits, cap)
-                    lo, hi = max(step - slack, 0), step + (rest > 0) + slack
-                    klo, khi = k * lo, k * hi
+            if best >= 0:
                 if c >= -klo:
                     least = base + lo * (2 * c + klo)
                 elif c <= -khi:

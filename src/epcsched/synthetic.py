@@ -25,14 +25,14 @@ DEFAULT_SEED = 140051
 # The memory fractions: the body's span, and the crunch jobs' uniform range.
 _FRAC_FLOOR, _FRAC_CAP = 0.004, 0.30
 _CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI = 0.06, 0.20
+_CRUNCH_JOBS = 30  # the final jobs, in the window's last few minutes
 
 
 @_gc_paused
 def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
                     span_s: int = DEFAULT_SPAN_S,
                     max_duration_s: int = DEFAULT_MAX_DURATION_S,
-                    seed: int = DEFAULT_SEED,
-                    crunch_jobs: int = 30) -> list[RawJobRecord]:
+                    seed: int = DEFAULT_SEED) -> list[RawJobRecord]:
     """Generate the synthetic workload; identical arguments give identical
     records.
 
@@ -40,19 +40,19 @@ def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
     exactly at span_s, so an uncontended replay finishes right at the nominal
     end) and max_mem_frac never exceeds assigned_mem_frac.  Submissions leave
     the opening seconds empty, so injected time-zero jobs always reach the
-    cluster before any trace job.  The final crunch_jobs jobs land in the
-    last few minutes of the window with mid-range memory fractions.
+    cluster before any trace job.  The final 30 jobs land in the last few
+    minutes of the window with mid-range memory fractions.
     Generating needs numpy (the `test` extra); loading the bundled trace
     does not.
     """
     import numpy as np
 
-    if n_jobs <= crunch_jobs:
-        raise ValueError("n_jobs must exceed crunch_jobs")
+    if n_jobs <= _CRUNCH_JOBS:
+        raise ValueError(f"n_jobs must exceed {_CRUNCH_JOBS}")
     if max_duration_s > span_s:
         raise ValueError("max_duration_s cannot exceed span_s")
     gen = np.random.Generator(np.random.Philox(key=seed))
-    n_body = n_jobs - crunch_jobs
+    n_body = n_jobs - _CRUNCH_JOBS
 
     durations = np.maximum(
         1, np.rint(max_duration_s * gen.random(n_body) ** 2)).astype(int)
@@ -61,11 +61,12 @@ def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
     peak_ratio = gen.uniform(0.6, 1.0, n_body)
 
     crunch_durations = gen.integers(max_duration_s - 100,
-                                    max_duration_s + 1, crunch_jobs)
+                                    max_duration_s + 1, _CRUNCH_JOBS)
     crunch_submits = gen.integers(span_s - 450, span_s - crunch_durations + 1)
     crunch_submits[0] = span_s - crunch_durations[0]
-    crunch_assigned = gen.uniform(_CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI, crunch_jobs)
-    crunch_peak_ratio = gen.uniform(0.7, 1.0, crunch_jobs)
+    crunch_assigned = gen.uniform(_CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI,
+                                  _CRUNCH_JOBS)
+    crunch_peak_ratio = gen.uniform(0.7, 1.0, _CRUNCH_JOBS)
 
     rows = list(zip(
         np.concatenate([submits, crunch_submits]).tolist(),

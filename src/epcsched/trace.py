@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import chain, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._units import DEFAULT_EPC_USABLE, GIB, PAGE_SIZE
 
@@ -106,24 +106,9 @@ def _not_a_member(enum: type[Enum], value: str) -> ValueError:
     return ValueError(f"{value!r} is not a valid {enum.__qualname__}")
 
 
-def _member_of(enum: type[Enum]) -> Callable[[str], Enum]:
-    """A reader's decoder of one enum's values: the member by one dict
-    lookup, where calling the enum costs several Python calls per row.  A
-    value no member has raises the ValueError calling the enum raises.  The
-    decoder's `members` is its dict, for a reader that looks values up
-    inline and raises `_not_a_member` on a miss."""
-    members = {member.value: member for member in enum}
-
-    def member_of(value: str) -> Enum:
-        try:
-            return members[value]
-        except KeyError:
-            raise _not_a_member(enum, value) from None
-    member_of.members = members
-    return member_of
-
-
-_job_kind = _member_of(JobKind)
+# Each value's member, for the readers: one dict lookup, where calling the
+# enum costs several Python calls per row.  A miss raises `_not_a_member`.
+_JOB_KINDS = {member.value: member for member in JobKind}
 
 
 def _slot_setters(cls) -> tuple:
@@ -793,8 +778,12 @@ def read_jobs_csv(source) -> list[JobSpec]:
             if len(row) != 8:
                 raise _width_error(JOBS_FIELDS, row)
             job_id, kind, submit, duration, mem, used, declared, pages = row
-            job = JobSpec(job_id, _job_kind(kind), int(submit), int(duration),
-                          int(mem), int(used), int(declared), int(pages))
+            try:
+                kind = _JOB_KINDS[kind]
+            except KeyError:
+                raise _not_a_member(JobKind, kind) from None
+            job = JobSpec(job_id, kind, int(submit), int(duration), int(mem),
+                          int(used), int(declared), int(pages))
             if job_id in seen:
                 raise _duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num

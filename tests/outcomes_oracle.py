@@ -2,7 +2,7 @@
 the reference `report.read_outcomes_csv` is compared against.
 
 Each row goes through the per-field decoders in field order (the kind and
-status by calling their decoders, the times as optional ints, the record
+status by calling their enums, the times as optional ints, the record
 by the named tuple's constructor) and then the status checks, so a row with
 several faults names the first.  It keeps every check, message and line of
 the package's reader.
@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import OUTCOMES_FIELDS
-from epcsched.trace import (_csv_reader, _duplicate_error, _job_kind,
-                            _member_of, _width_error)
-
-_job_status = _member_of(JobStatus)
+from epcsched.trace import (JobKind, _csv_reader, _duplicate_error,
+                            _width_error)
 
 
 def read_outcomes_csv(source) -> list[JobOutcome]:
@@ -29,10 +27,10 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
                 continue
             (job_id, kind, submitted, started, finished, status, node_id,
              declared, actual) = row
-            kind, submitted = _job_kind(kind), int(submitted)
+            kind, submitted = JobKind(kind), int(submitted)
             started = int(started) if started else None
             finished = int(finished) if finished else None
-            status = _job_status(status)
+            status = JobStatus(status)
             if status is JobStatus.COMPLETED:
                 if started is None or finished is None:
                     raise ValueError(f"{status.value} job {job_id!r} needs a "

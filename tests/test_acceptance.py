@@ -12,7 +12,6 @@ import math
 import os
 import time
 from dataclasses import replace
-from statistics import pstdev
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from epcsched.scheduler import binpack_select, spread_select
 from epcsched.synthetic import load_bundled_trace
 from epcsched.trace import (JobKind, JobSpec, ScalingConfig, inject_malicious,
                             materialize, parse_trace, slice_and_sample)
+from stddev_oracle import exact_pstdev
 from window_oracle import WindowQuery, WindowScan
 
 SPAN_MS = 3_600_000
@@ -357,7 +357,7 @@ class TestInvariantSuite:
                 continue
             loads = [(reserved[other] + (declared if other == nid else 0)) / 100
                      for other in reserved]
-            score = pstdev(loads)
+            score = exact_pstdev(loads)
             if best is None or score < best_score - 1e-12:
                 best, best_score = nid, score
         assert pick == best

@@ -4,8 +4,10 @@ stated as a bound on counted operations per unit of work, not on seconds.
 - The functions that build records run with the cyclic collector paused:
   no collection starts inside them, and they leave no cyclic garbage behind.
 - A replay asks its placement policy at most once per job plus once per
-  park, and adds each pod interval to the usage ledger exactly once and
-  takes it off at most once.
+  park, and exactly once per job while a job no node can hold stays
+  parked; it adds each pod interval to the usage ledger exactly once and
+  takes it off at most once.  The grid spans 700 and 7k jobs, 4 and 64
+  nodes, and both policies.
 - A sweep materializes the trace once per distinct fraction and injects the
   malicious jobs once per point; `figure_datasets` reads each run file at
   most once.
@@ -22,7 +24,7 @@ import pytest
 from epcsched import experiment, metrics, report, scheduler, synthetic, trace
 from epcsched.cluster import EpcModel, NodeSpec, default_cluster
 from epcsched.engine import JobOutcome, JobStatus, SimConfig, run
-from epcsched.trace import JobKind, RawJobRecord, ScalingConfig
+from epcsched.trace import JobKind, JobSpec, RawJobRecord, ScalingConfig
 
 MIB = 1024 ** 2
 GIB = 1024 ** 3
@@ -136,15 +138,22 @@ def _wide_cluster(n_nodes: int) -> list[NodeSpec]:
 
 
 @pytest.fixture(scope="module")
-def bundled_jobs():
-    """The bundled 700-job trace, half of it enclave jobs."""
-    return trace.materialize(synthetic.load_bundled_trace(),
-                             ScalingConfig(sgx_fraction=0.5))
+def replay_jobs():
+    """The bundled 700-job trace and 7k synthetic jobs at its arrival
+    density (700 an hour), half of them enclave jobs."""
+    scaling = ScalingConfig(sgx_fraction=0.5)
+    return {
+        700: trace.materialize(synthetic.load_bundled_trace(), scaling),
+        7_000: trace.materialize(
+            synthetic.synthetic_trace(n_jobs=7_000, span_s=36_000), scaling)}
 
 
+@pytest.mark.parametrize("hopeless", [False, True])
 @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
 @pytest.mark.parametrize("n_nodes", [4, 64])
-def test_replay_budgets(monkeypatch, bundled_jobs, n_nodes, policy):
+@pytest.mark.parametrize("n_jobs", [700, 7_000])
+def test_replay_budgets(monkeypatch, replay_jobs, n_jobs, n_nodes, policy,
+                        hopeless):
     calls = Counter()
     select = scheduler.POLICIES[policy]
 
@@ -170,13 +179,22 @@ def test_replay_budgets(monkeypatch, bundled_jobs, n_nodes, policy):
     monkeypatch.setattr(metrics, "_count", counted_count)
     nodes = default_cluster() if n_nodes == 4 else _wide_cluster(n_nodes)
     assert len(nodes) == n_nodes
-    result = run(bundled_jobs, nodes, SimConfig(policy=policy))
+    replayed = replay_jobs[n_jobs]
+    if hopeless:
+        # A standard job no node can hold, first in the queue: it fails its
+        # first walk and stays parked, so every later walk asks the policy
+        # only about jobs that fit.
+        replayed = [JobSpec("hopeless", JobKind.STANDARD, 0, 1_000, 100 * GIB,
+                            100 * GIB, 0, 0), *replayed]
+    result = run(replayed, nodes, SimConfig(policy=policy))
 
-    jobs, intervals = len(bundled_jobs), len(result.store.pods)
-    assert len(result.outcomes) == jobs == 700
+    jobs, intervals = len(replayed), len(result.store.pods)
+    assert len(result.outcomes) == jobs == n_jobs + hopeless
     if n_nodes == 4:
         assert calls["parks"] > 0  # the budget is taken under contention
     assert calls["select"] <= jobs + calls["parks"], calls
+    if hopeless:
+        assert calls["select"] == jobs, calls
     assert 0 < calls["ledger"] <= 2 * intervals, (calls, intervals)
     # each sampled pod is added once and taken off at most once
     assert calls["ledger +1"] == intervals, (calls, intervals)

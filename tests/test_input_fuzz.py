@@ -3,8 +3,9 @@
 A canonical trace CSV with one spoiled row is a TraceParseError naming the
 file and that row's line; a row with a negative duration is dropped with a
 warning instead, and good rows read back as `write_canonical_csv` wrote
-them.  A run's spoiled `meta.json` is a TraceParseError naming it, and
-`epcsched report` exits 3 on it and writes no dataset."""
+them.  A run's spoiled `meta.json` is a TraceParseError naming it, as is
+a label another run has, naming both; `epcsched report` exits 3 on either
+and writes no dataset."""
 
 import csv
 import io
@@ -228,3 +229,19 @@ def test_a_spoiled_meta_names_its_file_and_report_exits_3(spoiled, first):
         assert str(err.value).startswith(f"{meta}: {reason}"), str(err.value)
         assert main(["report", "--dir", tmp, "--figure", "all"]) == 3
         assert list(root.glob("*.dat")) == []
+
+
+@pytest.mark.parametrize("copy", ["a", "c"])
+def test_two_runs_with_one_label_name_both_metas_and_report_exits_3(
+        tmp_path, copy):
+    # a copied run directory, listed before or after the original
+    first = _write_run(tmp_path, "b", b'{"label": "run-b"}')
+    second = _write_run(tmp_path, copy, b'{"label": "run-b"}')
+    if copy == "a":
+        first, second = second, first
+    with pytest.raises(TraceParseError) as err:
+        figure_datasets(tmp_path)
+    assert str(err.value) == (f"{second}: label 'run-b' is also the label "
+                              f"of {first}")
+    assert main(["report", "--dir", str(tmp_path), "--figure", "all"]) == 3
+    assert list(tmp_path.glob("*.dat")) == []

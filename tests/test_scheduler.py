@@ -3,7 +3,6 @@
 import math
 import sys
 from fractions import Fraction
-from statistics import pstdev
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +21,7 @@ from epcsched.scheduler import (
     spread_select,
 )
 from epcsched.trace import JobKind, JobSpec
+from stddev_oracle import exact_pstdev
 from window_oracle import WindowQuery, WindowScan
 
 USABLE = 23_936
@@ -320,14 +320,15 @@ def _std_fraction(node: NodeState, extra_bytes: int) -> float:
 
 def _seed_pick_balanced(job, candidates, usage, load, extra):
     """The pstdev loop `spread` used before its running-sums rewrite, kept
-    verbatim as the reference for exact picks."""
+    as the reference for exact picks, with the exact stddev in place of
+    `statistics.pstdev`, which rounds differently before Python 3.11."""
     best_id = None
     best_score = 0.0
     for target in sorted(candidates, key=lambda n: n.node_id):
         if not _seed_feasible(job, target, usage):
             continue
         loads = [load(n, extra if n is target else 0) for n in candidates]
-        score = pstdev(loads)
+        score = exact_pstdev(loads)
         if best_id is None or score < best_score:
             best_id, best_score = target.node_id, score
     return best_id
@@ -477,7 +478,7 @@ class TestSpreadExactOracle:
         mean = sum(exact) / len(exact)
         var = sum((x - mean) ** 2 for x in exact) / len(exact)
         score = scheduler._sqrt_of_ratio(var.numerator, var.denominator)
-        assert score == pstdev(loads)
+        assert score == exact_pstdev(loads)
         # the same ratio in other terms, as the running sums give it
         assert scheduler._sqrt_of_ratio(var.numerator * k * k,
                                         var.denominator * k * k) == score
@@ -534,14 +535,15 @@ class TestSpreadExactOracle:
 
 
 def _pstdev_after(job, nodes, usage, target_id):
-    """pstdev of the target's candidate list after placing the job there."""
+    """The exact stddev of the target's candidate list after placing the
+    job there."""
     target = nodes[target_id]
     if job.kind.uses_epc:
         load, extra = _epc_fraction, job.declared_epc_pages
     else:
         load, extra = _std_fraction, job.requested_mem
     same = [n for n in nodes.values() if n.is_sgx == target.is_sgx]
-    return pstdev(load(n, extra if n is target else 0) for n in same)
+    return exact_pstdev(load(n, extra if n is target else 0) for n in same)
 
 
 class TestSpreadSumsAcrossDecisions:

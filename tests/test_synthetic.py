@@ -59,6 +59,6 @@ def test_durations_bounded(bundled):
 
 def test_validation():
     with pytest.raises(ValueError):
-        synthetic_trace(n_jobs=10, crunch_jobs=10)
+        synthetic_trace(n_jobs=30)
     with pytest.raises(ValueError):
         synthetic_trace(span_s=100, max_duration_s=300)
