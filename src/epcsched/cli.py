@@ -16,9 +16,8 @@ import logging
 import sys
 
 from . import trace
-from ._units import parse_size
 from .engine import ConfigError
-from .experiment import load_config, run_experiment
+from .experiment import as_size, load_config, run_experiment
 from .report import FIGURES, figure_dataset, figure_datasets
 from .trace import TRACE_FORMATS, ScalingConfig, TraceParseError
 
@@ -51,8 +50,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         slice_end_s=args.slice_end,
         sampling_stride=args.stride,
         sgx_fraction=args.sgx_fraction,
-        std_multiplier=parse_size(args.std_multiplier),
-        sgx_multiplier=parse_size(args.sgx_multiplier),
+        std_multiplier=as_size(args.std_multiplier, "--std-multiplier"),
+        sgx_multiplier=as_size(args.sgx_multiplier, "--sgx-multiplier"),
         rng_seed=args.seed,
     )
     # looked up in `trace`, where a per-layer split wraps them by name

@@ -2,8 +2,8 @@
 and leave one artifact directory per run.
 
 Sweep points are independent (each gets a fresh engine), so they can run in
-worker processes; directories are staged under a temporary name and renamed
-into place only when complete.
+worker processes.  `report` names and writes every file of the artifact
+root, each run directory staged and renamed into place only when complete.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -19,13 +18,11 @@ from typing import Any, Callable, NamedTuple
 from ._units import PAGE_SIZE, format_size, parse_size
 from .cluster import (DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcModel,
                       NodeSpec, default_cluster)
-from .engine import ConfigError, SimConfig, SimResult, run
-from .report import (JOBS_FILE, META_FILE, OUTCOMES_FILE, PENDING_FILE,
-                     SAMPLES_FILE, STAGING_SUFFIX, SUMMARY_FILE, summary,
-                     write_outcomes_csv, write_pending_csv)
+from .engine import ConfigError, SimConfig, run
+from .report import EXPERIMENT_FILE, write_json, write_run_dir
 from .trace import (TRACE_FORMATS, JobSpec, RawJobRecord, ScalingConfig,
                     inject_malicious, malicious_id, materialize, parse_trace,
-                    slice_and_sample, write_jobs_csv)
+                    slice_and_sample)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def _as_float(value: Any, key: str) -> float:
     raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
-def _as_size(value: Any, key: str) -> int:
+def as_size(value: Any, key: str) -> int:
     try:
         return parse_size(value)
     except ValueError as exc:
@@ -199,13 +196,13 @@ _FIELDS: dict[str, tuple[str, str, Callable[[Any, str], Any]]] = {
     "slice_end_s": ("scaling", "slice_end_s", _as_float),
     "sampling_stride": ("scaling", "sampling_stride", _as_int),
     "sgx_fraction": ("scaling", "sgx_fraction", _as_float),
-    "std_multiplier": ("scaling", "std_multiplier", _as_size),
-    "sgx_multiplier": ("scaling", "sgx_multiplier", _as_size),
+    "std_multiplier": ("scaling", "std_multiplier", as_size),
+    "sgx_multiplier": ("scaling", "sgx_multiplier", as_size),
     "rng_seed": ("scaling", "rng_seed", _as_int),
     "malicious_n": ("malicious", "n", _as_count_or_auto),
     "malicious_declared_pages": ("malicious", "declared_pages", _as_int),
     "malicious_use_fraction": ("malicious", "use_fraction", _as_float),
-    "epc_usable_sweep": ("run", "epc_usable_sweep", _as_tuple_of(_as_size)),
+    "epc_usable_sweep": ("run", "epc_usable_sweep", _as_tuple_of(as_size)),
     "sgx_fraction_sweep": ("run", "sgx_fraction_sweep",
                            _as_tuple_of(_as_float)),
     "trace": ("run", "trace_file", _as_str),
@@ -308,11 +305,11 @@ def load_cluster(path) -> list[NodeSpec]:
                 raise ConfigError("each node needs node_id and std_capacity")
             epc = None
             if row.keys() & _EPC_KEYS:  # an absent one keeps its default
-                epc = EpcModel(**{name: _as_size(row[key], key)
+                epc = EpcModel(**{name: as_size(row[key], key)
                                   for key, name in _EPC_KEYS.items()
                                   if key in row})
             specs[node_id] = NodeSpec(
-                node_id, _as_size(row["std_capacity"], "std_capacity"), epc)
+                node_id, as_size(row["std_capacity"], "std_capacity"), epc)
     except ValueError as exc:
         raise ConfigError(where + str(exc)) from None
     return list(specs.values())
@@ -363,8 +360,7 @@ def run_point(cfg: ExperimentConfig, jobs: list[JobSpec], point: SweepPoint,
                                 cfg.malicious.use_fraction,
                                 sgx_specs[0].epc.usable_pages)
     result = run(jobs, specs, cfg.sim_config())
-    _write_run_dir(Path(out_root), label, jobs, result, {
-        "label": label,
+    write_run_dir(Path(out_root), label, jobs, result, {
         "epc_usable_sweep_bytes": epc_bytes,
         "sgx_fraction": fraction,
         "policy": cfg.policy,
@@ -372,34 +368,6 @@ def run_point(cfg: ExperimentConfig, jobs: list[JobSpec], point: SweepPoint,
         "malicious": None if cfg.malicious is None else asdict(cfg.malicious),
     })
     return label
-
-
-def _write_json(path: Path, data: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_run_dir(out_root: Path, label: str, jobs, result: SimResult,
-                   meta: dict) -> None:
-    staging = out_root / (label + STAGING_SUFFIX)
-    final = out_root / label
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-    try:
-        write_jobs_csv(jobs, staging / JOBS_FILE)
-        write_outcomes_csv(result.outcomes, staging / OUTCOMES_FILE)
-        write_pending_csv(result.pending_epc, staging / PENDING_FILE)
-        result.store.write_csv(staging / SAMPLES_FILE)
-        _write_json(staging / SUMMARY_FILE, summary(result.outcomes))
-        _write_json(staging / META_FILE, meta)
-        if final.exists():
-            shutil.rmtree(final)
-        os.replace(staging, final)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
 
 
 def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
@@ -474,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "enforce_limits": cfg.enforce_limits,
         "jobs_in_slice": len(records),
     }
-    _write_json(out_root / "experiment.json", echo)
+    write_json(out_root / EXPERIMENT_FILE, echo)
     # The points run grouped by fraction, and the trace is materialized once
     # per distinct fraction: the points of a fraction share its jobs.
     by_fraction: dict[float, list[SweepPoint]] = {}

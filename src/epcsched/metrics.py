@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, merge
 from typing import Iterator, NamedTuple
 
+from ._csvio import open_write
 from .cluster import ClusterState, NodeState, Pod
-from .trace import _open_write
 
 METRIC_EPC_PAGES = "epc_pages"
 METRIC_STD_BYTES = "std_bytes"
@@ -236,7 +236,7 @@ class SeriesStore:
 
     def write_csv(self, dest) -> None:
         """The samples file: a header, then `_rows()` as CSV."""
-        with _open_write(dest) as fh:
+        with open_write(dest) as fh:
             fh.write(",".join(SAMPLES_FIELDS) + "\n")
             self._write_rows(fh)
 

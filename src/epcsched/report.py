@@ -1,24 +1,28 @@
-"""Outcome statistics and artifact serialization.
-
-Owns the on-disk vocabulary of a run directory (outcomes.csv, pending_epc.csv,
-samples.csv, jobs.csv, summary.json, meta.json) and turns directories of runs
-into plain whitespace-separated datasets ready for plotting.
+"""Run directories and what is made of them.  This module owns the artifact
+root: every file name in it, the outcomes and pending formats, the JSON
+writer, the staged write of a run directory, and the listing of a root's
+runs with their label checks (the jobs and samples formats are `trace`'s and
+`metrics`').  It turns the runs into statistics and plot-ready datasets.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .engine import JobOutcome, JobStatus
-from .trace import (_JOB_KINDS, JobKind, JobSpec, TraceParseError,
-                    _csv_reader, _duplicate_error, _gc_paused, _not_a_member,
-                    _width_error, _write_csv, read_jobs_csv)
+from . import trace
+from ._csvio import (TraceParseError, csv_reader, duplicate_error, gc_paused,
+                     not_a_member, width_error, write_csv)
+from .engine import JobOutcome, JobStatus, SimResult
+from .trace import JOB_KINDS, JobKind, JobSpec, read_jobs_csv
 
+EXPERIMENT_FILE = "experiment.json"  # the sweep's settings, at the root
 OUTCOMES_FILE = "outcomes.csv"
 PENDING_FILE = "pending_epc.csv"
 SAMPLES_FILE = "samples.csv"
@@ -53,7 +57,7 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
     # A job with no start, finish or node has None there.  `_value_` is a
     # plain attribute read, where `.value` runs a Python property and a dict
     # keyed by members the Python-level `__hash__`.
-    _write_csv(dest, OUTCOMES_FIELDS, (
+    write_csv(dest, OUTCOMES_FIELDS, (
         (job_id, kind._value_, submitted, started, finished, status._value_,
          node_id, declared, actual)
         for (job_id, kind, submitted, started, finished, status, node_id,
@@ -63,7 +67,7 @@ def write_outcomes_csv(outcomes: Iterable[JobOutcome], dest) -> None:
 _JOB_STATUSES = {member.value: member for member in JobStatus}
 
 
-@_gc_paused
+@gc_paused
 def read_outcomes_csv(source) -> list[JobOutcome]:
     """The outcome rows, one per job.  A row's times must fit its status: a
     completed job has submit <= start <= finish, a killed or unfinished one
@@ -75,25 +79,25 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
     # The kind and the status by inline dict lookups, and the tuple built
     # without the named tuple's Python-level `__new__`: no Python call per
     # field of a row.
-    kinds, statuses = _JOB_KINDS, _JOB_STATUSES
+    kinds, statuses = JOB_KINDS, _JOB_STATUSES
     completed, new = JobStatus.COMPLETED, tuple.__new__
-    with _csv_reader(source, OUTCOMES_FIELDS) as reader:
+    with csv_reader(source, OUTCOMES_FIELDS) as reader:
         for row in filter(None, reader):
             if len(row) != 9:
-                raise _width_error(OUTCOMES_FIELDS, row)
+                raise width_error(OUTCOMES_FIELDS, row)
             (job_id, kind, submitted, started, finished, status, node_id,
              declared, actual) = row
             try:
                 kind = kinds[kind]
             except KeyError:
-                raise _not_a_member(JobKind, kind) from None
+                raise not_a_member(JobKind, kind) from None
             submitted = int(submitted)
             started = int(started) if started else None
             finished = int(finished) if finished else None
             try:
                 status = statuses[status]
             except KeyError:
-                raise _not_a_member(JobStatus, status) from None
+                raise not_a_member(JobStatus, status) from None
             if status is completed:
                 if started is None or finished is None:
                     raise ValueError(f"{status.value} job {job_id!r} needs a "
@@ -109,7 +113,7 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
                                        finished, status, node_id or None,
                                        int(declared), int(actual)))
             if job_id in seen:
-                raise _duplicate_error(job_id, seen[job_id])
+                raise duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
             outcomes.append(outcome)
     return outcomes
@@ -117,23 +121,54 @@ def read_outcomes_csv(source) -> list[JobOutcome]:
 
 def write_pending_csv(series: Iterable[tuple[int, int]], dest) -> None:
     # unpacked, so an item that is not a pair is still an error
-    _write_csv(dest, PENDING_FIELDS,
-               ((time_ms, backlog) for time_ms, backlog in series))
+    write_csv(dest, PENDING_FIELDS,
+              ((time_ms, backlog) for time_ms, backlog in series))
 
 
-@_gc_paused
+@gc_paused
 def read_pending_csv(source) -> list[tuple[int, int]]:
     series: list[tuple[int, int]] = []
-    with _csv_reader(source, PENDING_FIELDS) as reader:
+    with csv_reader(source, PENDING_FIELDS) as reader:
         for row in filter(None, reader):
             if len(row) != 2:
-                raise _width_error(PENDING_FIELDS, row)
+                raise width_error(PENDING_FIELDS, row)
             try:
                 series.append((int(row[0]), int(row[1])))
             except ValueError:
                 raise ValueError(f"expected integers {','.join(PENDING_FIELDS)}"
                                  f", got {','.join(row)!r}") from None
     return series
+
+
+def write_json(path: Path, data: Any) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_run_dir(out_root: Path, label: str, jobs: Iterable[JobSpec],
+                  result: SimResult, meta: dict) -> None:
+    """Write the run directory `out_root / label`, whose `meta.json` is
+    `meta` with the label, staged and renamed into place when complete."""
+    staging = out_root / (label + STAGING_SUFFIX)
+    final = out_root / label
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir(parents=True)
+    try:
+        # looked up in `trace`, where a per-layer split wraps it by name
+        trace.write_jobs_csv(jobs, staging / JOBS_FILE)
+        write_outcomes_csv(result.outcomes, staging / OUTCOMES_FILE)
+        write_pending_csv(result.pending_epc, staging / PENDING_FILE)
+        result.store.write_csv(staging / SAMPLES_FILE)
+        write_json(staging / SUMMARY_FILE, summary(result.outcomes))
+        write_json(staging / META_FILE, {"label": label, **meta})
+        if final.exists():
+            shutil.rmtree(final)
+        os.replace(staging, final)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def summary(outcomes: Sequence[JobOutcome]) -> dict:

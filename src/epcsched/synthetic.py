@@ -13,7 +13,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .trace import RawJobRecord, _gc_paused, parse_canonical_csv
+from ._csvio import gc_paused
+from .trace import RawJobRecord, parse_canonical_csv
 
 BUNDLED_TRACE = "synthetic_trace.csv"
 
@@ -28,7 +29,7 @@ _CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI = 0.06, 0.20
 _CRUNCH_JOBS = 30  # the final jobs, in the window's last few minutes
 
 
-@_gc_paused
+@gc_paused
 def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
                     span_s: int = DEFAULT_SPAN_S,
                     max_duration_s: int = DEFAULT_MAX_DURATION_S,

@@ -5,19 +5,17 @@ Trace records describe jobs by memory *fractions* of whatever machine they
 originally ran on.  Materialization multiplies those fractions against target
 capacities (a large standard-memory node, or a small protected-memory budget
 for enclave-backed jobs) and tags a seeded subset of records as enclave jobs.
+It also owns the jobs CSV, `JobSpec`'s serialized form.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import functools
-import gc
 import gzip
 import io
 import logging
 import math
-import os
 import sys
 import zlib
 from array import array
@@ -29,6 +27,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from ._csvio import (TraceParseError, csv_reader, duplicate_error, gc_paused,
+                     not_a_member, width_error, write_csv)
 from ._units import DEFAULT_EPC_USABLE, GIB, PAGE_SIZE
 
 log = logging.getLogger(__name__)
@@ -44,52 +44,6 @@ JOBS_FIELDS = ("job_id", "kind", "submit_ms", "duration_ms", "requested_mem",
                "actual_mem", "declared_epc_pages", "actual_epc_pages")
 
 
-def _gc_paused(fn):
-    """`fn` with CPython's cyclic garbage collector off for the call.
-
-    It wraps the functions that build trace and artifact records.  Each
-    keeps objects in proportion to its input, so with the collector on, a
-    young collection starts every 700 new objects, and the older
-    generations, up to the whole heap, are walked again as they fill:
-    several full collections on a 70k-row input.  Those traversals find
-    nothing to free.  Reference counting still frees everything these
-    functions drop, as they drop it; the pause only postpones the
-    collection of cyclic garbage, and the records and the tables they are
-    built from hold no cycles, so nothing waits.  The pause is
-    process-wide, though: another thread's cyclic garbage waits until the
-    call returns.  Mercurial's `util.nogc` pauses the collector in the same
-    way while it builds large containers.
-
-    The collector is turned back on only if it was on when the call
-    started, so a caller that turned it off keeps it off through nested
-    calls and calls that raise.  The wrapper keeps `fn`'s name and sets
-    `__wrapped__`; it is applied where `fn` is defined, so every module
-    that imports `fn` by name gets the paused version.
-    """
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return paused
-
-
-class TraceParseError(ValueError):
-    """Input violates the trace contract.  Carries the 1-based source line;
-    the message also names the file, when there is one."""
-
-    def __init__(self, message: str, line: int | None = None,
-                 path: str | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message if path is None else f"{path}: {message}")
-        self.line = line
-
-
 class JobKind(Enum):
     STANDARD = "standard"
     SGX = "sgx"
@@ -101,14 +55,9 @@ class JobKind(Enum):
         self.uses_epc = value != "standard"
 
 
-def _not_a_member(enum: type[Enum], value: str) -> ValueError:
-    """The ValueError calling `enum` with a value no member has raises."""
-    return ValueError(f"{value!r} is not a valid {enum.__qualname__}")
-
-
 # Each value's member, for the readers: one dict lookup, where calling the
-# enum costs several Python calls per row.  A miss raises `_not_a_member`.
-_JOB_KINDS = {member.value: member for member in JobKind}
+# enum costs several Python calls per row.  A miss raises `not_a_member`.
+JOB_KINDS = {member.value: member for member in JobKind}
 
 
 def _slot_setters(cls) -> tuple:
@@ -222,8 +171,11 @@ class ScalingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.slice_start_s < 0:
-            raise ValueError("slice_start_s must be >= 0")
+        if not 0 <= self.slice_start_s < math.inf:
+            raise ValueError("slice_start_s must be a finite number >= 0, "
+                             f"got {self.slice_start_s!r}")
+        if math.isnan(self.slice_end_s):
+            raise ValueError("slice_end_s must be a number or inf, got nan")
         if not self.slice_start_s < self.slice_end_s:
             raise ValueError("slice_start_s must lie below slice_end_s")
         if self.sampling_stride < 1:
@@ -239,36 +191,6 @@ class ScalingConfig:
                              f"got {self.rng_seed}")
 
 
-@contextmanager
-def _open_text(source):
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        yield io.StringIO(data)
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-@contextmanager
-def _open_write(dest):
-    if hasattr(dest, "write"):
-        yield dest
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-def _write_csv(dest, fields: tuple[str, ...], rows: Iterable[Iterable]) -> None:
-    """Write the header `fields`, then the rows, to a CSV file (a path or an
-    open file), one newline-ended line each; a None field is written empty."""
-    with _open_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(rows)
-
-
 def parse_trace(source, fmt: str = TRACE_FORMATS[0]) -> list[RawJobRecord]:
     """Dispatch to a trace reader by module global, which a per-layer split
     wraps by name.  fmt is one of TRACE_FORMATS."""
@@ -279,7 +201,7 @@ def parse_trace(source, fmt: str = TRACE_FORMATS[0]) -> list[RawJobRecord]:
     raise ValueError(f"unknown trace format {fmt!r}, not one of {TRACE_FORMATS}")
 
 
-@_gc_paused
+@gc_paused
 def parse_canonical_csv(source) -> list[RawJobRecord]:
     """Read the canonical trace CSV (path or open file).
 
@@ -291,10 +213,10 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
     """
     records: list[RawJobRecord] = []
     seen: dict[str, int] = {}
-    with _csv_reader(source, CANONICAL_FIELDS) as reader:
+    with csv_reader(source, CANONICAL_FIELDS) as reader:
         for row in filter(None, reader):
             if len(row) != 5:
-                raise _width_error(CANONICAL_FIELDS, row)
+                raise width_error(CANONICAL_FIELDS, row)
             job_id = row[0].strip()
             try:
                 submit_s, duration_s, assigned, peak = map(float, row[1:])
@@ -306,7 +228,7 @@ def parse_canonical_csv(source) -> list[RawJobRecord]:
                 continue
             record = RawJobRecord(job_id, submit_s, duration_s, assigned, peak)
             if job_id in seen:
-                raise _duplicate_error(job_id, seen[job_id])
+                raise duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
             records.append(record)
     records.sort(key=attrgetter("submit_s"))
@@ -404,7 +326,7 @@ def _shard_error(shard: Path, rowno: int, row: list[str],
     return TraceParseError(reason, line=rowno, path=str(shard))
 
 
-@_gc_paused
+@gc_paused
 def parse_borg_tables(root) -> list[RawJobRecord]:
     """Adapt a directory of gzipped 2011-schema shards into canonical records.
 
@@ -608,7 +530,7 @@ def _tag_uniforms(seed: int, n: int) -> list[float]:
     return draws
 
 
-@_gc_paused
+@gc_paused
 def materialize(records: Sequence[RawJobRecord],
                 cfg: ScalingConfig) -> list[JobSpec]:
     """Scale fraction records into concrete jobs.
@@ -690,7 +612,7 @@ def _fmt_number(x: float):
 
 
 def write_canonical_csv(records: Iterable[RawJobRecord], dest) -> None:
-    _write_csv(dest, CANONICAL_FIELDS, (
+    write_csv(dest, CANONICAL_FIELDS, (
         (r.job_id, _fmt_number(r.submit_s), _fmt_number(r.duration_s),
          _fmt_number(r.assigned_mem_frac), _fmt_number(r.max_mem_frac))
         for r in records))
@@ -699,93 +621,31 @@ def write_canonical_csv(records: Iterable[RawJobRecord], dest) -> None:
 def write_jobs_csv(jobs: Iterable[JobSpec], dest) -> None:
     # `_value_` is a plain attribute read, where `.value` runs a Python
     # property and a dict keyed by kinds the Python-level `__hash__`.
-    _write_csv(dest, JOBS_FIELDS, (
+    write_csv(dest, JOBS_FIELDS, (
         (j.job_id, j.kind._value_, j.submit_ms, j.duration_ms,
          j.requested_mem, j.actual_mem, j.declared_epc_pages,
          j.actual_epc_pages) for j in jobs))
 
 
-@contextmanager
-def _csv_reader(source, fields: tuple[str, ...]):
-    """A csv reader positioned after the header of a CSV file (path or open
-    file), which must equal `fields`.  A ValueError that the body raises, or
-    a line csv.reader rejects (a field over its size limit, say), is a
-    TraceParseError naming the file (a path, or an open file's name) and
-    the reader's line, and bytes that are not UTF-8 are one naming the
-    file and the line of the first such byte.  An empty source has no
-    rows, and a blank line is no row: its reader skips it with
-    `filter(None, reader)`."""
-    path = (os.fspath(source) if isinstance(source, (str, os.PathLike))
-            else getattr(source, "name", None))
-    try:
-        with _open_text(source) as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if (header is not None
-                        and tuple(h.strip() for h in header) != fields):
-                    raise TraceParseError(
-                        f"expected header {','.join(fields)}", line=1,
-                        path=path)
-                yield reader
-            except (TraceParseError, UnicodeDecodeError):
-                raise
-            except (ValueError, csv.Error) as exc:
-                raise TraceParseError(str(exc), line=reader.line_num,
-                                      path=path) from None
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(str(exc), line=_undecodable_line(exc, path),
-                              path=path) from None
-
-
-def _undecodable_line(exc: UnicodeDecodeError, path) -> int | None:
-    """The 1-based line of the first byte that is not UTF-8, counting "\\n",
-    "\\r\\n" and "\\r" line ends as csv.reader does.  A file is decoded a
-    chunk at a time, so the byte is found again in the whole file; a source
-    with no file name was decoded whole.  None if the file cannot be read
-    again or now decodes."""
-    data = exc.object
-    if isinstance(path, str):
-        try:
-            data = Path(path).read_bytes()
-        except OSError:
-            return None
-    try:
-        data.decode("utf-8")
-        return None
-    except UnicodeDecodeError as again:
-        head = data[:again.start]
-    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-
-
-def _width_error(fields: tuple[str, ...], row: list[str]) -> ValueError:
-    return ValueError(f"expected {len(fields)} fields, got {len(row)}")
-
-
-def _duplicate_error(job_id: str, first_line: int) -> ValueError:
-    return ValueError(f"duplicate job_id {job_id!r} (first seen on line "
-                      f"{first_line})")
-
-
-@_gc_paused
+@gc_paused
 def read_jobs_csv(source) -> list[JobSpec]:
     """The jobs rows, one per job.  Each row is checked by itself first, then
     a job id seen before is an error naming both lines."""
     jobs: list[JobSpec] = []
     seen: dict[str, int] = {}
-    with _csv_reader(source, JOBS_FIELDS) as reader:
+    with csv_reader(source, JOBS_FIELDS) as reader:
         for row in filter(None, reader):
             if len(row) != 8:
-                raise _width_error(JOBS_FIELDS, row)
+                raise width_error(JOBS_FIELDS, row)
             job_id, kind, submit, duration, mem, used, declared, pages = row
             try:
-                kind = _JOB_KINDS[kind]
+                kind = JOB_KINDS[kind]
             except KeyError:
-                raise _not_a_member(JobKind, kind) from None
+                raise not_a_member(JobKind, kind) from None
             job = JobSpec(job_id, kind, int(submit), int(duration), int(mem),
                           int(used), int(declared), int(pages))
             if job_id in seen:
-                raise _duplicate_error(job_id, seen[job_id])
+                raise duplicate_error(job_id, seen[job_id])
             seen[job_id] = reader.line_num
             jobs.append(job)
     return jobs

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from epcsched.engine import JobOutcome, JobStatus
 from epcsched.report import OUTCOMES_FIELDS
-from epcsched.trace import (JobKind, _csv_reader, _duplicate_error,
-                            _width_error)
+from epcsched._csvio import csv_reader as _csv_reader
+from epcsched._csvio import duplicate_error as _duplicate_error
+from epcsched._csvio import width_error as _width_error
+from epcsched.trace import JobKind
 
 
 def read_outcomes_csv(source) -> list[JobOutcome]:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from epcsched import experiment
+from epcsched import experiment, report
 from epcsched._units import MIB
 from epcsched.cli import main
 from epcsched.engine import ConfigError, JobStatus
@@ -479,7 +479,7 @@ class TestRunExperiment:
                 time.sleep(0.3)  # the first failure must beat these
             raise OSError("disk full")
 
-        monkeypatch.setattr(experiment, "write_pending_csv", failing_writer)
+        monkeypatch.setattr(report, "write_pending_csv", failing_writer)
         out = tmp_path / "artifacts"
         cfg = config_from_mapping({
             "trace": str(trace_path),
@@ -752,6 +752,48 @@ class TestCli:
         assert rc == 3
         assert (f"{jobs}: line 6: duplicate job_id 'j1' (first seen on line 2)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [("slice_end_s", "nan"),
+                                            ("slice_start_s", "inf"),
+                                            ("slice_start_s", "nan")])
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_non_finite_slice_bound_exits_2_naming_it(
+            self, tmp_path, trace_path, capsys, flat, key, value):
+        if flat:
+            cfg_path = flat_config(tmp_path, trace_path, f"{key} = {value}\n")
+        else:
+            cfg_path = tmp_path / "experiment.json"
+            cfg_path.write_text(json.dumps({
+                "trace": str(trace_path), key: float(value),
+                "output_dir": str(tmp_path / "artifacts")}))
+        with pytest.raises(ConfigError, match=f"^{key} .*, got {value}$"):
+            load_config(cfg_path)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert re.fullmatch(f"error: {key} .*, got {value}\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--slice-end", "slice_end_s", "nan"),
+        ("--slice-start", "slice_start_s", "inf")])
+    def test_scale_non_finite_slice_bound_exits_2(self, tmp_path, trace_path,
+                                                  capsys, flag, key, value):
+        out = tmp_path / "jobs.csv"
+        assert main(["scale", "--in", str(trace_path), "--out", str(out),
+                     flag, value]) == 2
+        assert re.fullmatch(f"error: {key} .*, got {value}\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--std-multiplier", "--sgx-multiplier"])
+    def test_scale_bad_size_flag_exits_2_naming_it(self, tmp_path, trace_path,
+                                                   capsys, flag):
+        out = tmp_path / "jobs.csv"
+        assert main(["scale", "--in", str(trace_path), "--out", str(out),
+                     flag, "lots"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: cannot parse size 'lots'\n")
+        assert not out.exists()
 
     def test_scale_bad_trace_exits_3(self, tmp_path):
         assert main(["scale", "--in", str(tmp_path / "nope.csv"),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epcsched import trace
+from epcsched import _csvio, trace
 from epcsched.trace import (
     DEFAULT_SGX_MULTIPLIER,
     DEFAULT_STD_MULTIPLIER,
@@ -503,6 +503,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="rng_seed"):
                 ScalingConfig(rng_seed=seed)
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("slice_end_s", math.nan, "must be a number or inf"),
+        ("slice_start_s", math.inf, "must be a finite number >= 0"),
+        ("slice_start_s", math.nan, "must be a finite number >= 0")])
+    def test_non_finite_slice_bound_names_its_key_and_value(self, key, value,
+                                                            rule):
+        with pytest.raises(ValueError, match=f"^{key} {rule}, got {value!r}$"):
+            ScalingConfig(**{key: value})
+
     def test_scaling_config_defaults(self):
         cfg = ScalingConfig()
         assert cfg.slice_end_s == math.inf
@@ -710,11 +719,11 @@ class TestGcPaused:
     def test_nested_calls(self, on):
         seen = []
 
-        @trace._gc_paused
+        @_csvio.gc_paused
         def inner():
             seen.append(gc.isenabled())
 
-        @trace._gc_paused
+        @_csvio.gc_paused
         def outer():
             inner()
             seen.append(gc.isenabled())  # the inner call did not turn it on
@@ -726,11 +735,11 @@ class TestGcPaused:
 
     @pytest.mark.parametrize("on", [True, False])
     def test_raising_calls(self, on):
-        @trace._gc_paused
+        @_csvio.gc_paused
         def inner():
             raise TraceParseError("bad row", line=2)
 
-        @trace._gc_paused
+        @_csvio.gc_paused
         def outer():
             with pytest.raises(TraceParseError):
                 inner()
@@ -759,7 +768,7 @@ class TestGcPaused:
             """Doc."""
             return list(rows)
 
-        paused = trace._gc_paused(build)
+        paused = _csvio.gc_paused(build)
         assert paused.__wrapped__ is build
         assert (paused.__name__, paused.__doc__) == ("build", "Doc.")
         assert paused(range(3)) == [0, 1, 2]

@@ -28,12 +28,12 @@ TRACED = [(metrics.UsageLedger, "advance"),
           (driver.DriverState, "enclave_init"),
           (driver.DriverState, "enclave_release")]
 
-# The writers as the sweep looks them up, and the readers as the figure
-# datasets do.
+# The writers as the run-directory write looks them up, and the readers as
+# the figure datasets do.
 ARTIFACT_IO = [(metrics.SeriesStore, "write_csv"),
-               (experiment, "write_jobs_csv"),
-               (experiment, "write_outcomes_csv"),
-               (experiment, "write_pending_csv"),
+               (trace, "write_jobs_csv"),
+               (report, "write_outcomes_csv"),
+               (report, "write_pending_csv"),
                (report, "read_outcomes_csv"),
                (report, "read_pending_csv"),
                (report, "read_jobs_csv")]
@@ -71,13 +71,15 @@ def module_label(owner, name: str) -> str:
     return f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
 
 
-@pytest.mark.parametrize("owner, name", TRACED + ARTIFACT_IO + INGEST)
+# `trace.write_jobs_csv` is artifact I/O and ingest both; it is checked once.
+@pytest.mark.parametrize("owner, name",
+                         list(dict.fromkeys(TRACED + ARTIFACT_IO + INGEST)))
 def test_entry_point_exists(owner, name):
     assert callable(vars(owner)[name])
 
 
 @pytest.mark.parametrize("owner, name", [
-    (owner, name) for owner, name in ARTIFACT_IO + INGEST
+    (owner, name) for owner, name in dict.fromkeys(ARTIFACT_IO + INGEST)
     if inspect.ismodule(owner)])
 def test_an_imported_entry_point_is_the_defined_one(owner, name):
     # A wrapper applied where a function is imported, or one that drops its
@@ -121,11 +123,13 @@ def test_sweep_calls_each_ingest_function_by_name(monkeypatch, tmp_path):
         malicious=experiment.MaliciousConfig(n=1),
         output_dir=str(tmp_path / "out")))
     # The sweep reads the trace once, materializes it at each of its two
-    # fractions, and injects the malicious jobs at each of its four points.
+    # fractions, and injects the malicious jobs and writes the jobs CSV at
+    # each of its four points.
     assert calls == {"trace.parse_canonical_csv": 1,
                      "experiment.slice_and_sample": 1,
                      "experiment.materialize": 2,
-                     "experiment.inject_malicious": 4}, calls
+                     "experiment.inject_malicious": 4,
+                     "trace.write_jobs_csv": 4}, calls
 
 
 def test_policy_registry():
