@@ -44,16 +44,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# The flag of each scaling field, named in place of the field in errors.
+_SCALING_FLAGS = {"slice_start_s": "--slice-start",
+                  "slice_end_s": "--slice-end",
+                  "sampling_stride": "--stride",
+                  "sgx_fraction": "--sgx-fraction",
+                  "std_multiplier": "--std-multiplier",
+                  "sgx_multiplier": "--sgx-multiplier",
+                  "rng_seed": "--seed"}
+
+
 def _cmd_scale(args: argparse.Namespace) -> int:
-    scaling = ScalingConfig(
-        slice_start_s=args.slice_start,
-        slice_end_s=args.slice_end,
-        sampling_stride=args.stride,
-        sgx_fraction=args.sgx_fraction,
-        std_multiplier=as_size(args.std_multiplier, "--std-multiplier"),
-        sgx_multiplier=as_size(args.sgx_multiplier, "--sgx-multiplier"),
-        rng_seed=args.seed,
-    )
+    std_multiplier = as_size(args.std_multiplier, "--std-multiplier")
+    sgx_multiplier = as_size(args.sgx_multiplier, "--sgx-multiplier")
+    try:
+        scaling = ScalingConfig(
+            slice_start_s=args.slice_start,
+            slice_end_s=args.slice_end,
+            sampling_stride=args.stride,
+            sgx_fraction=args.sgx_fraction,
+            std_multiplier=std_multiplier,
+            sgx_multiplier=sgx_multiplier,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        message = str(exc)
+        for field, flag in _SCALING_FLAGS.items():
+            message = message.replace(field, flag)
+        raise ConfigError(message) from None
     # looked up in `trace`, where a per-layer split wraps them by name
     records = trace.slice_and_sample(
         trace.parse_trace(args.trace_in, args.format), scaling)

@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._csvio import gc_paused
+from ._philox import Stream
 from .trace import RawJobRecord, parse_canonical_csv
 
 BUNDLED_TRACE = "synthetic_trace.csv"
@@ -27,6 +28,10 @@ DEFAULT_SEED = 140051
 _FRAC_FLOOR, _FRAC_CAP = 0.004, 0.30
 _CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI = 0.06, 0.20
 _CRUNCH_JOBS = 30  # the final jobs, in the window's last few minutes
+_OPENING_S = 5  # no submission before this second
+# A crunch job runs for max_duration_s less up to this many seconds, and is
+# submitted in the window's last this many seconds.
+_CRUNCH_SHORTFALL_S, _CRUNCH_WINDOW_S = 100, 450
 
 
 @gc_paused
@@ -40,41 +45,65 @@ def synthetic_trace(n_jobs: int = DEFAULT_JOBS,
     Every job satisfies submit + duration <= span_s (one crunch job ends
     exactly at span_s, so an uncontended replay finishes right at the nominal
     end) and max_mem_frac never exceeds assigned_mem_frac.  Submissions leave
-    the opening seconds empty, so injected time-zero jobs always reach the
-    cluster before any trace job.  The final 30 jobs land in the last few
+    the opening seconds empty (every submit is at least 5 s), so injected
+    time-zero jobs always reach the cluster before any trace job.  Durations
+    lie in [1, max_duration_s].  The final 30 jobs land in the last few
     minutes of the window with mid-range memory fractions.
-    Generating needs numpy (the `test` extra); loading the bundled trace
-    does not.
-    """
-    import numpy as np
 
+    The arguments are ints with n_jobs > 30, 101 <= max_duration_s <= 450,
+    span_s >= 455 and 0 <= seed < 2**128; otherwise a ValueError names the
+    argument.  The bounds come from the draws: a crunch job's duration d
+    lies in [max_duration_s - 100, max_duration_s] and must be >= 1, and
+    its submit lies in [span_s - 450, span_s - d], which must be non-empty
+    and >= 5.  A body job's submit lies in [5, span_s - d], non-empty since
+    its d <= max_duration_s.
+
+    The draws are those of `numpy.random.Generator(numpy.random.Philox(
+    key=seed))`, from the package's own stream, so generating needs no
+    numpy.  u ** 2 is u * u, numpy's square; u ** 3 is the C library's pow.
+    numpy's SIMD power can differ from pow in the last bit (on AVX-512 hosts
+    it does for about 5% of draws), which changes a fraction rounded to six
+    places only within a few units in the last place of a rounding tie.
+    """
+    for name, value in (("n_jobs", n_jobs), ("span_s", span_s),
+                        ("max_duration_s", max_duration_s), ("seed", seed)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n_jobs <= _CRUNCH_JOBS:
-        raise ValueError(f"n_jobs must exceed {_CRUNCH_JOBS}")
-    if max_duration_s > span_s:
-        raise ValueError("max_duration_s cannot exceed span_s")
-    gen = np.random.Generator(np.random.Philox(key=seed))
+        raise ValueError(f"n_jobs must exceed {_CRUNCH_JOBS}, got {n_jobs}")
+    if not _CRUNCH_SHORTFALL_S < max_duration_s <= _CRUNCH_WINDOW_S:
+        raise ValueError(
+            f"max_duration_s must lie in [{_CRUNCH_SHORTFALL_S + 1}, "
+            f"{_CRUNCH_WINDOW_S}], got {max_duration_s}")
+    if span_s < _CRUNCH_WINDOW_S + _OPENING_S:
+        raise ValueError(f"span_s must be >= {_CRUNCH_WINDOW_S + _OPENING_S}"
+                         f", got {span_s}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    stream = Stream(seed)
     n_body = n_jobs - _CRUNCH_JOBS
 
-    durations = np.maximum(
-        1, np.rint(max_duration_s * gen.random(n_body) ** 2)).astype(int)
-    assigned = _FRAC_FLOOR + (_FRAC_CAP - _FRAC_FLOOR) * gen.random(n_body) ** 3
-    submits = gen.integers(5, span_s - durations + 1)
-    peak_ratio = gen.uniform(0.6, 1.0, n_body)
+    durations = [round(max_duration_s * (u * u)) or 1
+                 for u in stream.random(n_body)]
+    frac_range = _FRAC_CAP - _FRAC_FLOOR
+    assigned = [_FRAC_FLOOR + frac_range * u ** 3
+                for u in stream.random(n_body)]
+    submits = stream.integers(_OPENING_S,
+                              [span_s - d + 1 for d in durations])
+    peak_ratio = stream.uniform(0.6, 1.0, n_body)
 
-    crunch_durations = gen.integers(max_duration_s - 100,
-                                    max_duration_s + 1, _CRUNCH_JOBS)
-    crunch_submits = gen.integers(span_s - 450, span_s - crunch_durations + 1)
+    crunch_durations = stream.integers(max_duration_s - _CRUNCH_SHORTFALL_S,
+                                       [max_duration_s + 1] * _CRUNCH_JOBS)
+    crunch_submits = stream.integers(
+        span_s - _CRUNCH_WINDOW_S, [span_s - d + 1 for d in crunch_durations])
     crunch_submits[0] = span_s - crunch_durations[0]
-    crunch_assigned = gen.uniform(_CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI,
-                                  _CRUNCH_JOBS)
-    crunch_peak_ratio = gen.uniform(0.7, 1.0, _CRUNCH_JOBS)
+    crunch_assigned = stream.uniform(_CRUNCH_FRAC_LO, _CRUNCH_FRAC_HI,
+                                     _CRUNCH_JOBS)
+    crunch_peak_ratio = stream.uniform(0.7, 1.0, _CRUNCH_JOBS)
 
-    rows = list(zip(
-        np.concatenate([submits, crunch_submits]).tolist(),
-        np.concatenate([durations, crunch_durations]).tolist(),
-        np.concatenate([assigned, crunch_assigned]).tolist(),
-        np.concatenate([peak_ratio, crunch_peak_ratio]).tolist(),
-    ))
+    rows = list(zip(submits + crunch_submits, durations + crunch_durations,
+                    assigned + crunch_assigned,
+                    peak_ratio + crunch_peak_ratio))
     rows.sort(key=lambda r: r[0])
     records = []
     for index, (submit, duration, frac, ratio) in enumerate(rows):

@@ -16,9 +16,7 @@ import gzip
 import io
 import logging
 import math
-import sys
 import zlib
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._csvio import (TraceParseError, csv_reader, duplicate_error, gc_paused,
                      not_a_member, width_error, write_csv)
+from ._philox import Philox, doubles
 from ._units import DEFAULT_EPC_USABLE, GIB, PAGE_SIZE
 
 log = logging.getLogger(__name__)
@@ -453,80 +452,28 @@ def slice_and_sample(records: Sequence[RawJobRecord],
     return [replace(r, submit_s=r.submit_s - start) for r in sampled]
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11): the two round multipliers and the two key increments.
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_PHILOX_ROUNDS = 10
-_MASK64 = (1 << 64) - 1
-_TAG_BLOCK = 1024  # counters per block, one 128-bit lane each
-
-
-def _lanes(words: array) -> int:
-    """The 64-bit words as one int, word k at bits [64k, 64k + 64)."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
-
-
-def _words(lanes: int, count: int) -> array:
-    """The inverse of `_lanes`: the int's first `count` 64-bit words."""
-    words = array("Q", lanes.to_bytes(8 * count, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
+_TAG_BLOCK = 1024  # counters per Philox call, one 128-bit lane each
 
 
 def _tag_uniforms(seed: int, n: int) -> list[float]:
     """Record i's uniform draw in [0, 1), for i < n.
 
     Draw i is word 0 of the Philox4x64-10 block at counter i + 1 under the
-    128-bit key `seed`, turned into a double as numpy's `random()` does,
-    (x >> 11) * 2**-53.  That is the first draw of
+    128-bit key `seed`, turned into a double as numpy's `random()` does.
+    That is the first draw of
     `Generator(Philox(key=seed, counter=[i, 0, 0, 0]))`, since that stream
     advances its counter before each block.  A draw depends only on (seed,
     i), so raising sgx_fraction can only add enclave jobs, never reshuffle
-    old ones.
-
-    Counters are independent, so a block of them runs together.  Words 0
-    and 2 of the block's counters are one int each, counter j's word in the
-    low half of the int's 128-bit lane j; words 1 and 3 are the low halves
-    of the previous round's two products.  The exactness argument, per
-    round: a lane holds a value below 2**64, so its product with a 64-bit
-    multiplier is below 2**128 and never carries into the next lane.
-    Shifting a product right by 64 puts each lane's high word in its low
-    half and the next lane's low word in its high half.  XORing the other
-    product of the previous round and the key, replicated in every lane,
-    leaves each low half as Philox computes it, and the mask then clears
-    every high half.
+    old ones.  The blocks come from the package's one Philox, `_TAG_BLOCK`
+    counters per call.
     """
     if n == 0:
         return []
-    k0, k1 = seed & _MASK64, seed >> 64
-    count = min(n, _TAG_BLOCK)
-    ones = _lanes(array("Q", (1, 0)) * count)  # 1 in every lane
-    ramp_words = array("Q", bytes(16 * count))
-    ramp_words[::2] = array("Q", range(count))
-    ramp = _lanes(ramp_words)  # j in lane j
-    low, low53 = ones * _MASK64, ones * ((1 << 53) - 1)
-    round_keys = []
-    for _ in range(_PHILOX_ROUNDS):
-        round_keys.append((ones * k0, ones * k1))
-        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    philox = Philox(seed, min(n, _TAG_BLOCK))
     draws: list[float] = []
-    for start in range(0, n, count):
-        # word 0 of lane j is counter start + 1 + j, and words 1 to 3 are 0;
-        # p0 and p2 are the previous round's products, whose low words are
-        # words 3 and 1
-        x0, x2, p0, p2 = (start + 1) * ones + ramp, 0, 0, 0
-        for key0, key1 in round_keys:
-            q0, q2 = x0 * _PHILOX_M0, x2 * _PHILOX_M1
-            x0 = ((q2 >> 64) ^ p2 ^ key0) & low
-            x2 = ((q0 >> 64) ^ p0 ^ key1) & low
-            p0, p2 = q0, q2
-        draws += [m * 2 ** -53 for m in _words((x0 >> 11) & low53,
-                                                2 * count)[::2]]
-    del draws[n:]  # the last block's lanes past n
+    for first in range(1, n + 1, philox.lanes):
+        draws += doubles(philox.blocks(first)[::4])
+    del draws[n:]  # the last call's counters past n
     return draws
 
 

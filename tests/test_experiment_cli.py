@@ -773,15 +773,26 @@ class TestCli:
                             capsys.readouterr().err)
         assert not (tmp_path / "artifacts").exists()
 
-    @pytest.mark.parametrize("flag, key, value", [
-        ("--slice-end", "slice_end_s", "nan"),
-        ("--slice-start", "slice_start_s", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--slice-end", "nan"),
+                                             ("--slice-start", "inf")])
     def test_scale_non_finite_slice_bound_exits_2(self, tmp_path, trace_path,
-                                                  capsys, flag, key, value):
+                                                  capsys, flag, value):
         out = tmp_path / "jobs.csv"
         assert main(["scale", "--in", str(trace_path), "--out", str(out),
                      flag, value]) == 2
-        assert re.fullmatch(f"error: {key} .*, got {value}\n",
+        assert re.fullmatch(f"error: {flag} .*, got {value}\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--stride", "0"),
+                                             ("--sgx-fraction", "2"),
+                                             ("--seed", "-1")])
+    def test_scale_out_of_range_flag_exits_2_naming_it(
+            self, tmp_path, trace_path, capsys, flag, value):
+        out = tmp_path / "jobs.csv"
+        assert main(["scale", "--in", str(trace_path), "--out", str(out),
+                     flag, value]) == 2
+        assert re.fullmatch(f"error: {flag} must .*\n",
                             capsys.readouterr().err)
         assert not out.exists()
 

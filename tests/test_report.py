@@ -208,6 +208,20 @@ def test_import_run_and_report_do_not_load_numpy(tmp_path):
     assert (tmp_path / "artifacts" / "fig8.dat").exists()
 
 
+def test_generate_and_materialize_do_not_load_numpy():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(epcsched.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "from epcsched import ScalingConfig, materialize\n"
+            "from epcsched.synthetic import synthetic_trace\n"
+            "jobs = materialize(synthetic_trace(),"
+            " ScalingConfig(sgx_fraction=0.5))\n"
+            "print(len(jobs), 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "700 False"
+
+
 # Lengths on both sides of every edge of numpy's pairwise sum (8 and 128
 # elements, and the first halvings above 128) and of its 8,192-element
 # cast buffer.
