@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ._units import DEFAULT_EPC_USABLE, MIB, PAGE_SIZE
-from .trace import JobSpec
+from .trace import JobSpec, slot_setters
 
 DEFAULT_EPC_TOTAL = 128 * MIB
 
@@ -98,20 +98,22 @@ class NodeState:
     def reserve(self, std_bytes: int, epc_pages: int) -> None:
         if std_bytes < 0 or epc_pages < 0:
             raise CapacityError("reservation amounts must be >= 0")
-        if epc_pages and not self.is_sgx:
+        spec = self.spec
+        epc = spec.epc
+        if epc_pages and epc is None:
             raise CapacityError(
-                f"{self.node_id} has no protected memory to reserve")
-        if self.reserved_std + std_bytes > self.spec.std_capacity:
+                f"{spec.node_id} has no protected memory to reserve")
+        if self.reserved_std + std_bytes > spec.std_capacity:
             raise CapacityError(
-                f"{self.node_id}: standard reservation {self.reserved_std}+{std_bytes} "
-                f"exceeds capacity {self.spec.std_capacity}")
-        if self.is_sgx and self.reserved_epc_pages + epc_pages > self.spec.epc.usable_pages:
+                f"{spec.node_id}: standard reservation {self.reserved_std}+{std_bytes} "
+                f"exceeds capacity {spec.std_capacity}")
+        if epc is not None and self.reserved_epc_pages + epc_pages > epc.usable_pages:
             raise CapacityError(
-                f"{self.node_id}: page reservation {self.reserved_epc_pages}+{epc_pages} "
-                f"exceeds usable {self.spec.epc.usable_pages}")
+                f"{spec.node_id}: page reservation {self.reserved_epc_pages}+{epc_pages} "
+                f"exceeds usable {epc.usable_pages}")
         self.reserved_std += std_bytes
         self.reserved_epc_pages += epc_pages
-        self.changed.add(self.spec.node_id)
+        self.changed.add(spec.node_id)
 
     def release(self, std_bytes: int, epc_pages: int) -> None:
         if std_bytes < 0 or epc_pages < 0:
@@ -124,13 +126,21 @@ class NodeState:
         self.changed.add(self.spec.node_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pod:
     """A placed job: the one record of which node runs it and since when."""
 
     job: JobSpec
     node_id: str
     placed_ms: int
+
+    def __init__(self, job: JobSpec, node_id: str, placed_ms: int):
+        _set_pod_job(self, job)
+        _set_pod_node_id(self, node_id)
+        _set_pod_placed_ms(self, placed_ms)
+
+
+_set_pod_job, _set_pod_node_id, _set_pod_placed_ms = slot_setters(Pod)
 
 
 @dataclass

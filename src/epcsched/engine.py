@@ -98,12 +98,21 @@ class SimConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.scheduler_period_ms <= 0:
-            raise ConfigError("scheduler_period_ms must be positive")
-        if self.probe_period_ms <= 0:
-            raise ConfigError("probe_period_ms must be positive")
-        if self.window_ms <= 0:
-            raise ConfigError("window_ms must be positive")
+        # The clock is integer milliseconds: a float period would write
+        # float times, and True would tick every millisecond.
+        for name in ("scheduler_period_ms", "probe_period_ms", "window_ms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("enforce_limits", "include_startup_delays",
+                     "check_invariants"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a boolean, got {value!r}")
+        if not isinstance(self.policy, str):
+            raise ConfigError(f"policy must be a string, got {self.policy!r}")
         if self.probe_period_ms >= self.window_ms:
             raise ConfigError(
                 "probe_period_ms must be smaller than window_ms, or the "
@@ -192,7 +201,7 @@ class _Engine:
                         f"{job.job_id}: capacity denial on {node_id} despite "
                         "admission on declared pages")
                 node.release(job.requested_mem, job.declared_epc_pages)
-                self._record(job, JobStatus.KILLED, node_id)
+                self._record(job, JobStatus.KILLED, node_id, None, None)
                 return
         startup_ms = 0
         if job.kind.uses_epc and self.config.include_startup_delays:
@@ -209,16 +218,15 @@ class _Engine:
             self.driver.enclave_release(node_id, job.actual_epc_pages)
         self.cluster.nodes[node_id].release(job.requested_mem,
                                             job.declared_epc_pages)
-        self._record(job, JobStatus.COMPLETED, node_id,
-                     started_ms=pod.placed_ms, finished_ms=now)
+        self._record(job, JobStatus.COMPLETED, node_id, pod.placed_ms, now)
         self.last_progress_ms = now
 
-    def _record(self, job: JobSpec, status: JobStatus,
-                node_id: str | None = None, started_ms: int | None = None,
-                finished_ms: int | None = None) -> None:
-        self.outcomes[job.job_id] = JobOutcome(
+    def _record(self, job: JobSpec, status: JobStatus, node_id: str | None,
+                started_ms: int | None, finished_ms: int | None) -> None:
+        # built without the named tuple's Python-level `__new__`
+        self.outcomes[job.job_id] = tuple.__new__(JobOutcome, (
             job.job_id, job.kind, job.submit_ms, started_ms, finished_ms,
-            status, node_id, job.declared_epc_pages, job.actual_epc_pages)
+            status, node_id, job.declared_epc_pages, job.actual_epc_pages))
 
     def _stuck(self, now: int, placements: list) -> bool:
         """Nothing running, nothing left to submit, nothing placeable, and a
@@ -232,7 +240,7 @@ class _Engine:
 
     def _mark_unfinished(self) -> None:
         for job in self.queue.drain():
-            self._record(job, JobStatus.UNFINISHED)
+            self._record(job, JobStatus.UNFINISHED, None, None, None)
 
     def _check_invariants(self, now: int) -> None:
         """Check the per-node counters against the pod records: node

@@ -111,7 +111,9 @@ class UsageLedger:
             epc, std = job.actual_epc_pages, job.requested_mem
         else:
             epc, std = None, job.actual_mem
-        interval = PodInterval(pod.node_id, job.job_id, first, last, epc, std)
+        # built without the named tuple's Python-level `__new__`
+        interval = tuple.__new__(PodInterval, (pod.node_id, job.job_id, first,
+                                               last, epc, std))
         self.pods.append(interval)
         heappush(self._expiries, (last, interval))
 
@@ -166,11 +168,12 @@ class SeriesStore:
     def __init__(self, pods: list[PodInterval], probe_period_ms: int):
         self.pods = pods  # sorted by `first`, as placements are
         self.period = probe_period_ms
-        self._len = sum(((pod.last - pod.first) // probe_period_ms + 1)
-                        * (1 if pod.epc is None else 2) for pod in pods)
 
     def __len__(self) -> int:
-        return self._len
+        """The number of samples, counted from the intervals on each call."""
+        period = self.period
+        return sum(((pod.last - pod.first) // period + 1)
+                   * (1 if pod.epc is None else 2) for pod in self.pods)
 
     def _rows(self) -> Iterator[tuple[int, str, str, str, int]]:
         """Each pod's own series of (time, node, pod, metric, value) rows,

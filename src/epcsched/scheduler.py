@@ -197,7 +197,10 @@ class PendingQueue:
     def take(self, placed: list[tuple[JobSpec, str]]) -> None:
         """Count out the pages of one walk's (job, node id) placements, which
         its `due` has already taken out of the new or parked jobs."""
-        self.epc_pages -= sum(job.declared_epc_pages for job, _ in placed)
+        pages = self.epc_pages
+        for job, _ in placed:  # a plain loop: no generator per walk
+            pages -= job.declared_epc_pages
+        self.epc_pages = pages
 
     def check_walk(self, now: int, cluster: ClusterState) -> None:
         """Check, right after a walk over the cluster, that no parked job

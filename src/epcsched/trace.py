@@ -59,7 +59,7 @@ class JobKind(Enum):
 JOB_KINDS = {member.value: member for member in JobKind}
 
 
-def _slot_setters(cls) -> tuple:
+def slot_setters(cls) -> tuple:
     """The `__set__` of each slot of a slotted dataclass, in field order: a
     frozen record's own `__init__` stores through these, where the generated
     one calls `object.__setattr__` once per field.  `cls` must be the class
@@ -104,7 +104,7 @@ class RawJobRecord:
 
 (_set_raw_job_id, _set_raw_submit_s, _set_raw_duration_s,
  _set_raw_assigned_mem_frac,
- _set_raw_max_mem_frac) = _slot_setters(RawJobRecord)
+ _set_raw_max_mem_frac) = slot_setters(RawJobRecord)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -153,7 +153,7 @@ class JobSpec:
 (_set_spec_job_id, _set_spec_kind, _set_spec_submit_ms,
  _set_spec_duration_ms, _set_spec_requested_mem, _set_spec_actual_mem,
  _set_spec_declared_epc_pages,
- _set_spec_actual_epc_pages) = _slot_setters(JobSpec)
+ _set_spec_actual_epc_pages) = slot_setters(JobSpec)
 
 
 @dataclass(frozen=True)

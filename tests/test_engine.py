@@ -1,17 +1,21 @@
 """Replay engine: tick order, job lifecycle, and run-level invariants."""
 
+import csv
 import re
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from conftest import GIB, sgx_job, sgx_node, std_job, std_node
 from epcsched import scheduler
-from epcsched.cluster import NodeState
+from epcsched.cluster import NodeState, Pod, default_cluster
 from epcsched.driver import DriverState
-from epcsched.metrics import UsageLedger
+from epcsched.metrics import PodInterval, UsageLedger
 from epcsched.scheduler import PendingQueue
-from epcsched.engine import ConfigError, JobStatus, SimConfig, run
-from epcsched.trace import JobKind
+from epcsched.engine import ConfigError, JobOutcome, JobStatus, SimConfig, run
+from epcsched.synthetic import load_bundled_trace
+from epcsched.trace import JobKind, ScalingConfig, materialize
 
 PAGE = 4096
 USABLE = 23_936
@@ -251,13 +255,98 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(probe_period_ms=25_000, window_ms=25_000)
 
-    def test_positive_periods(self):
-        with pytest.raises(ConfigError):
-            SimConfig(scheduler_period_ms=0)
+    @pytest.mark.parametrize("field, value, message", [
+        ("scheduler_period_ms", 0, "must be positive"),
+        ("probe_period_ms", -1, "must be positive"),
+        # the clock is integer milliseconds: no float, and True is not 1 ms
+        ("scheduler_period_ms", 2500.5, "must be an integer, got 2500.5"),
+        ("scheduler_period_ms", True, "must be an integer, got True"),
+        ("probe_period_ms", 10_000.0, "must be an integer, got 10000.0"),
+        ("window_ms", "25000", "must be an integer, got '25000'"),
+    ])
+    def test_periods_are_positive_integers(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{field} {re.escape(message)}"):
+            SimConfig(**{field: value})
 
-    def test_known_policy(self):
-        with pytest.raises(ConfigError):
-            SimConfig(policy="roundrobin")
+    @pytest.mark.parametrize("field", ["enforce_limits",
+                                       "include_startup_delays",
+                                       "check_invariants"])
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_switches_are_booleans(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{field} must be a boolean, got {value!r}")):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("policy, message", [
+        ("roundrobin", "unknown policy 'roundrobin'"),
+        (["binpack"], "policy must be a string, got ['binpack']"),
+        (None, "policy must be a string, got None"),
+    ])
+    def test_known_policy(self, policy, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SimConfig(policy=policy)
+
+
+class TestRecords:
+    """The records a replay builds per job: `Pod` is a slotted frozen
+    dataclass, and outcomes and pod intervals skip the named tuples'
+    Python-level `__new__`."""
+
+    @pytest.mark.parametrize("policy", sorted(scheduler.POLICIES))
+    def test_replay_calls_no_named_tuple_constructor(self, monkeypatch,
+                                                     policy):
+        calls = Counter()
+        for cls in (JobOutcome, PodInterval):
+            def counted(new_cls, *args, _new=cls.__new__, **kwargs):
+                calls[new_cls.__name__] += 1
+                return _new(new_cls, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+        # the wrappers count a direct call
+        JobOutcome(*range(9))
+        PodInterval(*range(6))
+        assert calls == {"JobOutcome": 1, "PodInterval": 1}
+        jobs = materialize(load_bundled_trace(), ScalingConfig(sgx_fraction=0.5))
+        result = run(jobs, default_cluster(), SimConfig(policy=policy))
+        assert len(result.outcomes) == len(jobs)
+        assert len(result.store.pods) > 0
+        assert all(type(o) is JobOutcome for o in result.outcomes)
+        assert all(type(p) is PodInterval for p in result.store.pods)
+        assert calls == {"JobOutcome": 1, "PodInterval": 1}
+
+    def test_pod_is_slotted_and_frozen(self):
+        pod = Pod(std_job("a"), "n1", 5_000)
+        assert not hasattr(pod, "__dict__")
+        for field in ("job", "node_id", "placed_ms"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pod, field, None)
+        assert (pod.job, pod.node_id, pod.placed_ms) == (std_job("a"), "n1",
+                                                         5_000)
+
+    def test_pod_equality_hash_and_repr_are_the_dataclass_ones(self):
+        job = std_job("a")
+        pod = Pod(job, "n1", 5_000)
+        assert pod == Pod(job, "n1", 5_000)
+        assert pod != Pod(job, "n1", 10_000)
+        assert pod != Pod(job, "n2", 5_000)
+        assert pod != (job, "n1", 5_000)
+        assert hash(pod) == hash((job, "n1", 5_000))
+        assert repr(pod) == f"Pod(job={job!r}, node_id='n1', placed_ms=5000)"
+
+    @pytest.mark.parametrize("jobs", [
+        [],
+        [std_job("a", duration_ms=1_000)],  # finishes before any probe
+        [std_job("a", duration_ms=40_000),
+         sgx_job("b", submit_ms=3_000, duration_ms=60_000),
+         std_job("c", submit_ms=12_000, duration_ms=25_000)],
+    ], ids=["no jobs", "unsampled", "mixed"])
+    def test_store_length_is_the_samples_file_rows(self, tmp_path, jobs):
+        result = run(jobs, [std_node("n1"), sgx_node("s1")])
+        result.store.write_csv(tmp_path / "samples.csv")
+        with open(tmp_path / "samples.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(result.store) == len(rows)
+        assert len(rows) == (0 if len(jobs) < 2 else 18)
 
 
 class TestInvariantChecker:
