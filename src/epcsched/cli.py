@@ -44,33 +44,35 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-# The flag of each scaling field, named in place of the field in errors.
-_SCALING_FLAGS = {"slice_start_s": "--slice-start",
-                  "slice_end_s": "--slice-end",
-                  "sampling_stride": "--stride",
-                  "sgx_fraction": "--sgx-fraction",
-                  "std_multiplier": "--std-multiplier",
-                  "sgx_multiplier": "--sgx-multiplier",
-                  "rng_seed": "--seed"}
+# Each scaling field's flag, its argparse type (None: a size, parsed under
+# the flag's name) and its help; errors name the flag in place of the field.
+_SCALING_FLAGS = {
+    "slice_start_s": ("--slice-start", float, "slice window start, seconds"),
+    "slice_end_s": ("--slice-end", float,
+                    "slice window end, seconds (exclusive)"),
+    "sampling_stride": ("--stride", int,
+                        "keep every stride-th record of the slice"),
+    "sgx_fraction": ("--sgx-fraction", float,
+                     "share of jobs tagged as enclave-backed"),
+    "std_multiplier": ("--std-multiplier", None, "standard-node capacity "
+                       "behind the fractions (e.g. 32GiB)"),
+    "sgx_multiplier": ("--sgx-multiplier", None, "protected-memory capacity "
+                       "behind the fractions (e.g. 93.5MiB)"),
+    "rng_seed": ("--seed", int, "tagging seed"),
+}
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    std_multiplier = as_size(args.std_multiplier, "--std-multiplier")
-    sgx_multiplier = as_size(args.sgx_multiplier, "--sgx-multiplier")
+    values = {}
+    for name, (flag, kind, _) in _SCALING_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        values[name] = value if kind else as_size(value, flag)
     try:
-        scaling = ScalingConfig(
-            slice_start_s=args.slice_start,
-            slice_end_s=args.slice_end,
-            sampling_stride=args.stride,
-            sgx_fraction=args.sgx_fraction,
-            std_multiplier=std_multiplier,
-            sgx_multiplier=sgx_multiplier,
-            rng_seed=args.seed,
-        )
+        scaling = ScalingConfig(**values)
     except ValueError as exc:
         message = str(exc)
-        for field, flag in _SCALING_FLAGS.items():
-            message = message.replace(field, flag)
+        for name, (flag, *_) in _SCALING_FLAGS.items():
+            message = message.replace(name, flag)
         raise ConfigError(message) from None
     # looked up in `trace`, where a per-layer split wraps them by name
     records = trace.slice_and_sample(
@@ -119,19 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--format", choices=TRACE_FORMATS,
                          default=TRACE_FORMATS[0])
     scaling = ScalingConfig()  # the defaults of the scaling flags
-    p_scale.add_argument("--slice-start", type=float, default=scaling.slice_start_s,
-                         help="slice window start, seconds")
-    p_scale.add_argument("--slice-end", type=float, default=scaling.slice_end_s,
-                         help="slice window end, seconds (exclusive)")
-    p_scale.add_argument("--stride", type=int, default=scaling.sampling_stride,
-                         help="keep every stride-th record of the slice")
-    p_scale.add_argument("--sgx-fraction", type=float, default=scaling.sgx_fraction,
-                         help="share of jobs tagged as enclave-backed")
-    p_scale.add_argument("--std-multiplier", default=str(scaling.std_multiplier),
-                         help="standard-node capacity behind the fractions (e.g. 32GiB)")
-    p_scale.add_argument("--sgx-multiplier", default=str(scaling.sgx_multiplier),
-                         help="protected-memory capacity behind the fractions (e.g. 93.5MiB)")
-    p_scale.add_argument("--seed", type=int, default=scaling.rng_seed, help="tagging seed")
+    for name, (flag, kind, help_text) in _SCALING_FLAGS.items():
+        default = getattr(scaling, name)
+        p_scale.add_argument(flag, type=kind, help=help_text,
+                             default=default if kind else str(default))
     p_scale.set_defaults(func=_cmd_scale)
     return parser
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ._units import DEFAULT_EPC_USABLE, MIB, PAGE_SIZE
-from .trace import JobSpec, slot_setters
+from .trace import JobSpec, refuse_assignment, slot_setters
 
 DEFAULT_EPC_TOTAL = 128 * MIB
 
@@ -44,10 +44,6 @@ class EpcModel:
     def usable_pages(self) -> int:
         # computed once per model: admission reads it for every candidate
         return self.usable_bytes // PAGE_SIZE
-
-    @property
-    def usable_mib(self) -> float:
-        return self.usable_bytes / MIB
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,7 @@ class NodeState:
         self.changed.add(self.spec.node_id)
 
 
+@refuse_assignment
 @dataclass(frozen=True, slots=True, init=False)
 class Pod:
     """A placed job: the one record of which node runs it and since when."""

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from ._units import PAGE_SIZE, format_size, parse_size
 from .cluster import (DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcModel,
@@ -449,20 +449,22 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     for point in points:
         by_fraction.setdefault(point.fraction, []).append(point)
 
+    def sweep(submit: Callable) -> Iterator:
+        for fraction, group in by_fraction.items():
+            jobs = materialize(records, replace(cfg.scaling,
+                                                sgx_fraction=fraction))
+            for point in group:
+                yield submit(run_point, cfg, jobs, point,
+                             clusters[point.epc_bytes], str(out_root))
+            del jobs  # a serial sweep holds one fraction's jobs at a time
+
     if cfg.workers > 1 and len(points) > 1:
         # Imported only here: loading the process pool would slow every
         # import of the package, and a serial run never uses it.
         from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
                                         wait)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = []
-            for fraction, group in by_fraction.items():
-                jobs = materialize(records, replace(cfg.scaling,
-                                                   sgx_fraction=fraction))
-                futures += [pool.submit(run_point, cfg, jobs, point,
-                                        clusters[point.epc_bytes],
-                                        str(out_root))
-                            for point in group]
+            futures = list(sweep(pool.submit))
             # The first failure cancels the points that have not started.
             wait(futures, return_when=FIRST_EXCEPTION)
             pool.shutdown(cancel_futures=True)
@@ -470,11 +472,5 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 if not future.cancelled():
                     future.result()
     else:
-        for fraction, group in by_fraction.items():
-            jobs = materialize(records, replace(cfg.scaling,
-                                                sgx_fraction=fraction))
-            for point in group:
-                run_point(cfg, jobs, point, clusters[point.epc_bytes],
-                          str(out_root))
-            del jobs  # one fraction's jobs in memory at a time
+        list(sweep(lambda fn, *args: fn(*args)))
     return out_root

@@ -18,7 +18,7 @@ import logging
 import math
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from enum import Enum
 from itertools import chain, count, repeat
 from operator import attrgetter
@@ -67,6 +67,18 @@ def slot_setters(cls) -> tuple:
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
+def refuse_assignment(cls):
+    """Make a frozen, slotted dataclass refuse every assignment and deletion
+    as Python 3.12 does; before 3.12, a name that is not a field raised
+    `TypeError`, as the generated methods test the class the body defined."""
+    def refuse(self, name, *value):  # both __setattr__ and __delattr__
+        verb = "assign to" if value else "delete"
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@refuse_assignment
 @dataclass(frozen=True, slots=True, init=False)
 class RawJobRecord:
     """One normalized trace row.  Memory is a fraction of the source machine."""
@@ -107,6 +119,7 @@ class RawJobRecord:
  _set_raw_max_mem_frac) = slot_setters(RawJobRecord)
 
 
+@refuse_assignment
 @dataclass(frozen=True, slots=True, init=False)
 class JobSpec:
     """A runnable job with concrete sizes.  All times are integer milliseconds.

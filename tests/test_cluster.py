@@ -25,7 +25,6 @@ class TestEpcModel:
         assert m.total_bytes == 128 * 1024 * 1024 == DEFAULT_EPC_TOTAL
         assert m.usable_bytes == 98_041_856 == DEFAULT_EPC_USABLE
         assert m.usable_pages == 23_936
-        assert m.usable_mib == 93.5
 
     def test_usable_pages_cached_without_changing_identity(self):
         m = EpcModel(usable_bytes=64 * 1024 * 1024)

@@ -323,6 +323,18 @@ class TestRecords:
         assert (pod.job, pod.node_id, pod.placed_ms) == (std_job("a"), "n1",
                                                          5_000)
 
+    @pytest.mark.parametrize("name", ["node_id", "other"])
+    def test_pod_refuses_any_name_with_its_name(self, name):
+        # A name that is not a field raised TypeError before Python 3.12.
+        pod = Pod(std_job("a"), "n1", 5_000)
+        with pytest.raises(FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(pod, name, 1)
+        with pytest.raises(FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(pod, name)
+        assert pod.node_id == "n1" and not hasattr(pod, "other")
+
     def test_pod_equality_hash_and_repr_are_the_dataclass_ones(self):
         job = std_job("a")
         pod = Pod(job, "n1", 5_000)

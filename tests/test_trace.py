@@ -660,6 +660,17 @@ class TestRecordSemantics:
             del record.job_id
         assert record.job_id in ("j", "k")
 
+    @pytest.mark.parametrize("name", ["job_id", "other"])
+    def test_any_name_is_refused_with_its_name(self, record, name):
+        # A name that is not a field raised TypeError before Python 3.12.
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+        assert not hasattr(record, "other")
+
     def test_constructor_takes_the_fields_in_order(self, record):
         params = list(inspect.signature(type(record)).parameters)
         assert params == [f.name for f in dataclasses.fields(record)]
